@@ -4,11 +4,11 @@ Nodes are annular sectors with a fan-shaped wedge cut from each end (the
 visible gaps) and a thin top-up ring whose area exactly replaces the cut,
 so every node's drawn area stays proportional to its data value at every
 depth.  Sunburst and icicle baselines, an SVG renderer, an independent
-polygon area measurement, and a scalability benchmark round out the
-package.
+exact area measurement of the drawn outlines, and a scalability benchmark
+round out the package.
 """
 
-from .bench import BenchRecord, FitResult, compare_kernels, fit_linear, run_bench
+from .bench import BenchRecord, FitResult, fit_linear, run_bench
 from .colors import assign_colors
 from .diagnostics import DiagnosticsReport, diagnostics
 from .generate import GeneratorSpec, demo_tree, generate_tree
@@ -36,7 +36,7 @@ from .layout import (
     layout_to_json,
     relax_thin_nodes,
 )
-from .measure import kernel_name, path_area
+from .measure import path_area
 from .svg import RenderStyle, render_svg
 from .tree import (
     NormalizedNode,
@@ -70,14 +70,12 @@ __all__ = [
     "assign_colors",
     "build_node_path",
     "clamp_wedge_angle",
-    "compare_kernels",
     "compute_layout",
     "demo_tree",
     "diagnostics",
     "fit_linear",
     "generate_tree",
     "height_for_scale",
-    "kernel_name",
     "layout_icicle",
     "layout_rit",
     "layout_sunburst",

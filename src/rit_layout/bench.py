@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .generate import GeneratorSpec, generate_tree
 from .layout import Layout, LayoutConfig, layout_rit, layout_to_json
-from .measure import have_compiled_kernel, path_area
 from .tree import normalize
 
 CSV_HEADER = ("generator", "cmax", "depth", "nodes", "repeat", "seconds", "visits")
@@ -175,50 +174,3 @@ def records_from_csv(text: str) -> list[BenchRecord]:
         if row
     ]
 
-
-def compare_kernels(
-    specs: list[GeneratorSpec] | None = None,
-    cfg: LayoutConfig = LayoutConfig(),
-    max_arc_step: float = 1e-4,
-) -> list[dict]:
-    """Time the compiled and pure-python area kernels over the same layouts.
-
-    Returns one row per spec with both timings and the worst relative
-    disagreement between the two measurements.
-    """
-    if specs is None:
-        specs = [
-            GeneratorSpec("fixed", 2, 5, seed=1),
-            GeneratorSpec("random", 5, 4, seed=2),
-            GeneratorSpec("semi-random", 6, 4, seed=3),
-        ]
-    rows = []
-    for spec in specs:
-        layout = layout_rit(normalize(generate_tree(spec), "strict"), cfg)
-        kernels = ["python"] + (["compiled"] if have_compiled_kernel() else [])
-        times: dict[str, float] = {}
-        areas: dict[str, list[float]] = {}
-        for kernel in kernels:
-            t0 = time.perf_counter()
-            areas[kernel] = [
-                path_area(n.path, max_arc_step, kernel=kernel) for n in layout.nodes
-            ]
-            times[kernel] = time.perf_counter() - t0
-        disagreement = 0.0
-        if "compiled" in areas:
-            disagreement = max(
-                abs(a - b) / max(abs(a), 1e-300)
-                for a, b in zip(areas["python"], areas["compiled"])
-            )
-        rows.append(
-            {
-                "generator": spec.kind,
-                "cmax": spec.c_max,
-                "depth": spec.depth,
-                "nodes": len(layout.nodes),
-                "python_seconds": times["python"],
-                "compiled_seconds": times.get("compiled"),
-                "max_rel_disagreement": disagreement,
-            }
-        )
-    return rows

@@ -18,14 +18,12 @@ from pathlib import Path as FsPath
 from .bench import (
     DEFAULT_NODE_CAP,
     GeneratorSpec,
-    compare_kernels,
     records_to_csv,
     run_bench,
 )
 from .colors import assign_colors
 from .diagnostics import diagnostics
 from .layout import STYLES, LayoutConfig, compute_layout, layout_to_json
-from .measure import kernel_name
 from .svg import RenderStyle, render_svg
 from .tree import (
     NormalizationError,
@@ -143,8 +141,6 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
     p_bench.add_argument("--parallel", action="store_true",
                          help="run specs concurrently (timings not comparable)")
-    p_bench.add_argument("--compare-kernels", action="store_true",
-                         help="benchmark the compiled vs pure-python area kernels instead")
 
     p_val = sub.add_parser("validate", help="report value-rule violations")
     p_val.add_argument("--input", required=True)
@@ -198,19 +194,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.compare_kernels:
-        rows = compare_kernels()
-        print(f"default kernel: {kernel_name()}")
-        for row in rows:
-            compiled = (
-                f"{row['compiled_seconds']:.4f}s" if row["compiled_seconds"] is not None else "n/a"
-            )
-            print(
-                f"{row['generator']:>11} cmax={row['cmax']} depth={row['depth']} "
-                f"nodes={row['nodes']:>5}  python={row['python_seconds']:.4f}s "
-                f"compiled={compiled}  max-rel-diff={row['max_rel_disagreement']:.2e}"
-            )
-        return EXIT_OK
     specs = [
         GeneratorSpec(args.generator, args.cmax, depth, seed=args.seed + depth)
         for depth in args.depths

@@ -1,8 +1,8 @@
 """Layout verification: measured areas, sibling gaps, bound margins.
 
-Areas come from the polygon measurement of each node's drawn outline, never
-from the closed forms the layout itself used, so a report certifies the
-geometry rather than echoing it.
+Areas come from the exact boundary integral of each node's drawn outline,
+never from the closed forms the layout itself used, so a report certifies
+the geometry rather than echoing it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 from .geometry import ANGLE_EPS, max_wedge_angle
 from .layout import Layout
-from .measure import DEFAULT_ARC_STEP, path_area
+from .measure import path_area
 
 # Zero-data nodes cannot carry a ratio; their area must vanish outright.
 ZERO_AREA_TOL = 1e-12
@@ -57,7 +57,6 @@ class DiagnosticsReport:
 
 def diagnostics(
     layout: Layout,
-    max_arc_step: float = DEFAULT_ARC_STEP,
     containment_tol: float = 1e-9,
 ) -> DiagnosticsReport:
     gaps_after: dict[str, tuple[float, float]] = {}
@@ -70,7 +69,7 @@ def diagnostics(
     node_reports: list[NodeReport] = []
     max_area_error = 0.0
     for n in layout.nodes:
-        area = path_area(n.path, max_arc_step)
+        area = path_area(n.path)
         target = n.data * layout.a_std
         if target > 0.0:
             ratio = area / target

@@ -67,6 +67,10 @@ class LayoutConfig:
     topup_variant: str = "exact"
 
     def validate(self) -> None:
+        for name in ("theta0", "r0", "h0", "acr", "relax_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 < self.beta0 <= TAU + geo.FULL_TURN_TOL:
             raise ValueError(f"beta0 must be in (0, 2*pi], got {self.beta0}")
         if self.r0 < 0.0:
@@ -83,8 +87,6 @@ class LayoutConfig:
             raise ValueError(f"relax threshold must be >= 0, got {self.relax_threshold}")
         if self.topup_variant not in TOPUP_VARIANTS:
             raise ValueError(f"topup_variant must be one of {TOPUP_VARIANTS}")
-        if not math.isfinite(self.theta0):
-            raise ValueError(f"theta0 must be finite, got {self.theta0}")
 
 
 @dataclass(frozen=True)

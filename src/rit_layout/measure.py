@@ -1,42 +1,27 @@
-"""Independent area measurement by arc discretization and the shoelace formula.
+"""Independent area measurement: the exact boundary integral of each outline.
 
 This is the package's verifier: it never consults the closed-form sector
-math, only the drawn outline.  Arcs are polygonized with angle steps no
-larger than ``max_arc_step``; the inscribed-polygon error is O(step^2)
-relative (about 1.7e-9 at the default step), independent of ring thinness,
-because inner and outer arc deficits cancel proportionally.
+math, only the drawn segments.  By Green's theorem a closed path encloses
+half the integral of ``x dy - y dx`` around its boundary.  A straight
+segment contributes ``x0*y1 - x1*y0`` (the surveyor's formula term) and an
+origin-centred arc ``r^2 * (end - start)``, so the sum is exact up to
+floating-point rounding.
 
-Two kernels compute the same polygon sum: a compiled Cython loop
-(``rit_layout._speedups``) and a vectorized numpy fallback.  The compiled
-one is preferred when importable unless RIT_LAYOUT_PURE is set.
+``loop_vertices`` polygonizes arcs for callers that need points (the SVG
+bounding box, and the test-side polygon cross-check at DEFAULT_ARC_STEP).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .geometry import ArcSegment, LineSegment, Path, Segment
 
-try:  # pragma: no cover - exercised via kernel-parity tests when built
-    from . import _speedups
-except ImportError:  # pragma: no cover
-    _speedups = None
-
+# Angle step for polygonized arcs; the inscribed polygon's relative area
+# error is O(step^2), about 1.7e-9 at this step.
 DEFAULT_ARC_STEP = 1e-4
-
-
-def kernel_name() -> str:
-    """Name of the kernel `path_area` will use by default."""
-    if _speedups is not None and not os.environ.get("RIT_LAYOUT_PURE"):
-        return "compiled"
-    return "python"
-
-
-def have_compiled_kernel() -> bool:
-    return _speedups is not None
 
 
 def _arc_steps(seg: ArcSegment, max_step: float) -> int:
@@ -61,48 +46,17 @@ def loop_vertices(loop: tuple[Segment, ...], max_arc_step: float) -> np.ndarray:
     return pts
 
 
-def _loop_rows(loop: tuple[Segment, ...]) -> np.ndarray:
-    rows = np.empty((len(loop), 6))
-    for i, seg in enumerate(loop):
-        if isinstance(seg, LineSegment):
-            rows[i] = (0.0, seg.x0, seg.y0, seg.x1, seg.y1, 0.0)
-        else:
-            rows[i] = (1.0, seg.radius, seg.start, seg.end, 0.0, 0.0)
-    return rows
-
-
-def _shoelace(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * (np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def path_area(
-    path: Path,
-    max_arc_step: float = DEFAULT_ARC_STEP,
-    kernel: str | None = None,
-) -> float:
-    """Unsigned area enclosed by a closed path (holes subtract via winding).
-
-    ``kernel`` forces "compiled" or "python"; None picks the default.
-    """
+def path_area(path: Path) -> float:
+    """Unsigned area enclosed by a closed path; holes subtract via winding."""
     if not path.closed:
         raise ValueError("cannot measure an open path")
-    if max_arc_step <= 0.0:
-        raise ValueError(f"arc step must be > 0, got {max_arc_step}")
-    if kernel is None:
-        kernel = kernel_name()
-    if kernel == "compiled":
-        if _speedups is None:
-            raise RuntimeError("compiled kernel requested but not built")
-        total = sum(
-            _speedups.loop_signed_area(_loop_rows(loop), max_arc_step)
-            for loop in path.loops
-        )
-    elif kernel == "python":
-        total = sum(_shoelace(loop_vertices(loop, max_arc_step)) for loop in path.loops)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return abs(total)
+    total = 0.0
+    for seg in path.segments:
+        if isinstance(seg, LineSegment):
+            total += seg.x0 * seg.y1 - seg.x1 * seg.y0
+        else:
+            total += seg.radius * seg.radius * seg.span
+    return abs(0.5 * total)
 
 
 def path_boundary_points(path: Path, n: int) -> np.ndarray:

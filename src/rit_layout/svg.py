@@ -146,7 +146,14 @@ def _label_element(node, tf: _Transform, style: RenderStyle, is_icicle: bool) ->
 
 
 def _escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape XML metacharacters for text content and quoted attribute values."""
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+        .replace("'", "&#39;")
+    )
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:

@@ -39,7 +39,6 @@ from conftest import TAU, full_chain
 from test_relax import flanked_thin_run
 
 AREA_TOL = 1e-6
-ORACLE_STEP = 1e-4
 
 
 @contextlib.contextmanager
@@ -96,7 +95,7 @@ def test_criterion_1_area_constancy(corpus_layouts):
         for layout in layouts:
             for node in layout.nodes:
                 target = node.data * layout.a_std
-                err = abs(path_area(node.path, ORACLE_STEP) - target) / target
+                err = abs(path_area(node.path) - target) / target
                 worst = max(worst, err)
         elapsed = time.perf_counter() - started
         print(f"  worst relative error {worst:.3e} over "
@@ -121,7 +120,7 @@ def test_criterion_2_chain_inconsistency_vs_rit():
 
         rit = layout_rit(chain, cfg)
         for node in rit.nodes:
-            assert abs(path_area(node.path, ORACLE_STEP) - 5 * math.pi) / (5 * math.pi) <= AREA_TOL
+            assert abs(path_area(node.path) - 5 * math.pi) / (5 * math.pi) <= AREA_TOL
         heights = [n.sector.height for n in rit.nodes]
         chain_expected = [
             1.0,
@@ -177,7 +176,7 @@ def test_criterion_5_half_topup_deficit():
             if sec.alpha <= 0.0:
                 continue
             lost = wedge_pair_area(sec.r_in, sec.height, sec.alpha)
-            measured = path_area(node.path, ORACLE_STEP)
+            measured = path_area(node.path)
             expected = node.data * layout.a_std - 0.5 * lost
             assert abs(measured - expected) / expected <= AREA_TOL
             wedged += 1
@@ -203,9 +202,7 @@ def test_criterion_6_relaxation():
         assert max(gaps) - min(gaps) <= 1e-9
 
         for b, a in zip(before.nodes, after.nodes):
-            assert path_area(a.path, ORACLE_STEP) == pytest.approx(
-                path_area(b.path, ORACLE_STEP), rel=1e-9, abs=1e-12
-            )
+            assert path_area(a.path) == pytest.approx(path_area(b.path), rel=1e-9, abs=1e-12)
         assert {n.id for n in after.nodes if n.relaxed} == {"t0", "t1", "t2"}
 
 
@@ -272,7 +269,7 @@ def test_criterion_8_figure_parameter_sweeps(demo_file, tmp_path):
             assert f"beta0={cfg.beta0!r}".encode() in svg
 
             layout = layout_rit(tree, cfg)
-            report = diagnostics(layout, ORACLE_STEP)
+            report = diagnostics(layout)
             assert report.max_area_error <= AREA_TOL          # criterion 1
             assert report.min_gap is None or report.min_gap > 0  # criterion 3
             for node in report.nodes:

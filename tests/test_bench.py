@@ -3,13 +3,7 @@ import math
 import pytest
 
 from rit_layout import GeneratorSpec, fit_linear, run_bench
-from rit_layout.bench import (
-    BenchRecord,
-    compare_kernels,
-    records_from_csv,
-    records_to_csv,
-)
-from rit_layout.measure import have_compiled_kernel
+from rit_layout.bench import BenchRecord, records_from_csv, records_to_csv
 
 
 class TestFitLinear:
@@ -87,13 +81,3 @@ class TestCsv:
         with pytest.raises(ValueError):
             records_from_csv("a,b,c\n1,2,3\n")
 
-
-class TestKernelComparison:
-    def test_rows_have_timings_and_agreement(self):
-        rows = compare_kernels([GeneratorSpec("fixed", 2, 3, seed=1)], max_arc_step=1e-3)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["python_seconds"] > 0.0
-        if have_compiled_kernel():
-            assert row["compiled_seconds"] > 0.0
-            assert row["max_rel_disagreement"] < 1e-9

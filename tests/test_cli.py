@@ -78,6 +78,19 @@ class TestRender:
         assert main(["render", "--input", demo_file,
                      "--output", str(tmp_path / "x.svg"), "--ar", "0.7"]) == 1
 
+    @pytest.mark.parametrize("flag, field", [
+        ("--r0", "r0"),
+        ("--h0", "h0"),
+        ("--acr", "acr"),
+        ("--relax-threshold", "relax_threshold"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_config_exit_1(self, demo_file, tmp_path, capsys, flag, field, value):
+        rc = main(["render", "--input", demo_file, "--output", str(tmp_path / "x.svg"),
+                   f"{flag}={value}"])
+        assert rc == 1
+        assert field in capsys.readouterr().err
+
     def test_unknown_flag_exit_1(self, demo_file):
         assert main(["render", "--input", demo_file, "--frobnicate"]) == 1
 
@@ -158,10 +171,6 @@ class TestBenchCommand:
                    "--csv", str(tmp_path / "b.csv")])
         assert rc == 0
         assert "skipped" in capsys.readouterr().err
-
-    def test_compare_kernels_flag(self, capsys):
-        assert main(["bench", "--compare-kernels"]) == 0
-        assert "default kernel" in capsys.readouterr().out
 
 
 class TestDeterminismAcrossProcesses:

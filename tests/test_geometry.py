@@ -137,9 +137,7 @@ class TestWedgePairArea:
         assert wedge_pair_area(r, h, alpha) == pytest.approx(three_term, rel=1e-12, abs=1e-300)
 
     def test_against_polygon_measurement_1000_draws(self):
-        # Independent check: measure the two explicit wedge outlines.  Wedges
-        # have no inner/outer arc error cancellation, so thin rings need a
-        # finer step than the default to hit 1e-7 relative.
+        # Independent check: measure the two explicit wedge outlines.
         rng = random.Random(20240901)
         for _ in range(1000):
             r = rng.uniform(0.0, 10.0)
@@ -149,7 +147,7 @@ class TestWedgePairArea:
             g = SectorGeometry(theta=rng.uniform(0, TAU), beta=beta, alpha=alpha,
                                r_in=r, height=h, depth=1)
             start, end = wedge_paths(g)
-            measured = path_area(start, 2e-5) + path_area(end, 2e-5)
+            measured = path_area(start) + path_area(end)
             assert measured == pytest.approx(wedge_pair_area(r, h, alpha), rel=1e-7)
 
 

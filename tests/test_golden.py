@@ -1,0 +1,141 @@
+"""Byte-for-byte pins of the geometry JSON and SVG output.
+
+Each case lays out a fixed input and compares the sha256 of
+``layout_to_json`` and of ``render_svg`` with a recorded digest, so a
+refactor that changes any output byte fails here.  A change that alters
+output on purpose regenerates the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in the change log.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+
+import pytest
+
+from rit_layout import (
+    GeneratorSpec,
+    LayoutConfig,
+    RenderStyle,
+    assign_colors,
+    compute_layout,
+    demo_tree,
+    generate_tree,
+    layout_to_json,
+    normalize,
+    render_svg,
+)
+
+QUARTER = LayoutConfig(theta0=1.25 * math.pi, beta0=0.5 * math.pi, r0=20.5, h0=2.0)
+
+SPECS = {
+    "random": GeneratorSpec("random", 4, 4, seed=7),
+    "semi": GeneratorSpec("semi-random", 5, 4, seed=11),
+}
+
+# name -> (tree source, style, config, render style)
+CASES = {
+    "demo-rit": ("demo", "rit", LayoutConfig(), RenderStyle()),
+    "demo-rit-labels": ("demo", "rit", LayoutConfig(), RenderStyle(draw_labels=True)),
+    "demo-quarter": ("demo", "rit", QUARTER, RenderStyle()),
+    "demo-relax-0.01": (
+        "demo", "rit", LayoutConfig(relax_enabled=True, relax_threshold=0.01), RenderStyle()
+    ),
+    "demo-relax-0.05": (
+        "demo", "rit", LayoutConfig(relax_enabled=True, relax_threshold=0.05), RenderStyle()
+    ),
+    "demo-sunburst": ("demo", "sunburst", LayoutConfig(), RenderStyle()),
+    "demo-icicle": ("demo", "icicle", LayoutConfig(), RenderStyle()),
+    **{
+        f"{name}-{style}": (name, style, LayoutConfig(), RenderStyle())
+        for name in SPECS
+        for style in ("rit", "sunburst", "icicle")
+    },
+}
+
+GOLDEN = {
+    "demo-icicle": (
+        "da59b2aea7d899d24f2458fc6662e739f6fd4791b3deb271ec16f076e443e2ab",
+        "22c94a3c2bf6aa7c0a3f583ce44ed4e331d1e118bfd26d89e464b7b1f201078d",
+    ),
+    "demo-quarter": (
+        "5d96391e3f5e29705a1d7d987e2e03fb859d69150534bef40bd5549762835052",
+        "64a3ee9857842ead9e0d176e4936f3792403b5aee171142bd2525a61889c2596",
+    ),
+    "demo-relax-0.01": (
+        "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
+        "9735421f1cfc3c4a46c8c34d413ee2bc4847737b4d05631b827d7c668dd1dbbf",
+    ),
+    "demo-relax-0.05": (
+        "5e3883d4337807fed81f46ddf205fe33c1cd4790812cc512626dde0ac13574fa",
+        "0a17963f870dba2125e9b8d78b244985b859ef760b6dab1460ebdfcc94dddae4",
+    ),
+    "demo-rit": (
+        "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
+        "b719e3bfb9dd78d0deaa47f1f49397a6a1c4caecfe406a25d6e56fef61457bd0",
+    ),
+    "demo-rit-labels": (
+        "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
+        "e0a2d4aa7cb6dc5e986b9792d4d77ffee155ede6999b9d3be32645489aa2c08c",
+    ),
+    "demo-sunburst": (
+        "ab0d969830ce60bff062d8277f46b5f2a37bb6def27b7fb2c5bd35f21385e29f",
+        "348edbde200ad26262785d10f40def40b15f1f23c18234abe0676d7a55c4d21f",
+    ),
+    "random-icicle": (
+        "f4a3158c06a5f159f566a4045f5561bb7f82d193110bc6b2ab57b08bc4ed3ca7",
+        "04b29ae3a52cc47eba574c7f4e1d1025d8052123f32216a46131f88d6507a38c",
+    ),
+    "random-rit": (
+        "baff649cf96b58b1ddf7f7a287a991495bed2ff724c36e734d64b89bf2e9f863",
+        "dbcf3dcd3b2c12858163c695d56f3209e2dacba5e1facab5ff81cec2d2c5a78a",
+    ),
+    "random-sunburst": (
+        "498dbdc5a19f7ca13e9eaa6b64fa8e29070965e7122d57a26b1ec828064779d7",
+        "52251677f102cc0a153f5c7b962642c98326675ee4e2dc513590553cfdc49e9d",
+    ),
+    "semi-icicle": (
+        "c1ab5df1d6069d2f0b1cd9e764ed073f4cafe660b1f831edd6a60ebdedb4a582",
+        "6c4b1bf87996ae020cfa424522f06d83cf194429c0986acbfcc9ff21b1b7f875",
+    ),
+    "semi-rit": (
+        "35826d0a19f01f9ede462012b538bb6f368e7c57cedb819ac41d13b15f05dcae",
+        "a6d4acef130eb3109a0585f8059c6ef6abc58134097c906cda1eeda7e3dc7962",
+    ),
+    "semi-sunburst": (
+        "936bed81a3731f348d58024604dae31b7f2d3b489194da77ab4850537d28e3e2",
+        "25a7820519a443482ccc3c1e8fa2fae0754b3ef3a315290905c050addc9063bf",
+    ),
+}
+
+
+def _digests(case: str) -> tuple[str, str]:
+    source, style, cfg, render_style = CASES[case]
+    raw = demo_tree() if source == "demo" else generate_tree(SPECS[source])
+    layout = compute_layout(assign_colors(normalize(raw, "strict")), style, cfg)
+    return (
+        hashlib.sha256(layout_to_json(layout).encode("utf-8")).hexdigest(),
+        hashlib.sha256(render_svg(layout, render_style)).hexdigest(),
+    )
+
+
+def test_every_case_is_pinned():
+    assert set(GOLDEN) == set(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_bytes_unchanged(case):
+    json_digest, svg_digest = _digests(case)
+    assert json_digest == GOLDEN[case][0], "layout JSON bytes changed"
+    assert svg_digest == GOLDEN[case][1], "SVG bytes changed"
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in sorted(CASES):
+        print(f"    {name!r}: {_digests(name)!r},")
+    print("}")

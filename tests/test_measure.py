@@ -1,17 +1,31 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from rit_layout import LayoutConfig, demo_tree, layout_rit, normalize, path_area
-from rit_layout.geometry import ArcSegment, LineSegment, Path
-from rit_layout.measure import (
-    DEFAULT_ARC_STEP,
-    have_compiled_kernel,
-    kernel_name,
-    loop_vertices,
-    path_boundary_points,
+from rit_layout import (
+    LayoutConfig,
+    demo_tree,
+    layout_icicle,
+    layout_rit,
+    normalize,
+    path_area,
+    sector_area,
+    wedge_pair_area,
 )
+from rit_layout.geometry import (
+    ArcSegment,
+    LineSegment,
+    Path,
+    SectorGeometry,
+    build_node_path,
+    clamp_wedge_angle,
+    wedge_paths,
+)
+from rit_layout.measure import DEFAULT_ARC_STEP, loop_vertices, path_boundary_points
+
+from conftest import full_chain
 
 TAU = 2.0 * math.pi
 
@@ -35,12 +49,23 @@ def square() -> Path:
     )
 
 
+def random_sectors(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        r = rng.uniform(0.0, 10.0)
+        h = rng.uniform(0.05, 3.0)
+        beta = rng.uniform(0.05, TAU - 0.01)
+        alpha = clamp_wedge_angle(rng.uniform(0.01, 0.45), beta, r, r + h)
+        yield SectorGeometry(theta=rng.uniform(0, TAU), beta=beta, alpha=alpha,
+                             r_in=r, height=h, depth=1)
+
+
 def test_unit_circle_area():
-    assert path_area(unit_circle()) == pytest.approx(math.pi, rel=1e-8)
+    assert path_area(unit_circle()) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_annulus_area_with_hole():
-    assert path_area(annulus(2.0, 3.0)) == pytest.approx(5 * math.pi, rel=1e-8)
+    assert path_area(annulus(2.0, 3.0)) == pytest.approx(5 * math.pi, rel=1e-15)
 
 
 def test_square_exact():
@@ -59,10 +84,11 @@ def test_orientation_insensitive():
     assert path_area(reversed_square) == 4.0
 
 
-def test_error_scales_with_step_squared():
-    coarse = abs(path_area(unit_circle(), max_arc_step=1e-2) - math.pi)
-    fine = abs(path_area(unit_circle(), max_arc_step=1e-3) - math.pi)
-    assert fine < coarse / 50
+def test_zero_width_sliver_exactly_zero():
+    p0 = (3.0 * math.cos(0.7), 3.0 * math.sin(0.7))
+    p1 = (5.0 * math.cos(0.7), 5.0 * math.sin(0.7))
+    sliver = Path.single([LineSegment(*p0, *p1), LineSegment(*p1, *p0)])
+    assert path_area(sliver) == 0.0
 
 
 def test_open_path_rejected():
@@ -71,14 +97,74 @@ def test_open_path_rejected():
         path_area(path)
 
 
-def test_bad_step_rejected():
-    with pytest.raises(ValueError):
-        path_area(unit_circle(), max_arc_step=0.0)
+def test_matches_sector_area():
+    for g in random_sectors(7, 200):
+        plain = SectorGeometry(theta=g.theta, beta=g.beta, alpha=0.0,
+                               r_in=g.r_in, height=g.height, depth=1)
+        assert path_area(build_node_path(plain)) == pytest.approx(
+            sector_area(g.r_in, g.height, g.beta), rel=1e-12
+        )
+
+
+def test_matches_wedge_pair_area():
+    for g in random_sectors(20240901, 200):
+        start, end = wedge_paths(g)
+        assert path_area(start) + path_area(end) == pytest.approx(
+            wedge_pair_area(g.r_in, g.height, g.alpha), rel=1e-10
+        )
+
+
+@pytest.mark.parametrize("maker", [layout_rit, layout_icicle])
+@pytest.mark.parametrize("tree", ["demo", "chain-49"])
+def test_layout_areas_proportional_to_data(maker, tree):
+    root = demo_tree() if tree == "demo" else full_chain(49)
+    layout = maker(normalize(root, "strict"), LayoutConfig(r0=8.0, h0=2.0))
+    assert len(layout.nodes) > 1
+    for node in layout.nodes:
+        target = node.data * layout.a_std
+        assert abs(path_area(node.path) - target) <= 1e-10 * target
+
+
+def _polygon_area(path: Path, step: float = DEFAULT_ARC_STEP) -> float:
+    """Shoelace area of the outline with arcs polygonized at ``step``."""
+    total = 0.0
+    for loop in path.loops:
+        pts = loop_vertices(loop, step)
+        x, y = pts[:, 0], pts[:, 1]
+        # fsum keeps the rounding of ~10^5 terms far below the O(step^2) error.
+        total += 0.5 * math.fsum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    return abs(total)
+
+
+def _polygon_error_bound(path: Path) -> float:
+    # Each inscribed chord of angle d <= step drops r^2 (d - sin d) / 2 <= r^2 d^3 / 12.
+    return sum(
+        seg.radius ** 2 * abs(seg.span) * DEFAULT_ARC_STEP ** 2 / 12.0
+        for seg in path.segments
+        if isinstance(seg, ArcSegment)
+    )
+
+
+def test_error_scales_with_step_squared():
+    coarse = abs(_polygon_area(unit_circle(), 1e-2) - math.pi)
+    fine = abs(_polygon_area(unit_circle(), 1e-3) - math.pi)
+    assert fine < coarse / 50
 
 
 def test_default_step_hits_1e9_relative():
-    err = abs(path_area(unit_circle(), DEFAULT_ARC_STEP) - math.pi) / math.pi
+    err = abs(_polygon_area(unit_circle()) - math.pi) / math.pi
     assert err < 5e-9
+
+
+def test_polygon_cross_check():
+    """The spec's arc-polygon shoelace agrees within its O(step^2) error."""
+    layout = layout_rit(normalize(demo_tree(), "strict"), LayoutConfig(r0=8.0, h0=2.0))
+    paths = [unit_circle(), annulus(1.0, 4.0), square()]
+    paths += [n.path for n in layout.nodes]
+    for path in paths:
+        exact = path_area(path)
+        rounding = 1e-12 * max(exact, 1.0)
+        assert abs(_polygon_area(path) - exact) <= _polygon_error_bound(path) + rounding
 
 
 def test_loop_vertices_respects_step():
@@ -95,27 +181,3 @@ def test_boundary_points_lie_on_path():
         | np.isclose(pts[:, 1], 0) | np.isclose(pts[:, 1], 2)
     )
     assert on_edge.all()
-
-
-@pytest.mark.skipif(not have_compiled_kernel(), reason="compiled kernel not built")
-class TestKernelParity:
-    def test_default_prefers_compiled(self, monkeypatch):
-        monkeypatch.delenv("RIT_LAYOUT_PURE", raising=False)
-        assert kernel_name() == "compiled"
-        monkeypatch.setenv("RIT_LAYOUT_PURE", "1")
-        assert kernel_name() == "python"
-
-    def test_kernels_agree_on_simple_shapes(self):
-        # Same polygon, different summation order: agreement well below the
-        # discretization error but not to the last ulp.
-        for path in (unit_circle(), annulus(1.0, 4.0), square()):
-            a = path_area(path, kernel="python")
-            b = path_area(path, kernel="compiled")
-            assert b == pytest.approx(a, rel=1e-9)
-
-    def test_kernels_agree_on_full_layout(self):
-        layout = layout_rit(normalize(demo_tree(), "strict"), LayoutConfig())
-        for node in layout.nodes:
-            a = path_area(node.path, kernel="python")
-            b = path_area(node.path, kernel="compiled")
-            assert b == pytest.approx(a, rel=1e-10, abs=1e-12)

@@ -185,6 +185,19 @@ class TestRendering:
         plain = render_svg(demo_layout)
         assert b"<text" not in plain
 
+    def test_xml_metacharacters_in_ids_and_labels(self):
+        names = ['a"x', "b'y", "c<z", "d&w", """all "'<&>"""]
+        tree = TreeNode("root", "root", 5.0, children=[
+            TreeNode(name, name, 1.0) for name in names
+        ])
+        layout = layout_rit(normalize(tree, "strict"), LayoutConfig(r0=4.0, h0=2.0))
+        svg = render_svg(layout, RenderStyle(draw_labels=True))
+        root = ET.fromstring(svg.decode())
+        paths = [el for el in root.iter(f"{SVG_NS}path") if el.get("id")]
+        assert len(paths) == len(layout.nodes) == 1 + len(names)
+        assert {el.get("id") for el in paths} == {"root", *names}
+        assert {el.text for el in root.iter(f"{SVG_NS}text")} <= {"root", *names}
+
     def test_background_and_canvas(self, demo_layout):
         svg = render_svg(demo_layout, RenderStyle(canvas=500))
         root = ET.fromstring(svg.decode())
@@ -208,7 +221,7 @@ class TestGeometricFidelity:
         by_id = {n.id: n for n in layout.nodes}
         for el in svg_paths(svg):
             node = by_id[el.get("id")]
-            source_area = path_area(node.path, 1e-3)
+            source_area = path_area(node.path)
             total = 0.0
             for sub in parse_d(el.get("d")):
                 pts = polygonize_subpath(sub)
