@@ -7,8 +7,9 @@ segment contributes ``x0*y1 - x1*y0`` (the surveyor's formula term) and an
 origin-centred arc ``r^2 * (end - start)``, so the sum is exact up to
 floating-point rounding.
 
-``loop_vertices`` polygonizes arcs for callers that need points (the SVG
-bounding box, and the test-side polygon cross-check at DEFAULT_ARC_STEP).
+``loop_vertices`` polygonizes arcs for callers that need points, such as
+the test-side polygon cross-check at DEFAULT_ARC_STEP.  The SVG canvas fit
+does not use it: ``svg`` takes the outlines' exact extent instead.
 """
 
 from __future__ import annotations

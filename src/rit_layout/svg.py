@@ -2,10 +2,12 @@
 
 Node outlines are emitted as filled path elements in depth-major order,
 with arcs as elliptical-arc commands (split so no single command spans
-pi or more).  The drawing is uniformly scaled and centered to fit the
-canvas; the applied transform and the layout configuration are echoed in
-a leading comment so the output is self-describing.  Identical inputs
-produce byte-identical output.
+pi or more).  The drawing is uniformly scaled and centered so that the
+outlines' exact extent (line endpoints, arc endpoints and the axis
+extremes an arc sweeps past) fills the canvas less the margin; the
+applied transform and the layout configuration are echoed in a leading
+comment so the output is self-describing.  Identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from dataclasses import dataclass
 
 from .geometry import ArcSegment, LineSegment, Path
 from .layout import Layout
-from .measure import loop_vertices
 
 FALLBACK_FILL = "#cccccc"
+
+HALF_PI = 0.5 * math.pi
+
+# Unit point at angle k*pi/2, indexed by k % 4: where an origin-centred
+# arc reaches its x or y extremes.
+_AXIS_POINTS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -45,19 +52,43 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+def _extent(layout: Layout) -> tuple[float, float, float, float]:
+    """Exact (x_lo, x_hi, y_lo, y_hi) of every node's drawn outline.
+
+    A line reaches no further than its endpoints.  An origin-centred arc
+    reaches its endpoints plus (+-r, 0) / (0, +-r) at every multiple k*pi/2
+    inside [lo, hi]; Python's floor modulo maps any k, negative or past a
+    full turn, to its axis point.
+    """
+    xs: list[float] = []
+    ys: list[float] = []
+    for node in layout.nodes:
+        for loop in node.path.loops:
+            for seg in loop:
+                if isinstance(seg, LineSegment):
+                    xs += (seg.x0, seg.x1)
+                    ys += (seg.y0, seg.y1)
+                    continue
+                r = seg.radius
+                lo, hi = seg.start, seg.end
+                if hi < lo:
+                    lo, hi = hi, lo
+                xs += (r * math.cos(lo), r * math.cos(hi))
+                ys += (r * math.sin(lo), r * math.sin(hi))
+                k = math.ceil(lo / HALF_PI)
+                while k * HALF_PI <= hi:
+                    ux, uy = _AXIS_POINTS[k % 4]
+                    xs.append(r * ux)
+                    ys.append(r * uy)
+                    k += 1
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 class _Transform:
     """Uniform scale + translation from layout coordinates to the canvas (y flipped)."""
 
     def __init__(self, layout: Layout, style: RenderStyle):
-        xs: list[float] = []
-        ys: list[float] = []
-        for node in layout.nodes:
-            for loop in node.path.loops:
-                pts = loop_vertices(loop, 0.01)
-                xs.extend((pts[:, 0].min(), pts[:, 0].max()))
-                ys.extend((pts[:, 1].min(), pts[:, 1].max()))
-        x_lo, x_hi = float(min(xs)), float(max(xs))
-        y_lo, y_hi = float(min(ys)), float(max(ys))
+        x_lo, x_hi, y_lo, y_hi = _extent(layout)
         span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
         self.scale = (style.canvas - 2.0 * style.margin) / span
         self.cx = 0.5 * style.canvas - self.scale * 0.5 * (x_lo + x_hi)

@@ -106,10 +106,11 @@ def _node_from_json(obj, node_id: str) -> TreeNode:
 
 def _parse_json_tree(text: str) -> TreeNode:
     try:
-        obj = json.loads(text)
+        return _node_from_json(json.loads(text), "0")
     except json.JSONDecodeError as exc:
         raise TreeInputError(f"invalid JSON: {exc}") from exc
-    return _node_from_json(obj, "0")
+    except RecursionError:
+        raise TreeInputError("json-tree nesting is too deep to parse") from None
 
 
 def _parse_csv_edges(text: str) -> TreeNode:
@@ -216,19 +217,31 @@ def serialize_tree(tree: TreeNode, fmt: str) -> str:
     raise ValueError(f"unknown tree format {fmt!r}")
 
 
+def _value_violation(node: TreeNode) -> Violation | None:
+    """The per-node value rules that ``validate`` and ``normalize`` share."""
+    if not math.isfinite(node.value):
+        return Violation(node.id, "non-finite-value", f"value {node.value} is not finite")
+    if node.value < 0.0:
+        return Violation(node.id, "negative-value", f"value {node.value} < 0")
+    return None
+
+
+def _require_valid_value(node: TreeNode) -> None:
+    # The chained comparison is false exactly when a value rule is broken.
+    if not 0.0 <= node.value < math.inf:
+        bad = _value_violation(node)
+        raise NormalizationError(f"node {node.id!r}: {bad.rule}: {bad.message}")
+
+
 def validate(tree: TreeNode) -> list[Violation]:
     """Check every node's value rules; violations are data, not errors."""
     violations: list[Violation] = []
     for node in tree.walk():
-        if not math.isfinite(node.value):
-            violations.append(
-                Violation(node.id, "non-finite-value", f"value {node.value} is not finite")
-            )
-            continue
-        if node.value < 0.0:
-            violations.append(
-                Violation(node.id, "negative-value", f"value {node.value} < 0")
-            )
+        bad = _value_violation(node)
+        if bad is not None:
+            violations.append(bad)
+            if bad.rule == "non-finite-value":
+                continue
         if node.children:
             child_sum = sum(c.value for c in node.children)
             excess = child_sum - node.value
@@ -247,17 +260,23 @@ def validate(tree: TreeNode) -> list[Violation]:
 def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     """Divide every value by the root value so the root maps to exactly 1.
 
+    Under either strategy a non-finite or negative value is rejected with
+    the rule name ``validate`` reports for it.
+
     strict: raise if any parent's children sum past its own value.
     renormalize: scale the children of an overfull parent (and, implicitly,
     their whole subtrees) down proportionally so their sum equals the parent.
     """
     if strategy not in ("strict", "renormalize"):
         raise ValueError(f"unknown normalization strategy {strategy!r}")
+    _require_valid_value(tree)
     root_value = tree.value
     if not root_value > 0.0:
         raise NormalizationError(f"root value must be > 0, got {root_value}")
 
     def build(node: TreeNode, scale: float) -> NormalizedNode:
+        for child in node.children:
+            _require_valid_value(child)
         data = scale * node.value / root_value
         child_scale = scale
         child_sum = sum(c.value for c in node.children)

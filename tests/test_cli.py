@@ -6,6 +6,7 @@ import pytest
 
 from rit_layout import demo_tree, serialize_tree
 from rit_layout.cli import main
+from rit_layout.tree import TreeNode
 
 DEMO_JSON = serialize_tree(demo_tree(), "json-tree")
 DEMO_CSV = serialize_tree(demo_tree(), "csv-edges")
@@ -91,11 +92,39 @@ class TestRender:
         assert rc == 1
         assert field in capsys.readouterr().err
 
+    def test_too_deep_json_nesting_exit_2(self, tmp_path, capsys):
+        # Built by hand: json.dumps would itself recurse 600 levels deep.
+        depth = 600
+        leaf = '{"label":"n","value":1}'
+        text = '{"label":"n","value":1,"children":[' * depth + leaf + "]}" * depth
+        src = tmp_path / "deep.json"
+        src.write_text(text)
+        rc = main(["render", "--input", str(src), "--output", str(tmp_path / "x.svg")])
+        assert rc == 2
+        assert "too deep" in capsys.readouterr().err
+
     def test_unknown_flag_exit_1(self, demo_file):
         assert main(["render", "--input", demo_file, "--frobnicate"]) == 1
 
     def test_unknown_subcommand_exit_1(self):
         assert main(["explode"]) == 1
+
+
+@pytest.mark.parametrize("command", ["render", "layout", "compare"])
+@pytest.mark.parametrize("fmt, suffix, bad_id", [
+    ("csv-edges", "csv", "'b'"),
+    ("json-tree", "json", "'0.1'"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_node_value_exit_2(tmp_path, capsys, command, fmt, suffix, bad_id, value):
+    tree = TreeNode("root", "root", 2.0, children=[
+        TreeNode("a", "a", 1.0), TreeNode("b", "b", float(value))])
+    src = tmp_path / f"bad.{suffix}"
+    src.write_text(serialize_tree(tree, fmt))
+    out = ["--outdir", str(tmp_path / "cmp")] if command == "compare" else [
+        "--output", str(tmp_path / "out")]
+    assert main([command, "--input", str(src), *out]) == 2
+    assert bad_id in capsys.readouterr().err
 
 
 class TestLayoutCommand:

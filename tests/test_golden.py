@@ -64,27 +64,27 @@ GOLDEN = {
     ),
     "demo-quarter": (
         "5d96391e3f5e29705a1d7d987e2e03fb859d69150534bef40bd5549762835052",
-        "64a3ee9857842ead9e0d176e4936f3792403b5aee171142bd2525a61889c2596",
+        "878ede9cfa70b25296e955f44bf884e5d0d421619b8cd31f433ce144e5b6d01a",
     ),
     "demo-relax-0.01": (
         "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
-        "9735421f1cfc3c4a46c8c34d413ee2bc4847737b4d05631b827d7c668dd1dbbf",
+        "e930b7601686266c483976cd86d7a83d675ca91153a6c71a51ec6f9350a57c5a",
     ),
     "demo-relax-0.05": (
         "5e3883d4337807fed81f46ddf205fe33c1cd4790812cc512626dde0ac13574fa",
-        "0a17963f870dba2125e9b8d78b244985b859ef760b6dab1460ebdfcc94dddae4",
+        "433b59b331fb6e606a04349d2717b0bf83e286e4032f6a40c490fee850edd483",
     ),
     "demo-rit": (
         "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
-        "b719e3bfb9dd78d0deaa47f1f49397a6a1c4caecfe406a25d6e56fef61457bd0",
+        "d1122ace22d72678d0caecbdf1ef9662791f1f160465f52cc9dc88a7c1098f8e",
     ),
     "demo-rit-labels": (
         "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
-        "e0a2d4aa7cb6dc5e986b9792d4d77ffee155ede6999b9d3be32645489aa2c08c",
+        "39c2d53b838f017ea0ded5f797bef763f2c0e0e9c646e9df9c1f9dd40740743a",
     ),
     "demo-sunburst": (
         "ab0d969830ce60bff062d8277f46b5f2a37bb6def27b7fb2c5bd35f21385e29f",
-        "348edbde200ad26262785d10f40def40b15f1f23c18234abe0676d7a55c4d21f",
+        "52bccc464476c950dc78091bb7a2c4cdeb145a4553bd18e5edbd8fbd831fce6b",
     ),
     "random-icicle": (
         "f4a3158c06a5f159f566a4045f5561bb7f82d193110bc6b2ab57b08bc4ed3ca7",
@@ -104,7 +104,7 @@ GOLDEN = {
     ),
     "semi-rit": (
         "35826d0a19f01f9ede462012b538bb6f368e7c57cedb819ac41d13b15f05dcae",
-        "a6d4acef130eb3109a0585f8059c6ef6abc58134097c906cda1eeda7e3dc7962",
+        "4912e8d2b7e1f00e3646797ebaa6e855ea85d7e607c24076f17e7e261846bc06",
     ),
     "semi-sunburst": (
         "936bed81a3731f348d58024604dae31b7f2d3b489194da77ab4850537d28e3e2",

@@ -8,6 +8,8 @@ import pytest
 from rit_layout import (
     LayoutConfig,
     RenderStyle,
+    compute_layout,
+    demo_tree,
     layout_icicle,
     layout_rit,
     layout_sunburst,
@@ -16,8 +18,10 @@ from rit_layout import (
     relax_thin_nodes,
     render_svg,
 )
+from rit_layout.measure import path_boundary_points
 from rit_layout.tree import TreeNode
 
+from test_golden import QUARTER
 from test_relax import flanked_thin_run
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -114,8 +118,6 @@ def shoelace(pts):
 
 @pytest.fixture(scope="module")
 def demo_layout():
-    from rit_layout import demo_tree
-
     return layout_rit(normalize(demo_tree(), "strict"), LayoutConfig(r0=8, h0=2))
 
 
@@ -213,8 +215,6 @@ class TestRendering:
 class TestGeometricFidelity:
     @pytest.mark.parametrize("maker", [layout_rit, layout_sunburst, layout_icicle])
     def test_reparsed_paths_match_source(self, maker):
-        from rit_layout import demo_tree
-
         layout = maker(normalize(demo_tree(), "strict"), LayoutConfig(r0=8, h0=2))
         svg = render_svg(layout)
         scale, cx, cy = parse_transform(svg)
@@ -262,6 +262,40 @@ class TestGeometricFidelity:
                     # that declared endpoints (non-split) land on a vertex.
                     if cmd != "A":
                         assert near < 1e-5
+
+
+class TestExactFit:
+    def test_full_annulus_fills_canvas_exactly(self):
+        # Default config: one full annulus of outer radius r0 + h0 = 10, so the
+        # 800 px drawable square maps +-10 to 40 px per unit, centred.
+        layout = layout_rit(normalize(TreeNode("r", "r", 1.0), "strict"))
+        scale, cx, cy = parse_transform(render_svg(layout))
+        assert abs(scale - 40.0) <= 1e-12
+        assert abs(cx - 420.0) <= 1e-12
+        assert abs(cy - 420.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "style, cfg",
+        [
+            ("rit", LayoutConfig()),
+            ("sunburst", LayoutConfig()),
+            ("rit", QUARTER),
+            ("rit", LayoutConfig(relax_enabled=True, relax_threshold=0.05)),
+        ],
+        ids=["rit", "sunburst", "quarter", "relax-0.05"],
+    )
+    def test_outlines_stay_inside_margin(self, style, cfg):
+        layout = compute_layout(normalize(demo_tree(), "strict"), style, cfg)
+        render_style = RenderStyle()
+        scale, cx, cy = parse_transform(render_svg(layout, render_style))
+        lo = render_style.margin - 1e-9
+        hi = render_style.canvas - render_style.margin + 1e-9
+        for node in layout.nodes:
+            pts = path_boundary_points(node.path, 20_000)
+            px = cx + scale * pts[:, 0]
+            py = cy - scale * pts[:, 1]
+            assert px.min() >= lo and px.max() <= hi, node.id
+            assert py.min() >= lo and py.max() <= hi, node.id
 
 
 def test_icicle_root_renders_on_top():

@@ -164,6 +164,20 @@ class TestNormalize:
         assert result.children[0].data == pytest.approx(1.0, rel=1e-12)
         assert result.children[0].children[0].data <= result.children[0].data + 1e-12
 
+    @pytest.mark.parametrize("strategy", ["strict", "renormalize"])
+    @pytest.mark.parametrize("value, rule", [
+        (math.nan, "non-finite-value"),
+        (math.inf, "non-finite-value"),
+        (-1.0, "negative-value"),
+    ])
+    def test_bad_values_rejected_with_validate_rule(self, strategy, value, rule):
+        parent = TreeNode("p", "p", 10, children=[
+            TreeNode("a", "a", 1), TreeNode("x", "x", value)])
+        assert ("x", rule) in {(v.node_id, v.rule) for v in validate(parent)}
+        for tree in (parent, TreeNode("r", "r", 20, children=[parent]), TreeNode("x", "x", value)):
+            with pytest.raises(NormalizationError, match=f"'x': {rule}"):
+                normalize(tree, strategy)
+
     def test_zero_root_rejected(self):
         with pytest.raises(NormalizationError):
             normalize(TreeNode("x", "x", 0.0), "strict")
