@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
 from .geometry import (
@@ -140,6 +141,19 @@ class Layout:
         return list(groups.values())
 
 
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum, the same on every Python version.
+
+    Python 3.12's ``sum()`` compensates float rounding, so it can differ
+    from 3.10/3.11 in the last bit and move output bytes between
+    interpreters.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _check_tree(tree: NormalizedNode) -> None:
     for node in tree.walk():
         if node.data < 0.0 or not math.isfinite(node.data):
@@ -184,7 +198,7 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         children = parent.children
         if not children:
             continue
-        total = sum(c.data for c in children)
+        total = _sum_in_order(c.data for c in children)
         if cfg.mode == "contained" and total > 0.0 and f_beta > 0.0:
             k = min(1.0, f_beta / (scale_in * total))
         else:
@@ -369,7 +383,8 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
     between cut edges inside the available span come out equal.  The span
     reaches from the cut edge of the nearest non-thin sibling on each side,
     or past the frame edge by the parent's half wedge angle at a group
-    boundary.  Every moved node is flagged relaxed.
+    boundary.  Every moved node is flagged relaxed.  ``layout.nodes`` must
+    list every parent before its children, as ``layout_rit`` places them.
     """
     if layout.style != "rit":
         raise ValueError("relaxation applies to rit layouts only")
@@ -382,13 +397,8 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
         if n.parent is not None:
             children_of.setdefault(n.parent, []).append(n)
 
-    rotations: dict[str, float] = {}
-
-    def rotate_subtree(node_id: str, delta: float) -> None:
-        rotations[node_id] = rotations.get(node_id, 0.0) + delta
-        for child in children_of.get(node_id, ()):
-            rotate_subtree(child.id, delta)
-
+    # Each moved node's own offset; a subtree turns with its moved ancestors.
+    offsets: dict[str, float] = {}
     for parent_id, group in children_of.items():
         parent = by_id[parent_id]
         parent_alpha = parent.sector.alpha
@@ -413,32 +423,35 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
             else:
                 span_hi = frame_hi + 0.5 * parent_alpha
             widths = [n.sector.cut_end - n.sector.cut_start for n in run]
-            gap = (span_hi - span_lo - sum(widths)) / (len(run) + 1)
+            gap = (span_hi - span_lo - _sum_in_order(widths)) / (len(run) + 1)
             edge = span_lo + gap
             for node, width in zip(run, widths):
-                rotate_subtree(node.id, edge - node.sector.cut_start)
+                offsets[node.id] = edge - node.sector.cut_start
                 edge += width + gap
             i = j
 
-    if not rotations:
+    if not offsets:
         return layout
 
+    # One pass in placement order, where parents precede children: a node's
+    # rotation is its parent's rotation plus its own offset, summed top-down.
+    rotations: dict[str, float] = {}
     new_nodes = []
     for n in layout.nodes:
-        delta = rotations.get(n.id)
-        if delta is None:
+        if n.id not in offsets and n.parent not in rotations:
             new_nodes.append(n)
             continue
+        inherited = rotations.get(n.parent, 0.0)
+        delta = rotations[n.id] = inherited + offsets.get(n.id, 0.0)
         sector = replace(n.sector, theta=n.sector.theta + delta)
         # A moved node keeps its placement frame (the parent's span did not
         # move); descendants' frames derive from the moved ancestor and shift.
-        frame_shift = rotations.get(n.parent, 0.0) if n.parent is not None else 0.0
         new_nodes.append(
             replace(
                 n,
                 sector=sector,
                 path=shift_path(n.path, rotate=delta),
-                frame_theta=n.frame_theta + frame_shift,
+                frame_theta=n.frame_theta + inherited,
                 relaxed=True,
             )
         )
@@ -446,30 +459,82 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
 
 
 _NUM_KEYS = ("theta", "beta", "alpha", "r_in", "height", "topup_height")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _segment_to_json(seg) -> dict:
+def _json_value(value, pad: str) -> str:
+    """``value`` as ``json.dumps`` with a one-space indent spells it at ``pad``.
+
+    Scalars follow ``json.encoder``'s own dispatch on the value's type; any
+    other value (a list, say, in a hand-built layout) goes through
+    ``json.dumps`` itself, re-indented to ``pad``.
+    """
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NON_FINITE.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value, indent=" ").replace("\n", "\n" + pad)
+
+
+def _segment_json(seg) -> str:
+    """One path segment as an item of a node's ``"path"`` list (indent 4)."""
+    v = _json_value
     if isinstance(seg, geo.ArcSegment):
-        return {"type": "arc", "radius": seg.radius, "start": seg.start, "end": seg.end}
-    return {"type": "line", "x0": seg.x0, "y0": seg.y0, "x1": seg.x1, "y1": seg.y1}
+        return (
+            '    {\n     "type": "arc",\n'
+            f'     "radius": {v(seg.radius, "     ")},\n'
+            f'     "start": {v(seg.start, "     ")},\n'
+            f'     "end": {v(seg.end, "     ")}\n    }}'
+        )
+    return (
+        '    {\n     "type": "line",\n'
+        f'     "x0": {v(seg.x0, "     ")},\n'
+        f'     "y0": {v(seg.y0, "     ")},\n'
+        f'     "x1": {v(seg.x1, "     ")},\n'
+        f'     "y1": {v(seg.y1, "     ")}\n    }}'
+    )
+
+
+def _node_json(n: PlacedNode) -> str:
+    """One node as an item of the ``"nodes"`` list (indent 2)."""
+    v = _json_value
+    fields = [("id", n.id), ("depth", n.depth)]
+    fields += [(k, getattr(n.sector, k)) for k in _NUM_KEYS]
+    fields += [("relaxed", n.relaxed), ("color", n.color), ("label", n.label)]
+    head = "".join(f'   "{k}": {v(value, "   ")},\n' for k, value in fields)
+    segments = n.path.segments
+    if not segments:
+        return f'  {{\n{head}   "path": []\n  }}'
+    body = ",\n".join([_segment_json(s) for s in segments])
+    return f'  {{\n{head}   "path": [\n{body}\n   ]\n  }}'
 
 
 def layout_to_json(layout: Layout) -> str:
-    """Geometry export: {a_std, style, nodes: [...]} with full float precision."""
-    doc = {
-        "a_std": layout.a_std,
-        "style": layout.style,
-        "nodes": [
-            {
-                "id": n.id,
-                "depth": n.depth,
-                **{k: getattr(n.sector, k) for k in _NUM_KEYS},
-                "relaxed": n.relaxed,
-                "color": n.color,
-                "label": n.label,
-                "path": [_segment_to_json(s) for s in n.path.segments],
-            }
-            for n in layout.nodes
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    """Geometry export: {a_std, style, nodes: [...]} with full float precision.
+
+    The bytes equal those of ``json.dumps(doc, indent=" ")``, a one-space
+    indent, for the document ``{"a_std", "style", "nodes": [{"id", "depth",
+    "theta", "beta", "alpha", "r_in", "height", "topup_height", "relaxed",
+    "color", "label", "path": [segment, ...]}, ...]}``, where an arc segment
+    is ``{"type": "arc", "radius", "start", "end"}`` and a line ``{"type":
+    "line", "x0", "y0", "x1", "y1"}``.  The text is written directly, one
+    string per node and per segment, because any indent sends ``json.dumps``
+    to its pure-Python encoder.
+    """
+    head = (
+        f'{{\n "a_std": {_json_value(layout.a_std, " ")},\n'
+        f' "style": {_json_value(layout.style, " ")},\n'
+    )
+    if not layout.nodes:
+        return head + ' "nodes": []\n}'
+    body = ",\n".join([_node_json(n) for n in layout.nodes])
+    return f'{head} "nodes": [\n{body}\n ]\n}}'

@@ -33,6 +33,15 @@ class NormalizationError(ValueError):
     """Tree values cannot be normalized under the requested strategy."""
 
 
+def _preorder(root):
+    """Nodes in preorder, with an explicit stack so depth has no limit."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
 @dataclass
 class TreeNode:
     """Raw input node; ``value`` is in application units."""
@@ -44,9 +53,7 @@ class TreeNode:
     children: list["TreeNode"] = field(default_factory=list)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        return _preorder(self)
 
     def count(self) -> int:
         return sum(1 for _ in self.walk())
@@ -63,9 +70,7 @@ class NormalizedNode:
     children: list["NormalizedNode"] = field(default_factory=list)
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        return _preorder(self)
 
     def count(self) -> int:
         return sum(1 for _ in self.walk())

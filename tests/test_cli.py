@@ -93,8 +93,10 @@ class TestRender:
         assert field in capsys.readouterr().err
 
     def test_too_deep_json_nesting_exit_2(self, tmp_path, capsys):
-        # Built by hand: json.dumps would itself recurse 600 levels deep.
-        depth = 600
+        # Deeper than the recursion limit: json.loads gives up first on
+        # 3.10/3.11, _node_from_json on 3.12+, whose json.loads nests deeper.
+        # Built by hand: json.dumps would itself recurse that deep.
+        depth = sys.getrecursionlimit() + 500
         leaf = '{"label":"n","value":1}'
         text = '{"label":"n","value":1,"children":[' * depth + leaf + "]}" * depth
         src = tmp_path / "deep.json"
@@ -181,6 +183,14 @@ class TestValidateCommand:
         assert main(["validate", "--input", str(bad)]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report[0]["rule"] == "overfull-parent"
+
+    def test_deep_csv_chain_exit_0(self, tmp_path, capsys):
+        rows = ["parent_id,id,label,value,color", ",n0,n0,1,"]
+        rows += [f"n{i - 1},n{i},n{i},1," for i in range(1, 3000)]
+        src = tmp_path / "chain.csv"
+        src.write_text("\n".join(rows) + "\n")
+        assert main(["validate", "--input", str(src)]) == 0
+        assert json.loads(capsys.readouterr().out) == []
 
 
 class TestBenchCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from rit_layout import (
     GeneratorSpec,
     LayoutConfig,
+    compute_layout,
     demo_tree,
     diagnostics,
     generate_tree,
@@ -18,9 +20,11 @@ from rit_layout import (
     sector_area,
 )
 from rit_layout.diagnostics import wedge_bound_satisfied
+from rit_layout.geometry import ArcSegment, Path
 from rit_layout.tree import TreeNode
 
 from conftest import TAU, full_chain
+from test_golden import QUARTER
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +285,77 @@ class TestIcicle:
         assert report.min_gap == pytest.approx(0.0, abs=1e-12)
 
 
+_SECTOR_KEYS = ("theta", "beta", "alpha", "r_in", "height", "topup_height")
+
+
+def _json_oracle(layout) -> dict:
+    """The geometry document as a dict, for ``json.dumps(doc, indent=1)``."""
+
+    def segment(seg):
+        if isinstance(seg, ArcSegment):
+            return {"type": "arc", "radius": seg.radius, "start": seg.start, "end": seg.end}
+        return {"type": "line", "x0": seg.x0, "y0": seg.y0, "x1": seg.x1, "y1": seg.y1}
+
+    return {
+        "a_std": layout.a_std,
+        "style": layout.style,
+        "nodes": [
+            {
+                "id": n.id,
+                "depth": n.depth,
+                **{k: getattr(n.sector, k) for k in _SECTOR_KEYS},
+                "relaxed": n.relaxed,
+                "color": n.color,
+                "label": n.label,
+                "path": [segment(s) for s in n.path.segments],
+            }
+            for n in layout.nodes
+        ],
+    }
+
+
+def _hostile_tree() -> TreeNode:
+    names = ['quote"d', "back\\slash", "new\nline", "ctl\x01", "é", "☃", "</svg>"]
+    return TreeNode("r\"oot", "<root> & \\", 70.0, children=[
+        TreeNode(name, f"{name} label", 10.0) for name in names
+    ])
+
+
+def _non_finite_layout():
+    base = layout_rit(normalize(demo_tree(), "strict"))
+    first, second, *rest = base.nodes
+    odd = [
+        dataclasses.replace(first, sector=dataclasses.replace(
+            first.sector, theta=math.nan, beta=math.inf, alpha=-math.inf)),
+        dataclasses.replace(second, label=["a", {"b": 1.5, "c": None}], color=None,
+                            path=Path(loops=())),
+    ]
+    return dataclasses.replace(base, a_std=math.inf, nodes=tuple(odd + rest))
+
+
 class TestLayoutJson:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: compute_layout(normalize(demo_tree(), "strict"), style), id=style)
+        for style in ("rit", "sunburst", "icicle")
+    ] + [
+        pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"), QUARTER), id="quarter"),
+        pytest.param(lambda: compute_layout(
+            normalize(demo_tree(), "strict"), "rit",
+            LayoutConfig(relax_enabled=True, relax_threshold=0.05)), id="relax-0.05"),
+        pytest.param(lambda: layout_rit(normalize(TreeNode("r", "r", 4.0, children=[
+            TreeNode("a", "a", 4.0, children=[TreeNode("z", "z", 0.0)]),
+            TreeNode("b", "b", 0.0),
+        ]), "strict")), id="uncolored-zero-values"),
+        pytest.param(lambda: layout_rit(normalize(_hostile_tree(), "strict")), id="hostile-strings"),
+        pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"),
+                                        LayoutConfig(r0=8, h0=2)), id="int-config"),
+        pytest.param(_non_finite_layout, id="hand-built-non-finite"),
+        pytest.param(lambda: dataclasses.replace(_non_finite_layout(), nodes=()), id="no-nodes"),
+    ])
+    def test_bytes_equal_json_dumps(self, make):
+        layout = make()
+        assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
+
     def test_schema_and_precision(self, demo, default_cfg):
         doc = json.loads(layout_to_json(layout_rit(demo, default_cfg)))
         assert set(doc) == {"a_std", "style", "nodes"}

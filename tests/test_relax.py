@@ -1,7 +1,7 @@
 import pytest
 
 from rit_layout import LayoutConfig, layout_rit, normalize, path_area, relax_thin_nodes
-from rit_layout.tree import TreeNode
+from rit_layout.tree import NormalizedNode, TreeNode
 
 
 def flanked_thin_run(thin_values, left=400.0, right=None):
@@ -149,3 +149,19 @@ def test_relaxation_requires_rit():
     tree = normalize(flanked_thin_run([3.0, 3.0, 3.0]), "strict")
     with pytest.raises(ValueError):
         relax_thin_nodes(layout_sunburst(tree, LayoutConfig()), LayoutConfig())
+
+
+def test_deep_thin_chain_relaxes_without_recursion():
+    # A thin child heading a 1,500-node chain: each chain node is a thin run
+    # of one, so every one of them moves; no step may recurse per level.
+    chain = [NormalizedNode(f"c{i}", f"c{i}", 1e-4) for i in range(1500)]
+    for parent, child in zip(chain, chain[1:]):
+        parent.children = [child]
+    tree = NormalizedNode("root", "root", 1.0, children=[
+        NormalizedNode("big", "big", 1.0 - 1e-4), chain[0],
+    ])
+    cfg = LayoutConfig(relax_threshold=1e-3)
+    after = relax_thin_nodes(layout_rit(tree, cfg), cfg)
+    relaxed = [n.id for n in after.nodes if n.relaxed]
+    assert len(relaxed) == 1500
+    assert set(relaxed) == {n.id for n in chain}

@@ -119,6 +119,20 @@ class TestRoundTrip:
             assert tree_equal_ignoring_ids(again, tree)
 
 
+class TestWalk:
+    def test_preorder_matches_recursive_reference(self):
+        def recursive(node):
+            yield node
+            for child in node.children:
+                yield from recursive(child)
+
+        raw = demo_tree()
+        assert [n.id for n in raw.walk()] == [n.id for n in recursive(raw)]
+        tree = normalize(raw, "strict")
+        assert [n.id for n in tree.walk()] == [n.id for n in recursive(tree)]
+        assert tree.count() == raw.count() == len(list(recursive(raw)))
+
+
 class TestValidate:
     def test_demo_tree_clean(self):
         assert validate(demo_tree()) == []
