@@ -1,10 +1,10 @@
 """Scalability benchmark: layout wall time versus node count.
 
-Only the layout call sits inside the timed region (no parsing, no file
-output).  Each generated tree is laid out ``repeats`` times; the averaged
-times feed an ordinary least-squares fit whose R^2 quantifies linear
-scaling.  The recursion's visit counter is recorded per run and must equal
-3*(N-1) + 1 for an N-node tree.
+Only the layout call and the construction of every node's outline sit
+inside the timed region (no parsing, no file output).  Each generated tree
+is laid out ``repeats`` times; the averaged times feed an ordinary
+least-squares fit whose R^2 quantifies linear scaling.  The layout's visit
+counter is recorded per run and must equal 3*(N-1) + 1 for an N-node tree.
 """
 
 from __future__ import annotations
@@ -81,6 +81,9 @@ def _bench_one(
     for rep in range(repeats):
         t0 = time.perf_counter()
         layout = layout_rit(tree, cfg)
+        # Outlines are derived on first use; the drawn geometry is timed too.
+        for node in layout.nodes:
+            node.path
         elapsed = time.perf_counter() - t0
         records.append(
             BenchRecord(

@@ -10,7 +10,6 @@ but the range bookkeeping still descends through them.
 from __future__ import annotations
 
 import colorsys
-from dataclasses import replace
 
 from .tree import NormalizedNode
 
@@ -40,42 +39,34 @@ def hex_hue(color: str) -> float:
 
 def assign_colors(tree: NormalizedNode, palette: str = "hue-partition") -> NormalizedNode:
     """Return a copy of the tree with missing colors filled in."""
-    if palette == "hue-partition":
-        return _assign_hue_partition(tree)
-    if palette == "fixed-list":
-        counter = [0]
-
-        def fill(node: NormalizedNode) -> NormalizedNode:
-            color = node.color
-            if color is None:
-                color = FIXED_PALETTE[counter[0] % len(FIXED_PALETTE)]
-                counter[0] += 1
-            return replace(node, color=color, children=[fill(c) for c in node.children])
-
-        root = fill(tree)
-        if tree.color is None:
-            root = replace(root, color=ROOT_GREY)
-        return root
-    raise ValueError(f"unknown palette {palette!r}")
-
-
-def _assign_hue_partition(tree: NormalizedNode) -> NormalizedNode:
-    def fill(node: NormalizedNode, lo: float, hi: float, depth: int, index: int) -> NormalizedNode:
-        if node.color is not None:
-            color = node.color
-        elif depth == 0:
-            color = ROOT_GREY
-        else:
-            hue = 0.5 * (lo + hi)
-            sat = _SATURATIONS[(depth - 1) % len(_SATURATIONS)]
-            val = _VALUES[index % len(_VALUES)]
-            color = hsv_hex(hue, sat, val)
-        count = len(node.children)
-        width = (hi - lo) / count if count else 0.0
-        children = [
-            fill(child, lo + i * width, lo + (i + 1) * width, depth + 1, i)
-            for i, child in enumerate(node.children)
-        ]
-        return replace(node, color=color, children=children)
-
-    return fill(tree, 0.0, 360.0, 0, 0)
+    if palette not in ("hue-partition", "fixed-list"):
+        raise ValueError(f"unknown palette {palette!r}")
+    copies: list[NormalizedNode] = []
+    used = 0  # fixed-list slots handed out, in preorder
+    # (node, hue range start, hue range end, depth, sibling index, the list
+    # that receives the node's copy), with an explicit stack.
+    stack = [(tree, 0.0, 360.0, 0, 0, copies)]
+    while stack:
+        node, lo, hi, depth, index, siblings = stack.pop()
+        color = node.color
+        if color is None:
+            if palette == "fixed-list":
+                # The root takes a slot too before it is painted grey.
+                color = FIXED_PALETTE[used % len(FIXED_PALETTE)]
+                used += 1
+            if depth == 0:
+                color = ROOT_GREY
+            elif palette == "hue-partition":
+                hue = 0.5 * (lo + hi)
+                sat = _SATURATIONS[(depth - 1) % len(_SATURATIONS)]
+                val = _VALUES[index % len(_VALUES)]
+                color = hsv_hex(hue, sat, val)
+        out = NormalizedNode(id=node.id, label=node.label, data=node.data, color=color)
+        siblings.append(out)
+        if node.children:
+            width = (hi - lo) / len(node.children)
+            stack.extend(reversed([
+                (child, lo + i * width, lo + (i + 1) * width, depth + 1, i, out.children)
+                for i, child in enumerate(node.children)
+            ]))
+    return copies[0]

@@ -271,6 +271,31 @@ class SectorGeometry:
     def cut_end(self) -> float:
         return self.theta + self.beta - 0.5 * self.alpha
 
+    def outline(self) -> Path:
+        """The drawn outline, a pure function of these fields.
+
+        A zero-width sector (a zero-data node) is a degenerate radial
+        sliver with no area; any other is ``build_node_path``'s shape.
+        """
+        if self.beta <= 0.0:
+            p0 = _polar(self.r_in, self.theta)
+            p1 = _polar(self.outer_radius, self.theta)
+            return Path.single([LineSegment(*p0, *p1), LineSegment(*p1, *p0)])
+        return build_node_path(self)
+
+
+@dataclass(frozen=True)
+class BandGeometry(SectorGeometry):
+    """Placed geometry of one icicle band, in the sector fields.
+
+    ``theta`` is the x offset, ``beta`` the width and ``r_in`` the distance
+    of the row's top below the root's top edge; ``alpha`` is 0.
+    """
+
+    def outline(self) -> Path:
+        """Counter-clockwise rectangle; a zero width has zero area."""
+        return rect_path(self.theta, -self.r_in - self.height, max(self.beta, 0.0), self.height)
+
 
 def is_full_turn(beta: float) -> bool:
     return beta >= TAU - FULL_TURN_TOL
@@ -359,27 +384,6 @@ def rect_path(x0: float, y0: float, width: float, height: float) -> Path:
             LineSegment(x0, y1, x0, y0),
         ]
     )
-
-
-def shift_path(path: Path, rotate: float = 0.0, dx: float = 0.0, dy: float = 0.0) -> Path:
-    """Rotate a path about the origin, then translate it."""
-    cos_a, sin_a = math.cos(rotate), math.sin(rotate)
-
-    def move(x: float, y: float) -> tuple[float, float]:
-        return (x * cos_a - y * sin_a + dx, x * sin_a + y * cos_a + dy)
-
-    loops = []
-    for loop in path.loops:
-        segs: list[Segment] = []
-        for seg in loop:
-            if isinstance(seg, ArcSegment):
-                if dx or dy:
-                    raise ValueError("arcs are origin-centered; cannot translate")
-                segs.append(ArcSegment(seg.radius, seg.start + rotate, seg.end + rotate))
-            else:
-                segs.append(LineSegment(*move(seg.x0, seg.y0), *move(seg.x1, seg.y1)))
-        loops.append(tuple(segs))
-    return Path(loops=tuple(loops), closed=path.closed)
 
 
 def sector_contains_points(

@@ -1,9 +1,11 @@
-"""Recursive radial-icicle layout plus sunburst and icicle baselines.
+"""Radial-icicle layout plus sunburst and icicle baselines.
 
-The radial-icicle layout walks the tree one sibling frame at a time and
-touches every non-root node exactly three times: once to place its sector,
-once to fix its wedge angle, once to add the top-up and recurse.  The
-instrumented visit counter therefore ends at 3*(N-1) + 1.
+The radial-icicle layout walks the tree one sibling frame at a time, from
+an explicit stack, and touches every non-root node exactly three times:
+once to place its sector, once to fix its wedge angle, once to add the
+top-up and push its frame.  The instrumented visit counter therefore ends
+at 3*(N-1) + 1.  The sunburst and icicle share one proportional placer.
+A node's outline is derived from its geometry on first use.
 
 Two angle modes:
 
@@ -23,24 +25,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
 from .geometry import (
     TAU,
+    BandGeometry,
     Path,
     SectorGeometry,
-    build_node_path,
     clamp_wedge_angle,
     height_for_scale,
     is_full_turn,
-    rect_path,
     sector_area,
-    shift_path,
     topup_height,
     wedge_pair_area,
 )
-from .tree import NormalizedNode
+from .tree import NormalizedNode, _sum_in_order
 
 MODES = ("contained", "literal")
 TOPUP_VARIANTS = ("exact", "half")
@@ -92,11 +93,13 @@ class LayoutConfig:
 
 @dataclass(frozen=True)
 class PlacedNode:
-    """One laid-out node: identity, geometry, outline, and placement frame.
+    """One laid-out node: identity, geometry, and placement frame.
 
-    For the icicle style the sector fields are band coordinates: theta is
-    the x offset, beta the width, r_in the distance of the row's top from
-    the root's top edge.
+    The outline ``path`` is not stored: it is derived from ``sector`` on
+    first use and kept, so a node moved by replacing its sector (as
+    relaxation does) gets the outline of its new place.  For the icicle
+    style ``sector`` is a ``BandGeometry``: theta is the x offset, beta the
+    width, r_in the distance of the row's top from the root's top edge.
     """
 
     id: str
@@ -106,11 +109,15 @@ class PlacedNode:
     depth: int
     parent: str | None
     sector: SectorGeometry
-    path: Path
     frame_theta: float
     frame_beta: float
     angle_scale: float
     relaxed: bool = False
+
+    @cached_property
+    def path(self) -> Path:
+        """The drawn outline, built from ``sector`` once and kept."""
+        return self.sector.outline()
 
 
 @dataclass(frozen=True)
@@ -141,19 +148,6 @@ class Layout:
         return list(groups.values())
 
 
-def _sum_in_order(values) -> float:
-    """Left-to-right float sum, the same on every Python version.
-
-    Python 3.12's ``sum()`` compensates float rounding, so it can differ
-    from 3.10/3.11 in the last bit and move output bytes between
-    interpreters.
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def _check_tree(tree: NormalizedNode) -> None:
     for node in tree.walk():
         if node.data < 0.0 or not math.isfinite(node.data):
@@ -168,9 +162,6 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
     a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
-    root_sector = SectorGeometry(
-        theta=theta0, beta=cfg.beta0, alpha=0.0, r_in=cfg.r0, height=cfg.h0, depth=0
-    )
     nodes: list[PlacedNode] = [
         PlacedNode(
             id=tree.id,
@@ -179,8 +170,9 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
             data=tree.data,
             depth=0,
             parent=None,
-            sector=root_sector,
-            path=build_node_path(root_sector),
+            sector=SectorGeometry(
+                theta=theta0, beta=cfg.beta0, alpha=0.0, r_in=cfg.r0, height=cfg.h0, depth=0
+            ),
             frame_theta=theta0,
             frame_beta=cfg.beta0,
             angle_scale=TAU,
@@ -251,7 +243,6 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
                     depth=depth,
                     parent=parent.id,
                     sector=sector,
-                    path=_node_path_or_empty(sector),
                     frame_theta=f_theta,
                     frame_beta=f_beta,
                     angle_scale=scale,
@@ -275,51 +266,12 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     return Layout(style="rit", config=cfg, a_std=a_std, nodes=tuple(nodes), visits=visits)
 
 
-def _node_path_or_empty(sector: SectorGeometry) -> Path:
-    if sector.beta <= 0.0:
-        # Zero-data node: a degenerate radial sliver with no area.
-        t = sector.theta
-        p0 = (sector.r_in * math.cos(t), sector.r_in * math.sin(t))
-        p1 = (sector.outer_radius * math.cos(t), sector.outer_radius * math.sin(t))
-        return Path.single(
-            [geo.LineSegment(*p0, *p1), geo.LineSegment(*p1, *p0)]
-        )
-    return build_node_path(sector)
-
-
 def layout_sunburst(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layout:
     """Classic sunburst: constant ring height, angle proportional to data."""
     cfg.validate()
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
-    a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
-    nodes: list[PlacedNode] = []
-    visits = 0
-
-    def place(node: NormalizedNode, theta: float, parent: str | None, depth: int,
-              f_theta: float, f_beta: float) -> None:
-        nonlocal visits
-        beta = cfg.beta0 * node.data
-        sector = SectorGeometry(
-            theta=theta, beta=beta, alpha=0.0,
-            r_in=cfg.r0 + depth * cfg.h0, height=cfg.h0, depth=depth,
-        )
-        nodes.append(
-            PlacedNode(
-                id=node.id, label=node.label, color=node.color, data=node.data,
-                depth=depth, parent=parent, sector=sector,
-                path=_node_path_or_empty(sector),
-                frame_theta=f_theta, frame_beta=f_beta, angle_scale=cfg.beta0,
-            )
-        )
-        visits += 1
-        child_theta = theta
-        for child in node.children:
-            place(child, child_theta, node.id, depth + 1, theta, beta)
-            child_theta += cfg.beta0 * child.data
-
-    place(tree, theta0, None, 0, theta0, cfg.beta0)
-    return Layout(style="sunburst", config=cfg, a_std=a_std, nodes=tuple(nodes), visits=visits)
+    return _place_proportional(tree, cfg, "sunburst", SectorGeometry, theta0, cfg.beta0, cfg.r0)
 
 
 def layout_icicle(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layout:
@@ -330,36 +282,48 @@ def layout_icicle(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> L
     """
     cfg.validate()
     _check_tree(tree)
-    a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
-    width0 = a_std / cfg.h0
-    nodes: list[PlacedNode] = []
-    visits = 0
+    width0 = sector_area(cfg.r0, cfg.h0, cfg.beta0) / cfg.h0
+    # An int base keeps each row offset exactly depth * h0, in h0's type.
+    return _place_proportional(tree, cfg, "icicle", BandGeometry, 0.0, width0, 0)
 
-    def place(node: NormalizedNode, x: float, parent: str | None, depth: int,
-              f_x: float, f_w: float) -> None:
-        nonlocal visits
-        width = width0 * node.data
-        band = SectorGeometry(
-            theta=x, beta=width, alpha=0.0,
-            r_in=depth * cfg.h0, height=cfg.h0, depth=depth,
+
+def _place_proportional(
+    tree: NormalizedNode, cfg: LayoutConfig, style: str, geometry: type[SectorGeometry],
+    origin: float, scale: float, base: float,
+) -> Layout:
+    """Gapless proportional placement, one visit per node in preorder.
+
+    A node's extent is ``scale * data``, packed from its parent's start
+    (the root's from ``origin``); its row starts at ``base + depth * h0``.
+    Each child's frame is its parent's extent.
+    """
+    a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
+    nodes: list[PlacedNode] = []
+    # (node, start, parent id, depth, frame start, frame width)
+    stack: list[tuple[NormalizedNode, float, str | None, int, float, float]] = [
+        (tree, origin, None, 0, origin, scale)
+    ]
+    while stack:
+        node, start, parent, depth, f_start, f_width = stack.pop()
+        width = scale * node.data
+        sector = geometry(
+            theta=start, beta=width, alpha=0.0,
+            r_in=base + depth * cfg.h0, height=cfg.h0, depth=depth,
         )
-        y_top = -depth * cfg.h0
         nodes.append(
             PlacedNode(
                 id=node.id, label=node.label, color=node.color, data=node.data,
-                depth=depth, parent=parent, sector=band,
-                path=rect_path(x, y_top - cfg.h0, max(width, 0.0), cfg.h0),
-                frame_theta=f_x, frame_beta=f_w, angle_scale=width0,
+                depth=depth, parent=parent, sector=sector,
+                frame_theta=f_start, frame_beta=f_width, angle_scale=scale,
             )
         )
-        visits += 1
-        child_x = x
+        frames = []
+        child_start = start
         for child in node.children:
-            place(child, child_x, node.id, depth + 1, x, width)
-            child_x += width0 * child.data
-
-    place(tree, 0.0, None, 0, 0.0, width0)
-    return Layout(style="icicle", config=cfg, a_std=a_std, nodes=tuple(nodes), visits=visits)
+            frames.append((child, child_start, node.id, depth + 1, start, width))
+            child_start += scale * child.data
+        stack.extend(reversed(frames))
+    return Layout(style=style, config=cfg, a_std=a_std, nodes=tuple(nodes), visits=len(nodes))
 
 
 def compute_layout(tree: NormalizedNode, style: str, cfg: LayoutConfig = LayoutConfig()) -> Layout:
@@ -383,8 +347,10 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
     between cut edges inside the available span come out equal.  The span
     reaches from the cut edge of the nearest non-thin sibling on each side,
     or past the frame edge by the parent's half wedge angle at a group
-    boundary.  Every moved node is flagged relaxed.  ``layout.nodes`` must
-    list every parent before its children, as ``layout_rit`` places them.
+    boundary.  A move changes only a sector's ``theta``; the outline follows
+    from the rotated sector.  Every moved node is flagged relaxed.
+    ``layout.nodes`` must list every parent before its children, as
+    ``layout_rit`` places them.
     """
     if layout.style != "rit":
         raise ValueError("relaxation applies to rit layouts only")
@@ -450,7 +416,6 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
             replace(
                 n,
                 sector=sector,
-                path=shift_path(n.path, rotate=delta),
                 frame_theta=n.frame_theta + inherited,
                 relaxed=True,
             )
@@ -511,10 +476,7 @@ def _node_json(n: PlacedNode) -> str:
     fields += [(k, getattr(n.sector, k)) for k in _NUM_KEYS]
     fields += [("relaxed", n.relaxed), ("color", n.color), ("label", n.label)]
     head = "".join(f'   "{k}": {v(value, "   ")},\n' for k, value in fields)
-    segments = n.path.segments
-    if not segments:
-        return f'  {{\n{head}   "path": []\n  }}'
-    body = ",\n".join([_segment_json(s) for s in segments])
+    body = ",\n".join([_segment_json(s) for s in n.path.segments])
     return f'  {{\n{head}   "path": [\n{body}\n   ]\n  }}'
 
 

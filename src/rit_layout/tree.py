@@ -19,6 +19,9 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add
 
 SUM_TOL = 1e-12
 
@@ -31,6 +34,16 @@ class TreeInputError(ValueError):
 
 class NormalizationError(ValueError):
     """Tree values cannot be normalized under the requested strategy."""
+
+
+def _sum_in_order(values) -> float:
+    """Left-to-right float sum, the same on every Python version.
+
+    Python 3.12's ``sum()`` compensates float rounding, so it can differ
+    from 3.10/3.11 in the last bit and move output bytes between
+    interpreters.
+    """
+    return reduce(add, values, 0.0)
 
 
 def _preorder(root):
@@ -248,7 +261,7 @@ def validate(tree: TreeNode) -> list[Violation]:
             if bad.rule == "non-finite-value":
                 continue
         if node.children:
-            child_sum = sum(c.value for c in node.children)
+            child_sum = _sum_in_order(c.value for c in node.children)
             excess = child_sum - node.value
             if excess > SUM_TOL * max(1.0, abs(node.value)):
                 violations.append(
@@ -279,13 +292,22 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     if not root_value > 0.0:
         raise NormalizationError(f"root value must be > 0, got {root_value}")
 
-    def build(node: TreeNode, scale: float) -> NormalizedNode:
+    # Preorder with an explicit stack: an error names the first bad node in
+    # preorder, at any depth.
+    copies: list[NormalizedNode] = []
+    stack = [(tree, 1.0, copies)]
+    while stack:
+        node, scale, siblings = stack.pop()
+        data = scale * node.value / root_value
+        out = NormalizedNode(id=node.id, label=node.label, data=data, color=node.color)
+        siblings.append(out)
+        if not node.children:
+            continue
         for child in node.children:
             _require_valid_value(child)
-        data = scale * node.value / root_value
         child_scale = scale
-        child_sum = sum(c.value for c in node.children)
-        if node.children and child_sum > node.value:
+        child_sum = _sum_in_order(c.value for c in node.children)
+        if child_sum > node.value:
             strict_breach = child_sum - node.value > SUM_TOL * max(1.0, abs(node.value))
             if strict_breach and strategy == "strict":
                 raise NormalizationError(
@@ -293,11 +315,8 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
                     f"{node.value} by {child_sum - node.value}"
                 )
             child_scale = scale * node.value / child_sum
-        out = NormalizedNode(id=node.id, label=node.label, data=data, color=node.color)
-        out.children = [build(c, child_scale) for c in node.children]
-        return out
-
-    return build(tree, 1.0)
+        stack.extend(zip(reversed(node.children), repeat(child_scale), repeat(out.children)))
+    return copies[0]
 
 
 def normalized_violations(tree: NormalizedNode) -> list[Violation]:
@@ -311,7 +330,7 @@ def normalized_violations(tree: NormalizedNode) -> list[Violation]:
                 Violation(node.id, "data-range", f"data {node.data} outside [0, 1]")
             )
         if node.children:
-            child_sum = sum(c.data for c in node.children)
+            child_sum = _sum_in_order(c.data for c in node.children)
             if child_sum > node.data + SUM_TOL:
                 violations.append(
                     Violation(

@@ -185,12 +185,38 @@ class TestValidateCommand:
         assert report[0]["rule"] == "overfull-parent"
 
     def test_deep_csv_chain_exit_0(self, tmp_path, capsys):
-        rows = ["parent_id,id,label,value,color", ",n0,n0,1,"]
-        rows += [f"n{i - 1},n{i},n{i},1," for i in range(1, 3000)]
-        src = tmp_path / "chain.csv"
-        src.write_text("\n".join(rows) + "\n")
-        assert main(["validate", "--input", str(src)]) == 0
+        src = _deep_csv_chain(tmp_path)
+        assert main(["validate", "--input", src]) == 0
         assert json.loads(capsys.readouterr().out) == []
+
+
+def _deep_csv_chain(tmp_path, levels: int = 3000) -> str:
+    rows = ["parent_id,id,label,value,color", ",n0,n0,1,"]
+    rows += [f"n{i - 1},n{i},n{i},1," for i in range(1, levels)]
+    src = tmp_path / "chain.csv"
+    src.write_text("\n".join(rows) + "\n")
+    return str(src)
+
+
+@pytest.mark.parametrize("args", [
+    ["render", "--style", "rit", "--output", "out.svg"],
+    ["render", "--style", "sunburst", "--palette", "fixed-list", "--output", "out.svg"],
+    ["render", "--style", "icicle", "--output", "out.svg"],
+    ["layout", "--output", "out.json"],
+    ["compare", "--outdir", "out"],
+], ids=["render-rit", "render-sunburst", "render-icicle", "layout", "compare"])
+def test_deep_csv_chain_lays_out_exit_0(tmp_path, args):
+    src = _deep_csv_chain(tmp_path)
+    args = [str(tmp_path / a) if a.startswith("out") else a for a in args]
+    assert main(args[:1] + ["--input", src] + args[1:]) == 0
+    if args[0] == "render":
+        assert (tmp_path / "out.svg").read_text().count("<path") == 3000
+    elif args[0] == "layout":
+        assert len(json.loads((tmp_path / "out.json").read_text())["nodes"]) == 3000
+    else:
+        report = json.loads((tmp_path / "out" / "diagnostics.json").read_text())
+        assert all(len(report[s]["area_ratios"]) == 3000 for s in report)
+        assert report["rit"]["max_area_error"] <= 1e-6
 
 
 class TestBenchCommand:

@@ -1,8 +1,8 @@
 import pytest
 
 from rit_layout import assign_colors, demo_tree, normalize
-from rit_layout.colors import ROOT_GREY, hex_hue
-from rit_layout.tree import TreeNode
+from rit_layout.colors import FIXED_PALETTE, ROOT_GREY, hex_hue
+from rit_layout.tree import NormalizedNode, TreeNode
 
 
 def bare_tree(n_children, grandchildren=0):
@@ -54,3 +54,20 @@ def test_assignment_is_deterministic():
     a = assign_colors(normalize(bare_tree(5, 3), "strict"))
     b = assign_colors(normalize(bare_tree(5, 3), "strict"))
     assert a == b
+
+
+def test_fixed_list_counts_in_preorder():
+    tree = assign_colors(normalize(bare_tree(2, grandchildren=2), "strict"), palette="fixed-list")
+    # The root takes palette slot 0 before it is painted grey.
+    assert tree.color == ROOT_GREY
+    assert [n.color for n in tree.walk()][1:] == list(FIXED_PALETTE[1:7])
+
+
+@pytest.mark.parametrize("palette", ["hue-partition", "fixed-list"])
+def test_deep_chain_colors_without_recursion(palette):
+    nodes = [NormalizedNode(f"n{i}", f"n{i}", 1.0) for i in range(3001)]
+    for parent, child in zip(nodes, nodes[1:]):
+        parent.children = [child]
+    colored = list(assign_colors(nodes[0], palette).walk())
+    assert [n.id for n in colored] == [n.id for n in nodes]
+    assert all(n.color is not None for n in colored)

@@ -71,7 +71,7 @@ GOLDEN = {
         "e930b7601686266c483976cd86d7a83d675ca91153a6c71a51ec6f9350a57c5a",
     ),
     "demo-relax-0.05": (
-        "5e3883d4337807fed81f46ddf205fe33c1cd4790812cc512626dde0ac13574fa",
+        "b2c7f40bc86cff504313f8380b708e68ddcefc5f2ff67b4f864461f58b62303b",
         "433b59b331fb6e606a04349d2717b0bf83e286e4032f6a40c490fee850edd483",
     ),
     "demo-rit": (

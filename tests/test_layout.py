@@ -20,8 +20,8 @@ from rit_layout import (
     sector_area,
 )
 from rit_layout.diagnostics import wedge_bound_satisfied
-from rit_layout.geometry import ArcSegment, Path
-from rit_layout.tree import TreeNode
+from rit_layout.geometry import ArcSegment, LineSegment, Path, build_node_path, rect_path
+from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
 from test_golden import QUARTER
@@ -327,10 +327,58 @@ def _non_finite_layout():
     odd = [
         dataclasses.replace(first, sector=dataclasses.replace(
             first.sector, theta=math.nan, beta=math.inf, alpha=-math.inf)),
-        dataclasses.replace(second, label=["a", {"b": 1.5, "c": None}], color=None,
-                            path=Path(loops=())),
+        dataclasses.replace(second, label=["a", {"b": 1.5, "c": None}], color=None),
     ]
     return dataclasses.replace(base, a_std=math.inf, nodes=tuple(odd + rest))
+
+
+def _zero_value_tree() -> TreeNode:
+    return TreeNode("r", "r", 4.0, children=[
+        TreeNode("a", "a", 4.0, children=[TreeNode("z", "z", 0.0)]),
+        TreeNode("b", "b", 0.0),
+    ])
+
+
+def _rebuilt_outline(style: str, s) -> Path:
+    """A node's outline rebuilt from its sector fields alone."""
+    if style == "icicle":
+        return rect_path(s.theta, -s.r_in - s.height, max(s.beta, 0.0), s.height)
+    if s.beta <= 0.0:
+        x0, y0 = s.r_in * math.cos(s.theta), s.r_in * math.sin(s.theta)
+        r = s.r_in + s.height
+        x1, y1 = r * math.cos(s.theta), r * math.sin(s.theta)
+        return Path.single([LineSegment(x0, y0, x1, y1), LineSegment(x1, y1, x0, y0)])
+    return build_node_path(s)
+
+
+class TestDerivedOutline:
+    @pytest.mark.parametrize("source, style, cfg", [
+        ("demo", "rit", LayoutConfig()),
+        ("demo", "rit", QUARTER),
+        ("demo", "rit", LayoutConfig(relax_enabled=True, relax_threshold=0.05)),
+        ("demo", "sunburst", LayoutConfig()),
+        ("demo", "icicle", LayoutConfig()),
+        ("zero", "rit", LayoutConfig()),
+        ("zero", "sunburst", LayoutConfig()),
+        ("zero", "icicle", LayoutConfig()),
+    ], ids=["rit", "quarter", "relax-0.05", "sunburst", "icicle",
+            "zero-rit", "zero-sunburst", "zero-icicle"])
+    def test_path_is_the_outline_of_the_sector(self, source, style, cfg):
+        raw = demo_tree() if source == "demo" else _zero_value_tree()
+        layout = compute_layout(normalize(raw, "strict"), style, cfg)
+        for node in layout.nodes:
+            assert node.path == _rebuilt_outline(style, node.sector), node.id
+            assert node.path is node.path
+
+    @pytest.mark.parametrize("place", [layout_sunburst, layout_icicle])
+    def test_deep_chain_places_without_recursion(self, place):
+        nodes = [NormalizedNode(f"n{i}", f"n{i}", 1.0) for i in range(3001)]
+        for parent, child in zip(nodes, nodes[1:]):
+            parent.children = [child]
+        layout = place(nodes[0])
+        assert len(layout.nodes) == layout.visits == 3001
+        assert [n.id for n in layout.nodes] == [n.id for n in nodes]
+        assert layout.nodes[-1].depth == 3000
 
 
 class TestLayoutJson:
@@ -342,10 +390,8 @@ class TestLayoutJson:
         pytest.param(lambda: compute_layout(
             normalize(demo_tree(), "strict"), "rit",
             LayoutConfig(relax_enabled=True, relax_threshold=0.05)), id="relax-0.05"),
-        pytest.param(lambda: layout_rit(normalize(TreeNode("r", "r", 4.0, children=[
-            TreeNode("a", "a", 4.0, children=[TreeNode("z", "z", 0.0)]),
-            TreeNode("b", "b", 0.0),
-        ]), "strict")), id="uncolored-zero-values"),
+        pytest.param(lambda: layout_rit(normalize(_zero_value_tree(), "strict")),
+                     id="uncolored-zero-values"),
         pytest.param(lambda: layout_rit(normalize(_hostile_tree(), "strict")), id="hostile-strings"),
         pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"),
                                         LayoutConfig(r0=8, h0=2)), id="int-config"),

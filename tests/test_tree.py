@@ -9,6 +9,7 @@ from rit_layout.tree import (
     NormalizationError,
     TreeInputError,
     TreeNode,
+    _sum_in_order,
     normalized_violations,
 )
 
@@ -202,6 +203,43 @@ class TestNormalize:
         assert sum(n.value for n in tree.children) > 0.3  # FP dust
         result = normalize(tree, "strict")
         assert sum(c.data for c in result.children) <= result.data + 1e-12
+
+    def test_child_sums_run_left_to_right(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; Python 3.12's
+        # compensated sum() gives 0.6, which would make the last child 0.5.
+        tree = TreeNode("p", "p", 0.6, children=[
+            TreeNode(c, c, v) for c, v in (("a", 0.1), ("b", 0.2), ("c", 0.3))])
+        assert _sum_in_order(c.value for c in tree.children) == 0.6000000000000001
+        scale = 0.6 / 0.6000000000000001
+        result = normalize(tree, "strict")
+        assert [c.data for c in result.children] == [
+            scale * 0.1 / 0.6, scale * 0.2 / 0.6, scale * 0.3 / 0.6]
+        assert result.children[2].data == 0.4999999999999999
+
+    def test_deep_chain_normalizes_without_recursion(self):
+        nodes = [TreeNode(f"n{i}", f"n{i}", 1.0) for i in range(3001)]
+        for parent, child in zip(nodes, nodes[1:]):
+            parent.children = [child]
+        nodes[-1].children = [TreeNode("x", "x", 2.0), TreeNode("y", "y", -1.0)]
+        with pytest.raises(NormalizationError, match="'y': negative-value"):
+            normalize(nodes[0], "strict")
+        nodes[-1].children = []
+        result = normalize(nodes[0], "strict")
+        assert [n.id for n in result.walk()] == [n.id for n in nodes]
+        assert all(n.data == 1.0 for n in result.walk())
+
+    def test_first_bad_node_in_preorder_is_named(self):
+        # Renormalized, a breadth-first walk would reach y (under b) before x.
+        tree = TreeNode("r", "r", 10, children=[
+            TreeNode("a", "a", 5, children=[
+                TreeNode("a1", "a1", 3, children=[TreeNode("x", "x", -1.0)]),
+                TreeNode("a2", "a2", 3)]),
+            TreeNode("b", "b", 1, children=[TreeNode("y", "y", math.nan)]),
+        ])
+        with pytest.raises(NormalizationError, match="'a': children sum"):
+            normalize(tree, "strict")
+        with pytest.raises(NormalizationError, match="'x': negative-value"):
+            normalize(tree, "renormalize")
 
     def test_normalized_invariants_clean(self):
         assert normalized_violations(normalize(demo_tree(), "strict")) == []
