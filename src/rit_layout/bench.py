@@ -2,14 +2,19 @@
 
 Only the layout call and the construction of every node's outline sit
 inside the timed region (no parsing, no file output).  Each generated tree
-is laid out ``repeats`` times; the averaged times feed an ordinary
-least-squares fit whose R^2 quantifies linear scaling.  The layout's visit
-counter is recorded per run and must equal 3*(N-1) + 1 for an N-node tree.
+is laid out ``repeats`` times, in rounds that lay out every tree once, so
+a phase in which the host runs slower or faster falls on every tree size
+alike instead of on one size's repeats.  The averaged times feed an
+ordinary least-squares fit whose R^2 quantifies linear scaling.  The
+layout's visit counter is recorded per run and must equal 3*(N-1) + 1 for
+an N-node tree.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import hashlib
 import io
 import time
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 from .generate import GeneratorSpec, generate_tree
 from .layout import Layout, LayoutConfig, layout_rit, layout_to_json
-from .tree import normalize
+from .tree import NormalizedNode, normalize
 
 CSV_HEADER = ("generator", "cmax", "depth", "nodes", "repeat", "seconds", "visits")
 
@@ -71,33 +76,22 @@ def fit_linear(points: list[tuple[float, float]]) -> FitResult:
     return FitResult(slope=slope, intercept=intercept, r_squared=1.0 - ss_res / syy)
 
 
-def _bench_one(
-    spec: GeneratorSpec, repeats: int, cfg: LayoutConfig
-) -> tuple[list[BenchRecord], str, Layout]:
-    tree = normalize(generate_tree(spec), "strict")
-    n_nodes = tree.count()
-    records = []
-    layout = None
-    for rep in range(repeats):
+def _timed_layout(tree: NormalizedNode, cfg: LayoutConfig) -> tuple[float, Layout]:
+    # As in timeit, the cyclic garbage collector is off while timing: a full
+    # collection costs time in proportion to the whole process heap, not to
+    # the layout, which builds no reference cycles.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
         t0 = time.perf_counter()
         layout = layout_rit(tree, cfg)
         # Outlines are derived on first use; the drawn geometry is timed too.
         for node in layout.nodes:
             node.path
-        elapsed = time.perf_counter() - t0
-        records.append(
-            BenchRecord(
-                generator=spec.kind,
-                cmax=spec.c_max,
-                depth=spec.depth,
-                nodes=n_nodes,
-                repeat=rep,
-                seconds=elapsed,
-                visits=layout.visits,
-            )
-        )
-    digest = hashlib.sha256(layout_to_json(layout).encode()).hexdigest()
-    return records, digest, layout
+        return time.perf_counter() - t0, layout
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def run_bench(
@@ -110,29 +104,35 @@ def run_bench(
     """Generate, lay out, and time every spec under the node cap.
 
     Specs whose trees exceed the cap are skipped (recorded in ``skipped``).
-    With ``parallel`` the specs run on a thread pool; geometry stays
-    deterministic but the timings are not comparable across specs.
+    With ``parallel`` each round's trees run on a thread pool; geometry
+    stays deterministic but the timings are not comparable across specs.
     """
-    kept: list[GeneratorSpec] = []
+    kept: list[tuple[GeneratorSpec, int]] = []
+    trees: list[NormalizedNode] = []
     skipped: list[tuple[GeneratorSpec, int]] = []
     for spec in specs:
-        n = generate_tree(spec).count()
+        raw = generate_tree(spec)
+        n = raw.count()
         if n > node_cap:
             skipped.append((spec, n))
         else:
-            kept.append(spec)
+            kept.append((spec, n))
+            trees.append(normalize(raw, "strict"))
 
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(lambda s: _bench_one(s, repeats, cfg), kept))
-    else:
-        outcomes = [_bench_one(spec, repeats, cfg) for spec in kept]
-
-    records: list[BenchRecord] = []
+    per_spec: list[list[BenchRecord]] = [[] for _ in trees]
     digests: dict[tuple[str, int, int], str] = {}
-    for spec, (recs, digest, _) in zip(kept, outcomes):
-        records.extend(recs)
-        digests[(spec.kind, spec.c_max, spec.depth)] = digest
+    with ThreadPoolExecutor() if parallel else contextlib.nullcontext() as pool:
+        mapper = pool.map if parallel else map
+        for rep in range(repeats):
+            timed = mapper(lambda tree: _timed_layout(tree, cfg), trees)
+            for i, (seconds, layout) in enumerate(timed):
+                spec, n = kept[i]
+                per_spec[i].append(BenchRecord(spec.kind, spec.c_max, spec.depth, n, rep,
+                                               seconds, layout.visits))
+                if rep == repeats - 1:
+                    digest = hashlib.sha256(layout_to_json(layout).encode()).hexdigest()
+                    digests[(spec.kind, spec.c_max, spec.depth)] = digest
+    records = [rec for recs in per_spec for rec in recs]
 
     points: dict[int, list[float]] = {}
     for rec in records:

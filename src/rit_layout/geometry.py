@@ -6,14 +6,16 @@ sector with a fan-shaped wedge of half-angle ``alpha/2`` cut off each end
 (opening a visible gap to its angular neighbours) and a thin top-up sector
 stacked on its outer arc whose area exactly replaces the two wedges, so
 the shape's total area stays proportional to the encoded value.
+
+Everything here is plain ``math``.  Point sampling, vectorized
+containment and the explicit wedge outlines, which only the tests need,
+live in the tests' ``oracles`` module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 TAU = 2.0 * math.pi
 
@@ -172,9 +174,6 @@ class ArcSegment:
     def span(self) -> float:
         return self.end - self.start
 
-    def length(self) -> float:
-        return abs(self.span) * self.radius
-
 
 @dataclass(frozen=True)
 class LineSegment:
@@ -191,34 +190,34 @@ class LineSegment:
     def end_point(self) -> tuple[float, float]:
         return (self.x1, self.y1)
 
-    def length(self) -> float:
-        return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
-
 
 Segment = ArcSegment | LineSegment
 
 
 @dataclass(frozen=True)
 class Path:
-    """One or more closed loops of arc/line segments (outer boundary + holes)."""
+    """One or more closed loops of arc/line segments (outer boundary + holes).
+
+    Construction raises ``ValueError`` unless each loop's segments join
+    end to start and its last segment ends where its first begins.
+    """
 
     loops: tuple[tuple[Segment, ...], ...]
-    closed: bool = True
 
     def __post_init__(self) -> None:
         for loop in self.loops:
-            _check_loop(loop, self.closed)
+            _check_loop(loop)
 
     @property
     def segments(self) -> tuple[Segment, ...]:
         return tuple(seg for loop in self.loops for seg in loop)
 
     @classmethod
-    def single(cls, segments: list[Segment], closed: bool = True) -> "Path":
-        return cls(loops=(tuple(segments),), closed=closed)
+    def single(cls, segments: list[Segment]) -> "Path":
+        return cls(loops=(tuple(segments),))
 
 
-def _check_loop(loop: tuple[Segment, ...], closed: bool) -> None:
+def _check_loop(loop: tuple[Segment, ...]) -> None:
     if not loop:
         raise ValueError("empty loop")
     scale = max(1.0, max(abs(c) for seg in loop for c in (*seg.start_point, *seg.end_point)))
@@ -228,7 +227,7 @@ def _check_loop(loop: tuple[Segment, ...], closed: bool) -> None:
             raise ValueError(
                 f"segments do not join: {prev.end_point} -> {cur.start_point}"
             )
-    if closed and math.dist(loop[-1].end_point, loop[0].start_point) > tol:
+    if math.dist(loop[-1].end_point, loop[0].start_point) > tol:
         raise ValueError("loop does not close")
 
 
@@ -346,33 +345,6 @@ def build_node_path(g: SectorGeometry) -> Path:
     return Path.single(segs)
 
 
-def wedge_paths(g: SectorGeometry) -> tuple[Path, Path]:
-    """Outlines of the two wedges cut from a sector's ends.
-
-    Each wedge is bounded by the original radial edge, a slice of the outer
-    arc of width alpha/2, and the straight cut back to the inner corner.
-    """
-    if g.alpha <= 0.0:
-        raise ValueError("sector has no wedges")
-    r, big_r = g.r_in, g.outer_radius
-    t0, t1 = g.theta, g.theta + g.beta
-    start = Path.single(
-        [
-            LineSegment(*_polar(r, t0), *_polar(big_r, t0)),
-            ArcSegment(big_r, t0, t0 + 0.5 * g.alpha),
-            LineSegment(*_polar(big_r, t0 + 0.5 * g.alpha), *_polar(r, t0)),
-        ]
-    )
-    end = Path.single(
-        [
-            LineSegment(*_polar(r, t1), *_polar(big_r, t1 - 0.5 * g.alpha)),
-            ArcSegment(big_r, t1 - 0.5 * g.alpha, t1),
-            LineSegment(*_polar(big_r, t1), *_polar(r, t1)),
-        ]
-    )
-    return start, end
-
-
 def rect_path(x0: float, y0: float, width: float, height: float) -> Path:
     """Counter-clockwise rectangle outline with lower-left corner (x0, y0)."""
     x1, y1 = x0 + width, y0 + height
@@ -385,52 +357,3 @@ def rect_path(x0: float, y0: float, width: float, height: float) -> Path:
         ]
     )
 
-
-def sector_contains_points(
-    g: SectorGeometry,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    margin: float = 0.0,
-) -> np.ndarray:
-    """Strict interior test for a node shape, vectorized over points.
-
-    ``margin`` > 0 demands points lie clearly inside (distance-like slack in
-    the same units as the radii), which keeps shared boundary corners from
-    registering as overlap.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    rho = np.hypot(xs, ys)
-    rel = np.mod(np.arctan2(ys, xs) - g.theta, TAU)
-    r, big_r = g.r_in, g.outer_radius
-
-    if is_full_turn(g.beta):
-        return (rho > r + margin) & (rho < big_r - margin)
-
-    # Angular margin scaled to arc length at each point's radius.
-    ang_margin = np.divide(margin, np.maximum(rho, 1e-300))
-    in_main = (
-        (rho > r + margin)
-        & (rho < big_r - margin)
-        & (rel > ang_margin)
-        & (rel < g.beta - ang_margin)
-    )
-    if g.alpha > 0.0:
-        # Left of each directed cut line by more than `margin`
-        # (lines have unit-scaled normals via division by their length).
-        for (ax, ay), (bx, by) in (
-            (_polar(r, g.theta), _polar(big_r, g.cut_start)),
-            (_polar(big_r, g.cut_end), _polar(r, g.theta + g.beta)),
-        ):
-            ux, uy = bx - ax, by - ay
-            norm = math.hypot(ux, uy)
-            cross = (ux * (ys - ay) - uy * (xs - ax)) / norm
-            in_main &= cross > margin
-        in_top = (
-            (rho > big_r + margin)
-            & (rho < g.total_radius - margin)
-            & (rel > 0.5 * g.alpha + ang_margin)
-            & (rel < g.beta - 0.5 * g.alpha - ang_margin)
-        )
-        return in_main | in_top
-    return in_main

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
@@ -41,7 +40,7 @@ from .geometry import (
     topup_height,
     wedge_pair_area,
 )
-from .tree import NormalizedNode, _sum_in_order
+from .tree import NormalizedNode, _require_valid_value, _sum_in_order
 
 MODES = ("contained", "literal")
 TOPUP_VARIANTS = ("exact", "half")
@@ -96,10 +95,11 @@ class PlacedNode:
     """One laid-out node: identity, geometry, and placement frame.
 
     The outline ``path`` is not stored: it is derived from ``sector`` on
-    first use and kept, so a node moved by replacing its sector (as
-    relaxation does) gets the outline of its new place.  For the icicle
-    style ``sector`` is a ``BandGeometry``: theta is the x offset, beta the
-    width, r_in the distance of the row's top from the root's top edge.
+    first use and kept in ``_path``, which ``dataclasses.replace`` resets,
+    so a node moved by replacing its sector (as relaxation does) gets the
+    outline of its new place.  For the icicle style ``sector`` is a
+    ``BandGeometry``: theta is the x offset, beta the width, r_in the
+    distance of the row's top from the root's top edge.
     """
 
     id: str
@@ -113,11 +113,18 @@ class PlacedNode:
     frame_beta: float
     angle_scale: float
     relaxed: bool = False
+    # A declared field, not a cached_property: a memo written to the
+    # instance __dict__ after __init__ makes CPython allocate a dict per node.
+    _path: Path | None = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_property
+    @property
     def path(self) -> Path:
         """The drawn outline, built from ``sector`` once and kept."""
-        return self.sector.outline()
+        path = self._path
+        if path is None:
+            path = self.sector.outline()
+            object.__setattr__(self, "_path", path)
+        return path
 
 
 @dataclass(frozen=True)
@@ -150,8 +157,7 @@ class Layout:
 
 def _check_tree(tree: NormalizedNode) -> None:
     for node in tree.walk():
-        if node.data < 0.0 or not math.isfinite(node.data):
-            raise ValueError(f"node {node.id!r} has invalid data value {node.data}")
+        _require_valid_value(node.id, node.data, ValueError)
     if tree.data != 1.0:
         raise ValueError(f"root data must be exactly 1, got {tree.data}")
 

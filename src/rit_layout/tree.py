@@ -224,38 +224,39 @@ def serialize_tree(tree: TreeNode, fmt: str) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["parent_id", "id", "label", "value", "color"])
-
-        def emit(node: TreeNode, parent_id: str) -> None:
+        # Preorder with an explicit stack of (node, parent id): any depth.
+        stack = [(tree, "")]
+        while stack:
+            node, parent_id = stack.pop()
             writer.writerow([parent_id, node.id, node.label, repr(node.value), node.color or ""])
-            for child in node.children:
-                emit(child, node.id)
-
-        emit(tree, "")
+            stack.extend((child, node.id) for child in reversed(node.children))
         return out.getvalue()
     raise ValueError(f"unknown tree format {fmt!r}")
 
 
-def _value_violation(node: TreeNode) -> Violation | None:
-    """The per-node value rules that ``validate`` and ``normalize`` share."""
-    if not math.isfinite(node.value):
-        return Violation(node.id, "non-finite-value", f"value {node.value} is not finite")
-    if node.value < 0.0:
-        return Violation(node.id, "negative-value", f"value {node.value} < 0")
+def _value_violation(node_id: str, value: float) -> Violation | None:
+    """The per-node value rules that ``validate``, ``normalize`` and the layouts share."""
+    if not math.isfinite(value):
+        return Violation(node_id, "non-finite-value", f"value {value} is not finite")
+    if value < 0.0:
+        return Violation(node_id, "negative-value", f"value {value} < 0")
     return None
 
 
-def _require_valid_value(node: TreeNode) -> None:
+def _require_valid_value(
+    node_id: str, value: float, error: type[ValueError] = NormalizationError
+) -> None:
     # The chained comparison is false exactly when a value rule is broken.
-    if not 0.0 <= node.value < math.inf:
-        bad = _value_violation(node)
-        raise NormalizationError(f"node {node.id!r}: {bad.rule}: {bad.message}")
+    if not 0.0 <= value < math.inf:
+        bad = _value_violation(node_id, value)
+        raise error(f"node {node_id!r}: {bad.rule}: {bad.message}")
 
 
 def validate(tree: TreeNode) -> list[Violation]:
     """Check every node's value rules; violations are data, not errors."""
     violations: list[Violation] = []
     for node in tree.walk():
-        bad = _value_violation(node)
+        bad = _value_violation(node.id, node.value)
         if bad is not None:
             violations.append(bad)
             if bad.rule == "non-finite-value":
@@ -287,7 +288,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     """
     if strategy not in ("strict", "renormalize"):
         raise ValueError(f"unknown normalization strategy {strategy!r}")
-    _require_valid_value(tree)
+    _require_valid_value(tree.id, tree.value)
     root_value = tree.value
     if not root_value > 0.0:
         raise NormalizationError(f"root value must be > 0, got {root_value}")
@@ -304,7 +305,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
         if not node.children:
             continue
         for child in node.children:
-            _require_valid_value(child)
+            _require_valid_value(child.id, child.value)
         child_scale = scale
         child_sum = _sum_in_order(c.value for c in node.children)
         if child_sum > node.value:

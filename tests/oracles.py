@@ -1,0 +1,156 @@
+"""Test-side numpy oracles: point samples and containment of node shapes.
+
+The package itself measures outlines exactly (``measure.path_area``) and
+imports only the standard library.  These helpers give the tests a second,
+independent view of the same shapes: polygonized loops for a shoelace
+cross-check, points spread along a boundary, a vectorized interior test
+straight from a sector's closed-form description, and the two wedges a
+sector's cuts remove.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from rit_layout.geometry import (
+    TAU,
+    ArcSegment,
+    LineSegment,
+    Path,
+    SectorGeometry,
+    Segment,
+    _polar,
+    is_full_turn,
+)
+from rit_layout.measure import DEFAULT_ARC_STEP
+
+
+def _arc_steps(seg: ArcSegment, max_step: float) -> int:
+    return max(1, math.ceil(abs(seg.span) / max_step))
+
+
+def loop_vertices(
+    loop: tuple[Segment, ...], max_arc_step: float = DEFAULT_ARC_STEP
+) -> np.ndarray:
+    """Polygon vertices of one loop, shape (n, 2), last point not repeated."""
+    chunks: list[np.ndarray] = []
+    first = loop[0].start_point
+    chunks.append(np.array([first]))
+    for seg in loop:
+        if isinstance(seg, LineSegment):
+            chunks.append(np.array([[seg.x1, seg.y1]]))
+        else:
+            n = _arc_steps(seg, max_arc_step)
+            angles = seg.start + (seg.span / n) * np.arange(1, n + 1)
+            chunks.append(seg.radius * np.column_stack([np.cos(angles), np.sin(angles)]))
+    pts = np.concatenate(chunks)
+    if np.allclose(pts[-1], pts[0]):
+        pts = pts[:-1]
+    return pts
+
+
+def _segment_length(seg: Segment) -> float:
+    if isinstance(seg, LineSegment):
+        return math.hypot(seg.x1 - seg.x0, seg.y1 - seg.y0)
+    return abs(seg.span) * seg.radius
+
+
+def path_boundary_points(path: Path, n: int) -> np.ndarray:
+    """About ``n`` points distributed along the path boundary by arc length."""
+    segments = path.segments
+    lengths = [_segment_length(seg) for seg in segments]
+    total = sum(lengths)
+    if total == 0.0:
+        return np.empty((0, 2))
+    chunks = []
+    for seg, length in zip(segments, lengths):
+        k = max(2, math.ceil(n * length / total))
+        t = np.linspace(0.0, 1.0, k)
+        if isinstance(seg, LineSegment):
+            xs = seg.x0 + (seg.x1 - seg.x0) * t
+            ys = seg.y0 + (seg.y1 - seg.y0) * t
+        else:
+            angles = seg.start + seg.span * t
+            xs = seg.radius * np.cos(angles)
+            ys = seg.radius * np.sin(angles)
+        chunks.append(np.column_stack([xs, ys]))
+    return np.concatenate(chunks)
+
+
+def wedge_paths(g: SectorGeometry) -> tuple[Path, Path]:
+    """Outlines of the two wedges cut from a sector's ends.
+
+    Each wedge is bounded by the original radial edge, a slice of the outer
+    arc of width alpha/2, and the straight cut back to the inner corner.
+    """
+    if g.alpha <= 0.0:
+        raise ValueError("sector has no wedges")
+    r, big_r = g.r_in, g.outer_radius
+    t0, t1 = g.theta, g.theta + g.beta
+    start = Path.single(
+        [
+            LineSegment(*_polar(r, t0), *_polar(big_r, t0)),
+            ArcSegment(big_r, t0, t0 + 0.5 * g.alpha),
+            LineSegment(*_polar(big_r, t0 + 0.5 * g.alpha), *_polar(r, t0)),
+        ]
+    )
+    end = Path.single(
+        [
+            LineSegment(*_polar(r, t1), *_polar(big_r, t1 - 0.5 * g.alpha)),
+            ArcSegment(big_r, t1 - 0.5 * g.alpha, t1),
+            LineSegment(*_polar(big_r, t1), *_polar(r, t1)),
+        ]
+    )
+    return start, end
+
+
+def sector_contains_points(
+    g: SectorGeometry,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    margin: float = 0.0,
+) -> np.ndarray:
+    """Strict interior test for a node shape, vectorized over points.
+
+    ``margin`` > 0 demands points lie clearly inside (distance-like slack in
+    the same units as the radii), which keeps shared boundary corners from
+    registering as overlap.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    rho = np.hypot(xs, ys)
+    rel = np.mod(np.arctan2(ys, xs) - g.theta, TAU)
+    r, big_r = g.r_in, g.outer_radius
+
+    if is_full_turn(g.beta):
+        return (rho > r + margin) & (rho < big_r - margin)
+
+    # Angular margin scaled to arc length at each point's radius.
+    ang_margin = np.divide(margin, np.maximum(rho, 1e-300))
+    in_main = (
+        (rho > r + margin)
+        & (rho < big_r - margin)
+        & (rel > ang_margin)
+        & (rel < g.beta - ang_margin)
+    )
+    if g.alpha > 0.0:
+        # Left of each directed cut line by more than `margin`
+        # (lines have unit-scaled normals via division by their length).
+        for (ax, ay), (bx, by) in (
+            (_polar(r, g.theta), _polar(big_r, g.cut_start)),
+            (_polar(big_r, g.cut_end), _polar(r, g.theta + g.beta)),
+        ):
+            ux, uy = bx - ax, by - ay
+            norm = math.hypot(ux, uy)
+            cross = (ux * (ys - ay) - uy * (xs - ax)) / norm
+            in_main &= cross > margin
+        in_top = (
+            (rho > big_r + margin)
+            & (rho < g.total_radius - margin)
+            & (rel > 0.5 * g.alpha + ang_margin)
+            & (rel < g.beta - 0.5 * g.alpha - ang_margin)
+        )
+        return in_main | in_top
+    return in_main

@@ -32,10 +32,9 @@ from rit_layout import (
 )
 from rit_layout.cli import main
 from rit_layout.diagnostics import diagnostics, wedge_bound_satisfied
-from rit_layout.geometry import sector_contains_points
-from rit_layout.measure import path_boundary_points
 
 from conftest import TAU, full_chain
+from oracles import path_boundary_points, sector_contains_points
 from test_relax import flanked_thin_run
 
 AREA_TOL = 1e-6

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,3 +266,16 @@ class TestDeterminismAcrossProcesses:
             assert code == 0
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
+
+
+def test_runtime_imports_no_numpy():
+    """The library and the CLI run on the standard library alone."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, rit_layout, rit_layout.cli; assert 'numpy' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

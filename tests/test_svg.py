@@ -18,9 +18,9 @@ from rit_layout import (
     relax_thin_nodes,
     render_svg,
 )
-from rit_layout.measure import path_boundary_points
 from rit_layout.tree import TreeNode
 
+from oracles import path_boundary_points
 from test_golden import QUARTER
 from test_relax import flanked_thin_run
 

@@ -112,6 +112,13 @@ class TestRoundTrip:
         json_again = parse_tree(serialize_tree(tree, "json-tree"), "json-tree")
         assert tree_equal_ignoring_ids(json_again, tree)
 
+    def test_deep_chain_csv_round_trip(self):
+        nodes = [TreeNode(f"n{i}", f"n{i}", 1.0 + i) for i in range(3000)]
+        for parent, child in zip(nodes, nodes[1:]):
+            parent.children = [child]
+        again = parse_tree(serialize_tree(nodes[0], "csv-edges"), "csv-edges")
+        assert [(n.id, n.value) for n in again.walk()] == [(n.id, n.value) for n in nodes]
+
     def test_awkward_labels_round_trip(self):
         tree = TreeNode("r", ' spaced, "quoted"\nlabel ', 2.0, children=[
             TreeNode("a", "", 1.0), TreeNode("b", "ümlaut", 1.0)])
