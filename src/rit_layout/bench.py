@@ -15,10 +15,8 @@ from __future__ import annotations
 import contextlib
 import csv
 import gc
-import hashlib
 import io
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .generate import GeneratorSpec, generate_tree
@@ -107,6 +105,11 @@ def run_bench(
     With ``parallel`` each round's trees run on a thread pool; geometry
     stays deterministic but the timings are not comparable across specs.
     """
+    # Imported here, not at module level: only this function needs them, and
+    # concurrent.futures pulls in logging, which every CLI start would pay.
+    import hashlib
+    from concurrent.futures import ThreadPoolExecutor
+
     kept: list[tuple[GeneratorSpec, int]] = []
     trees: list[NormalizedNode] = []
     skipped: list[tuple[GeneratorSpec, int]] = []

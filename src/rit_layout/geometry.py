@@ -15,6 +15,7 @@ live in the tests' ``oracles`` module.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 TAU = 2.0 * math.pi
@@ -154,13 +155,10 @@ def clamp_wedge_angle(ar: float, beta: float, r: float, outer_radius: float) -> 
     )
 
 
-@dataclass(frozen=True)
-class ArcSegment:
+class ArcSegment(namedtuple("ArcSegment", "radius start end")):
     """Circular arc centered on the origin; end < start means clockwise."""
 
-    radius: float
-    start: float
-    end: float
+    __slots__ = ()
 
     @property
     def start_point(self) -> tuple[float, float]:
@@ -175,12 +173,10 @@ class ArcSegment:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class LineSegment:
-    x0: float
-    y0: float
-    x1: float
-    y1: float
+class LineSegment(namedtuple("LineSegment", "x0 y0 x1 y1")):
+    """Straight segment from (x0, y0) to (x1, y1)."""
+
+    __slots__ = ()
 
     @property
     def start_point(self) -> tuple[float, float]:
@@ -199,7 +195,8 @@ class Path:
     """One or more closed loops of arc/line segments (outer boundary + holes).
 
     Construction raises ``ValueError`` unless each loop's segments join
-    end to start and its last segment ends where its first begins.
+    end to start and its last segment ends where its first begins (see
+    ``_check_loop``); every outline the package builds passes through it.
     """
 
     loops: tuple[tuple[Segment, ...], ...]
@@ -218,16 +215,26 @@ class Path:
 
 
 def _check_loop(loop: tuple[Segment, ...]) -> None:
+    """Reject an empty loop, a gap between segments, or an open end.
+
+    A join passes when its endpoints lie within ``PATH_JOIN_TOL`` times the
+    loop's largest coordinate (at least 1) of each other.  Each endpoint is
+    computed once.  When every join and the close match exactly, which is
+    how the package builds all but full-turn arcs, the loop passes without
+    the distance test: an exact match is within any positive tolerance.
+    """
     if not loop:
         raise ValueError("empty loop")
-    scale = max(1.0, max(abs(c) for seg in loop for c in (*seg.start_point, *seg.end_point)))
+    starts = [seg.start_point for seg in loop]
+    ends = [seg.end_point for seg in loop]
+    if ends[:-1] == starts[1:] and ends[-1] == starts[0]:
+        return
+    scale = max(1.0, max(abs(c) for s, e in zip(starts, ends) for c in (*s, *e)))
     tol = PATH_JOIN_TOL * scale
-    for prev, cur in zip(loop, loop[1:]):
-        if math.dist(prev.end_point, cur.start_point) > tol:
-            raise ValueError(
-                f"segments do not join: {prev.end_point} -> {cur.start_point}"
-            )
-    if math.dist(loop[-1].end_point, loop[0].start_point) > tol:
+    for end, start in zip(ends, starts[1:]):
+        if math.dist(end, start) > tol:
+            raise ValueError(f"segments do not join: {end} -> {start}")
+    if math.dist(ends[-1], starts[0]) > tol:
         raise ValueError("loop does not close")
 
 
@@ -322,26 +329,30 @@ def build_node_path(g: SectorGeometry) -> Path:
         inner = ArcSegment(r, t0 + TAU, t0)
         return Path(loops=((outer,), (inner,)))
 
+    # Each corner is (radius * cos(angle), radius * sin(angle)), with every
+    # angle's cosine and sine taken once; corners shared by two segments
+    # are the same numbers, so the joins match exactly.
+    c0, s0, c1, s1 = math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1)
+    segs: list[Segment] = [ArcSegment(r, t0, t1)] if r > 0.0 else []
     if g.alpha == 0.0:
-        segs: list[Segment] = []
-        if r > 0.0:
-            segs.append(ArcSegment(r, t0, t1))
-        segs.append(LineSegment(*_polar(r, t1), *_polar(big_r, t1)))
-        segs.append(ArcSegment(big_r, t1, t0))
-        segs.append(LineSegment(*_polar(big_r, t0), *_polar(r, t0)))
+        segs += (
+            LineSegment(r * c1, r * s1, big_r * c1, big_r * s1),
+            ArcSegment(big_r, t1, t0),
+            LineSegment(big_r * c0, big_r * s0, r * c0, r * s0),
+        )
         return Path.single(segs)
 
     top_r = g.total_radius
     a0 = g.cut_start
     a1 = g.cut_end
-    segs = []
-    if r > 0.0:
-        segs.append(ArcSegment(r, t0, t1))
-    segs.append(LineSegment(*_polar(r, t1), *_polar(big_r, a1)))
-    segs.append(LineSegment(*_polar(big_r, a1), *_polar(top_r, a1)))
-    segs.append(ArcSegment(top_r, a1, a0))
-    segs.append(LineSegment(*_polar(top_r, a0), *_polar(big_r, a0)))
-    segs.append(LineSegment(*_polar(big_r, a0), *_polar(r, t0)))
+    ca0, sa0, ca1, sa1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
+    segs += (
+        LineSegment(r * c1, r * s1, big_r * ca1, big_r * sa1),
+        LineSegment(big_r * ca1, big_r * sa1, top_r * ca1, top_r * sa1),
+        ArcSegment(top_r, a1, a0),
+        LineSegment(top_r * ca0, top_r * sa0, big_r * ca0, big_r * sa0),
+        LineSegment(big_r * ca0, big_r * sa0, r * c0, r * s0),
+    )
     return Path.single(segs)
 
 

@@ -95,11 +95,12 @@ class PlacedNode:
     """One laid-out node: identity, geometry, and placement frame.
 
     The outline ``path`` is not stored: it is derived from ``sector`` on
-    first use and kept in ``_path``, which ``dataclasses.replace`` resets,
-    so a node moved by replacing its sector (as relaxation does) gets the
-    outline of its new place.  For the icicle style ``sector`` is a
-    ``BandGeometry``: theta is the x offset, beta the width, r_in the
-    distance of the row's top from the root's top edge.
+    first use and kept in ``_path``.  A node built by the constructor (as
+    relaxation builds each moved node) or by ``dataclasses.replace`` starts
+    without one, so a moved node gets the outline of its new place.  For
+    the icicle style ``sector`` is a ``BandGeometry``: theta is the x
+    offset, beta the width, r_in the distance of the row's top from the
+    root's top edge.
     """
 
     id: str
@@ -357,6 +358,10 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
     from the rotated sector.  Every moved node is flagged relaxed.
     ``layout.nodes`` must list every parent before its children, as
     ``layout_rit`` places them.
+
+    A moved node and its sector are new ``PlacedNode`` and
+    ``SectorGeometry`` objects built by their constructors, with no outline
+    yet; an unmoved node is kept as it is, outline included.
     """
     if layout.style != "rit":
         raise ValueError("relaxation applies to rit layouts only")
@@ -415,15 +420,18 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
             continue
         inherited = rotations.get(n.parent, 0.0)
         delta = rotations[n.id] = inherited + offsets.get(n.id, 0.0)
-        sector = replace(n.sector, theta=n.sector.theta + delta)
+        s = n.sector
+        sector = SectorGeometry(
+            theta=s.theta + delta, beta=s.beta, alpha=s.alpha, r_in=s.r_in,
+            height=s.height, topup_height=s.topup_height, depth=s.depth,
+        )
         # A moved node keeps its placement frame (the parent's span did not
         # move); descendants' frames derive from the moved ancestor and shift.
         new_nodes.append(
-            replace(
-                n,
-                sector=sector,
-                frame_theta=n.frame_theta + inherited,
-                relaxed=True,
+            PlacedNode(
+                id=n.id, label=n.label, color=n.color, data=n.data, depth=n.depth,
+                parent=n.parent, sector=sector, frame_theta=n.frame_theta + inherited,
+                frame_beta=n.frame_beta, angle_scale=n.angle_scale, relaxed=True,
             )
         )
     return replace(layout, nodes=tuple(new_nodes))
@@ -457,7 +465,33 @@ def _json_value(value, pad: str) -> str:
 
 
 def _segment_json(seg) -> str:
-    """One path segment as an item of a node's ``"path"`` list (indent 4)."""
+    """One path segment as an item of a node's ``"path"`` list (indent 4).
+
+    A segment of the package's own types whose numbers are all finite
+    ``float``s, as every outline of a float layout is, is written by one
+    f-string: ``!r`` spells such a number as ``json.dumps`` does.  Any
+    other segment (an int radius, a non-finite or overflowing sum, a float
+    subclass) goes through ``_json_value``.
+    """
+    kind = type(seg)
+    if kind is geo.LineSegment:
+        x0, y0, x1, y1 = seg
+        if (type(x0) is type(y0) is type(x1) is type(y1) is float
+                and math.isfinite(x0 + y0 + x1 + y1)):
+            return (
+                '    {\n     "type": "line",\n'
+                f'     "x0": {x0!r},\n     "y0": {y0!r},\n'
+                f'     "x1": {x1!r},\n     "y1": {y1!r}\n    }}'
+            )
+    elif kind is geo.ArcSegment:
+        radius, start, end = seg
+        if (type(radius) is type(start) is type(end) is float
+                and math.isfinite(radius + start + end)):
+            return (
+                '    {\n     "type": "arc",\n'
+                f'     "radius": {radius!r},\n     "start": {start!r},\n'
+                f'     "end": {end!r}\n    }}'
+            )
     v = _json_value
     if isinstance(seg, geo.ArcSegment):
         return (
@@ -476,13 +510,42 @@ def _segment_json(seg) -> str:
 
 
 def _node_json(n: PlacedNode) -> str:
-    """One node as an item of the ``"nodes"`` list (indent 2)."""
+    """One node as an item of the ``"nodes"`` list (indent 2).
+
+    The header takes one f-string when its six sector numbers are finite
+    ``float``s, ``id`` and ``label`` are ``str``, ``color`` is ``str`` or
+    ``None``, ``depth`` is an ``int`` and ``relaxed`` a ``bool``, each of
+    exactly that type.  Any other header, such as an int ``r_in`` or a
+    hand-built list label, spells each value through ``_json_value``.
+    """
+    body = ",\n".join([_segment_json(seg) for seg in n.path.segments])
+    s = n.sector
+    theta, beta, alpha, r_in = s.theta, s.beta, s.alpha, s.r_in
+    height, topup = s.height, s.topup_height
+    node_id, label, color, depth, relaxed = n.id, n.label, n.color, n.depth, n.relaxed
+    if (
+        type(theta) is type(beta) is type(alpha) is type(r_in) is type(height)
+        is type(topup) is float
+        and math.isfinite(theta + beta + alpha + r_in + height + topup)
+        and type(node_id) is type(label) is str
+        and (color is None or type(color) is str)
+        and type(depth) is int
+        and type(relaxed) is bool
+    ):
+        return (
+            f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
+            f'   "theta": {theta!r},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
+            f'   "r_in": {r_in!r},\n   "height": {height!r},\n   "topup_height": {topup!r},\n'
+            f'   "relaxed": {"true" if relaxed else "false"},\n'
+            f'   "color": {"null" if color is None else encode_basestring_ascii(color)},\n'
+            f'   "label": {encode_basestring_ascii(label)},\n'
+            f'   "path": [\n{body}\n   ]\n  }}'
+        )
     v = _json_value
-    fields = [("id", n.id), ("depth", n.depth)]
-    fields += [(k, getattr(n.sector, k)) for k in _NUM_KEYS]
-    fields += [("relaxed", n.relaxed), ("color", n.color), ("label", n.label)]
+    fields = [("id", node_id), ("depth", depth)]
+    fields += [(k, getattr(s, k)) for k in _NUM_KEYS]
+    fields += [("relaxed", relaxed), ("color", color), ("label", label)]
     head = "".join(f'   "{k}": {v(value, "   ")},\n' for k, value in fields)
-    body = ",\n".join([_segment_json(s) for s in n.path.segments])
     return f'  {{\n{head}   "path": [\n{body}\n   ]\n  }}'
 
 

@@ -100,36 +100,44 @@ class _Transform:
 
 def _split_arc(seg: ArcSegment) -> list[tuple[float, float]]:
     """(start, end) angle pairs, each spanning less than pi."""
-    pieces = max(1, math.ceil(abs(seg.span) / math.pi - 1e-12))
-    if abs(seg.span) >= math.pi and pieces < 2:
+    span = seg.span
+    pieces = max(1, math.ceil(abs(span) / math.pi - 1e-12))
+    if abs(span) >= math.pi and pieces < 2:
         pieces = 2
-    step = seg.span / pieces
+    step = span / pieces
     return [(seg.start + i * step, seg.start + (i + 1) * step) for i in range(pieces)]
 
 
 def _loop_to_d(loop, tf: _Transform) -> str:
-    x0, y0 = tf.point(*loop[0].start_point)
-    parts = [f"M {_fmt(x0)} {_fmt(y0)}"]
+    """One closed loop as ``M ... Z`` path data, each number as ``_fmt`` spells it.
+
+    The transform is inlined, each command takes one f-string, and an arc's
+    radius is formatted once.  A ``-0.000000`` token is rewritten to
+    ``0.000000`` once over the finished string: every token is a whole
+    6-decimal number, so only such a token can contain that text.
+    """
+    scale, cx, cy = tf.scale, tf.cx, tf.cy
+    x0, y0 = loop[0].start_point
+    parts = [f"M {cx + scale * x0:.6f} {cy - scale * y0:.6f}"]
     for seg in loop:
         if isinstance(seg, LineSegment):
-            x, y = tf.point(seg.x1, seg.y1)
-            parts.append(f"L {_fmt(x)} {_fmt(y)}")
+            parts.append(f"L {cx + scale * seg.x1:.6f} {cy - scale * seg.y1:.6f}")
         else:
-            radius = seg.radius * tf.scale
+            r = seg.radius
+            radius = f"{r * scale:.6f}"
             # The y flip mirrors orientation: SVG's positive-angle direction
             # (sweep=1) is screen-clockwise, so math-CCW arcs take sweep=0.
-            sweep = 0 if seg.span > 0 else 1
+            head = f"A {radius} {radius} 0 0 {0 if seg.span > 0 else 1}"
             for _, a1 in _split_arc(seg):
-                x, y = tf.point(seg.radius * math.cos(a1), seg.radius * math.sin(a1))
-                parts.append(
-                    f"A {_fmt(radius)} {_fmt(radius)} 0 0 {sweep} {_fmt(x)} {_fmt(y)}"
-                )
+                x = cx + scale * (r * math.cos(a1))
+                y = cy - scale * (r * math.sin(a1))
+                parts.append(f"{head} {x:.6f} {y:.6f}")
     parts.append("Z")
-    return " ".join(parts)
+    return " ".join(parts).replace("-0.000000", "0.000000")
 
 
 def _path_d(path: Path, tf: _Transform) -> str:
-    return " ".join(_loop_to_d(loop, tf) for loop in path.loops)
+    return " ".join([_loop_to_d(loop, tf) for loop in path.loops])
 
 
 def _config_comment(layout: Layout, tf: _Transform) -> str:

@@ -269,9 +269,17 @@ class TestDeterminismAcrossProcesses:
 
 
 def test_runtime_imports_no_numpy():
-    """The library and the CLI run on the standard library alone."""
+    """The library and the CLI run on the standard library alone.
+
+    Modules only ``rit bench`` needs (``hashlib``, and ``concurrent.futures``
+    with the ``logging`` it pulls in) are not loaded at import either.
+    """
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, rit_layout, rit_layout.cli; assert 'numpy' not in sys.modules"
+    code = (
+        "import sys, rit_layout, rit_layout.cli\n"
+        "for name in ('numpy', 'concurrent.futures', 'logging', 'hashlib'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},

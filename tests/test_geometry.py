@@ -16,7 +16,9 @@ from rit_layout import (
 )
 from rit_layout.geometry import (
     ANGLE_EPS,
+    PATH_JOIN_TOL,
     ArcSegment,
+    BandGeometry,
     LineSegment,
     Path,
     SectorGeometry,
@@ -296,6 +298,54 @@ class TestPathInvariants:
     def test_open_loop_rejected(self):
         with pytest.raises(ValueError):
             Path.single([LineSegment(0, 0, 1, 0), LineSegment(1, 0, 1, 1)])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_join_tolerance_scales_with_coordinates(self, scale):
+        # The gaps run along y at x = scale, so the largest coordinate, and
+        # with it the tolerance, stays PATH_JOIN_TOL * scale.
+        tol = PATH_JOIN_TOL * scale
+
+        def triangle(join_gap, close_gap):
+            return Path.single([
+                LineSegment(0.0, 0.0, scale, 0.0),
+                LineSegment(scale, join_gap, 0.0, scale),
+                LineSegment(0.0, scale, 0.0, close_gap),
+            ])
+
+        triangle(0.99 * tol, 0.99 * tol)
+        with pytest.raises(ValueError, match="segments do not join"):
+            triangle(1.01 * tol, 0.0)
+        with pytest.raises(ValueError, match="loop does not close"):
+            triangle(0.0, 1.01 * tol)
+
+    def test_empty_loop_rejected(self):
+        with pytest.raises(ValueError, match="empty loop"):
+            Path.single([])
+        with pytest.raises(ValueError, match="empty loop"):
+            Path(loops=((ArcSegment(1.0, 0.0, TAU),), ()))
+
+    def test_full_turn_arc_with_inexact_close_accepted(self):
+        arc = ArcSegment(10.0, 0.3, 0.3 + TAU)
+        assert arc.end_point != arc.start_point
+        assert Path.single([arc]).loops == ((arc,),)
+
+    @pytest.mark.parametrize("geometry", [
+        SectorGeometry(theta=0.4, beta=TAU, alpha=0.0, r_in=8.0, height=2.0),
+        SectorGeometry(theta=0.4, beta=TAU, alpha=0.0, r_in=0.0, height=2.0),
+        SectorGeometry(theta=0.4, beta=1.1, alpha=0.0, r_in=0.0, height=2.0, depth=1),
+        SectorGeometry(theta=2.9, beta=1.1, alpha=0.0, r_in=3.0, height=2.0, depth=1),
+        SectorGeometry(theta=4.0, beta=0.7, alpha=0.05, r_in=3.0, height=2.0,
+                       topup_height=0.01, depth=2),
+        SectorGeometry(theta=5.5, beta=0.0, alpha=0.0, r_in=3.0, height=2.0, depth=2),
+        BandGeometry(theta=1.7, beta=0.3, alpha=0.0, r_in=4.0, height=2.0, depth=2),
+    ], ids=["annulus", "disc", "sector-r0", "sector", "wedge-cut", "sliver", "band"])
+    def test_outline_joins_are_exact(self, geometry):
+        for loop in geometry.outline().loops:
+            starts = [seg.start_point for seg in loop]
+            ends = [seg.end_point for seg in loop]
+            assert ends[:-1] == starts[1:]
+            if not (len(loop) == 1 and isinstance(loop[0], ArcSegment)):
+                assert ends[-1] == starts[0]
 
     def test_normalize_angle(self):
         assert normalize_angle(-math.pi) == pytest.approx(math.pi)

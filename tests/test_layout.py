@@ -20,7 +20,15 @@ from rit_layout import (
     sector_area,
 )
 from rit_layout.diagnostics import wedge_bound_satisfied
-from rit_layout.geometry import ArcSegment, LineSegment, Path, build_node_path, rect_path
+from rit_layout.geometry import (
+    ArcSegment,
+    BandGeometry,
+    LineSegment,
+    Path,
+    SectorGeometry,
+    build_node_path,
+    rect_path,
+)
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
@@ -332,6 +340,53 @@ def _non_finite_layout():
     return dataclasses.replace(base, a_std=math.inf, nodes=tuple(odd + rest))
 
 
+class _ReprFloat(float):
+    """A float whose own repr differs from float's, which json.dumps ignores."""
+
+    def __repr__(self) -> str:
+        return f"_ReprFloat({float.__repr__(self)})"
+
+
+class _OddSegmentSector(SectorGeometry):
+    """Plain sector fields whose outline holds a float-subclass coordinate."""
+
+    def outline(self) -> Path:
+        segments = list(super().outline().loops[0])
+        i = next(i for i, seg in enumerate(segments) if isinstance(seg, LineSegment))
+        segments[i] = segments[i]._replace(y1=_ReprFloat(segments[i].y1))
+        return Path.single(segments)
+
+
+def _guard_layout(case: str):
+    """A demo rit layout whose second node holds values the JSON fast path must refuse."""
+    base = layout_rit(normalize(demo_tree(), "strict"))
+    first, node, *rest = base.nodes
+    s = node.sector
+    if case == "float-subclass-sector":
+        node = dataclasses.replace(node, sector=dataclasses.replace(s, **{
+            k: _ReprFloat(getattr(s, k)) for k in _SECTOR_KEYS}))
+    elif case == "float-subclass-segment":
+        node = dataclasses.replace(node, sector=_OddSegmentSector(**{
+            f.name: getattr(s, f.name) for f in dataclasses.fields(s)}))
+    elif case == "sum-overflows":
+        node = dataclasses.replace(node, sector=dataclasses.replace(
+            s, theta=1e308, topup_height=1e308))
+        band = BandGeometry(theta=1e308, beta=1.0, alpha=0.0, r_in=2.0, height=2.0, depth=1)
+        rest[0] = dataclasses.replace(rest[0], sector=band)
+    elif case == "non-finite-band":
+        band = BandGeometry(theta=math.inf, beta=1.0, alpha=0.0, r_in=2.0, height=2.0, depth=1)
+        node = dataclasses.replace(node, sector=band)
+    elif case == "negative-zero":
+        node = dataclasses.replace(node, sector=dataclasses.replace(s, theta=-0.0))
+    elif case == "bool-depth":
+        node = dataclasses.replace(node, depth=True)
+    elif case == "int-relaxed":
+        node = dataclasses.replace(node, relaxed=1)
+    elif case == "list-color":
+        node = dataclasses.replace(node, color=["#112233"])
+    return dataclasses.replace(base, nodes=(first, node, *rest))
+
+
 def _zero_value_tree() -> TreeNode:
     return TreeNode("r", "r", 4.0, children=[
         TreeNode("a", "a", 4.0, children=[TreeNode("z", "z", 0.0)]),
@@ -410,6 +465,11 @@ class TestLayoutJson:
                                         LayoutConfig(r0=8, h0=2)), id="int-config"),
         pytest.param(_non_finite_layout, id="hand-built-non-finite"),
         pytest.param(lambda: dataclasses.replace(_non_finite_layout(), nodes=()), id="no-nodes"),
+    ] + [
+        pytest.param(lambda case=case: _guard_layout(case), id=case)
+        for case in ("float-subclass-sector", "float-subclass-segment", "sum-overflows",
+                     "non-finite-band", "negative-zero", "bool-depth", "int-relaxed",
+                     "list-color")
     ])
     def test_bytes_equal_json_dumps(self, make):
         layout = make()

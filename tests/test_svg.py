@@ -18,6 +18,8 @@ from rit_layout import (
     relax_thin_nodes,
     render_svg,
 )
+from rit_layout.geometry import LineSegment
+from rit_layout.svg import _split_arc
 from rit_layout.tree import TreeNode
 
 from oracles import path_boundary_points
@@ -210,6 +212,59 @@ class TestRendering:
             render_svg(demo_layout, RenderStyle(canvas=0))
         with pytest.raises(ValueError):
             render_svg(demo_layout, RenderStyle(margin=1000.0))
+
+
+def _fmt_each(x: float) -> str:
+    """One number as path data spells it: 6 decimals, never ``-0.000000``."""
+    s = f"{x:.6f}"
+    return "0.000000" if s == "-0.000000" else s
+
+
+def _reference_d(path, scale: float, cx: float, cy: float) -> str:
+    """Path data rebuilt from the outline, formatting each number on its own."""
+    loops = []
+    for loop in path.loops:
+        x, y = loop[0].start_point
+        parts = [f"M {_fmt_each(cx + scale * x)} {_fmt_each(cy - scale * y)}"]
+        for seg in loop:
+            if isinstance(seg, LineSegment):
+                parts.append(f"L {_fmt_each(cx + scale * seg.x1)} {_fmt_each(cy - scale * seg.y1)}")
+                continue
+            radius = _fmt_each(seg.radius * scale)
+            sweep = 0 if seg.span > 0 else 1
+            for _, a1 in _split_arc(seg):
+                x = cx + scale * (seg.radius * math.cos(a1))
+                y = cy - scale * (seg.radius * math.sin(a1))
+                parts.append(f"A {radius} {radius} 0 0 {sweep} {_fmt_each(x)} {_fmt_each(y)}")
+        parts.append("Z")
+        loops.append(" ".join(parts))
+    return " ".join(loops)
+
+
+@pytest.mark.parametrize("style, cfg", [
+    ("rit", LayoutConfig()),
+    ("sunburst", LayoutConfig()),
+    ("icicle", LayoutConfig()),
+    ("rit", QUARTER),
+], ids=["rit", "sunburst", "icicle", "quarter"])
+def test_path_data_formats_each_number_without_negative_zero(style, cfg):
+    # With no margin the outlines touch the canvas edge, where a coordinate
+    # can round to -0.000000 (the quarter layout has one).
+    layout = compute_layout(normalize(demo_tree(), "strict"), style, cfg)
+    svg = render_svg(layout, RenderStyle(margin=0))
+    scale, cx, cy = parse_transform(svg)
+    by_id = {n.id: n for n in layout.nodes}
+    for el in svg_paths(svg):
+        d = el.get("d")
+        assert d == _reference_d(by_id[el.get("id")].path, scale, cx, cy)
+        assert "-0.000000" not in d.split()
+
+
+def test_ids_keep_negative_zero_text():
+    tree = TreeNode("root", "root", 2.0, children=[
+        TreeNode("x-0.000000", "x", 1.0), TreeNode("y", "y", 1.0)])
+    svg = render_svg(layout_rit(normalize(tree, "strict")), RenderStyle(margin=0))
+    assert {el.get("id") for el in svg_paths(svg)} == {"root", "x-0.000000", "y"}
 
 
 class TestGeometricFidelity:
