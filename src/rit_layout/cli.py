@@ -151,9 +151,10 @@ def build_parser() -> _Parser:
 def _cmd_render(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
+    style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
+    style.validate()
     tree = assign_colors(_load_tree(args.input), args.palette)
     layout = compute_layout(tree, args.style, cfg)
-    style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
     FsPath(args.output).write_bytes(render_svg(layout, style))
     return EXIT_OK
 
@@ -173,10 +174,11 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
+    style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
+    style.validate()
     tree = assign_colors(_load_tree(args.input), args.palette)
     outdir = FsPath(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
     report: dict = {}
     for name in STYLES:
         layout = compute_layout(tree, name, cfg)

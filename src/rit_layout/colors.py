@@ -61,7 +61,7 @@ def assign_colors(tree: NormalizedNode, palette: str = "hue-partition") -> Norma
                 sat = _SATURATIONS[(depth - 1) % len(_SATURATIONS)]
                 val = _VALUES[index % len(_VALUES)]
                 color = hsv_hex(hue, sat, val)
-        out = NormalizedNode(id=node.id, label=node.label, data=node.data, color=color)
+        out = NormalizedNode(node.id, node.label, node.data, color)
         siblings.append(out)
         if node.children:
             width = (hi - lo) / len(node.children)

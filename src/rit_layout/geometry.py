@@ -222,11 +222,23 @@ def _check_loop(loop: tuple[Segment, ...]) -> None:
     computed once.  When every join and the close match exactly, which is
     how the package builds all but full-turn arcs, the loop passes without
     the distance test: an exact match is within any positive tolerance.
+    Segments are unpacked in place rather than read through their
+    ``start_point`` and ``end_point`` properties.
     """
     if not loop:
         raise ValueError("empty loop")
-    starts = [seg.start_point for seg in loop]
-    ends = [seg.end_point for seg in loop]
+    starts = []
+    ends = []
+    cos, sin = math.cos, math.sin
+    for seg in loop:
+        if isinstance(seg, LineSegment):
+            x0, y0, x1, y1 = seg
+            starts.append((x0, y0))
+            ends.append((x1, y1))
+        else:
+            r, a0, a1 = seg
+            starts.append((r * cos(a0), r * sin(a0)))
+            ends.append((r * cos(a1), r * sin(a1)))
     if ends[:-1] == starts[1:] and ends[-1] == starts[0]:
         return
     scale = max(1.0, max(abs(c) for s, e in zip(starts, ends) for c in (*s, *e)))

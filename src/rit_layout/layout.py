@@ -169,20 +169,13 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
     a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
+    # Records are built with positional arguments, in field order: keyword
+    # matching adds about a third to a frozen record's __init__.
     nodes: list[PlacedNode] = [
         PlacedNode(
-            id=tree.id,
-            label=tree.label,
-            color=tree.color,
-            data=tree.data,
-            depth=0,
-            parent=None,
-            sector=SectorGeometry(
-                theta=theta0, beta=cfg.beta0, alpha=0.0, r_in=cfg.r0, height=cfg.h0, depth=0
-            ),
-            frame_theta=theta0,
-            frame_beta=cfg.beta0,
-            angle_scale=TAU,
+            tree.id, tree.label, tree.color, tree.data, 0, None,
+            SectorGeometry(theta0, cfg.beta0, 0.0, cfg.r0, cfg.h0, 0.0, 0),
+            theta0, cfg.beta0, TAU,
         )
     ]
     visits = 1
@@ -232,27 +225,11 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
                 h_top = topup_height(big_r, beta_c, alpha, lost, cfg.topup_variant)
             else:
                 h_top = 0.0
-            sector = SectorGeometry(
-                theta=theta_child,
-                beta=beta_c,
-                alpha=alpha,
-                r_in=r,
-                height=h,
-                topup_height=h_top,
-                depth=depth,
-            )
+            sector = SectorGeometry(theta_child, beta_c, alpha, r, h, h_top, depth)
             nodes.append(
                 PlacedNode(
-                    id=child.id,
-                    label=child.label,
-                    color=child.color,
-                    data=child.data,
-                    depth=depth,
-                    parent=parent.id,
-                    sector=sector,
-                    frame_theta=f_theta,
-                    frame_beta=f_beta,
-                    angle_scale=scale,
+                    child.id, child.label, child.color, child.data, depth, parent.id,
+                    sector, f_theta, f_beta, scale,
                 )
             )
             visits += 1
@@ -313,15 +290,11 @@ def _place_proportional(
     while stack:
         node, start, parent, depth, f_start, f_width = stack.pop()
         width = scale * node.data
-        sector = geometry(
-            theta=start, beta=width, alpha=0.0,
-            r_in=base + depth * cfg.h0, height=cfg.h0, depth=depth,
-        )
+        sector = geometry(start, width, 0.0, base + depth * cfg.h0, cfg.h0, 0.0, depth)
         nodes.append(
             PlacedNode(
-                id=node.id, label=node.label, color=node.color, data=node.data,
-                depth=depth, parent=parent, sector=sector,
-                frame_theta=f_start, frame_beta=f_width, angle_scale=scale,
+                node.id, node.label, node.color, node.data, depth, parent,
+                sector, f_start, f_width, scale,
             )
         )
         frames = []
@@ -422,16 +395,14 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
         delta = rotations[n.id] = inherited + offsets.get(n.id, 0.0)
         s = n.sector
         sector = SectorGeometry(
-            theta=s.theta + delta, beta=s.beta, alpha=s.alpha, r_in=s.r_in,
-            height=s.height, topup_height=s.topup_height, depth=s.depth,
+            s.theta + delta, s.beta, s.alpha, s.r_in, s.height, s.topup_height, s.depth
         )
         # A moved node keeps its placement frame (the parent's span did not
         # move); descendants' frames derive from the moved ancestor and shift.
         new_nodes.append(
             PlacedNode(
-                id=n.id, label=n.label, color=n.color, data=n.data, depth=n.depth,
-                parent=n.parent, sector=sector, frame_theta=n.frame_theta + inherited,
-                frame_beta=n.frame_beta, angle_scale=n.angle_scale, relaxed=True,
+                n.id, n.label, n.color, n.data, n.depth, n.parent, sector,
+                n.frame_theta + inherited, n.frame_beta, n.angle_scale, True,
             )
         )
     return replace(layout, nodes=tuple(new_nodes))

@@ -21,10 +21,13 @@ DEFAULT_ARC_STEP = 1e-4
 def path_area(path: Path) -> float:
     """Unsigned area enclosed by a closed path; holes subtract via winding."""
     total = 0.0
-    for seg in path.segments:
-        if isinstance(seg, LineSegment):
-            total += seg.x0 * seg.y1 - seg.x1 * seg.y0
-        else:
-            total += seg.radius * seg.radius * seg.span
+    for loop in path.loops:
+        for seg in loop:
+            if isinstance(seg, LineSegment):
+                x0, y0, x1, y1 = seg
+                total += x0 * y1 - x1 * y0
+            else:
+                r, start, end = seg
+                total += r * r * (end - start)
     return abs(0.5 * total)
 

@@ -2,12 +2,12 @@
 
 Node outlines are emitted as filled path elements in depth-major order,
 with arcs as elliptical-arc commands (split so no single command spans
-pi or more).  The drawing is uniformly scaled and centered so that the
-outlines' exact extent (line endpoints, arc endpoints and the axis
-extremes an arc sweeps past) fills the canvas less the margin; the
-applied transform and the layout configuration are echoed in a leading
-comment so the output is self-describing.  Identical inputs produce
-byte-identical output.
+more than pi; at exactly pi the sweep flag picks the side).  The drawing
+is uniformly scaled and centered so that the outlines' exact extent
+(line endpoints, arc endpoints and the axis extremes an arc sweeps past)
+fills the canvas less the margin; the applied transform and the layout
+configuration are echoed in a leading comment so the output is
+self-describing.  Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ArcSegment, LineSegment, Path
+from .geometry import LineSegment, Path
 from .layout import Layout
 
 FALLBACK_FILL = "#cccccc"
@@ -38,6 +38,10 @@ class RenderStyle:
     font_size: float = 11.0
 
     def validate(self) -> None:
+        for name in ("canvas", "margin", "stroke_width", "font_size"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.canvas <= 0:
             raise ValueError(f"canvas size must be > 0, got {self.canvas}")
         if self.margin < 0 or 2 * self.margin >= self.canvas:
@@ -62,19 +66,20 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
     """
     xs: list[float] = []
     ys: list[float] = []
+    cos, sin = math.cos, math.sin
     for node in layout.nodes:
         for loop in node.path.loops:
             for seg in loop:
                 if isinstance(seg, LineSegment):
-                    xs += (seg.x0, seg.x1)
-                    ys += (seg.y0, seg.y1)
+                    x0, y0, x1, y1 = seg
+                    xs += (x0, x1)
+                    ys += (y0, y1)
                     continue
-                r = seg.radius
-                lo, hi = seg.start, seg.end
+                r, lo, hi = seg
                 if hi < lo:
                     lo, hi = hi, lo
-                xs += (r * math.cos(lo), r * math.cos(hi))
-                ys += (r * math.sin(lo), r * math.sin(hi))
+                xs += (r * cos(lo), r * cos(hi))
+                ys += (r * sin(lo), r * sin(hi))
                 k = math.ceil(lo / HALF_PI)
                 while k * HALF_PI <= hi:
                     ux, uy = _AXIS_POINTS[k % 4]
@@ -98,14 +103,18 @@ class _Transform:
         return (self.cx + self.scale * x, self.cy - self.scale * y)
 
 
-def _split_arc(seg: ArcSegment) -> list[tuple[float, float]]:
-    """(start, end) angle pairs, each spanning less than pi."""
-    span = seg.span
-    pieces = max(1, math.ceil(abs(span) / math.pi - 1e-12))
-    if abs(span) >= math.pi and pieces < 2:
-        pieces = 2
+def _split_arc(start: float, span: float) -> list[tuple[float, float]]:
+    """(start, end) angle pairs, each spanning at most pi.
+
+    An arc spanning less than pi is one piece ending at ``start + span``.
+    A full turn gives two pieces of exactly pi; the sweep flag makes such
+    a command unambiguous.
+    """
+    if abs(span) < math.pi:
+        return [(start, start + span)]
+    pieces = max(2, math.ceil(abs(span) / math.pi - 1e-12))
     step = span / pieces
-    return [(seg.start + i * step, seg.start + (i + 1) * step) for i in range(pieces)]
+    return [(start + i * step, start + (i + 1) * step) for i in range(pieces)]
 
 
 def _loop_to_d(loop, tf: _Transform) -> str:
@@ -117,21 +126,24 @@ def _loop_to_d(loop, tf: _Transform) -> str:
     6-decimal number, so only such a token can contain that text.
     """
     scale, cx, cy = tf.scale, tf.cx, tf.cy
+    cos, sin = math.cos, math.sin
     x0, y0 = loop[0].start_point
     parts = [f"M {cx + scale * x0:.6f} {cy - scale * y0:.6f}"]
     for seg in loop:
         if isinstance(seg, LineSegment):
-            parts.append(f"L {cx + scale * seg.x1:.6f} {cy - scale * seg.y1:.6f}")
-        else:
-            r = seg.radius
-            radius = f"{r * scale:.6f}"
-            # The y flip mirrors orientation: SVG's positive-angle direction
-            # (sweep=1) is screen-clockwise, so math-CCW arcs take sweep=0.
-            head = f"A {radius} {radius} 0 0 {0 if seg.span > 0 else 1}"
-            for _, a1 in _split_arc(seg):
-                x = cx + scale * (r * math.cos(a1))
-                y = cy - scale * (r * math.sin(a1))
-                parts.append(f"{head} {x:.6f} {y:.6f}")
+            _, _, x1, y1 = seg
+            parts.append(f"L {cx + scale * x1:.6f} {cy - scale * y1:.6f}")
+            continue
+        r, start, end = seg
+        span = end - start
+        radius = f"{r * scale:.6f}"
+        # The y flip mirrors orientation: SVG's positive-angle direction
+        # (sweep=1) is screen-clockwise, so math-CCW arcs take sweep=0.
+        head = f"A {radius} {radius} 0 0 {0 if span > 0 else 1}"
+        for _, a1 in _split_arc(start, span):
+            x = cx + scale * (r * cos(a1))
+            y = cy - scale * (r * sin(a1))
+            parts.append(f"{head} {x:.6f} {y:.6f}")
     parts.append("Z")
     return " ".join(parts).replace("-0.000000", "0.000000")
 

@@ -300,7 +300,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     while stack:
         node, scale, siblings = stack.pop()
         data = scale * node.value / root_value
-        out = NormalizedNode(id=node.id, label=node.label, data=data, color=node.color)
+        out = NormalizedNode(node.id, node.label, data, node.color)
         siblings.append(out)
         if not node.children:
             continue

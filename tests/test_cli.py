@@ -94,6 +94,13 @@ class TestRender:
         assert rc == 1
         assert field in capsys.readouterr().err
 
+    def test_non_finite_svg_margin_exit_1(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        rc = main(["render", "--input", demo_file, "--output", str(out), "--svg-margin", "nan"])
+        assert rc == 1
+        assert "margin must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_deep_json_nesting_exit_2(self, tmp_path, capsys):
         # Deeper than the recursion limit: json.loads gives up first on
         # 3.10/3.11, _node_from_json on 3.12+, whose json.loads nests deeper.
@@ -169,6 +176,14 @@ class TestCompare:
         assert report["icicle"]["max_area_error"] <= 1e-9
         ratios = report["sunburst"]["area_ratios"]
         assert max(ratios.values()) > 1.1  # sunburst distorts sizes
+
+    def test_non_finite_svg_margin_exit_1(self, demo_file, tmp_path, capsys):
+        outdir = tmp_path / "cmp"
+        rc = main(["compare", "--input", demo_file, "--outdir", str(outdir),
+                   "--svg-margin", "nan"])
+        assert rc == 1
+        assert "margin must be finite" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestValidateCommand:

@@ -22,6 +22,7 @@ from rit_layout.geometry import (
     LineSegment,
     Path,
     SectorGeometry,
+    _check_loop,
     max_wedge_angle,
     normalize_angle,
 )
@@ -351,3 +352,106 @@ class TestPathInvariants:
         assert normalize_angle(-math.pi) == pytest.approx(math.pi)
         assert normalize_angle(2 * TAU + 0.5) == pytest.approx(0.5)
         assert 0.0 <= normalize_angle(-1e-9) < TAU
+
+
+# Hand-made outlines for the per-segment loops' type-dispatched fast paths:
+# arcs whose spans sit on either side of pi, full turns, clockwise arcs and
+# a 1e-15 sliver, built from the package's segment types and from plain
+# subclasses of them, which the loops unpack the same way.
+
+
+class SubLine(LineSegment):
+    __slots__ = ()
+
+
+class SubArc(ArcSegment):
+    __slots__ = ()
+
+
+def sector_loop(r_in, r_out, a0, a1, arc=ArcSegment, line=LineSegment):
+    """Annular sector from ``a0`` to ``a1`` whose joins and close are exact."""
+    inner = arc(r_in, a0, a1)
+    outer = arc(r_out, a1, a0)
+    return (
+        inner,
+        line(*inner.end_point, *outer.start_point),
+        outer,
+        line(*outer.end_point, *inner.start_point),
+    )
+
+
+BELOW_PI = math.nextafter(math.pi, 0.0)
+
+
+def hand_loops():
+    """name -> loops of one hand-made outline."""
+    return {
+        "below-pi": (sector_loop(2.0, 3.0, 0.0, BELOW_PI),),
+        "pi": (sector_loop(2.0, 3.0, 0.0, math.pi),),
+        "above-pi": (sector_loop(2.0, 3.0, 0.0, math.nextafter(math.pi, 4.0)),),
+        "sliver-1e-15": (sector_loop(2.0, 3.0, 0.7, 0.7 + 1e-15),),
+        "clockwise": (sector_loop(2.0, 3.0, 2.5, -1.0),),
+        "negative-angles": (sector_loop(1.0, 4.0, -5.0, -3.2),),
+        "past-full-turn": (sector_loop(1.0, 4.0, 7.0, 10.5),),
+        "wide": (sector_loop(0.5, 1.5, 0.25, 0.25 + 5.5),),
+        "full-turn": ((ArcSegment(3.0, 0.3, 0.3 + TAU),), (ArcSegment(2.0, 0.3 + TAU, 0.3),)),
+        "circle": ((ArcSegment(3.0, -1.0, -1.0 + TAU),),),
+        "clockwise-circle": ((ArcSegment(3.0, TAU, 0.0),),),
+        "subclass": (sector_loop(2.0, 3.0, 1.0, 1.0 + BELOW_PI, SubArc, SubLine),),
+        "subclass-full-turn": ((SubArc(3.0, 0.3, 0.3 + TAU),), (SubArc(2.0, 0.3 + TAU, 0.3),)),
+        "mixed": (sector_loop(2.0, 3.0, -0.4, 3.9, ArcSegment, SubLine),),
+        "square": ((
+            LineSegment(1.0, 1.0, 2.0, 1.0), SubLine(2.0, 1.0, 2.0, 2.0),
+            LineSegment(2.0, 2.0, 1.0, 2.0), LineSegment(1.0, 2.0, 1.0, 1.0),
+        ),),
+    }
+
+
+def _moved_end(seg, dx):
+    """``seg`` in its own type, nudged by ``dx``: a line's end x, an arc's radius."""
+    if isinstance(seg, LineSegment):
+        return type(seg)(seg.x0, seg.y0, seg.x1 + dx, seg.y1)
+    return type(seg)(seg.radius + dx, seg.start, seg.end)
+
+
+def reference_check_loop(loop):
+    """``_check_loop``'s rule read through the segment properties only."""
+    if not loop:
+        raise ValueError("empty loop")
+    starts = [seg.start_point for seg in loop]
+    ends = [seg.end_point for seg in loop]
+    scale = max(1.0, max(abs(c) for s, e in zip(starts, ends) for c in (*s, *e)))
+    tol = PATH_JOIN_TOL * scale
+    for end, start in zip(ends, starts[1:]):
+        if math.dist(end, start) > tol:
+            raise ValueError(f"segments do not join: {end} -> {start}")
+    if math.dist(ends[-1], starts[0]) > tol:
+        raise ValueError("loop does not close")
+
+
+def _verdict(check, loop):
+    try:
+        check(loop)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestSegmentFastPaths:
+    def _loops(self):
+        """Every hand-made loop, plus copies broken or bent at each segment."""
+        loops = [()]
+        for case in hand_loops().values():
+            for loop in case:
+                loops.append(loop)
+                for i in range(len(loop)):
+                    for dx in (0.5 * PATH_JOIN_TOL, 1e-6):
+                        loops.append(loop[:i] + (_moved_end(loop[i], dx),) + loop[i + 1:])
+        return loops
+
+    def test_check_loop_matches_property_reference(self):
+        verdicts = [_verdict(_check_loop, loop) for loop in self._loops()]
+        assert verdicts == [_verdict(reference_check_loop, loop) for loop in self._loops()]
+        # The cases cover acceptance and both rejections.
+        assert None in verdicts and "empty loop" in verdicts and "loop does not close" in verdicts
+        assert any(v and v.startswith("segments do not join") for v in verdicts)

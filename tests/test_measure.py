@@ -25,6 +25,7 @@ from rit_layout.geometry import (
 
 from conftest import full_chain
 from oracles import DEFAULT_ARC_STEP, loop_vertices, path_boundary_points, wedge_paths
+from test_geometry import hand_loops
 
 TAU = 2.0 * math.pi
 
@@ -179,3 +180,17 @@ def test_boundary_points_lie_on_path():
         | np.isclose(pts[:, 1], 0) | np.isclose(pts[:, 1], 2)
     )
     assert on_edge.all()
+
+
+@pytest.mark.parametrize("name", sorted(hand_loops()))
+def test_path_area_terms_match_property_reference(name):
+    # Same terms in the same order as a sum over the segment properties,
+    # whether a segment is of the package's own type or a subclass.
+    path = Path(loops=hand_loops()[name])
+    total = 0.0
+    for seg in path.segments:
+        if isinstance(seg, LineSegment):
+            total += seg.x0 * seg.y1 - seg.x1 * seg.y0
+        else:
+            total += seg.radius * seg.radius * seg.span
+    assert path_area(path) == abs(0.5 * total)

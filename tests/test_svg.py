@@ -1,6 +1,7 @@
 import math
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from rit_layout import (
     relax_thin_nodes,
     render_svg,
 )
-from rit_layout.geometry import LineSegment
-from rit_layout.svg import _split_arc
+from rit_layout.geometry import LineSegment, Path, SectorGeometry
+from rit_layout.layout import Layout, PlacedNode
+from rit_layout.svg import HALF_PI, _extent, _split_arc
 from rit_layout.tree import TreeNode
 
 from oracles import path_boundary_points
+from test_geometry import BELOW_PI, hand_loops
 from test_golden import QUARTER
 from test_relax import flanked_thin_run
 
@@ -213,6 +216,13 @@ class TestRendering:
         with pytest.raises(ValueError):
             render_svg(demo_layout, RenderStyle(margin=1000.0))
 
+    @pytest.mark.parametrize("field", ["canvas", "margin", "stroke_width", "font_size"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_style_rejected(self, field, value):
+        # NaN fails every comparison, so a range test alone lets it through.
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RenderStyle(**{field: value}).validate()
+
 
 def _fmt_each(x: float) -> str:
     """One number as path data spells it: 6 decimals, never ``-0.000000``."""
@@ -232,7 +242,7 @@ def _reference_d(path, scale: float, cx: float, cy: float) -> str:
                 continue
             radius = _fmt_each(seg.radius * scale)
             sweep = 0 if seg.span > 0 else 1
-            for _, a1 in _split_arc(seg):
+            for _, a1 in _split_arc(seg.start, seg.span):
                 x = cx + scale * (seg.radius * math.cos(a1))
                 y = cy - scale * (seg.radius * math.sin(a1))
                 parts.append(f"A {radius} {radius} 0 0 {sweep} {_fmt_each(x)} {_fmt_each(y)}")
@@ -258,6 +268,88 @@ def test_path_data_formats_each_number_without_negative_zero(style, cfg):
         d = el.get("d")
         assert d == _reference_d(by_id[el.get("id")].path, scale, cx, cy)
         assert "-0.000000" not in d.split()
+
+
+@dataclass(frozen=True)
+class _GivenOutline(SectorGeometry):
+    """Sector fields with an outline given by hand instead of derived."""
+
+    given: Path | None = None
+
+    def outline(self) -> Path:
+        return self.given
+
+
+def _hand_layout() -> Layout:
+    """One node per hand-made outline of ``test_geometry.hand_loops``."""
+    nodes = tuple(
+        PlacedNode(name, name, "#123456", 0.5, 1, None,
+                   _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path(loops=loops)),
+                   0.0, 1.0, 1.0)
+        for name, loops in hand_loops().items()
+    )
+    return Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=len(nodes))
+
+
+def _reference_extent(layout: Layout) -> tuple[float, float, float, float]:
+    """Bounding box from each segment's start_point and end_point, plus the
+    axis points (+-r, 0) / (0, +-r) at the multiples of pi/2 an arc sweeps."""
+    xs, ys = [], []
+    for node in layout.nodes:
+        for seg in node.path.segments:
+            for x, y in (seg.start_point, seg.end_point):
+                xs.append(x)
+                ys.append(y)
+            if isinstance(seg, LineSegment):
+                continue
+            lo, hi = sorted((seg.start, seg.end))
+            for k in range(math.floor(lo / HALF_PI) - 1, math.ceil(hi / HALF_PI) + 2):
+                if lo <= k * HALF_PI <= hi:
+                    ux, uy = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][k % 4]
+                    xs.append(seg.radius * ux)
+                    ys.append(seg.radius * uy)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+class TestSegmentFastPaths:
+    """Hand-made arcs on either side of pi, full and clockwise turns, a 1e-15
+    sliver and subclass segments: the renderer's type-dispatched loops give
+    what the property-reading rebuilds give."""
+
+    @pytest.mark.parametrize("margin", [0.0, 20.0])
+    def test_path_data_equals_reference(self, margin):
+        layout = _hand_layout()
+        svg = render_svg(layout, RenderStyle(margin=margin))
+        scale, cx, cy = parse_transform(svg)
+        by_id = {n.id: n for n in layout.nodes}
+        elements = svg_paths(svg)
+        assert len(elements) == len(by_id)
+        for el in elements:
+            assert el.get("d") == _reference_d(by_id[el.get("id")].path, scale, cx, cy)
+
+    def test_extent_equals_reference(self):
+        layout = _hand_layout()
+        assert _extent(layout) == _reference_extent(layout)
+        for node in layout.nodes:
+            one = Layout("rit", layout.config, 1.0, (node,), 1)
+            assert _extent(one) == _reference_extent(one), node.id
+
+    def test_split_arc_matches_piece_count_rule(self):
+        # Below pi the early return gives bit for bit the one piece the
+        # general rule gives; pi and above split into at least two pieces.
+        arcs = [seg for loops in hand_loops().values() for loop in loops for seg in loop
+                if not isinstance(seg, LineSegment)]
+        spans = [seg.span for seg in arcs]
+        assert BELOW_PI in spans and math.pi in spans and -2 * math.pi in spans
+        assert min(spans) < -math.pi and 0 < min(map(abs, spans)) < 1e-14
+        for seg in arcs:
+            span = seg.span
+            pieces = max(1, math.ceil(abs(span) / math.pi - 1e-12))
+            if abs(span) >= math.pi:
+                pieces = max(pieces, 2)
+            step = span / pieces
+            expected = [(seg.start + i * step, seg.start + (i + 1) * step) for i in range(pieces)]
+            assert _split_arc(seg.start, span) == expected, seg
 
 
 def test_ids_keep_negative_zero_text():
