@@ -17,6 +17,10 @@ from .measure import path_area
 # Zero-data nodes cannot carry a ratio; their area must vanish outright.
 ZERO_AREA_TOL = 1e-12
 
+# A node whose sector leaves its frame by more than this counts as a
+# containment violation.
+CONTAINMENT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class NodeReport:
@@ -55,10 +59,14 @@ class DiagnosticsReport:
         return out
 
 
-def diagnostics(
-    layout: Layout,
-    containment_tol: float = 1e-9,
-) -> DiagnosticsReport:
+def diagnostics(layout: Layout) -> DiagnosticsReport:
+    """Measure every node of ``layout``.
+
+    A node's containment excess is how far its sector reaches past its
+    frame: the parent's span between the parent's cut edges, or the
+    root's own sector.
+    """
+    by_id = {n.id: n for n in layout.nodes}
     gaps_after: dict[str, tuple[float, float]] = {}
     for group in layout.sibling_groups():
         for left, right in zip(group, group[1:]):
@@ -85,11 +93,10 @@ def diagnostics(
         else:
             half_beta_margin = None
             geometric_margin = None
-        excess = max(
-            n.frame_theta - sec.theta,
-            (sec.theta + sec.beta) - (n.frame_theta + n.frame_beta),
-            0.0,
-        )
+        frame = sec if n.parent is None else by_id[n.parent].sector
+        frame_lo = frame.cut_start
+        frame_hi = frame_lo + (frame.beta - frame.alpha)
+        excess = max(frame_lo - sec.theta, (sec.theta + sec.beta) - frame_hi, 0.0)
         gap, gap_expected = gaps_after.get(n.id, (None, None))
         node_reports.append(
             NodeReport(
@@ -111,7 +118,7 @@ def diagnostics(
     half_margins = [r.half_beta_margin for r in node_reports if r.half_beta_margin is not None]
     geo_margins = [r.geometric_margin for r in node_reports if r.geometric_margin is not None]
     excesses = [r.containment_excess for r in node_reports]
-    violations = sum(1 for e in excesses if e > containment_tol)
+    violations = sum(1 for e in excesses if e > CONTAINMENT_TOL)
     return DiagnosticsReport(
         style=layout.style,
         a_std=layout.a_std,

@@ -62,22 +62,25 @@ def generate_tree(spec: GeneratorSpec) -> TreeNode:
         schedule = spec.schedule or default_schedule(spec.c_max, spec.depth)
     else:
         schedule = (spec.c_max,) * spec.depth
-    counter = 0
-
-    def build(level: int) -> TreeNode:
-        nonlocal counter
-        node = TreeNode(id=f"n{counter}", label=f"n{counter}", value=0.0)
-        counter += 1
-        if level == spec.depth:
-            node.value = 1.0
-            return node
-        cap = schedule[level]
-        n_children = cap if spec.kind == "fixed" else rng.randint(1, cap)
-        node.children = [build(level + 1) for _ in range(n_children)]
-        node.value = float(sum(c.value for c in node.children))
-        return node
-
-    return build(0)
+    # Ids are handed out and child counts drawn in preorder, from a stack
+    # rather than by recursion, so a chain of any depth generates.
+    order: list[TreeNode] = []
+    stack: list[tuple[TreeNode | None, int]] = [(None, 0)]
+    while stack:
+        parent, level = stack.pop()
+        node = TreeNode(id=f"n{len(order)}", label=f"n{len(order)}", value=1.0)
+        order.append(node)
+        if parent is not None:
+            parent.children.append(node)
+        if level < spec.depth:
+            cap = schedule[level]
+            n_children = cap if spec.kind == "fixed" else rng.randint(1, cap)
+            stack.extend([(node, level + 1)] * n_children)
+    # Children follow their parent in preorder: sum them bottom-up.
+    for node in reversed(order):
+        if node.children:
+            node.value = float(sum(c.value for c in node.children))
+    return order[0]
 
 
 def node_count(spec: GeneratorSpec) -> int:

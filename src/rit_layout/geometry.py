@@ -270,7 +270,6 @@ class SectorGeometry:
     r_in: float
     height: float
     topup_height: float = 0.0
-    depth: int = 0
 
     @property
     def outer_radius(self) -> float:

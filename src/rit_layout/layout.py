@@ -78,6 +78,15 @@ class LayoutConfig:
             raise ValueError(f"r0 must be >= 0, got {self.r0}")
         if self.h0 <= 0.0:
             raise ValueError(f"h0 must be > 0, got {self.h0}")
+        try:
+            a_std = sector_area(self.r0, self.h0, self.beta0)
+        except OverflowError:
+            a_std = math.inf
+        if not 0.0 < a_std < math.inf:
+            raise ValueError(
+                f"r0={self.r0}, h0={self.h0} and beta0={self.beta0} give a standard area "
+                f"of {a_std}; it must be a finite number > 0"
+            )
         if not 0.0 < self.ar0 < 0.5:
             raise ValueError(f"ar0 must be in (0, 0.5), got {self.ar0}")
         if self.acr <= 0.0:
@@ -92,7 +101,7 @@ class LayoutConfig:
 
 @dataclass(frozen=True)
 class PlacedNode:
-    """One laid-out node: identity, geometry, and placement frame.
+    """One laid-out node: identity, geometry, and parent.
 
     The outline ``path`` is not stored: it is derived from ``sector`` on
     first use and kept in ``_path``.  A node built by the constructor (as
@@ -110,9 +119,6 @@ class PlacedNode:
     depth: int
     parent: str | None
     sector: SectorGeometry
-    frame_theta: float
-    frame_beta: float
-    angle_scale: float
     relaxed: bool = False
     # A declared field, not a cached_property: a memo written to the
     # instance __dict__ after __init__ makes CPython allocate a dict per node.
@@ -174,8 +180,7 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     nodes: list[PlacedNode] = [
         PlacedNode(
             tree.id, tree.label, tree.color, tree.data, 0, None,
-            SectorGeometry(theta0, cfg.beta0, 0.0, cfg.r0, cfg.h0, 0.0, 0),
-            theta0, cfg.beta0, TAU,
+            SectorGeometry(theta0, cfg.beta0, 0.0, cfg.r0, cfg.h0, 0.0),
         )
     ]
     visits = 1
@@ -225,11 +230,10 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
                 h_top = topup_height(big_r, beta_c, alpha, lost, cfg.topup_variant)
             else:
                 h_top = 0.0
-            sector = SectorGeometry(theta_child, beta_c, alpha, r, h, h_top, depth)
+            sector = SectorGeometry(theta_child, beta_c, alpha, r, h, h_top)
             nodes.append(
                 PlacedNode(
-                    child.id, child.label, child.color, child.data, depth, parent.id,
-                    sector, f_theta, f_beta, scale,
+                    child.id, child.label, child.color, child.data, depth, parent.id, sector,
                 )
             )
             visits += 1
@@ -279,30 +283,23 @@ def _place_proportional(
 
     A node's extent is ``scale * data``, packed from its parent's start
     (the root's from ``origin``); its row starts at ``base + depth * h0``.
-    Each child's frame is its parent's extent.
     """
     a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
     nodes: list[PlacedNode] = []
-    # (node, start, parent id, depth, frame start, frame width)
-    stack: list[tuple[NormalizedNode, float, str | None, int, float, float]] = [
-        (tree, origin, None, 0, origin, scale)
-    ]
+    # (node, start, parent id, depth)
+    stack: list[tuple[NormalizedNode, float, str | None, int]] = [(tree, origin, None, 0)]
     while stack:
-        node, start, parent, depth, f_start, f_width = stack.pop()
-        width = scale * node.data
-        sector = geometry(start, width, 0.0, base + depth * cfg.h0, cfg.h0, 0.0, depth)
+        node, start, parent, depth = stack.pop()
+        sector = geometry(start, scale * node.data, 0.0, base + depth * cfg.h0, cfg.h0, 0.0)
         nodes.append(
-            PlacedNode(
-                node.id, node.label, node.color, node.data, depth, parent,
-                sector, f_start, f_width, scale,
-            )
+            PlacedNode(node.id, node.label, node.color, node.data, depth, parent, sector)
         )
-        frames = []
+        pending = []
         child_start = start
         for child in node.children:
-            frames.append((child, child_start, node.id, depth + 1, start, width))
+            pending.append((child, child_start, node.id, depth + 1))
             child_start += scale * child.data
-        stack.extend(reversed(frames))
+        stack.extend(reversed(pending))
     return Layout(style=style, config=cfg, a_std=a_std, nodes=tuple(nodes), visits=len(nodes))
 
 
@@ -342,18 +339,15 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
         cfg = layout.config
     threshold = cfg.relax_threshold
     by_id = {n.id: n for n in layout.nodes}
-    children_of: dict[str, list[PlacedNode]] = {}
-    for n in layout.nodes:
-        if n.parent is not None:
-            children_of.setdefault(n.parent, []).append(n)
 
     # Each moved node's own offset; a subtree turns with its moved ancestors.
     offsets: dict[str, float] = {}
-    for parent_id, group in children_of.items():
-        parent = by_id[parent_id]
-        parent_alpha = parent.sector.alpha
-        frame_lo = group[0].frame_theta
-        frame_hi = frame_lo + group[0].frame_beta
+    for group in layout.sibling_groups():
+        # The frame is the parent's span between its cut edges.
+        psec = by_id[group[0].parent].sector
+        parent_alpha = psec.alpha
+        frame_lo = psec.cut_start
+        frame_hi = frame_lo + (psec.beta - psec.alpha)
         thin = [n.data < threshold for n in group]
         i = 0
         while i < len(group):
@@ -391,58 +385,23 @@ def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
         if n.id not in offsets and n.parent not in rotations:
             new_nodes.append(n)
             continue
-        inherited = rotations.get(n.parent, 0.0)
-        delta = rotations[n.id] = inherited + offsets.get(n.id, 0.0)
+        delta = rotations[n.id] = rotations.get(n.parent, 0.0) + offsets.get(n.id, 0.0)
         s = n.sector
-        sector = SectorGeometry(
-            s.theta + delta, s.beta, s.alpha, s.r_in, s.height, s.topup_height, s.depth
-        )
-        # A moved node keeps its placement frame (the parent's span did not
-        # move); descendants' frames derive from the moved ancestor and shift.
+        sector = SectorGeometry(s.theta + delta, s.beta, s.alpha, s.r_in, s.height, s.topup_height)
         new_nodes.append(
-            PlacedNode(
-                n.id, n.label, n.color, n.data, n.depth, n.parent, sector,
-                n.frame_theta + inherited, n.frame_beta, n.angle_scale, True,
-            )
+            PlacedNode(n.id, n.label, n.color, n.data, n.depth, n.parent, sector, True)
         )
     return replace(layout, nodes=tuple(new_nodes))
 
 
-_NUM_KEYS = ("theta", "beta", "alpha", "r_in", "height", "topup_height")
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_value(value, pad: str) -> str:
-    """``value`` as ``json.dumps`` with a one-space indent spells it at ``pad``.
-
-    Scalars follow ``json.encoder``'s own dispatch on the value's type; any
-    other value (a list, say, in a hand-built layout) goes through
-    ``json.dumps`` itself, re-indented to ``pad``.
-    """
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _NON_FINITE.get(text, text)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    return json.dumps(value, indent=" ").replace("\n", "\n" + pad)
-
-
-def _segment_json(seg) -> str:
+def _segment_json(seg) -> str | None:
     """One path segment as an item of a node's ``"path"`` list (indent 4).
 
-    A segment of the package's own types whose numbers are all finite
-    ``float``s, as every outline of a float layout is, is written by one
-    f-string: ``!r`` spells such a number as ``json.dumps`` does.  Any
-    other segment (an int radius, a non-finite or overflowing sum, a float
-    subclass) goes through ``_json_value``.
+    Only a segment of the package's own types whose numbers are all finite
+    ``float``s, as every outline of a float layout is, is written: ``!r``
+    spells such a number as ``json.dumps`` does.  Any other segment (an
+    int radius, a non-finite or overflowing sum, a float subclass) gives
+    ``None``.
     """
     kind = type(seg)
     if kind is geo.LineSegment:
@@ -463,38 +422,22 @@ def _segment_json(seg) -> str:
                 f'     "radius": {radius!r},\n     "start": {start!r},\n'
                 f'     "end": {end!r}\n    }}'
             )
-    v = _json_value
-    if isinstance(seg, geo.ArcSegment):
-        return (
-            '    {\n     "type": "arc",\n'
-            f'     "radius": {v(seg.radius, "     ")},\n'
-            f'     "start": {v(seg.start, "     ")},\n'
-            f'     "end": {v(seg.end, "     ")}\n    }}'
-        )
-    return (
-        '    {\n     "type": "line",\n'
-        f'     "x0": {v(seg.x0, "     ")},\n'
-        f'     "y0": {v(seg.y0, "     ")},\n'
-        f'     "x1": {v(seg.x1, "     ")},\n'
-        f'     "y1": {v(seg.y1, "     ")}\n    }}'
-    )
+    return None
 
 
-def _node_json(n: PlacedNode) -> str:
+def _node_json(n: PlacedNode) -> str | None:
     """One node as an item of the ``"nodes"`` list (indent 2).
 
-    The header takes one f-string when its six sector numbers are finite
-    ``float``s, ``id`` and ``label`` are ``str``, ``color`` is ``str`` or
-    ``None``, ``depth`` is an ``int`` and ``relaxed`` a ``bool``, each of
-    exactly that type.  Any other header, such as an int ``r_in`` or a
-    hand-built list label, spells each value through ``_json_value``.
+    Written only when its six sector numbers are finite ``float``s, ``id``
+    and ``label`` are ``str``, ``color`` is ``str`` or ``None``, ``depth``
+    is an ``int`` and ``relaxed`` a ``bool``, each of exactly that type,
+    and every segment is one ``_segment_json`` writes; otherwise ``None``.
     """
-    body = ",\n".join([_segment_json(seg) for seg in n.path.segments])
     s = n.sector
     theta, beta, alpha, r_in = s.theta, s.beta, s.alpha, s.r_in
     height, topup = s.height, s.topup_height
     node_id, label, color, depth, relaxed = n.id, n.label, n.color, n.depth, n.relaxed
-    if (
+    if not (
         type(theta) is type(beta) is type(alpha) is type(r_in) is type(height)
         is type(topup) is float
         and math.isfinite(theta + beta + alpha + r_in + height + topup)
@@ -503,40 +446,66 @@ def _node_json(n: PlacedNode) -> str:
         and type(depth) is int
         and type(relaxed) is bool
     ):
-        return (
-            f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
-            f'   "theta": {theta!r},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
-            f'   "r_in": {r_in!r},\n   "height": {height!r},\n   "topup_height": {topup!r},\n'
-            f'   "relaxed": {"true" if relaxed else "false"},\n'
-            f'   "color": {"null" if color is None else encode_basestring_ascii(color)},\n'
-            f'   "label": {encode_basestring_ascii(label)},\n'
-            f'   "path": [\n{body}\n   ]\n  }}'
-        )
-    v = _json_value
-    fields = [("id", node_id), ("depth", depth)]
-    fields += [(k, getattr(s, k)) for k in _NUM_KEYS]
-    fields += [("relaxed", relaxed), ("color", color), ("label", label)]
-    head = "".join(f'   "{k}": {v(value, "   ")},\n' for k, value in fields)
-    return f'  {{\n{head}   "path": [\n{body}\n   ]\n  }}'
+        return None
+    segments = [_segment_json(seg) for seg in n.path.segments]
+    if None in segments:
+        return None
+    body = ",\n".join(segments)
+    return (
+        f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
+        f'   "theta": {theta!r},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
+        f'   "r_in": {r_in!r},\n   "height": {height!r},\n   "topup_height": {topup!r},\n'
+        f'   "relaxed": {"true" if relaxed else "false"},\n'
+        f'   "color": {"null" if color is None else encode_basestring_ascii(color)},\n'
+        f'   "label": {encode_basestring_ascii(label)},\n'
+        f'   "path": [\n{body}\n   ]\n  }}'
+    )
+
+
+def _document(layout: Layout) -> dict:
+    """The geometry document ``layout_to_json`` spells, as a dict."""
+    return {
+        "a_std": layout.a_std,
+        "style": layout.style,
+        "nodes": [
+            {
+                "id": n.id, "depth": n.depth,
+                "theta": n.sector.theta, "beta": n.sector.beta, "alpha": n.sector.alpha,
+                "r_in": n.sector.r_in, "height": n.sector.height,
+                "topup_height": n.sector.topup_height,
+                "relaxed": n.relaxed, "color": n.color, "label": n.label,
+                "path": [
+                    {"type": "arc" if isinstance(seg, geo.ArcSegment) else "line",
+                     **seg._asdict()}
+                    for seg in n.path.segments
+                ],
+            }
+            for n in layout.nodes
+        ],
+    }
 
 
 def layout_to_json(layout: Layout) -> str:
     """Geometry export: {a_std, style, nodes: [...]} with full float precision.
 
-    The bytes equal those of ``json.dumps(doc, indent=" ")``, a one-space
+    The bytes are those of ``json.dumps(doc, indent=" ")``, a one-space
     indent, for the document ``{"a_std", "style", "nodes": [{"id", "depth",
     "theta", "beta", "alpha", "r_in", "height", "topup_height", "relaxed",
     "color", "label", "path": [segment, ...]}, ...]}``, where an arc segment
     is ``{"type": "arc", "radius", "start", "end"}`` and a line ``{"type":
-    "line", "x0", "y0", "x1", "y1"}``.  The text is written directly, one
-    string per node and per segment, because any indent sends ``json.dumps``
-    to its pure-Python encoder.
+    "line", "x0", "y0", "x1", "y1"}``.  A layout of finite plain floats and
+    strings, as every layout the package builds from a float config is, is
+    written directly, one string per node and per segment, because any
+    indent sends ``json.dumps`` to its pure-Python encoder.  Any other
+    layout, and one without nodes, is written by ``json.dumps`` itself.
     """
-    head = (
-        f'{{\n "a_std": {_json_value(layout.a_std, " ")},\n'
-        f' "style": {_json_value(layout.style, " ")},\n'
-    )
-    if not layout.nodes:
-        return head + ' "nodes": []\n}'
-    body = ",\n".join([_node_json(n) for n in layout.nodes])
-    return f'{head} "nodes": [\n{body}\n ]\n}}'
+    a_std, style = layout.a_std, layout.style
+    if type(a_std) is float and math.isfinite(a_std) and type(style) is str:
+        nodes = [_node_json(n) for n in layout.nodes]
+        if nodes and None not in nodes:
+            body = ",\n".join(nodes)
+            return (
+                f'{{\n "a_std": {a_std!r},\n "style": {encode_basestring_ascii(style)},\n'
+                f' "nodes": [\n{body}\n ]\n}}'
+            )
+    return json.dumps(_document(layout), indent=" ")

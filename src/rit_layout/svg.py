@@ -32,7 +32,6 @@ class RenderStyle:
     canvas: int = 840
     margin: float = 20.0
     stroke_width: float = 0.0
-    dash_pattern: str = "5 4"
     background: str | None = "#ffffff"
     draw_labels: bool = False
     font_size: float = 11.0
@@ -40,14 +39,16 @@ class RenderStyle:
     def validate(self) -> None:
         for name in ("canvas", "margin", "stroke_width", "font_size"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.canvas <= 0:
             raise ValueError(f"canvas size must be > 0, got {self.canvas}")
         if self.margin < 0 or 2 * self.margin >= self.canvas:
             raise ValueError(f"margin {self.margin} leaves no drawable canvas")
-        if not self.dash_pattern.strip():
-            raise ValueError("dash pattern must be non-empty")
 
 
 def _fmt(x: float) -> str:
@@ -219,7 +220,7 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
         _config_comment(layout, tf),
     ]
     if style.background is not None:
-        lines.append(f'<rect width="{size}" height="{size}" fill="{style.background}"/>')
+        lines.append(f'<rect width="{size}" height="{size}" fill="{_escape(style.background)}"/>')
 
     ordered = sorted(range(len(layout.nodes)), key=lambda i: (layout.nodes[i].depth, i))
     is_icicle = layout.style == "icicle"
@@ -231,7 +232,7 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
         if node.relaxed:
             attrs = (
                 f'fill="{fill}" fill-opacity="0.7" fill-rule="evenodd" stroke="{fill}" '
-                f'stroke-width="1" stroke-dasharray="{style.dash_pattern}"'
+                f'stroke-width="1" stroke-dasharray="5 4"'
             )
         elif style.stroke_width > 0:
             attrs = (

@@ -46,6 +46,14 @@ class TestRunBench:
         assert result.skipped[0][0].depth == 10
         assert {r.depth for r in result.records} == {2}
 
+    def test_deep_chain_benchmarks(self):
+        # Generation, layout and export all walk a 3,000-level chain without
+        # recursing per level.
+        result = run_bench([GeneratorSpec("fixed", 1, 3000)], repeats=1)
+        (record,) = result.records
+        assert record.nodes == 3001
+        assert record.visits == 3 * 3000 + 1
+
     def test_single_spec_fit_undefined(self):
         result = run_bench([GeneratorSpec("fixed", 2, 3)], repeats=3, node_cap=1000)
         assert not result.fit.defined

@@ -101,6 +101,32 @@ class TestRender:
         assert "margin must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--h0", "1e308"],
+        ["--r0", "1e308"],
+        ["--r0", "1e200", "--h0", "1"],
+        ["--h0", "1e-300"],
+    ], ids=["h0-overflows", "r0-overflows", "r0-squared-overflows", "h0-underflows"])
+    def test_standard_area_out_of_range_exit_1(self, demo_file, tmp_path, capsys, args):
+        out = tmp_path / "x.svg"
+        rc = main(["render", "--input", demo_file, "--output", str(out), *args])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "standard area" in err
+        assert all(name in err for name in ("r0=", "h0=", "beta0="))
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_canvas_beyond_float_range_exit_1(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        rc = main(["render", "--input", demo_file, "--output", str(out),
+                   "--canvas", "1" + "0" * 400])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "canvas must be finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_too_deep_json_nesting_exit_2(self, tmp_path, capsys):
         # Deeper than the recursion limit: json.loads gives up first on
         # 3.10/3.11, _node_from_json on 3.12+, whose json.loads nests deeper.

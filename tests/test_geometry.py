@@ -148,7 +148,7 @@ class TestWedgePairArea:
             beta = rng.uniform(0.05, TAU - 0.01)
             alpha = clamp_wedge_angle(rng.uniform(0.01, 0.45), beta, r, r + h)
             g = SectorGeometry(theta=rng.uniform(0, TAU), beta=beta, alpha=alpha,
-                               r_in=r, height=h, depth=1)
+                               r_in=r, height=h)
             start, end = wedge_paths(g)
             measured = path_area(start) + path_area(end)
             assert measured == pytest.approx(wedge_pair_area(r, h, alpha), rel=1e-7)
@@ -246,7 +246,7 @@ class TestBuildNodePath:
         assert len(path.segments) == 1
 
     def test_plain_sector_four_segments(self):
-        g = SectorGeometry(theta=0.2, beta=1.0, alpha=0.0, r_in=1.0, height=1.0, depth=1)
+        g = SectorGeometry(theta=0.2, beta=1.0, alpha=0.0, r_in=1.0, height=1.0)
         path = build_node_path(g)
         assert len(path.segments) == 4
         arcs = [s for s in path.segments if isinstance(s, ArcSegment)]
@@ -258,7 +258,7 @@ class TestBuildNodePath:
         w = wedge_pair_area(1.0, 1.0, alpha)
         h_t = topup_height(2.0, 1.0, alpha, w)
         g = SectorGeometry(theta=0.0, beta=1.0, alpha=alpha, r_in=1.0, height=1.0,
-                           topup_height=h_t, depth=1)
+                           topup_height=h_t)
         path = build_node_path(g)
         assert len(path.segments) == 6
         assert path_area(path) == pytest.approx(sector_area(1.0, 1.0, 1.0), rel=1e-6)
@@ -274,7 +274,7 @@ class TestContainment:
         w = wedge_pair_area(1.0, 1.0, alpha)
         h_t = topup_height(2.0, 1.0, alpha, w)
         g = SectorGeometry(theta=0.0, beta=1.0, alpha=alpha, r_in=1.0, height=1.0,
-                           topup_height=h_t, depth=1)
+                           topup_height=h_t)
         mid = 0.5
         inside_x = [1.5 * math.cos(mid), (2.0 + h_t / 2) * math.cos(mid)]
         inside_y = [1.5 * math.sin(mid), (2.0 + h_t / 2) * math.sin(mid)]
@@ -286,7 +286,7 @@ class TestContainment:
 
     def test_own_boundary_is_not_interior(self):
         g = SectorGeometry(theta=0.3, beta=1.2, alpha=0.15, r_in=2.0, height=0.8,
-                           topup_height=0.05, depth=1)
+                           topup_height=0.05)
         pts = path_boundary_points(build_node_path(g), 2000)
         assert not sector_contains_points(g, pts[:, 0], pts[:, 1], margin=1e-9).any()
 
@@ -333,12 +333,12 @@ class TestPathInvariants:
     @pytest.mark.parametrize("geometry", [
         SectorGeometry(theta=0.4, beta=TAU, alpha=0.0, r_in=8.0, height=2.0),
         SectorGeometry(theta=0.4, beta=TAU, alpha=0.0, r_in=0.0, height=2.0),
-        SectorGeometry(theta=0.4, beta=1.1, alpha=0.0, r_in=0.0, height=2.0, depth=1),
-        SectorGeometry(theta=2.9, beta=1.1, alpha=0.0, r_in=3.0, height=2.0, depth=1),
+        SectorGeometry(theta=0.4, beta=1.1, alpha=0.0, r_in=0.0, height=2.0),
+        SectorGeometry(theta=2.9, beta=1.1, alpha=0.0, r_in=3.0, height=2.0),
         SectorGeometry(theta=4.0, beta=0.7, alpha=0.05, r_in=3.0, height=2.0,
-                       topup_height=0.01, depth=2),
-        SectorGeometry(theta=5.5, beta=0.0, alpha=0.0, r_in=3.0, height=2.0, depth=2),
-        BandGeometry(theta=1.7, beta=0.3, alpha=0.0, r_in=4.0, height=2.0, depth=2),
+                       topup_height=0.01),
+        SectorGeometry(theta=5.5, beta=0.0, alpha=0.0, r_in=3.0, height=2.0),
+        BandGeometry(theta=1.7, beta=0.3, alpha=0.0, r_in=4.0, height=2.0),
     ], ids=["annulus", "disc", "sector-r0", "sector", "wedge-cut", "sliver", "band"])
     def test_outline_joins_are_exact(self, geometry):
         for loop in geometry.outline().loops:

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rit_layout import (
     GeneratorSpec,
@@ -29,6 +30,7 @@ from rit_layout.geometry import (
     build_node_path,
     rect_path,
 )
+from rit_layout.layout import Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
@@ -64,10 +66,11 @@ class TestRitDemoTree:
 
     def test_containment_within_frames(self, layout):
         for node in layout.nodes:
-            assert node.sector.theta >= node.frame_theta - 1e-9
-            assert node.sector.theta + node.sector.beta <= (
-                node.frame_theta + node.frame_beta + 1e-9
-            )
+            if node.parent is None:
+                continue
+            frame = layout.node(node.parent).sector
+            assert node.sector.theta >= frame.cut_start - 1e-9
+            assert node.sector.theta + node.sector.beta <= frame.cut_end + 1e-9
 
     def test_radial_nesting(self, layout):
         by_id = {n.id: n for n in layout.nodes}
@@ -200,6 +203,23 @@ class TestLiteralMode:
         assert span == pytest.approx(red.sector.beta, rel=1e-12)
         overflow = span - (red.sector.beta - red.sector.alpha)
         assert overflow == pytest.approx(red.sector.alpha, rel=1e-12)
+
+    def test_overflow_excess_per_node(self):
+        # Recorded when each node stored its frame; the frame derived from
+        # the parent's sector gives the same numbers.
+        layout = layout_rit(
+            normalize(demo_tree(), "strict"),
+            LayoutConfig(r0=8, h0=2, mode="literal"),
+        )
+        excess = {r.id: r.containment_excess for r in diagnostics(layout).nodes}
+        assert excess == {
+            "root": 0.0, "red": 0.0, "blue": 0.0, "orange": 0.0, "crimson": 0.0,
+            "green-10-b": 0.4712388980384681, "yellow": 0.0, "thin-green-1": 0.0,
+            "yellow-2": 0.18849555921538785, "green-10-a": 0.0, "thin-pale-green": 0.0,
+            "purple": 0.21991148575128605, "green-15": 0.0, "blue-2": 0.15707963267948966,
+            "pale-purple-9.5": 0.0, "thin-green-2": 0.0, "teal": 0.09424777960769415,
+            "pale-purple-5": 0.0,
+        }
 
     def test_area_constancy_still_holds(self):
         layout = layout_rit(
@@ -371,10 +391,10 @@ def _guard_layout(case: str):
     elif case == "sum-overflows":
         node = dataclasses.replace(node, sector=dataclasses.replace(
             s, theta=1e308, topup_height=1e308))
-        band = BandGeometry(theta=1e308, beta=1.0, alpha=0.0, r_in=2.0, height=2.0, depth=1)
+        band = BandGeometry(theta=1e308, beta=1.0, alpha=0.0, r_in=2.0, height=2.0)
         rest[0] = dataclasses.replace(rest[0], sector=band)
     elif case == "non-finite-band":
-        band = BandGeometry(theta=math.inf, beta=1.0, alpha=0.0, r_in=2.0, height=2.0, depth=1)
+        band = BandGeometry(theta=math.inf, beta=1.0, alpha=0.0, r_in=2.0, height=2.0)
         node = dataclasses.replace(node, sector=band)
     elif case == "negative-zero":
         node = dataclasses.replace(node, sector=dataclasses.replace(s, theta=-0.0))
@@ -493,6 +513,87 @@ class TestLayoutJson:
         a = layout_to_json(layout_rit(demo, default_cfg))
         b = layout_to_json(layout_rit(demo, default_cfg))
         assert a == b
+
+
+@dataclasses.dataclass(frozen=True)
+class _DrawnSector(SectorGeometry):
+    """Sector fields with hand-drawn segments, joined or not, as the outline."""
+
+    drawn: tuple = ()
+
+    def outline(self) -> Path:
+        # The writer reads only the segments, so the join check is skipped.
+        path = object.__new__(Path)
+        object.__setattr__(path, "loops", (self.drawn,))
+        return path
+
+
+# Values the direct writer can spell, and ones it must hand to json.dumps:
+# 1e308 sums overflow, and a float subclass has its own repr.
+_CLEAN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+)
+_WILD_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, _ReprFloat(-0.0), _ReprFloat(1e-310), 7])
+
+
+# Per kind of value: a clean strategy, then a wild one.
+_VALUES = {
+    "a_std": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "style": (st.sampled_from(["rit", "sunburst", "icicle"]), st.none()),
+    "label": (st.text(), st.none()),
+    "color": (st.one_of(st.text(), st.none()), st.lists(st.text(), max_size=1)),
+    "depth": (st.integers(0, 3), st.booleans()),
+    "relaxed": (st.booleans(), st.integers(0, 1)),
+    "sector": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "LineSegment": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "ArcSegment": (_CLEAN_FLOATS, _WILD_FLOATS),
+}
+
+
+@st.composite
+def _hand_made_layouts(draw):
+    # Every value is clean but at most one, which is wild: NaN, an infinity,
+    # a float subclass or an int for a number, None for a string, a list
+    # colour, a bool depth or an int flag.  The wild value's kind is drawn
+    # first, so each kind is drawn as often as the others.
+    ids = draw(st.lists(st.text(), max_size=3, unique=True))
+    outlines = [draw(st.lists(st.sampled_from([LineSegment, ArcSegment]), min_size=1, max_size=3))
+                for _ in ids]
+    slots = ["a_std", "style"]
+    for outline in outlines:
+        slots += ["id", "label", "color", "depth", "relaxed"] + ["sector"] * 6
+        for seg_type in outline:
+            slots += [seg_type.__name__] * len(seg_type._fields)
+    kind = draw(st.sampled_from([None, "id", *_VALUES]))
+    spots = [i for i, slot in enumerate(slots) if slot == kind]
+    wild = draw(st.sampled_from(spots)) if spots else None
+    node_ids = iter(ids)
+
+    def value(i, slot):
+        if slot == "id":
+            node_id = next(node_ids)
+            return None if i == wild else node_id
+        return draw(_VALUES[slot][i == wild])
+
+    values = iter([value(i, slot) for i, slot in enumerate(slots)])
+
+    a_std, style = next(values), next(values)
+    nodes = []
+    for outline in outlines:
+        node_id, label, color, depth, relaxed = (next(values) for _ in range(5))
+        fields = [next(values) for _ in range(6)]
+        drawn = tuple(seg_type(*(next(values) for _ in seg_type._fields)) for seg_type in outline)
+        nodes.append(PlacedNode(node_id, label, color, 1.0, depth, None,
+                                _DrawnSector(*fields, drawn=drawn), relaxed))
+    return Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_hand_made_layouts())
+def test_bytes_equal_json_dumps_for_hand_made_layouts(layout):
+    assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
 
 
 def test_diagnostics_aggregates(demo, default_cfg):

@@ -57,7 +57,7 @@ def random_sectors(seed: int, count: int):
         beta = rng.uniform(0.05, TAU - 0.01)
         alpha = clamp_wedge_angle(rng.uniform(0.01, 0.45), beta, r, r + h)
         yield SectorGeometry(theta=rng.uniform(0, TAU), beta=beta, alpha=alpha,
-                             r_in=r, height=h, depth=1)
+                             r_in=r, height=h)
 
 
 def test_unit_circle_area():
@@ -99,7 +99,7 @@ def test_open_path_rejected():
 def test_matches_sector_area():
     for g in random_sectors(7, 200):
         plain = SectorGeometry(theta=g.theta, beta=g.beta, alpha=0.0,
-                               r_in=g.r_in, height=g.height, depth=1)
+                               r_in=g.r_in, height=g.height)
         assert path_area(build_node_path(plain)) == pytest.approx(
             sector_area(g.r_in, g.height, g.beta), rel=1e-12
         )

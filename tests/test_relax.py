@@ -1,6 +1,7 @@
 import pytest
 
 from rit_layout import LayoutConfig, layout_rit, normalize, path_area, relax_thin_nodes
+from rit_layout.diagnostics import diagnostics
 from rit_layout.tree import NormalizedNode, TreeNode
 
 
@@ -98,19 +99,23 @@ def test_boundary_run_uses_parent_half_wedge():
     parent = after.node("p")
     thin = after.node("thin")
     assert thin.relaxed
-    span_hi = thin.frame_theta + thin.frame_beta + 0.5 * parent.sector.alpha
+    span_hi = parent.sector.cut_end + 0.5 * parent.sector.alpha
     lo = after.node("big").sector.cut_end
     first_gap = thin.sector.cut_start - lo
     last_gap = span_hi - thin.sector.cut_end
     assert first_gap == pytest.approx(last_gap, abs=1e-12)
 
 
-def test_descendants_move_and_flag():
-    tree = TreeNode("root", "root", 1000.0, children=[
+def _moved_subtree_tree():
+    return TreeNode("root", "root", 1000.0, children=[
         TreeNode("left", "left", 500.0),
         TreeNode("thin", "thin", 5.0, children=[TreeNode("kid", "kid", 5.0)]),
         TreeNode("right", "right", 495.0),
     ])
+
+
+def test_descendants_move_and_flag():
+    tree = _moved_subtree_tree()
     cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01)
     before = layout_rit(normalize(tree, "strict"), cfg)
     after = relax_thin_nodes(before, cfg)
@@ -119,6 +124,21 @@ def test_descendants_move_and_flag():
     kid_shift = after.node("kid").sector.theta - before.node("kid").sector.theta
     assert kid_shift == pytest.approx(shift, abs=1e-15)
     assert after.node("kid").relaxed
+
+
+@pytest.mark.parametrize("mode, kid_excess", [
+    ("contained", 0.0),
+    ("literal", 0.0015707963267947989),
+])
+def test_moved_subtree_containment_excess(mode, kid_excess):
+    # Recorded when each node stored its frame and a moved node's children
+    # stored theirs shifted with it; the frame derived from the moved
+    # parent's sector gives the same numbers.
+    cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01, mode=mode)
+    after = relax_thin_nodes(layout_rit(normalize(_moved_subtree_tree(), "strict"), cfg), cfg)
+    assert after.node("kid").relaxed
+    excess = {r.id: r.containment_excess for r in diagnostics(after).nodes}
+    assert excess == {"root": 0.0, "left": 0.0, "thin": 0.0, "right": 0.0, "kid": kid_excess}
 
 
 def test_whole_group_thin_spreads_into_parent_wedge_gap():
@@ -132,8 +152,8 @@ def test_whole_group_thin_spreads_into_parent_wedge_gap():
     parent = after.node("p")
     thins = [after.node(f"t{i}") for i in range(4)]
     assert all(t.relaxed for t in thins)
-    span_lo = thins[0].frame_theta - 0.5 * parent.sector.alpha
-    span_hi = thins[0].frame_theta + thins[0].frame_beta + 0.5 * parent.sector.alpha
+    span_lo = parent.sector.cut_start - 0.5 * parent.sector.alpha
+    span_hi = parent.sector.cut_end + 0.5 * parent.sector.alpha
     edges = [span_lo]
     for t in thins:
         edges.extend([t.sector.cut_start, t.sector.cut_end])

@@ -161,7 +161,7 @@ class TestRendering:
         svg = render_svg(layout)
         for el in svg_paths(svg):
             if el.get("id") in {"t0", "t1", "t2"}:
-                assert el.get("stroke-dasharray")
+                assert el.get("stroke-dasharray") == "5 4"
                 assert float(el.get("fill-opacity")) < 1.0
             else:
                 assert el.get("stroke-dasharray") is None
@@ -210,6 +210,11 @@ class TestRendering:
         root = ET.fromstring(svg.decode())
         assert root.get("viewBox") == "0 0 500 500"
 
+    def test_background_metacharacters_escaped(self, demo_layout):
+        svg = render_svg(demo_layout, RenderStyle(background='#fff"<'))
+        root = ET.fromstring(svg.decode())
+        assert root.find(f"{SVG_NS}rect").get("fill") == '#fff"<'
+
     def test_invalid_style_rejected(self, demo_layout):
         with pytest.raises(ValueError):
             render_svg(demo_layout, RenderStyle(canvas=0))
@@ -217,9 +222,11 @@ class TestRendering:
             render_svg(demo_layout, RenderStyle(margin=1000.0))
 
     @pytest.mark.parametrize("field", ["canvas", "margin", "stroke_width", "font_size"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, pytest.param(10 ** 400, id="int-beyond-float")])
     def test_non_finite_style_rejected(self, field, value):
-        # NaN fails every comparison, so a range test alone lets it through.
+        # NaN fails every comparison, so a range test alone lets it through;
+        # an int beyond float range has no float to test.
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RenderStyle(**{field: value}).validate()
 
@@ -284,8 +291,7 @@ def _hand_layout() -> Layout:
     """One node per hand-made outline of ``test_geometry.hand_loops``."""
     nodes = tuple(
         PlacedNode(name, name, "#123456", 0.5, 1, None,
-                   _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path(loops=loops)),
-                   0.0, 1.0, 1.0)
+                   _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path(loops=loops)))
         for name, loops in hand_loops().items()
     )
     return Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=len(nodes))
