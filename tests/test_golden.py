@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +36,14 @@ QUARTER = LayoutConfig(theta0=1.25 * math.pi, beta0=0.5 * math.pi, r0=20.5, h0=2
 SPECS = {
     "random": GeneratorSpec("random", 4, 4, seed=7),
     "semi": GeneratorSpec("semi-random", 5, 4, seed=11),
+    # 1,024 leaves of data 1/1024: the only tree here thin at 1e-3.
+    "wide": GeneratorSpec("fixed", 4, 5, seed=3),
 }
+
+
+def _relaxed(threshold: float, base: LayoutConfig = LayoutConfig()) -> LayoutConfig:
+    return replace(base, relax_enabled=True, relax_threshold=threshold)
+
 
 # name -> (tree source, style, config, render style)
 CASES = {
@@ -52,9 +60,21 @@ CASES = {
     "demo-icicle": ("demo", "icicle", LayoutConfig(), RenderStyle()),
     **{
         f"{name}-{style}": (name, style, LayoutConfig(), RenderStyle())
-        for name in SPECS
+        for name in ("random", "semi")
         for style in ("rit", "sunburst", "icicle")
     },
+    # random and semi have no node below 1e-3, so at that threshold the
+    # JSON bytes are those of the unrelaxed layout.
+    **{
+        f"{name}-relax-{threshold!r}": (name, "rit", _relaxed(threshold), RenderStyle())
+        for name in ("random", "semi")
+        for threshold in (0.05, 1e-3)
+    },
+    "semi-literal-relax-0.05": (
+        "semi", "rit", _relaxed(0.05, LayoutConfig(mode="literal")), RenderStyle()
+    ),
+    "random-quarter-relax-0.05": ("random", "rit", _relaxed(0.05, QUARTER), RenderStyle()),
+    "wide-relax-0.001": ("wide", "rit", _relaxed(1e-3), RenderStyle()),
 }
 
 GOLDEN = {
@@ -90,6 +110,18 @@ GOLDEN = {
         "f4a3158c06a5f159f566a4045f5561bb7f82d193110bc6b2ab57b08bc4ed3ca7",
         "04b29ae3a52cc47eba574c7f4e1d1025d8052123f32216a46131f88d6507a38c",
     ),
+    "random-quarter-relax-0.05": (
+        "fae2f7d72c6ca740a3846191f903fee9de94496ee7f94edf72f4af80cc397bbc",
+        "6a515627e6b626a1fa9cb4c0840ac18800429265fa7037eb72a99c53bfd91072",
+    ),
+    "random-relax-0.001": (
+        "baff649cf96b58b1ddf7f7a287a991495bed2ff724c36e734d64b89bf2e9f863",
+        "77c8a6e306bfa50a01884ce769efe9938992344e1337cf9caf309f8c4bfc1726",
+    ),
+    "random-relax-0.05": (
+        "9fb5809adadc152cb5b8d81dfaa5687ecf5cdba3164a55b6792811616fa12a4a",
+        "9575f5842ddd30020cd74cc06b4849eef66d9405da72cf95a7941d7174283716",
+    ),
     "random-rit": (
         "baff649cf96b58b1ddf7f7a287a991495bed2ff724c36e734d64b89bf2e9f863",
         "dbcf3dcd3b2c12858163c695d56f3209e2dacba5e1facab5ff81cec2d2c5a78a",
@@ -102,6 +134,18 @@ GOLDEN = {
         "c1ab5df1d6069d2f0b1cd9e764ed073f4cafe660b1f831edd6a60ebdedb4a582",
         "6c4b1bf87996ae020cfa424522f06d83cf194429c0986acbfcc9ff21b1b7f875",
     ),
+    "semi-literal-relax-0.05": (
+        "43cf351282fd7b4908dbf7ef0c3056d7e09f300a4b9824c680c16783a5e648e2",
+        "77263e73f1ae1bf9aeff0c3e801ec6776c52279129b2ad655431b2a2a3350e43",
+    ),
+    "semi-relax-0.001": (
+        "35826d0a19f01f9ede462012b538bb6f368e7c57cedb819ac41d13b15f05dcae",
+        "a1a2309c5ac4f1a0aac92aca7a17e4134b08eef87e3e43434a8a8f88f593020b",
+    ),
+    "semi-relax-0.05": (
+        "05358f0c76f03e683722c90ecb62ac7ba41603758ebd31550c20e84f8b03c6d5",
+        "567d52222a3494b6af82f36dca7d39745ffc8ba9e54ba168bf89727ab9fd9c7a",
+    ),
     "semi-rit": (
         "35826d0a19f01f9ede462012b538bb6f368e7c57cedb819ac41d13b15f05dcae",
         "4912e8d2b7e1f00e3646797ebaa6e855ea85d7e607c24076f17e7e261846bc06",
@@ -109,6 +153,10 @@ GOLDEN = {
     "semi-sunburst": (
         "936bed81a3731f348d58024604dae31b7f2d3b489194da77ab4850537d28e3e2",
         "25a7820519a443482ccc3c1e8fa2fae0754b3ef3a315290905c050addc9063bf",
+    ),
+    "wide-relax-0.001": (
+        "329e94e0f386c97eee18845904f999cdb1df2a232ae7f9441b3ed14d66c85cd4",
+        "54d7fe5b6a032864a014afac959dba500ef7be565a313745415284042f39fb57",
     ),
 }
 
