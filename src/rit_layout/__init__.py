@@ -34,7 +34,6 @@ from .layout import (
     layout_rit,
     layout_sunburst,
     layout_to_json,
-    relax_thin_nodes,
 )
 from .measure import path_area
 from .svg import RenderStyle, render_svg
@@ -83,7 +82,6 @@ __all__ = [
     "normalize",
     "parse_tree",
     "path_area",
-    "relax_thin_nodes",
     "render_svg",
     "run_bench",
     "sector_area",

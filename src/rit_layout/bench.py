@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .generate import GeneratorSpec, generate_tree
-from .layout import Layout, LayoutConfig, layout_rit, layout_to_json
+from .layout import Layout, layout_rit, layout_to_json
 from .tree import NormalizedNode, normalize
 
 CSV_HEADER = ("generator", "cmax", "depth", "nodes", "repeat", "seconds", "visits")
@@ -74,7 +74,7 @@ def fit_linear(points: list[tuple[float, float]]) -> FitResult:
     return FitResult(slope=slope, intercept=intercept, r_squared=1.0 - ss_res / syy)
 
 
-def _timed_layout(tree: NormalizedNode, cfg: LayoutConfig) -> tuple[float, Layout]:
+def _timed_layout(tree: NormalizedNode) -> tuple[float, Layout]:
     # As in timeit, the cyclic garbage collector is off while timing: a full
     # collection costs time in proportion to the whole process heap, not to
     # the layout, which builds no reference cycles.
@@ -82,7 +82,7 @@ def _timed_layout(tree: NormalizedNode, cfg: LayoutConfig) -> tuple[float, Layou
     gc.disable()
     try:
         t0 = time.perf_counter()
-        layout = layout_rit(tree, cfg)
+        layout = layout_rit(tree)
         # Outlines are derived on first use; the drawn geometry is timed too.
         for node in layout.nodes:
             node.path
@@ -97,9 +97,8 @@ def run_bench(
     repeats: int = 5,
     node_cap: int = DEFAULT_NODE_CAP,
     parallel: bool = False,
-    cfg: LayoutConfig = LayoutConfig(),
 ) -> BenchResult:
-    """Generate, lay out, and time every spec under the node cap.
+    """Generate, lay out (default ``LayoutConfig``), and time every spec under the node cap.
 
     Specs whose trees exceed the cap are skipped (recorded in ``skipped``).
     With ``parallel`` each round's trees run on a thread pool; geometry
@@ -127,7 +126,7 @@ def run_bench(
     with ThreadPoolExecutor() if parallel else contextlib.nullcontext() as pool:
         mapper = pool.map if parallel else map
         for rep in range(repeats):
-            timed = mapper(lambda tree: _timed_layout(tree, cfg), trees)
+            timed = mapper(_timed_layout, trees)
             for i, (seconds, layout) in enumerate(timed):
                 spec, n = kept[i]
                 per_spec[i].append(BenchRecord(spec.kind, spec.c_max, spec.depth, n, rep,

@@ -137,14 +137,14 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
     )
 
 
-def wedge_bound_satisfied(layout: Layout, eps: float = ANGLE_EPS) -> bool:
-    """True when every wedge angle clears both caps by at least eps*bound."""
+def wedge_bound_satisfied(layout: Layout) -> bool:
+    """True when every wedge angle clears both caps by at least ANGLE_EPS*bound."""
     for n in layout.nodes:
         sec = n.sector
         if sec.alpha <= 0.0:
             continue
         half = 0.5 * sec.beta
         hard = max_wedge_angle(sec.r_in, sec.outer_radius)
-        if sec.alpha > half - eps * half or sec.alpha > hard - eps * hard:
+        if sec.alpha > half - ANGLE_EPS * half or sec.alpha > hard - ANGLE_EPS * hard:
             return False
     return True

@@ -4,8 +4,10 @@ The radial-icicle layout walks the tree one sibling frame at a time, from
 an explicit stack, and touches every non-root node exactly three times:
 once to place its sector, once to fix its wedge angle, once to add the
 top-up and push its frame.  The instrumented visit counter therefore ends
-at 3*(N-1) + 1.  The sunburst and icicle share one proportional placer.
-A node's outline is derived from its geometry on first use.
+at 3*(N-1) + 1.  With relaxation enabled, each frame re-spaces its runs of
+thin children between its second and third pass, and a moved child's
+subtree turns with it.  The sunburst and icicle share one proportional
+placer.  A node's outline is derived from its geometry on first use.
 
 Two angle modes:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import geometry as geo
@@ -45,6 +47,23 @@ from .tree import NormalizedNode, _require_valid_value, _sum_in_order
 MODES = ("contained", "literal")
 TOPUP_VARIANTS = ("exact", "half")
 STYLES = ("rit", "sunburst", "icicle")
+MIN_NORMAL = 2.0 ** -1022  # sys.float_info.min, the smallest normal float
+
+
+def require_finite(config, names: tuple[str, ...]) -> None:
+    """Raise ValueError naming the first field of ``config`` that is not finite.
+
+    An int beyond float range counts as not finite; ``math.isfinite``
+    would raise OverflowError for it.
+    """
+    for name in names:
+        value = getattr(config, name)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +87,7 @@ class LayoutConfig:
     topup_variant: str = "exact"
 
     def validate(self) -> None:
-        for name in ("theta0", "r0", "h0", "acr", "relax_threshold"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, ("theta0", "r0", "h0", "acr", "relax_threshold"))
         if not 0.0 < self.beta0 <= TAU + geo.FULL_TURN_TOL:
             raise ValueError(f"beta0 must be in (0, 2*pi], got {self.beta0}")
         if self.r0 < 0.0:
@@ -82,10 +98,12 @@ class LayoutConfig:
             a_std = sector_area(self.r0, self.h0, self.beta0)
         except OverflowError:
             a_std = math.inf
-        if not 0.0 < a_std < math.inf:
+        # A subnormal standard area keeps too few significant bits for the
+        # height solve to meet the area bound.
+        if not MIN_NORMAL <= a_std < math.inf:
             raise ValueError(
                 f"r0={self.r0}, h0={self.h0} and beta0={self.beta0} give a standard area "
-                f"of {a_std}; it must be a finite number > 0"
+                f"of {a_std}; it must be a finite number >= {MIN_NORMAL!r}"
             )
         if not 0.0 < self.ar0 < 0.5:
             raise ValueError(f"ar0 must be in (0, 0.5), got {self.ar0}")
@@ -104,12 +122,12 @@ class PlacedNode:
     """One laid-out node: identity, geometry, and parent.
 
     The outline ``path`` is not stored: it is derived from ``sector`` on
-    first use and kept in ``_path``.  A node built by the constructor (as
-    relaxation builds each moved node) or by ``dataclasses.replace`` starts
-    without one, so a moved node gets the outline of its new place.  For
-    the icicle style ``sector`` is a ``BandGeometry``: theta is the x
-    offset, beta the width, r_in the distance of the row's top from the
-    root's top edge.
+    first use and kept in ``_path``.  A node built by the constructor or by
+    ``dataclasses.replace`` starts without one, so a node given a new
+    sector gets that sector's outline.  ``relaxed`` flags a node that
+    relaxation turned, directly or with a moved ancestor.  For the icicle
+    style ``sector`` is a ``BandGeometry``: theta is the x offset, beta the
+    width, r_in the distance of the row's top from the root's top edge.
     """
 
     id: str
@@ -170,11 +188,17 @@ def _check_tree(tree: NormalizedNode) -> None:
 
 
 def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layout:
-    """Radial icicle layout: separation wedges plus exact area compensation."""
+    """Radial icicle layout: separation wedges plus exact area compensation.
+
+    With ``cfg.relax_enabled`` each frame also re-spaces its runs of thin
+    children (see ``_relax_thin_runs``); a moved child turns its subtree
+    with it, and every node so turned is flagged ``relaxed``.
+    """
     cfg.validate()
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
     a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
+    relax = cfg.relax_enabled
     # Records are built with positional arguments, in field order: keyword
     # matching adds about a third to a frozen record's __init__.
     nodes: list[PlacedNode] = [
@@ -185,13 +209,13 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     ]
     visits = 1
 
-    # Frame stack: (parent model node, frame start, frame width, incoming
-    # angle scale, child inner radius, wedge ratio, child depth).
-    stack: list[tuple[NormalizedNode, float, float, float, float, float, int]] = [
-        (tree, theta0, cfg.beta0, TAU, cfg.r0 + cfg.h0, cfg.ar0, 1)
-    ]
+    # Frame stack: (parent model node, frame start, frame width, parent's
+    # wedge angle, incoming angle scale, child inner radius, wedge ratio,
+    # child depth, parent's rotation).  Frames are placed unrotated; the
+    # rotation, None while no ancestor has moved, is added to each sector.
+    stack: list[tuple] = [(tree, theta0, cfg.beta0, 0.0, TAU, cfg.r0 + cfg.h0, cfg.ar0, 1, None)]
     while stack:
-        parent, f_theta, f_beta, scale_in, r, ar, depth = stack.pop()
+        parent, f_theta, f_beta, p_alpha, scale_in, r, ar, depth, rot = stack.pop()
         children = parent.children
         if not children:
             continue
@@ -205,53 +229,101 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         big_r = r + h
 
         # Pass 1: place every child sector, packed from the frame start.
+        # Each entry is [child, theta, beta, wedge angle, rotation].  A
+        # child's rotation is its parent's plus its own offset, 0.0 unless
+        # relaxation moves it.
+        child_rot = None if rot is None else rot + 0.0
         placed: list[list] = []
         theta_c = f_theta
         for child in children:
             beta_c = scale * child.data
-            placed.append([child, theta_c, beta_c])
+            placed.append([child, theta_c, beta_c, 0.0, child_rot])
             theta_c += beta_c
             visits += 1
 
         # Pass 2: fix wedge angles (full annuli and zero-width nodes exempt).
         for entry in placed:
             beta_c = entry[2]
-            if beta_c <= 0.0 or is_full_turn(beta_c):
-                entry.append(0.0)
-            else:
-                entry.append(clamp_wedge_angle(ar, beta_c, r, big_r))
+            if beta_c > 0.0 and not is_full_turn(beta_c):
+                entry[3] = clamp_wedge_angle(ar, beta_c, r, big_r)
             visits += 1
+
+        if relax:
+            _relax_thin_runs(placed, f_theta, f_beta, p_alpha, cfg.relax_threshold, rot)
 
         # Pass 3: top-ups, node records, and child frames.
         recurse: list[tuple] = []
-        for child, theta_child, beta_c, alpha in placed:
+        for child, theta_child, beta_c, alpha, child_rot in placed:
             if alpha > 0.0:
                 lost = wedge_pair_area(r, h, alpha)
                 h_top = topup_height(big_r, beta_c, alpha, lost, cfg.topup_variant)
             else:
                 h_top = 0.0
-            sector = SectorGeometry(theta_child, beta_c, alpha, r, h, h_top)
+            theta = theta_child if child_rot is None else theta_child + child_rot
+            sector = SectorGeometry(theta, beta_c, alpha, r, h, h_top)
             nodes.append(
                 PlacedNode(
                     child.id, child.label, child.color, child.data, depth, parent.id, sector,
+                    child_rot is not None,
                 )
             )
             visits += 1
             if child.children:
-                recurse.append(
-                    (
-                        child,
-                        theta_child + 0.5 * alpha,
-                        beta_c - alpha,
-                        scale,
-                        big_r + h_top,
-                        ar * cfg.acr,
-                        depth + 1,
-                    )
-                )
+                recurse.append((
+                    child, theta_child + 0.5 * alpha, beta_c - alpha, alpha,
+                    scale, big_r + h_top, ar * cfg.acr, depth + 1, child_rot,
+                ))
         stack.extend(reversed(recurse))
 
     return Layout(style="rit", config=cfg, a_std=a_std, nodes=tuple(nodes), visits=visits)
+
+
+def _relax_thin_runs(
+    placed: list[list], f_theta: float, f_beta: float, p_alpha: float,
+    threshold: float, rot: float | None,
+) -> None:
+    """Re-space each run of consecutive children with data below ``threshold``.
+
+    A run keeps each shape's angular extent but slides the shapes so the
+    gaps between cut edges inside its span come out equal.  The span
+    reaches from the cut edge of the nearest non-thin sibling on each side,
+    or past the frame edge by the parent's half wedge angle ``p_alpha / 2``
+    at a group boundary.  All edges are unrotated; each moved entry's
+    rotation becomes its parent's rotation ``rot`` (0 if None) plus its own
+    offset.
+    """
+    i = 0
+    n = len(placed)
+    while i < n:
+        if placed[i][0].data >= threshold:
+            i += 1
+            continue
+        j = i
+        while j < n and placed[j][0].data < threshold:
+            j += 1
+        if i > 0:
+            _, theta, beta, alpha, _ = placed[i - 1]
+            span_lo = theta + beta - 0.5 * alpha
+        else:
+            span_lo = f_theta - 0.5 * p_alpha
+        if j < n:
+            _, theta, _, alpha, _ = placed[j]
+            span_hi = theta + 0.5 * alpha
+        else:
+            span_hi = f_theta + f_beta + 0.5 * p_alpha
+        run = placed[i:j]
+        starts = [theta + 0.5 * alpha for _, theta, _, alpha, _ in run]
+        widths = [
+            theta + beta - 0.5 * alpha - start
+            for (_, theta, beta, alpha, _), start in zip(run, starts)
+        ]
+        gap = (span_hi - span_lo - _sum_in_order(widths)) / (len(run) + 1)
+        edge = span_lo + gap
+        base = 0.0 if rot is None else rot
+        for entry, start, width in zip(run, starts, widths):
+            entry[4] = base + (edge - start)
+            edge += width + gap
+        i = j
 
 
 def layout_sunburst(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layout:
@@ -305,93 +377,12 @@ def _place_proportional(
 
 def compute_layout(tree: NormalizedNode, style: str, cfg: LayoutConfig = LayoutConfig()) -> Layout:
     if style == "rit":
-        layout = layout_rit(tree, cfg)
-        if cfg.relax_enabled:
-            layout = relax_thin_nodes(layout, cfg)
-        return layout
+        return layout_rit(tree, cfg)
     if style == "sunburst":
         return layout_sunburst(tree, cfg)
     if style == "icicle":
         return layout_icicle(tree, cfg)
     raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
-
-
-def relax_thin_nodes(layout: Layout, cfg: LayoutConfig | None = None) -> Layout:
-    """Re-space runs of consecutive thin siblings into their surrounding gaps.
-
-    A run of children with data below the threshold keeps each shape's
-    angular extent but slides the shapes (subtrees included) so the gaps
-    between cut edges inside the available span come out equal.  The span
-    reaches from the cut edge of the nearest non-thin sibling on each side,
-    or past the frame edge by the parent's half wedge angle at a group
-    boundary.  A move changes only a sector's ``theta``; the outline follows
-    from the rotated sector.  Every moved node is flagged relaxed.
-    ``layout.nodes`` must list every parent before its children, as
-    ``layout_rit`` places them.
-
-    A moved node and its sector are new ``PlacedNode`` and
-    ``SectorGeometry`` objects built by their constructors, with no outline
-    yet; an unmoved node is kept as it is, outline included.
-    """
-    if layout.style != "rit":
-        raise ValueError("relaxation applies to rit layouts only")
-    if cfg is None:
-        cfg = layout.config
-    threshold = cfg.relax_threshold
-    by_id = {n.id: n for n in layout.nodes}
-
-    # Each moved node's own offset; a subtree turns with its moved ancestors.
-    offsets: dict[str, float] = {}
-    for group in layout.sibling_groups():
-        # The frame is the parent's span between its cut edges.
-        psec = by_id[group[0].parent].sector
-        parent_alpha = psec.alpha
-        frame_lo = psec.cut_start
-        frame_hi = frame_lo + (psec.beta - psec.alpha)
-        thin = [n.data < threshold for n in group]
-        i = 0
-        while i < len(group):
-            if not thin[i]:
-                i += 1
-                continue
-            j = i
-            while j < len(group) and thin[j]:
-                j += 1
-            run = group[i:j]
-            if i > 0:
-                span_lo = group[i - 1].sector.cut_end
-            else:
-                span_lo = frame_lo - 0.5 * parent_alpha
-            if j < len(group):
-                span_hi = group[j].sector.cut_start
-            else:
-                span_hi = frame_hi + 0.5 * parent_alpha
-            widths = [n.sector.cut_end - n.sector.cut_start for n in run]
-            gap = (span_hi - span_lo - _sum_in_order(widths)) / (len(run) + 1)
-            edge = span_lo + gap
-            for node, width in zip(run, widths):
-                offsets[node.id] = edge - node.sector.cut_start
-                edge += width + gap
-            i = j
-
-    if not offsets:
-        return layout
-
-    # One pass in placement order, where parents precede children: a node's
-    # rotation is its parent's rotation plus its own offset, summed top-down.
-    rotations: dict[str, float] = {}
-    new_nodes = []
-    for n in layout.nodes:
-        if n.id not in offsets and n.parent not in rotations:
-            new_nodes.append(n)
-            continue
-        delta = rotations[n.id] = rotations.get(n.parent, 0.0) + offsets.get(n.id, 0.0)
-        s = n.sector
-        sector = SectorGeometry(s.theta + delta, s.beta, s.alpha, s.r_in, s.height, s.topup_height)
-        new_nodes.append(
-            PlacedNode(n.id, n.label, n.color, n.data, n.depth, n.parent, sector, True)
-        )
-    return replace(layout, nodes=tuple(new_nodes))
 
 
 def _segment_json(seg) -> str | None:

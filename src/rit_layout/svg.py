@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass
 
 from .geometry import LineSegment, Path
-from .layout import Layout
+from .layout import Layout, require_finite
 
 FALLBACK_FILL = "#cccccc"
+BACKGROUND = "#ffffff"
+FONT_SIZE = 11.0
 
 HALF_PI = 0.5 * math.pi
 
@@ -31,20 +33,10 @@ _AXIS_POINTS = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 class RenderStyle:
     canvas: int = 840
     margin: float = 20.0
-    stroke_width: float = 0.0
-    background: str | None = "#ffffff"
     draw_labels: bool = False
-    font_size: float = 11.0
 
     def validate(self) -> None:
-        for name in ("canvas", "margin", "stroke_width", "font_size"):
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, ("canvas", "margin"))
         if self.canvas <= 0:
             raise ValueError(f"canvas size must be > 0, got {self.canvas}")
         if self.margin < 0 or 2 * self.margin >= self.canvas:
@@ -165,12 +157,12 @@ def _config_comment(layout: Layout, tf: _Transform) -> str:
     return f"<!-- rit-config {fields} -->"
 
 
-def _label_element(node, tf: _Transform, style: RenderStyle, is_icicle: bool) -> str | None:
+def _label_element(node, tf: _Transform, is_icicle: bool) -> str | None:
     label = node.label
     if not label:
         return None
     sec = node.sector
-    est_width = 0.6 * style.font_size * len(label)
+    est_width = 0.6 * FONT_SIZE * len(label)
     if is_icicle:
         if est_width > sec.beta * tf.scale:
             return None
@@ -192,7 +184,7 @@ def _label_element(node, tf: _Transform, style: RenderStyle, is_icicle: bool) ->
             deg += 180.0
         transform = f' transform="rotate({_fmt(deg)} {_fmt(px)} {_fmt(py)})"'
     return (
-        f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="{_fmt(style.font_size)}" '
+        f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="{_fmt(FONT_SIZE)}" '
         f'text-anchor="middle" dominant-baseline="middle"{transform}>{_escape(label)}</text>'
     )
 
@@ -218,9 +210,8 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
         _config_comment(layout, tf),
+        f'<rect width="{size}" height="{size}" fill="{BACKGROUND}"/>',
     ]
-    if style.background is not None:
-        lines.append(f'<rect width="{size}" height="{size}" fill="{_escape(style.background)}"/>')
 
     ordered = sorted(range(len(layout.nodes)), key=lambda i: (layout.nodes[i].depth, i))
     is_icicle = layout.style == "icicle"
@@ -234,16 +225,11 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
                 f'fill="{fill}" fill-opacity="0.7" fill-rule="evenodd" stroke="{fill}" '
                 f'stroke-width="1" stroke-dasharray="5 4"'
             )
-        elif style.stroke_width > 0:
-            attrs = (
-                f'fill="{fill}" fill-rule="evenodd" stroke="#000000" '
-                f'stroke-width="{_fmt(style.stroke_width)}"'
-            )
         else:
             attrs = f'fill="{fill}" fill-rule="evenodd" stroke="none"'
         lines.append(f'<path id="{_escape(node.id)}" d="{d}" {attrs}/>')
         if style.draw_labels:
-            el = _label_element(node, tf, style, is_icicle)
+            el = _label_element(node, tf, is_icicle)
             if el is not None:
                 labels.append(el)
     lines.extend(labels)

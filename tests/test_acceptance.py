@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,6 @@ from rit_layout import (
     layout_to_json,
     normalize,
     path_area,
-    relax_thin_nodes,
     render_svg,
     run_bench,
     sector_area,
@@ -190,7 +190,7 @@ def test_criterion_6_relaxation():
         before = layout_rit(tree, cfg)
         for i in range(3):
             assert before.node(f"t{i}").data == pytest.approx(0.003)
-        after = relax_thin_nodes(before, cfg)
+        after = layout_rit(tree, replace(cfg, relax_enabled=True))
 
         edges = [after.node("left").sector.cut_end]
         for i in range(3):

@@ -106,7 +106,9 @@ class TestRender:
         ["--r0", "1e308"],
         ["--r0", "1e200", "--h0", "1"],
         ["--h0", "1e-300"],
-    ], ids=["h0-overflows", "r0-overflows", "r0-squared-overflows", "h0-underflows"])
+        ["--r0", "1e-300", "--h0", "1e-160"],
+    ], ids=["h0-overflows", "r0-overflows", "r0-squared-overflows", "h0-underflows",
+            "subnormal"])
     def test_standard_area_out_of_range_exit_1(self, demo_file, tmp_path, capsys, args):
         out = tmp_path / "x.svg"
         rc = main(["render", "--input", demo_file, "--output", str(out), *args])
@@ -209,6 +211,16 @@ class TestCompare:
                    "--svg-margin", "nan"])
         assert rc == 1
         assert "margin must be finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_subnormal_standard_area_exit_1(self, demo_file, tmp_path, capsys):
+        # The standard area, about 3.1e-320, is subnormal: rit could not
+        # meet its area bound, so the config is refused before any output.
+        outdir = tmp_path / "cmp"
+        rc = main(["compare", "--input", demo_file, "--outdir", str(outdir),
+                   "--r0", "1e-300", "--h0", "1e-160"])
+        assert rc == 1
+        assert "standard area" in capsys.readouterr().err
         assert not outdir.exists()
 
 

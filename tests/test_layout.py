@@ -153,6 +153,19 @@ class TestRitSpecialShapes:
         with pytest.raises(ValueError):
             LayoutConfig(mode="radial").validate()
 
+    @pytest.mark.parametrize(
+        "name", ["theta0", "beta0", "r0", "h0", "ar0", "acr", "relax_threshold"])
+    def test_int_beyond_float_range_is_a_value_error(self, name):
+        with pytest.raises(ValueError, match=name):
+            LayoutConfig(**{name: 10 ** 400}).validate()
+
+    def test_standard_area_must_be_normal(self):
+        # pi * (2 * r0 * h0 + h0**2) is about 3.1e-320, a subnormal float.
+        with pytest.raises(ValueError, match="standard area of 3.14"):
+            LayoutConfig(r0=1e-300, h0=1e-160).validate()
+        # About 3.1e-308, just above the smallest normal float.
+        LayoutConfig(r0=0.0, h0=1e-154).validate()
+
 
 class TestAngleRatioDecay:
     def test_ratio_decays_per_generation(self):

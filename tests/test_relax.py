@@ -1,7 +1,26 @@
-import pytest
+"""Thin-run relaxation, done by ``layout_rit`` when ``relax_enabled`` is set.
 
-from rit_layout import LayoutConfig, layout_rit, normalize, path_area, relax_thin_nodes
+Each test lays the same tree out with relaxation off and on.  The two
+layouts carry different configs, so they are compared node by node, not
+as ``Layout`` objects.
+"""
+
+import dataclasses
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rit_layout import (
+    LayoutConfig,
+    layout_icicle,
+    layout_rit,
+    layout_sunburst,
+    normalize,
+    path_area,
+)
 from rit_layout.diagnostics import diagnostics
+from rit_layout.layout import MODES
 from rit_layout.tree import NormalizedNode, TreeNode
 
 
@@ -17,20 +36,22 @@ def flanked_thin_run(thin_values, left=400.0, right=None):
     return TreeNode("root", "root", total, children=children)
 
 
-def cut_gaps(layout, ids):
-    """Gaps between consecutive cut extents for the given sibling ids."""
-    nodes = [layout.node(i) for i in ids]
-    return [
-        b.sector.cut_start - a.sector.cut_end for a, b in zip(nodes, nodes[1:])
-    ]
+def relaxed_pair(tree, **fields):
+    """(unrelaxed, relaxed) rit layouts of ``tree`` under one config."""
+    if isinstance(tree, TreeNode):
+        tree = normalize(tree, "strict")
+    cfg = LayoutConfig(**fields)
+    return (
+        layout_rit(tree, dataclasses.replace(cfg, relax_enabled=False)),
+        layout_rit(tree, dataclasses.replace(cfg, relax_enabled=True)),
+    )
 
 
 class TestRelaxation:
     def setup_method(self):
-        self.cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01)
-        tree = normalize(flanked_thin_run([3.0, 3.0, 3.0]), "strict")
-        self.before = layout_rit(tree, self.cfg)
-        self.after = relax_thin_nodes(self.before, self.cfg)
+        self.before, self.after = relaxed_pair(
+            flanked_thin_run([3.0, 3.0, 3.0]), r0=4.0, h0=2.0, relax_threshold=0.01
+        )
 
     def test_equal_gaps_across_span(self):
         left = self.after.node("left").sector
@@ -48,6 +69,7 @@ class TestRelaxation:
     def test_thin_nodes_flagged(self):
         relaxed = {n.id for n in self.after.nodes if n.relaxed}
         assert relaxed == {"t0", "t1", "t2"}
+        assert not any(n.relaxed for n in self.before.nodes)
 
     def test_areas_preserved(self):
         # Rotation keeps shapes congruent; the measured values differ only by
@@ -60,23 +82,20 @@ class TestRelaxation:
 
     def test_non_thin_geometry_untouched(self):
         for node_id in ("root", "left", "right"):
-            assert self.after.node(node_id).sector == self.before.node(node_id).sector
+            assert self.after.node(node_id) == self.before.node(node_id)
 
     def test_node_ids_preserved(self):
         assert [n.id for n in self.after.nodes] == [n.id for n in self.before.nodes]
 
 
 def test_no_op_without_thin_nodes():
-    tree = normalize(flanked_thin_run([300.0], left=350.0), "strict")
-    cfg = LayoutConfig(relax_threshold=0.01)
-    layout = layout_rit(tree, cfg)
-    assert relax_thin_nodes(layout, cfg) == layout
+    before, after = relaxed_pair(flanked_thin_run([300.0], left=350.0), relax_threshold=0.01)
+    assert after.nodes == before.nodes
+    assert not any(n.relaxed for n in after.nodes)
 
 
 def test_single_thin_child_centered():
-    cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01)
-    tree = normalize(flanked_thin_run([4.0]), "strict")
-    after = relax_thin_nodes(layout_rit(tree, cfg), cfg)
+    _, after = relaxed_pair(flanked_thin_run([4.0]), r0=4.0, h0=2.0, relax_threshold=0.01)
     sec = after.node("t0").sector
     lo = after.node("left").sector.cut_end
     hi = after.node("right").sector.cut_start
@@ -93,9 +112,7 @@ def test_boundary_run_uses_parent_half_wedge():
         ]),
         TreeNode("q", "q", 500.0),
     ])
-    cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01)
-    layout = layout_rit(normalize(tree, "strict"), cfg)
-    after = relax_thin_nodes(layout, cfg)
+    _, after = relaxed_pair(tree, r0=4.0, h0=2.0, relax_threshold=0.01)
     parent = after.node("p")
     thin = after.node("thin")
     assert thin.relaxed
@@ -115,10 +132,7 @@ def _moved_subtree_tree():
 
 
 def test_descendants_move_and_flag():
-    tree = _moved_subtree_tree()
-    cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01)
-    before = layout_rit(normalize(tree, "strict"), cfg)
-    after = relax_thin_nodes(before, cfg)
+    before, after = relaxed_pair(_moved_subtree_tree(), r0=4.0, h0=2.0, relax_threshold=0.01)
     shift = after.node("thin").sector.theta - before.node("thin").sector.theta
     assert shift != 0.0
     kid_shift = after.node("kid").sector.theta - before.node("kid").sector.theta
@@ -134,8 +148,9 @@ def test_moved_subtree_containment_excess(mode, kid_excess):
     # Recorded when each node stored its frame and a moved node's children
     # stored theirs shifted with it; the frame derived from the moved
     # parent's sector gives the same numbers.
-    cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01, mode=mode)
-    after = relax_thin_nodes(layout_rit(normalize(_moved_subtree_tree(), "strict"), cfg), cfg)
+    _, after = relaxed_pair(
+        _moved_subtree_tree(), r0=4.0, h0=2.0, relax_threshold=0.01, mode=mode
+    )
     assert after.node("kid").relaxed
     excess = {r.id: r.containment_excess for r in diagnostics(after).nodes}
     assert excess == {"root": 0.0, "left": 0.0, "thin": 0.0, "right": 0.0, "kid": kid_excess}
@@ -147,8 +162,7 @@ def test_whole_group_thin_spreads_into_parent_wedge_gap():
             TreeNode(f"t{i}", f"t{i}", 2.0) for i in range(4)]),
         TreeNode("q", "q", 500.0),
     ])
-    cfg = LayoutConfig(r0=4.0, h0=2.0, relax_threshold=0.01)
-    after = relax_thin_nodes(layout_rit(normalize(tree, "strict"), cfg), cfg)
+    _, after = relaxed_pair(tree, r0=4.0, h0=2.0, relax_threshold=0.01)
     parent = after.node("p")
     thins = [after.node(f"t{i}") for i in range(4)]
     assert all(t.relaxed for t in thins)
@@ -164,11 +178,13 @@ def test_whole_group_thin_spreads_into_parent_wedge_gap():
 
 
 def test_relaxation_requires_rit():
-    from rit_layout import layout_sunburst
-
+    # The baselines have no wedge gaps to spread into; they ignore the flag.
     tree = normalize(flanked_thin_run([3.0, 3.0, 3.0]), "strict")
-    with pytest.raises(ValueError):
-        relax_thin_nodes(layout_sunburst(tree, LayoutConfig()), LayoutConfig())
+    for place in (layout_sunburst, layout_icicle):
+        off = place(tree, LayoutConfig())
+        on = place(tree, LayoutConfig(relax_enabled=True))
+        assert on.nodes == off.nodes
+        assert not any(n.relaxed for n in on.nodes)
 
 
 def test_deep_thin_chain_relaxes_without_recursion():
@@ -180,8 +196,72 @@ def test_deep_thin_chain_relaxes_without_recursion():
     tree = NormalizedNode("root", "root", 1.0, children=[
         NormalizedNode("big", "big", 1.0 - 1e-4), chain[0],
     ])
-    cfg = LayoutConfig(relax_threshold=1e-3)
-    after = relax_thin_nodes(layout_rit(tree, cfg), cfg)
+    _, after = relaxed_pair(tree, relax_threshold=1e-3)
     relaxed = [n.id for n in after.nodes if n.relaxed]
     assert len(relaxed) == 1500
     assert set(relaxed) == {n.id for n in chain}
+
+
+@st.composite
+def _trees(draw):
+    """A tree of up to 40 nodes, in one of two kinds.
+
+    Summed: each node's value is its own share (0-20, zero allowed) plus
+    its children's, normalized, so some parents are underfull.  Free: any
+    data in {0} or [1e-3, 0.6] below a root of 1, as a hand-built
+    ``NormalizedNode`` tree may hold, so a thin parent can have a child
+    that is not thin.
+    """
+    n = draw(st.integers(1, 40))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    if draw(st.booleans()):
+        own = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n))
+        own[0] = max(own[0], 1)
+        nodes = [TreeNode(f"n{i}", f"n{i}", 0.0) for i in range(n)]
+        for i, p in enumerate(parents, start=1):
+            nodes[p].children.append(nodes[i])
+        for i in reversed(range(n)):
+            nodes[i].value = float(own[i] + sum(c.value for c in nodes[i].children))
+        return normalize(nodes[0], "strict")
+    # Data is 0 or at least 1e-3: a child far larger than a tiny parent is
+    # compressed onto a huge ring, where the area measurement alone loses
+    # the 1e-9 asked for below, and a subnormal parent gives no height.
+    values = st.one_of(st.just(0.0), st.floats(1e-3, 0.6))
+    data = [1.0] + draw(st.lists(values, min_size=n - 1, max_size=n - 1))
+    nodes = [NormalizedNode(f"n{i}", f"n{i}", d) for i, d in enumerate(data)]
+    for i, p in enumerate(parents, start=1):
+        nodes[p].children.append(nodes[i])
+    return nodes[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    tree=_trees(),
+    threshold=st.one_of(st.sampled_from([0.0, 1e-3, 0.01, 0.05]), st.floats(0.0, 0.6)),
+    mode=st.sampled_from(MODES),
+    theta0=st.sampled_from([0.0, -0.0, 1.25 * math.pi, 3.0]),
+    pick=st.integers(0, 39),
+)
+def test_relaxation_moves_exactly_the_thin_subtrees(tree, threshold, mode, theta0, pick):
+    if pick % 3 == 0:
+        # A threshold equal to some node's data: that node is not thin.
+        datas = [n.data for n in tree.walk()]
+        threshold = datas[pick % len(datas)]
+    before, after = relaxed_pair(tree, relax_threshold=threshold, mode=mode, theta0=theta0)
+    assert after.visits == before.visits
+    relaxed = {}
+    for old, new in zip(before.nodes, after.nodes, strict=True):
+        assert new.id == old.id
+        assert not old.relaxed
+        if new.parent is None:
+            expect = False
+        else:
+            expect = new.data < threshold or relaxed[new.parent]
+        relaxed[new.id] = new.relaxed
+        assert new.relaxed == expect
+        if not new.relaxed:
+            assert new == old
+            continue
+        assert dataclasses.replace(new, relaxed=False, sector=old.sector) == old
+        assert dataclasses.replace(new.sector, theta=old.sector.theta) == old.sector
+        assert path_area(new.path) == pytest.approx(path_area(old.path), rel=1e-9, abs=1e-12)
