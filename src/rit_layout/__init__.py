@@ -17,7 +17,6 @@ from .geometry import (
     LineSegment,
     Path,
     SectorGeometry,
-    annulus_area,
     build_node_path,
     clamp_wedge_angle,
     height_for_scale,
@@ -65,7 +64,6 @@ __all__ = [
     "SectorGeometry",
     "TreeInputError",
     "TreeNode",
-    "annulus_area",
     "assign_colors",
     "build_node_path",
     "clamp_wedge_angle",

@@ -158,24 +158,3 @@ def records_to_csv(records: list[BenchRecord]) -> str:
             [r.generator, r.cmax, r.depth, r.nodes, r.repeat, repr(r.seconds), r.visits]
         )
     return out.getvalue()
-
-
-def records_from_csv(text: str) -> list[BenchRecord]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise ValueError(f"unexpected bench csv header: {header}")
-    return [
-        BenchRecord(
-            generator=row[0],
-            cmax=int(row[1]),
-            depth=int(row[2]),
-            nodes=int(row[3]),
-            repeat=int(row[4]),
-            seconds=float(row[5]),
-            visits=int(row[6]),
-        )
-        for row in reader
-        if row
-    ]
-

@@ -4,7 +4,8 @@ Subcommands: render (SVG), layout (geometry JSON), compare (icicle +
 sunburst + rit SVGs with a diagnostics JSON), bench (scalability CSV with
 a linear fit), validate (input checks).
 
-Exit codes: 0 ok, 1 usage error, 2 input error, 3 validation failure.
+Exit codes: 0 ok, 1 usage error or failed write, 2 input error, 3 validation
+failure.
 """
 
 from __future__ import annotations
@@ -263,6 +264,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # Reads become TreeInputError where they happen, so this is a write.
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

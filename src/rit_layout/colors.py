@@ -29,14 +29,6 @@ def hsv_hex(hue_deg: float, sat: float, val: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(round(r * 255), round(g * 255), round(b * 255))
 
 
-def hex_hue(color: str) -> float:
-    """Hue of an #RRGGBB color in degrees."""
-    r = int(color[1:3], 16) / 255.0
-    g = int(color[3:5], 16) / 255.0
-    b = int(color[5:7], 16) / 255.0
-    return colorsys.rgb_to_hsv(r, g, b)[0] * 360.0
-
-
 def assign_colors(tree: NormalizedNode, palette: str = "hue-partition") -> NormalizedNode:
     """Return a copy of the tree with missing colors filled in."""
     if palette not in ("hue-partition", "fixed-list"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .geometry import ANGLE_EPS, max_wedge_angle
+from .geometry import max_wedge_angle
 from .layout import Layout
 from .measure import path_area
 
@@ -135,16 +135,3 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
         containment_violations=violations,
         max_containment_excess=max(excesses) if excesses else 0.0,
     )
-
-
-def wedge_bound_satisfied(layout: Layout) -> bool:
-    """True when every wedge angle clears both caps by at least ANGLE_EPS*bound."""
-    for n in layout.nodes:
-        sec = n.sector
-        if sec.alpha <= 0.0:
-            continue
-        half = 0.5 * sec.beta
-        hard = max_wedge_angle(sec.r_in, sec.outer_radius)
-        if sec.alpha > half - ANGLE_EPS * half or sec.alpha > hard - ANGLE_EPS * hard:
-            return False
-    return True

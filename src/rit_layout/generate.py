@@ -83,16 +83,6 @@ def generate_tree(spec: GeneratorSpec) -> TreeNode:
     return order[0]
 
 
-def node_count(spec: GeneratorSpec) -> int:
-    """Exact count for fixed trees: (c^(d+1)-1)/(c-1), or d+1 for c=1."""
-    if spec.kind != "fixed":
-        raise ValueError("only fixed trees have a closed-form node count")
-    c, d = spec.c_max, spec.depth
-    if c == 1:
-        return d + 1
-    return (c ** (d + 1) - 1) // (c - 1)
-
-
 def demo_tree() -> TreeNode:
     """Hand-built sample hierarchy exercising the three classic defects.
 

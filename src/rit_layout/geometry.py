@@ -36,17 +36,10 @@ def normalize_angle(theta: float) -> float:
     return theta + TAU if theta < 0.0 else theta
 
 
-def annulus_area(r: float, h: float) -> float:
-    """Area of the annulus with inner radius ``r`` and radial height ``h``."""
-    if r < 0.0 or h < 0.0:
-        raise ValueError(f"annulus_area requires r >= 0 and h >= 0, got r={r}, h={h}")
-    return math.pi * ((r + h) ** 2 - r * r)
-
-
 def sector_area(r: float, h: float, beta: float) -> float:
     """Area of an annular sector of arc angle ``beta``.
 
-    Reduces to ``annulus_area`` at ``beta = 2*pi``.
+    At ``beta = 2*pi`` this is the full annulus area.
     """
     if r < 0.0 or h < 0.0:
         raise ValueError(f"sector_area requires r >= 0 and h >= 0, got r={r}, h={h}")
@@ -110,14 +103,11 @@ def topup_height(
     beta: float,
     alpha: float,
     wedge_area: float,
-    variant: str = "exact",
 ) -> float:
     """Height of the top-up sector (angle ``beta - alpha``) replacing ``wedge_area``.
 
-    ``variant="exact"`` solves 0.5*(beta-alpha)*((R+h)^2 - R^2) = wedge_area,
-    so the added area equals the cut area.  ``variant="half"`` drops the 0.5
-    factor from the solve; the resulting top-up covers only half the loss and
-    is kept solely so the deficit can be measured.
+    Solves 0.5*(beta-alpha)*((R+h)^2 - R^2) = wedge_area, so the added area
+    equals the cut area.
     """
     if outer_radius <= 0.0:
         raise ValueError(f"outer radius must be > 0, got {outer_radius}")
@@ -127,12 +117,7 @@ def topup_height(
         raise ValueError(f"need 0 <= alpha < beta, got alpha={alpha}, beta={beta}")
     if wedge_area == 0.0:
         return 0.0
-    if variant == "exact":
-        q = 2.0 * wedge_area / (beta - alpha)
-    elif variant == "half":
-        q = wedge_area / (beta - alpha)
-    else:
-        raise ValueError(f"unknown top-up variant {variant!r}")
+    q = 2.0 * wedge_area / (beta - alpha)
     return q / (outer_radius + math.sqrt(outer_radius * outer_radius + q))
 
 

@@ -45,7 +45,6 @@ from .geometry import (
 from .tree import NormalizedNode, _require_valid_value, _sum_in_order
 
 MODES = ("contained", "literal")
-TOPUP_VARIANTS = ("exact", "half")
 STYLES = ("rit", "sunburst", "icicle")
 MIN_NORMAL = 2.0 ** -1022  # sys.float_info.min, the smallest normal float
 
@@ -71,8 +70,7 @@ class LayoutConfig:
     """Root placement and wedge controls.
 
     ``ar0`` is the initial wedge-angle ratio alpha/beta for depth-1 nodes;
-    ``acr`` multiplies it per generation.  ``topup_variant="half"`` selects
-    the deliberately deficient top-up solve kept for measurement.
+    ``acr`` multiplies it per generation.
     """
 
     theta0: float = 0.0
@@ -84,7 +82,6 @@ class LayoutConfig:
     mode: str = "contained"
     relax_enabled: bool = False
     relax_threshold: float = 0.01
-    topup_variant: str = "exact"
 
     def validate(self) -> None:
         require_finite(self, ("theta0", "r0", "h0", "acr", "relax_threshold"))
@@ -113,8 +110,6 @@ class LayoutConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.relax_threshold < 0.0:
             raise ValueError(f"relax threshold must be >= 0, got {self.relax_threshold}")
-        if self.topup_variant not in TOPUP_VARIANTS:
-            raise ValueError(f"topup_variant must be one of {TOPUP_VARIANTS}")
 
 
 @dataclass(frozen=True)
@@ -226,6 +221,13 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
             k = 1.0
         scale = scale_in * k
         h = height_for_scale(r, scale, a_std)
+        if not math.isfinite(h):
+            # Children whose data dwarfs a subnormal parent's compress the
+            # scale below what a ring height can make up for.
+            raise ValueError(
+                f"node {parent.id!r}: non-finite-ring-height: children of data sum "
+                f"{total!r} in a frame of angle {f_beta!r} give ring height {h}"
+            )
         big_r = r + h
 
         # Pass 1: place every child sector, packed from the frame start.
@@ -256,7 +258,7 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         for child, theta_child, beta_c, alpha, child_rot in placed:
             if alpha > 0.0:
                 lost = wedge_pair_area(r, h, alpha)
-                h_top = topup_height(big_r, beta_c, alpha, lost, cfg.topup_variant)
+                h_top = topup_height(big_r, beta_c, alpha, lost)
             else:
                 h_top = 0.0
             theta = theta_child if child_rot is None else theta_child + child_rot

@@ -115,7 +115,13 @@ def _node_from_json(obj, node_id: str) -> TreeNode:
     children_obj = obj.get("children", [])
     if not isinstance(children_obj, list):
         raise TreeInputError(f"node {node_id}: children must be an array")
-    node = TreeNode(id=node_id, label=obj["label"], value=float(obj["value"]), color=color)
+    try:
+        value = float(obj["value"])
+    except OverflowError:
+        raise TreeInputError(
+            f"node {node_id} ({obj['label']}): value is too large for a float"
+        ) from None
+    node = TreeNode(id=node_id, label=obj["label"], value=value, color=color)
     node.children = [
         _node_from_json(c, f"{node_id}.{i}") for i, c in enumerate(children_obj)
     ]
@@ -125,7 +131,10 @@ def _node_from_json(obj, node_id: str) -> TreeNode:
 def _parse_json_tree(text: str) -> TreeNode:
     try:
         return _node_from_json(json.loads(text), "0")
-    except json.JSONDecodeError as exc:
+    except TreeInputError:
+        raise
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal past Python's digit limit.
         raise TreeInputError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise TreeInputError("json-tree nesting is too deep to parse") from None
@@ -194,7 +203,10 @@ def _parse_csv_edges(text: str) -> TreeNode:
 def parse_tree(data: bytes | str, fmt: str) -> TreeNode:
     """Parse a byte stream or string in the given format ("json-tree"/"csv-edges")."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TreeInputError(f"input is not valid UTF-8: {exc}") from None
     if fmt == "json-tree":
         return _parse_json_tree(data)
     if fmt == "csv-edges":
@@ -243,6 +255,22 @@ def _value_violation(node_id: str, value: float) -> Violation | None:
     return None
 
 
+def _overfull_violation(node_id: str, value: float, child_sum: float) -> Violation | None:
+    """The overfull-parent rule that ``validate`` and ``normalize`` share.
+
+    Children may sum past their parent's value by ``SUM_TOL`` times the
+    larger of 1 and that value, to allow for rounding in the input.
+    """
+    excess = child_sum - value
+    if excess > SUM_TOL * max(1.0, abs(value)):
+        return Violation(
+            node_id,
+            "overfull-parent",
+            f"children sum {child_sum} exceeds parent value {value} by {excess}",
+        )
+    return None
+
+
 def _require_valid_value(
     node_id: str, value: float, error: type[ValueError] = NormalizationError
 ) -> None:
@@ -263,16 +291,9 @@ def validate(tree: TreeNode) -> list[Violation]:
                 continue
         if node.children:
             child_sum = _sum_in_order(c.value for c in node.children)
-            excess = child_sum - node.value
-            if excess > SUM_TOL * max(1.0, abs(node.value)):
-                violations.append(
-                    Violation(
-                        node.id,
-                        "overfull-parent",
-                        f"children sum {child_sum} exceeds parent value {node.value} "
-                        f"by {excess}",
-                    )
-                )
+            bad = _overfull_violation(node.id, node.value, child_sum)
+            if bad is not None:
+                violations.append(bad)
     return violations
 
 
@@ -309,35 +330,10 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
         child_scale = scale
         child_sum = _sum_in_order(c.value for c in node.children)
         if child_sum > node.value:
-            strict_breach = child_sum - node.value > SUM_TOL * max(1.0, abs(node.value))
-            if strict_breach and strategy == "strict":
-                raise NormalizationError(
-                    f"node {node.id!r}: children sum {child_sum} exceeds value "
-                    f"{node.value} by {child_sum - node.value}"
-                )
+            if strategy == "strict":
+                bad = _overfull_violation(node.id, node.value, child_sum)
+                if bad is not None:
+                    raise NormalizationError(f"node {node.id!r}: {bad.rule}: {bad.message}")
             child_scale = scale * node.value / child_sum
         stack.extend(zip(reversed(node.children), repeat(child_scale), repeat(out.children)))
     return copies[0]
-
-
-def normalized_violations(tree: NormalizedNode) -> list[Violation]:
-    """Invariant check for normalized trees (root=1, ranges, child sums)."""
-    violations: list[Violation] = []
-    if tree.data != 1.0:
-        violations.append(Violation(tree.id, "root-not-unit", f"root data {tree.data} != 1"))
-    for node in tree.walk():
-        if not 0.0 <= node.data <= 1.0:
-            violations.append(
-                Violation(node.id, "data-range", f"data {node.data} outside [0, 1]")
-            )
-        if node.children:
-            child_sum = _sum_in_order(c.data for c in node.children)
-            if child_sum > node.data + SUM_TOL:
-                violations.append(
-                    Violation(
-                        node.id,
-                        "overfull-parent",
-                        f"children data sum {child_sum} exceeds {node.data}",
-                    )
-                )
-    return violations

@@ -1,11 +1,13 @@
-"""Test-side numpy oracles: point samples and containment of node shapes.
+"""Test-side oracles: point samples, containment and reference checks.
 
 The package itself measures outlines exactly (``measure.path_area``) and
 imports only the standard library.  These helpers give the tests a second,
 independent view of the same shapes: polygonized loops for a shoelace
 cross-check, points spread along a boundary, a vectorized interior test
 straight from a sector's closed-form description, and the two wedges a
-sector's cuts remove.
+sector's cuts remove.  They also hold the reference checks the package
+does not run itself: the deficient half top-up solve, the wedge-angle
+bound with its ``ANGLE_EPS`` margin, and the normalized-tree invariants.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import numpy as np
 
 from rit_layout.geometry import (
+    ANGLE_EPS,
     TAU,
     ArcSegment,
     LineSegment,
@@ -23,8 +26,11 @@ from rit_layout.geometry import (
     Segment,
     _polar,
     is_full_turn,
+    max_wedge_angle,
 )
+from rit_layout.layout import Layout
 from rit_layout.measure import DEFAULT_ARC_STEP
+from rit_layout.tree import SUM_TOL, NormalizedNode, _sum_in_order
 
 
 def _arc_steps(seg: ArcSegment, max_step: float) -> int:
@@ -154,3 +160,44 @@ def sector_contains_points(
         )
         return in_main | in_top
     return in_main
+
+
+def half_topup_height(outer_radius: float, beta: float, alpha: float, wedge_area: float) -> float:
+    """The deficient top-up height: solves (beta-alpha)*((R+h)^2 - R^2) = wedge_area.
+
+    The solve lacks the 0.5 of a sector's area, so the top-up it gives adds
+    only half of ``wedge_area``.
+    """
+    q = wedge_area / (beta - alpha)
+    return q / (outer_radius + math.sqrt(outer_radius * outer_radius + q))
+
+
+def wedge_bound_satisfied(layout: Layout) -> bool:
+    """True when every wedge angle clears both caps by at least ANGLE_EPS*bound."""
+    for n in layout.nodes:
+        sec = n.sector
+        if sec.alpha <= 0.0:
+            continue
+        half = 0.5 * sec.beta
+        hard = max_wedge_angle(sec.r_in, sec.outer_radius)
+        if sec.alpha > half - ANGLE_EPS * half or sec.alpha > hard - ANGLE_EPS * hard:
+            return False
+    return True
+
+
+def normalized_violations(tree: NormalizedNode) -> list[tuple[str, str]]:
+    """(node id, rule) for each broken invariant of a normalized tree.
+
+    The root's data is exactly 1, every data is in [0, 1], and children's
+    data sum to at most their parent's plus ``SUM_TOL``.
+    """
+    violations: list[tuple[str, str]] = []
+    if tree.data != 1.0:
+        violations.append((tree.id, "root-not-unit"))
+    for node in tree.walk():
+        if not 0.0 <= node.data <= 1.0:
+            violations.append((node.id, "data-range"))
+        if node.children:
+            if _sum_in_order(c.data for c in node.children) > node.data + SUM_TOL:
+                violations.append((node.id, "overfull-parent"))
+    return violations

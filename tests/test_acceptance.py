@@ -31,10 +31,15 @@ from rit_layout import (
     wedge_pair_area,
 )
 from rit_layout.cli import main
-from rit_layout.diagnostics import diagnostics, wedge_bound_satisfied
+from rit_layout.diagnostics import diagnostics
 
 from conftest import TAU, full_chain
-from oracles import path_boundary_points, sector_contains_points
+from oracles import (
+    half_topup_height,
+    path_boundary_points,
+    sector_contains_points,
+    wedge_bound_satisfied,
+)
 from test_relax import flanked_thin_run
 
 AREA_TOL = 1e-6
@@ -167,15 +172,18 @@ def test_criterion_4_wedge_angle_bounds(corpus_layouts):
 
 def test_criterion_5_half_topup_deficit():
     with criterion(5, "un-halved top-up leaves exactly half the wedge loss"):
-        cfg = LayoutConfig(r0=8.0, h0=2.0, topup_variant="half")
-        layout = layout_rit(normalize(demo_tree(), "strict"), cfg)
+        # Each wedged sector of the default layout, rebuilt with the
+        # un-halved top-up solve in place of the exact one.
+        layout = layout_rit(normalize(demo_tree(), "strict"), LayoutConfig(r0=8.0, h0=2.0))
         wedged = 0
         for node in layout.nodes:
             sec = node.sector
             if sec.alpha <= 0.0:
                 continue
             lost = wedge_pair_area(sec.r_in, sec.height, sec.alpha)
-            measured = path_area(node.path)
+            half = half_topup_height(sec.outer_radius, sec.beta, sec.alpha, lost)
+            assert 0.0 < half < sec.topup_height
+            measured = path_area(replace(sec, topup_height=half).outline())
             expected = node.data * layout.a_std - 0.5 * lost
             assert abs(measured - expected) / expected <= AREA_TOL
             wedged += 1

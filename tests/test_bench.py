@@ -1,9 +1,11 @@
+import csv
+import io
 import math
 
 import pytest
 
 from rit_layout import GeneratorSpec, fit_linear, run_bench
-from rit_layout.bench import BenchRecord, records_from_csv, records_to_csv
+from rit_layout.bench import BenchRecord, records_to_csv
 
 
 class TestFitLinear:
@@ -79,13 +81,12 @@ class TestCsv:
             BenchRecord("fixed", 2, 3, 15, 0, 0.00123456789, 43),
             BenchRecord("random", 8, 2, 9, 1, 0.5, 25),
         ]
-        assert records_from_csv(records_to_csv(records)) == records
+        rows = list(csv.reader(io.StringIO(records_to_csv(records))))[1:]
+        assert [
+            BenchRecord(g, int(c), int(d), int(n), int(r), float(s), int(v))
+            for g, c, d, n, r, s, v in rows
+        ] == records
 
     def test_header(self):
         text = records_to_csv([])
         assert text.splitlines()[0] == "generator,cmax,depth,nodes,repeat,seconds,visits"
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            records_from_csv("a,b,c\n1,2,3\n")
-

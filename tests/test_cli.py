@@ -166,6 +166,47 @@ def test_bad_node_value_exit_2(tmp_path, capsys, command, fmt, suffix, bad_id, v
     assert bad_id in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["9" * 400, "9" * 5000], ids=["400-digits", "5000-digits"])
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_value_too_large_exit_2(tmp_path, capsys, command, value):
+    src = tmp_path / "big.json"
+    src.write_text('{"label": "r", "value": 1, "children": [{"label": "b", "value": '
+                   + value + "}]}")
+    out = ["--output", str(tmp_path / "x.svg")] if command == "render" else []
+    assert main([command, "--input", str(src), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    if len(value) == 400:
+        assert "node 0.0 (b): value is too large for a float" in err
+
+
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_non_utf8_input_exit_2(tmp_path, capsys, command, suffix):
+    src = tmp_path / f"latin1.{suffix}"
+    # "ré" in Latin-1: the byte 0xe9 starts no UTF-8 sequence here.
+    src.write_bytes(b"parent_id,id,label,value,color\n,r,r\xe9,1,\n" if suffix == "csv"
+                    else b'{"label": "r\xe9", "value": 1}')
+    out = ["--output", str(tmp_path / "x.svg")] if command == "render" else []
+    assert main([command, "--input", str(src), *out]) == 2
+    assert "input is not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["render", "layout", "compare", "bench"])
+def test_write_failure_exit_1(tmp_path, capsys, demo_file, command):
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    missing = str(tmp_path / "missing" / "out")
+    args = {
+        "render": ["render", "--input", demo_file, "--output", missing],
+        "layout": ["layout", "--input", demo_file, "--output", str(tmp_path / "a_dir")],
+        "compare": ["compare", "--input", demo_file, "--outdir", str(tmp_path / "a_file")],
+        "bench": ["bench", "--depths", "1..2", "--repeats", "1", "--csv", missing],
+    }[command]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write: ")
+
+
 class TestLayoutCommand:
     def test_geometry_json(self, demo_file, tmp_path):
         out = tmp_path / "layout.json"

@@ -1,8 +1,16 @@
+import colorsys
+
 import pytest
 
 from rit_layout import assign_colors, demo_tree, normalize
-from rit_layout.colors import FIXED_PALETTE, ROOT_GREY, hex_hue
+from rit_layout.colors import FIXED_PALETTE, ROOT_GREY
 from rit_layout.tree import NormalizedNode, TreeNode
+
+
+def hex_hue(color: str) -> float:
+    """Hue of an #RRGGBB color in degrees."""
+    r, g, b = (v / 255.0 for v in bytes.fromhex(color[1:]))
+    return colorsys.rgb_to_hsv(r, g, b)[0] * 360.0
 
 
 def bare_tree(n_children, grandchildren=0):

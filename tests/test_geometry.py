@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rit_layout import (
-    annulus_area,
     build_node_path,
     clamp_wedge_angle,
     height_for_scale,
@@ -27,32 +26,36 @@ from rit_layout.geometry import (
     normalize_angle,
 )
 
-from oracles import path_boundary_points, sector_contains_points, wedge_paths
+from oracles import half_topup_height, path_boundary_points, sector_contains_points, wedge_paths
 
 TAU = 2.0 * math.pi
 
 
 class TestAnnulusArea:
+    """A full annulus is a sector of angle 2*pi."""
+
     def test_ring(self):
-        assert annulus_area(2.0, 1.0) == pytest.approx(5.0 * math.pi, rel=1e-15)
+        assert sector_area(2.0, 1.0, TAU) == pytest.approx(5.0 * math.pi, rel=1e-15)
 
     def test_disc(self):
-        assert annulus_area(0.0, 1.5) == pytest.approx(2.25 * math.pi, rel=1e-15)
+        assert sector_area(0.0, 1.5, TAU) == pytest.approx(2.25 * math.pi, rel=1e-15)
 
     def test_second_ring_grows(self):
-        assert annulus_area(3.0, 1.0) == pytest.approx(7.0 * math.pi, rel=1e-15)
-        assert annulus_area(3.0, 1.0) > annulus_area(2.0, 1.0)
+        assert sector_area(3.0, 1.0, TAU) == pytest.approx(7.0 * math.pi, rel=1e-15)
+        assert sector_area(3.0, 1.0, TAU) > sector_area(2.0, 1.0, TAU)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            annulus_area(-1.0, 1.0)
+            sector_area(-1.0, 1.0, TAU)
         with pytest.raises(ValueError):
-            annulus_area(1.0, -0.5)
+            sector_area(1.0, -0.5, TAU)
 
 
 class TestSectorArea:
     def test_full_turn_matches_annulus(self):
-        assert sector_area(2.0, 1.0, TAU) == pytest.approx(annulus_area(2.0, 1.0), rel=1e-15)
+        for r, h in [(2.0, 1.0), (0.0, 3.0), (10.0, 0.25)]:
+            annulus = math.pi * ((r + h) ** 2 - r * r)
+            assert sector_area(r, h, TAU) == pytest.approx(annulus, rel=1e-15)
 
     def test_half_disc(self):
         assert sector_area(0.0, 1.0, math.pi) == pytest.approx(math.pi / 2, rel=1e-15)
@@ -169,7 +172,7 @@ class TestTopupHeight:
         # The un-halved solve: (beta-alpha)*((R+h)^2 - R^2) = w, so the real
         # sector area added is only w/2.
         w = wedge_pair_area(1.0, 1.0, 0.2)
-        h_t = topup_height(2.0, 1.0, 0.2, w, variant="half")
+        h_t = half_topup_height(2.0, 1.0, 0.2, w)
         assert h_t == pytest.approx(math.sqrt(4.0 + w / 0.8) - 2.0, rel=1e-12)
         added = 0.5 * (1.0 - 0.2) * ((2.0 + h_t) ** 2 - 4.0)
         assert added == pytest.approx(w / 2.0, rel=1e-12)

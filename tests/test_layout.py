@@ -20,7 +20,6 @@ from rit_layout import (
     path_area,
     sector_area,
 )
-from rit_layout.diagnostics import wedge_bound_satisfied
 from rit_layout.geometry import (
     ArcSegment,
     BandGeometry,
@@ -34,6 +33,7 @@ from rit_layout.layout import Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
+from oracles import wedge_bound_satisfied
 from test_golden import QUARTER
 
 
@@ -450,6 +450,19 @@ def test_bad_hand_built_data_names_node_and_rule(place, data, rule):
         NormalizedNode("ok", "ok", 0.5), NormalizedNode("bad", "bad", data)])
     with pytest.raises(ValueError, match=f"^node 'bad': {rule}: value {data} "):
         place(tree)
+
+
+@pytest.mark.parametrize("b_data", [0.5, 1e-13])
+def test_child_dwarfing_subnormal_parent_names_node_and_rule(b_data):
+    # 1e-13 over a parent of 5e-324 is within the overfull-parent tolerance,
+    # yet the compressed frame still leaves no finite ring height.
+    tree = NormalizedNode("r", "r", 1.0, children=[
+        NormalizedNode("a", "a", 5e-324, children=[NormalizedNode("b", "b", b_data)])])
+    with pytest.raises(ValueError, match="^node 'a': non-finite-ring-height: "):
+        layout_rit(tree)
+    for layout in (layout_rit(tree, LayoutConfig(mode="literal")),
+                   layout_sunburst(tree), layout_icicle(tree)):
+        assert [n.id for n in layout.nodes] == ["r", "a", "b"]
 
 
 class TestDerivedOutline:

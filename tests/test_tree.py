@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rit_layout import GeneratorSpec, demo_tree, generate_tree, normalize, parse_tree, serialize_tree, validate
-from rit_layout.generate import default_schedule, node_count
+from rit_layout.generate import default_schedule
 from rit_layout.tree import (
     NormalizationError,
     TreeInputError,
     TreeNode,
     _sum_in_order,
-    normalized_violations,
 )
 
 from conftest import tree_equal_ignoring_ids
+from oracles import normalized_violations
 
 FIG_JSON = b'{"label":"root","value":100,"children":[{"label":"a","value":75},{"label":"b","value":25}]}'
 
@@ -172,6 +172,21 @@ class TestNormalize:
         with pytest.raises(NormalizationError, match="'p'.*exceeds"):
             normalize(tree, "strict")
 
+    @pytest.mark.parametrize("excess, overfull", [(2e-6, True), (5e-7, False)])
+    def test_strict_shares_validates_overfull_rule(self, excess, overfull):
+        # The tolerance is SUM_TOL relative to a parent value above 1.
+        tree = TreeNode("p", "p", 1e6, children=[
+            TreeNode("a", "a", 5e5), TreeNode("b", "b", 5e5 + excess)])
+        violations = validate(tree)
+        if not overfull:
+            assert violations == []
+            assert normalize(tree, "strict").children[1].data > 0.5
+            return
+        (bad,) = violations
+        with pytest.raises(NormalizationError) as info:
+            normalize(tree, "strict")
+        assert str(info.value) == f"node 'p': overfull-parent: {bad.message}"
+
     def test_renormalize_scales_children(self):
         tree = TreeNode("p", "p", 10, children=[
             TreeNode("a", "a", 6), TreeNode("b", "b", 6)])
@@ -243,7 +258,7 @@ class TestNormalize:
                 TreeNode("a2", "a2", 3)]),
             TreeNode("b", "b", 1, children=[TreeNode("y", "y", math.nan)]),
         ])
-        with pytest.raises(NormalizationError, match="'a': children sum"):
+        with pytest.raises(NormalizationError, match="'a': overfull-parent: children sum"):
             normalize(tree, "strict")
         with pytest.raises(NormalizationError, match="'x': negative-value"):
             normalize(tree, "renormalize")
@@ -256,7 +271,6 @@ class TestGenerate:
     def test_fixed_binary_depth8(self):
         tree = generate_tree(GeneratorSpec("fixed", 2, 8))
         assert tree.count() == 511
-        assert tree.count() == node_count(GeneratorSpec("fixed", 2, 8))
 
     def test_fixed_unary_is_chain(self):
         tree = generate_tree(GeneratorSpec("fixed", 1, 4))
