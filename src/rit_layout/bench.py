@@ -74,22 +74,30 @@ def fit_linear(points: list[tuple[float, float]]) -> FitResult:
     return FitResult(slope=slope, intercept=intercept, r_squared=1.0 - ss_res / syy)
 
 
-def _timed_layout(tree: NormalizedNode) -> tuple[float, Layout]:
-    # As in timeit, the cyclic garbage collector is off while timing: a full
-    # collection costs time in proportion to the whole process heap, not to
-    # the layout, which builds no reference cycles.
-    gc_was_enabled = gc.isenabled()
+@contextlib.contextmanager
+def gc_paused():
+    """Run the block with the cyclic garbage collector off.
+
+    The collector is turned back on at exit only if it was on at entry, so
+    a caller that had disabled it keeps it disabled, and nested pauses do
+    not end early.
+    """
+    was_enabled = gc.isenabled()
     gc.disable()
     try:
-        t0 = time.perf_counter()
-        layout = layout_rit(tree)
-        # Outlines are derived on first use; the drawn geometry is timed too.
-        for node in layout.nodes:
-            node.path
-        return time.perf_counter() - t0, layout
+        yield
     finally:
-        if gc_was_enabled:
+        if was_enabled:
             gc.enable()
+
+
+def _timed_layout(tree: NormalizedNode) -> tuple[float, Layout]:
+    t0 = time.perf_counter()
+    layout = layout_rit(tree)
+    # Outlines are derived on first use; the drawn geometry is timed too.
+    for node in layout.nodes:
+        node.path
+    return time.perf_counter() - t0, layout
 
 
 def run_bench(
@@ -123,7 +131,11 @@ def run_bench(
 
     per_spec: list[list[BenchRecord]] = [[] for _ in trees]
     digests: dict[tuple[str, int, int], str] = {}
-    with ThreadPoolExecutor() if parallel else contextlib.nullcontext() as pool:
+    # As in timeit, the cyclic garbage collector is off while timing: a full
+    # collection costs time in proportion to the whole process heap, not to
+    # the layout, which builds no reference cycles.  It is paused once here,
+    # on this thread, so no worker thread can turn it back on mid-round.
+    with gc_paused(), ThreadPoolExecutor() if parallel else contextlib.nullcontext() as pool:
         mapper = pool.map if parallel else map
         for rep in range(repeats):
             timed = mapper(_timed_layout, trees)

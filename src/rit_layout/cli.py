@@ -11,6 +11,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -19,6 +21,7 @@ from pathlib import Path as FsPath
 from .bench import (
     DEFAULT_NODE_CAP,
     GeneratorSpec,
+    gc_paused,
     records_to_csv,
     run_bench,
 )
@@ -108,7 +111,9 @@ def _load_tree(path: str, strategy: str = "strict"):
     return normalize(parse_tree(data, detect_format(path)), strategy)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The ``rit`` parser, built once per process and reused by every ``main`` call."""
     parser = _Parser(prog="rit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -201,16 +206,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         GeneratorSpec(args.generator, args.cmax, depth, seed=args.seed + depth)
         for depth in args.depths
     ]
-    result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap,
-                       parallel=args.parallel)
+    # A bad spec must not truncate the CSV; an unwritable CSV must fail
+    # before any tree is timed.
+    for spec in specs:
+        spec.validate()
+    with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as out:
+        result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap,
+                           parallel=args.parallel)
+        if out is not None:
+            out.write(records_to_csv(result.records))
     for spec, n in result.skipped:
         print(
             f"warning: skipped {spec.kind} cmax={spec.c_max} depth={spec.depth}: "
             f"{n} nodes exceeds cap {args.node_cap}",
             file=sys.stderr,
         )
-    if args.csv:
-        FsPath(args.csv).write_text(records_to_csv(result.records), encoding="utf-8")
     if result.fit.defined:
         note = " (parallel; timings not comparable)" if result.parallel else ""
         print(
@@ -251,24 +261,30 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
-    except (TreeInputError, NormalizationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        # Reads become TreeInputError where they happen, so this is a write.
-        print(f"error: cannot write: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    """Run one ``rit`` command and return its exit code.
+
+    The command runs with the cyclic garbage collector paused: its layouts
+    build no reference cycles, yet every full collection would walk all of
+    their records.  The caller's collector state is restored on every exit.
+    """
+    with gc_paused():
+        try:
+            args = build_parser().parse_args(argv)
+        except _UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            return _COMMANDS[args.command](args)
+        except (TreeInputError, NormalizationError) as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except OSError as exc:
+            # Reads become TreeInputError where they happen, so this is a write.
+            print(f"error: cannot write: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -105,27 +105,36 @@ def _check_color(color, where: str) -> str | None:
 
 
 def _node_from_json(obj, node_id: str) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise TreeInputError(f"node {node_id}: expected an object, got {type(obj).__name__}")
-    if "label" not in obj or not isinstance(obj["label"], str):
-        raise TreeInputError(f"node {node_id}: missing or non-string label")
-    if "value" not in obj or not isinstance(obj["value"], (int, float)) or isinstance(obj["value"], bool):
-        raise TreeInputError(f"node {node_id} ({obj.get('label')}): missing or non-numeric value")
-    color = _check_color(obj.get("color"), f"node {node_id}")
-    children_obj = obj.get("children", [])
-    if not isinstance(children_obj, list):
-        raise TreeInputError(f"node {node_id}: children must be an array")
-    try:
-        value = float(obj["value"])
-    except OverflowError:
-        raise TreeInputError(
-            f"node {node_id} ({obj['label']}): value is too large for a float"
-        ) from None
-    node = TreeNode(id=node_id, label=obj["label"], value=value, color=color)
-    node.children = [
-        _node_from_json(c, f"{node_id}.{i}") for i, c in enumerate(children_obj)
-    ]
-    return node
+    """Build the tree under ``obj``, checking its nodes in preorder.
+
+    The walk keeps an explicit stack, so only ``json.loads`` limits depth.
+    """
+    built: list[TreeNode] = []
+    stack = [(obj, node_id, built)]
+    while stack:
+        obj, node_id, siblings = stack.pop()
+        if not isinstance(obj, dict):
+            raise TreeInputError(f"node {node_id}: expected an object, got {type(obj).__name__}")
+        if "label" not in obj or not isinstance(obj["label"], str):
+            raise TreeInputError(f"node {node_id}: missing or non-string label")
+        if "value" not in obj or not isinstance(obj["value"], (int, float)) or isinstance(obj["value"], bool):
+            raise TreeInputError(f"node {node_id} ({obj.get('label')}): missing or non-numeric value")
+        color = _check_color(obj.get("color"), f"node {node_id}")
+        children_obj = obj.get("children", [])
+        if not isinstance(children_obj, list):
+            raise TreeInputError(f"node {node_id}: children must be an array")
+        try:
+            value = float(obj["value"])
+        except OverflowError:
+            raise TreeInputError(
+                f"node {node_id} ({obj['label']}): value is too large for a float"
+            ) from None
+        node = TreeNode(node_id, obj["label"], value, color)
+        siblings.append(node)
+        # Pushed last child first, so the first child's subtree is built next.
+        for i in range(len(children_obj) - 1, -1, -1):
+            stack.append((children_obj[i], f"{node_id}.{i}", node.children))
+    return built[0]
 
 
 def _parse_json_tree(text: str) -> TreeNode:

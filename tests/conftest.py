@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -32,3 +33,18 @@ def demo():
 @pytest.fixture
 def default_cfg():
     return LayoutConfig(r0=8.0, h0=2.0, beta0=TAU)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def caller_gc(request):
+    """Set the collector on or off, as a caller might have it; restored after the test."""
+    was_enabled = gc.isenabled()
+    if request.param:
+        gc.enable()
+    else:
+        gc.disable()
+    yield request.param
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()

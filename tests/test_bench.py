@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import math
 
 import pytest
 
 from rit_layout import GeneratorSpec, fit_linear, run_bench
+from rit_layout import bench
 from rit_layout.bench import BenchRecord, records_to_csv
 
 
@@ -67,6 +69,24 @@ class TestRunBench:
         parallel = run_bench(specs, repeats=1, node_cap=10_000, parallel=True)
         assert serial.digests == parallel.digests
         assert parallel.parallel
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+    def test_gc_paused_while_timing(self, monkeypatch, caller_gc, parallel):
+        # Each layout ends with the collector still off, also when a thread
+        # pool finishes other layouts meanwhile; the caller's state comes back.
+        real_layout_rit = bench.layout_rit
+        seen = []
+
+        def layout_and_look(tree):
+            layout = real_layout_rit(tree)
+            seen.append(gc.isenabled())
+            return layout
+
+        monkeypatch.setattr(bench, "layout_rit", layout_and_look)
+        run_bench([GeneratorSpec("fixed", 2, d) for d in (4, 5, 6)], repeats=2,
+                  parallel=parallel)
+        assert gc.isenabled() is caller_gc
+        assert seen == [False] * 6
 
     def test_repeat_determinism(self):
         specs = [GeneratorSpec("semi-random", 5, 3, seed=11)]

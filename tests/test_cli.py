@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from rit_layout import demo_tree, serialize_tree
+from rit_layout import GeneratorSpec, demo_tree, generate_tree, serialize_tree
+from rit_layout import cli
+from rit_layout.bench import gc_paused
 from rit_layout.cli import main
 from rit_layout.tree import TreeNode
 
@@ -130,10 +133,10 @@ class TestRender:
         assert not out.exists()
 
     def test_too_deep_json_nesting_exit_2(self, tmp_path, capsys):
-        # Deeper than the recursion limit: json.loads gives up first on
-        # 3.10/3.11, _node_from_json on 3.12+, whose json.loads nests deeper.
-        # Built by hand: json.dumps would itself recurse that deep.
-        depth = sys.getrecursionlimit() + 500
+        # Deeper than json.loads nests on 3.10-3.13; the tree walk after it
+        # has no depth limit of its own.  Built by hand: json.dumps would
+        # itself recurse that deep.
+        depth = 100_000
         leaf = '{"label":"n","value":1}'
         text = '{"label":"n","value":1,"children":[' * depth + leaf + "]}" * depth
         src = tmp_path / "deep.json"
@@ -332,6 +335,92 @@ class TestBenchCommand:
                    "--csv", str(tmp_path / "b.csv")])
         assert rc == 0
         assert "skipped" in capsys.readouterr().err
+
+    def test_unwritable_csv_fails_before_timing(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench was called")
+
+        monkeypatch.setattr(cli, "run_bench", never)
+        rc = main(["bench", "--csv", str(tmp_path / "missing" / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: cannot write: ")
+
+    def test_bad_depth_keeps_existing_csv(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        out.write_text("earlier run\n")
+        assert main(["bench", "--depths", "0", "--csv", str(out)]) == 1
+        assert "depth must be >= 1" in capsys.readouterr().err
+        assert out.read_text() == "earlier run\n"
+
+
+@pytest.mark.parametrize("case, code", [
+    ("render", 0),
+    ("usage", 1),
+    ("config", 1),
+    ("write", 1),
+    ("input", 2),
+    ("validate", 3),
+])
+def test_gc_state_restored_on_exit(tmp_path, capsys, demo_file, caller_gc, case, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    overfull = tmp_path / "over.json"
+    overfull.write_text('{"label": "p", "value": 1, "children": ['
+                        '{"label": "a", "value": 1}, {"label": "b", "value": 1}]}')
+    out = str(tmp_path / "x.svg")
+    args = {
+        "render": ["render", "--input", demo_file, "--output", out],
+        "usage": ["render", "--input", demo_file, "--frobnicate"],
+        "config": ["render", "--input", demo_file, "--output", out, "--ar", "0.7"],
+        "write": ["render", "--input", demo_file, "--output", str(tmp_path / "no" / "x.svg")],
+        "input": ["render", "--input", str(bad), "--output", out],
+        "validate": ["validate", "--input", str(overfull)],
+    }[case]
+    assert main(args) == code
+    assert gc.isenabled() is caller_gc
+
+
+def test_gc_state_restored_when_a_command_raises(demo_file, tmp_path, caller_gc, monkeypatch):
+    during = []
+
+    def boom(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "render", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["render", "--input", demo_file, "--output", str(tmp_path / "x.svg")])
+    assert during == [False]
+    assert gc.isenabled() is caller_gc
+
+
+def test_reused_parser_keeps_no_values_between_calls(demo_file, tmp_path):
+    relaxed, plain = tmp_path / "relaxed.svg", tmp_path / "plain.svg"
+    assert main(["render", "--input", demo_file, "--output", str(relaxed), "--relax"]) == 0
+    assert main(["render", "--input", demo_file, "--output", str(plain)]) == 0
+    assert b"relax=True " in relaxed.read_bytes()
+    assert b"relax=False " in plain.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["render", "layout", "compare"])
+def test_cyclic_garbage_per_call_is_bounded(tmp_path, demo_file, command):
+    # The collector is paused during a command, so whatever reference cycles
+    # a call leaves wait for the next collection: there must be few, and no
+    # more for a 4,095-node tree than for the 18-node demo.
+    big = tmp_path / "big.json"
+    big.write_text(serialize_tree(generate_tree(GeneratorSpec("fixed", 2, 11)), "json-tree"))
+    out = ["--outdir", str(tmp_path / "cmp")] if command == "compare" else [
+        "--output", str(tmp_path / "out")]
+    counts = []
+    with gc_paused():
+        for src in (demo_file, str(big)):
+            argv = [command, "--input", src, *out]
+            assert main(argv) == 0  # warm-up
+            gc.collect()
+            assert main(argv) == 0
+            counts.append(gc.collect())
+    assert counts[0] < 100
+    assert counts[1] <= counts[0]
 
 
 class TestDeterminismAcrossProcesses:

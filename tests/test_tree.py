@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,7 @@ from rit_layout.tree import (
     NormalizationError,
     TreeInputError,
     TreeNode,
+    _node_from_json,
     _sum_in_order,
 )
 
@@ -63,6 +65,35 @@ class TestParse:
     def test_json_malformed(self, payload):
         with pytest.raises(TreeInputError):
             parse_tree(payload, "json-tree")
+
+    def test_json_ids_are_positional(self):
+        tree = parse_tree(b'{"label":"r","value":3,"children":[{"label":"a","value":1},'
+                          b'{"label":"b","value":2,"children":[{"label":"c","value":2}]}]}',
+                          "json-tree")
+        assert [(n.id, n.label) for n in tree.walk()] == [
+            ("0", "r"), ("0.0", "a"), ("0.1", "b"), ("0.1.0", "c")]
+
+    def test_json_first_bad_node_in_preorder_is_named(self):
+        # 0.0.0 comes before 0.1 in preorder, but after it breadth-first.
+        obj = {"label": "r", "value": 3, "children": [
+            {"label": "a", "value": 1, "children": [{"value": 1}]},
+            {"label": "b", "value": "x"}]}
+        with pytest.raises(TreeInputError, match=r"^node 0\.0\.0: missing or non-string label$"):
+            _node_from_json(obj, "0")
+        del obj["children"][0]["children"]
+        with pytest.raises(TreeInputError, match=r"^node 0\.1 \(b\): missing or non-numeric value$"):
+            _node_from_json(obj, "0")
+
+    def test_json_chain_deeper_than_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 500
+        obj = {"label": "leaf", "value": 1}
+        for _ in range(depth - 1):
+            obj = {"label": "n", "value": 1, "children": [obj]}
+        tree = _node_from_json(obj, "0")
+        ids = [n.id for n in tree.walk()]
+        assert len(ids) == depth
+        assert ids[-1] == "0" + ".0" * (depth - 1)
+        assert [len(n.children) for n in tree.walk()] == [1] * (depth - 1) + [0]
 
     def test_csv_duplicate_id(self):
         bad = FIG_CSV + "root,a,a2,1,\n"
