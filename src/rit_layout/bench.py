@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .generate import GeneratorSpec, generate_tree
-from .layout import Layout, layout_rit, layout_to_json
+from .layout import layout_rit
 from .tree import NormalizedNode, normalize
 
 CSV_HEADER = ("generator", "cmax", "depth", "nodes", "repeat", "seconds", "visits")
@@ -51,9 +51,7 @@ class FitResult:
 class BenchResult:
     records: list[BenchRecord]
     fit: FitResult
-    digests: dict[tuple[str, int, int], str]
-    skipped: list[tuple[GeneratorSpec, int]]
-    parallel: bool = False
+    skipped: list[GeneratorSpec]
 
 
 def fit_linear(points: list[tuple[float, float]]) -> FitResult:
@@ -91,61 +89,45 @@ def gc_paused():
             gc.enable()
 
 
-def _timed_layout(tree: NormalizedNode) -> tuple[float, Layout]:
+def _timed_layout(tree: NormalizedNode) -> tuple[float, int]:
+    """Seconds for one layout plus every outline, and the layout's visit count."""
     t0 = time.perf_counter()
     layout = layout_rit(tree)
     # Outlines are derived on first use; the drawn geometry is timed too.
     for node in layout.nodes:
         node.path
-    return time.perf_counter() - t0, layout
+    return time.perf_counter() - t0, layout.visits
 
 
 def run_bench(
     specs: list[GeneratorSpec],
     repeats: int = 5,
     node_cap: int = DEFAULT_NODE_CAP,
-    parallel: bool = False,
 ) -> BenchResult:
     """Generate, lay out (default ``LayoutConfig``), and time every spec under the node cap.
 
-    Specs whose trees exceed the cap are skipped (recorded in ``skipped``).
-    With ``parallel`` each round's trees run on a thread pool; geometry
-    stays deterministic but the timings are not comparable across specs.
+    A spec whose tree has more than ``node_cap`` nodes is skipped (listed in
+    ``skipped``); its generation stops as soon as it passes the cap.
     """
-    # Imported here, not at module level: only this function needs them, and
-    # concurrent.futures pulls in logging, which every CLI start would pay.
-    import hashlib
-    from concurrent.futures import ThreadPoolExecutor
-
-    kept: list[tuple[GeneratorSpec, int]] = []
-    trees: list[NormalizedNode] = []
-    skipped: list[tuple[GeneratorSpec, int]] = []
+    kept: list[tuple[GeneratorSpec, int, NormalizedNode]] = []
+    skipped: list[GeneratorSpec] = []
     for spec in specs:
-        raw = generate_tree(spec)
-        n = raw.count()
-        if n > node_cap:
-            skipped.append((spec, n))
+        raw = generate_tree(spec, max_nodes=node_cap)
+        if raw is None:
+            skipped.append(spec)
         else:
-            kept.append((spec, n))
-            trees.append(normalize(raw, "strict"))
+            kept.append((spec, raw.count(), normalize(raw, "strict")))
 
-    per_spec: list[list[BenchRecord]] = [[] for _ in trees]
-    digests: dict[tuple[str, int, int], str] = {}
+    per_spec: list[list[BenchRecord]] = [[] for _ in kept]
     # As in timeit, the cyclic garbage collector is off while timing: a full
     # collection costs time in proportion to the whole process heap, not to
-    # the layout, which builds no reference cycles.  It is paused once here,
-    # on this thread, so no worker thread can turn it back on mid-round.
-    with gc_paused(), ThreadPoolExecutor() if parallel else contextlib.nullcontext() as pool:
-        mapper = pool.map if parallel else map
+    # the layout, which builds no reference cycles.
+    with gc_paused():
         for rep in range(repeats):
-            timed = mapper(_timed_layout, trees)
-            for i, (seconds, layout) in enumerate(timed):
-                spec, n = kept[i]
-                per_spec[i].append(BenchRecord(spec.kind, spec.c_max, spec.depth, n, rep,
-                                               seconds, layout.visits))
-                if rep == repeats - 1:
-                    digest = hashlib.sha256(layout_to_json(layout).encode()).hexdigest()
-                    digests[(spec.kind, spec.c_max, spec.depth)] = digest
+            for (spec, n, tree), recs in zip(kept, per_spec):
+                seconds, visits = _timed_layout(tree)
+                recs.append(BenchRecord(spec.kind, spec.c_max, spec.depth, n, rep,
+                                        seconds, visits))
     records = [rec for recs in per_spec for rec in recs]
 
     points: dict[int, list[float]] = {}
@@ -157,8 +139,7 @@ def run_bench(
     except ValueError:
         fit = FitResult(slope=float("nan"), intercept=float("nan"),
                         r_squared=float("nan"), defined=False)
-    return BenchResult(records=records, fit=fit, digests=digests,
-                       skipped=skipped, parallel=parallel)
+    return BenchResult(records=records, fit=fit, skipped=skipped)
 
 
 def records_to_csv(records: list[BenchRecord]) -> str:

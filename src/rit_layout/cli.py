@@ -32,6 +32,7 @@ from .svg import RenderStyle, render_svg
 from .tree import (
     NormalizationError,
     TreeInputError,
+    TreeNode,
     detect_format,
     normalize,
     parse_tree,
@@ -103,12 +104,12 @@ def _add_render_style_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--palette", choices=["hue-partition", "fixed-list"], default="hue-partition")
 
 
-def _load_tree(path: str, strategy: str = "strict"):
+def _read_tree(path: str) -> TreeNode:
     try:
         data = FsPath(path).read_bytes()
     except OSError as exc:
         raise TreeInputError(f"cannot read {path}: {exc}") from exc
-    return normalize(parse_tree(data, detect_format(path)), strategy)
+    return parse_tree(data, detect_format(path))
 
 
 @functools.cache
@@ -145,8 +146,6 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--csv", default=None, help="write records to this CSV file")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
-    p_bench.add_argument("--parallel", action="store_true",
-                         help="run specs concurrently (timings not comparable)")
 
     p_val = sub.add_parser("validate", help="report value-rule violations")
     p_val.add_argument("--input", required=True)
@@ -159,7 +158,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     cfg.validate()
     style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
     style.validate()
-    tree = assign_colors(_load_tree(args.input), args.palette)
+    tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
     layout = compute_layout(tree, args.style, cfg)
     FsPath(args.output).write_bytes(render_svg(layout, style))
     return EXIT_OK
@@ -168,7 +167,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_layout(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
-    tree = assign_colors(_load_tree(args.input))
+    tree = assign_colors(normalize(_read_tree(args.input)))
     text = layout_to_json(compute_layout(tree, args.style, cfg))
     if args.output == "-":
         sys.stdout.write(text + "\n")
@@ -182,7 +181,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cfg.validate()
     style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
     style.validate()
-    tree = assign_colors(_load_tree(args.input), args.palette)
+    tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
     outdir = FsPath(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     report: dict = {}
@@ -211,21 +210,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for spec in specs:
         spec.validate()
     with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as out:
-        result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap,
-                           parallel=args.parallel)
+        result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap)
         if out is not None:
             out.write(records_to_csv(result.records))
-    for spec, n in result.skipped:
+    for spec in result.skipped:
         print(
             f"warning: skipped {spec.kind} cmax={spec.c_max} depth={spec.depth}: "
-            f"{n} nodes exceeds cap {args.node_cap}",
+            f"more than {args.node_cap} nodes",
             file=sys.stderr,
         )
     if result.fit.defined:
-        note = " (parallel; timings not comparable)" if result.parallel else ""
         print(
             f"fit over {len(result.records)} runs: time = {result.fit.slope:.3e}*N "
-            f"+ {result.fit.intercept:.3e}, R^2 = {result.fit.r_squared:.4f}{note}"
+            f"+ {result.fit.intercept:.3e}, R^2 = {result.fit.r_squared:.4f}"
         )
     else:
         print("fit undefined: need at least two distinct node counts")
@@ -233,12 +230,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        data = FsPath(args.input).read_bytes()
-    except OSError as exc:
-        raise TreeInputError(f"cannot read {args.input}: {exc}") from exc
-    tree = parse_tree(data, detect_format(args.input))
-    violations = validate(tree)
+    violations = validate(_read_tree(args.input))
     print(
         json.dumps(
             [

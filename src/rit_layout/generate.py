@@ -54,8 +54,12 @@ def default_schedule(c_max: int, depth: int) -> tuple[int, ...]:
     return tuple(max(floor, c_max - level // 2) for level in range(depth))
 
 
-def generate_tree(spec: GeneratorSpec) -> TreeNode:
-    """Deterministic tree for the spec; same seed, same tree."""
+def generate_tree(spec: GeneratorSpec, max_nodes: int | None = None) -> TreeNode | None:
+    """Deterministic tree for the spec; same seed, same tree.
+
+    With ``max_nodes``, generation stops and returns None as soon as the
+    tree would have more nodes than that.
+    """
     spec.validate()
     rng = random.Random(spec.seed)
     if spec.kind == "semi-random":
@@ -67,6 +71,8 @@ def generate_tree(spec: GeneratorSpec) -> TreeNode:
     order: list[TreeNode] = []
     stack: list[tuple[TreeNode | None, int]] = [(None, 0)]
     while stack:
+        if max_nodes is not None and len(order) >= max_nodes:
+            return None
         parent, level = stack.pop()
         node = TreeNode(id=f"n{len(order)}", label=f"n{len(order)}", value=1.0)
         order.append(node)

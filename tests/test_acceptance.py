@@ -219,7 +219,7 @@ def test_criterion_7_scalability():
         specs = [GeneratorSpec("fixed", 2, d, seed=100 + d) for d in range(1, 13)]
         specs += [GeneratorSpec("random", 8, d, seed=200 + d) for d in range(2, 7)]
         result = run_bench(specs, repeats=5, node_cap=200_000)
-        assert not result.skipped or all(n > 200_000 for _, n in result.skipped)
+        assert not result.skipped
         for rec in result.records:
             assert rec.visits == 3 * (rec.nodes - 1) + 1
         assert result.fit.defined
@@ -313,9 +313,3 @@ def test_criterion_9_determinism(demo_file, tmp_path):
             assert proc.returncode == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
-
-        # Across the parallel bench flag: identical geometry digests.
-        specs = [GeneratorSpec("random", 5, d, seed=d) for d in range(2, 5)]
-        serial = run_bench(specs, repeats=1, node_cap=50_000, parallel=False)
-        parallel = run_bench(specs, repeats=1, node_cap=50_000, parallel=True)
-        assert serial.digests == parallel.digests

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from rit_layout import GeneratorSpec, fit_linear, run_bench
-from rit_layout import bench
+from rit_layout import bench, generate
 from rit_layout.bench import BenchRecord, records_to_csv
 
 
@@ -46,8 +46,7 @@ class TestRunBench:
     def test_node_cap_skips_with_record(self):
         specs = [GeneratorSpec("fixed", 2, 2), GeneratorSpec("fixed", 2, 10)]
         result = run_bench(specs, repeats=1, node_cap=100)
-        assert len(result.skipped) == 1
-        assert result.skipped[0][0].depth == 10
+        assert result.skipped == [GeneratorSpec("fixed", 2, 10)]
         assert {r.depth for r in result.records} == {2}
 
     def test_deep_chain_benchmarks(self):
@@ -63,17 +62,9 @@ class TestRunBench:
         assert not result.fit.defined
         assert math.isnan(result.fit.slope)
 
-    def test_parallel_geometry_identical(self):
-        specs = [GeneratorSpec("random", 4, d, seed=d) for d in range(2, 5)]
-        serial = run_bench(specs, repeats=1, node_cap=10_000, parallel=False)
-        parallel = run_bench(specs, repeats=1, node_cap=10_000, parallel=True)
-        assert serial.digests == parallel.digests
-        assert parallel.parallel
-
-    @pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
-    def test_gc_paused_while_timing(self, monkeypatch, caller_gc, parallel):
-        # Each layout ends with the collector still off, also when a thread
-        # pool finishes other layouts meanwhile; the caller's state comes back.
+    def test_gc_paused_while_timing(self, monkeypatch, caller_gc):
+        # Each layout ends with the collector still off; the caller's state
+        # comes back.
         real_layout_rit = bench.layout_rit
         seen = []
 
@@ -83,16 +74,25 @@ class TestRunBench:
             return layout
 
         monkeypatch.setattr(bench, "layout_rit", layout_and_look)
-        run_bench([GeneratorSpec("fixed", 2, d) for d in (4, 5, 6)], repeats=2,
-                  parallel=parallel)
+        run_bench([GeneratorSpec("fixed", 2, d) for d in (4, 5, 6)], repeats=2)
         assert gc.isenabled() is caller_gc
         assert seen == [False] * 6
 
-    def test_repeat_determinism(self):
-        specs = [GeneratorSpec("semi-random", 5, 3, seed=11)]
-        a = run_bench(specs, repeats=2, node_cap=10_000)
-        b = run_bench(specs, repeats=2, node_cap=10_000)
-        assert a.digests == b.digests
+    def test_node_cap_stops_generation(self, monkeypatch):
+        # A tree over the cap is abandoned once it passes the cap, not built
+        # whole (32,767 nodes here) and then counted.
+        built = []
+
+        class CountedNode(generate.TreeNode):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(generate, "TreeNode", CountedNode)
+        result = run_bench([GeneratorSpec("fixed", 2, 14)], repeats=1, node_cap=100)
+        assert len(built) <= 100
+        assert result.skipped == [GeneratorSpec("fixed", 2, 14)]
+        assert not result.records
 
 
 class TestCsv:

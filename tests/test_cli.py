@@ -334,7 +334,13 @@ class TestBenchCommand:
                    "--depths", "2..8", "--repeats", "1", "--node-cap", "40",
                    "--csv", str(tmp_path / "b.csv")])
         assert rc == 0
-        assert "skipped" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "skipped fixed cmax=2 depth=4" not in err
+        assert "warning: skipped fixed cmax=2 depth=5: more than 40 nodes" in err
+
+    def test_parallel_flag_is_a_usage_error(self, capsys):
+        assert main(["bench", "--parallel"]) == 1
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
     def test_unwritable_csv_fails_before_timing(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
@@ -454,13 +460,33 @@ class TestDeterminismAcrossProcesses:
 def test_runtime_imports_no_numpy():
     """The library and the CLI run on the standard library alone.
 
-    Modules only ``rit bench`` needs (``hashlib``, and ``concurrent.futures``
-    with the ``logging`` it pulls in) are not loaded at import either.
+    ``concurrent.futures``, the ``logging`` it pulls in, and ``hashlib`` are
+    not loaded at import either; ``test_bench_imports_no_pool_or_hashing``
+    checks that a bench run loads none of them.
     """
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, rit_layout, rit_layout.cli\n"
         "for name in ('numpy', 'concurrent.futures', 'logging', 'hashlib'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_imports_no_pool_or_hashing():
+    """A ``rit bench`` run times serially and hashes nothing."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "from rit_layout.cli import main\n"
+        "assert main(['bench', '--depths', '1..3', '--repeats', '1']) == 0\n"
+        "for name in ('concurrent.futures', 'logging', 'hashlib'):\n"
         "    assert name not in sys.modules, name\n"
     )
     proc = subprocess.run(

@@ -322,6 +322,14 @@ class TestGenerate:
         b = generate_tree(GeneratorSpec("random", 8, 4, seed=2))
         assert a != b
 
+    @pytest.mark.parametrize("kind", ["fixed", "random", "semi-random"])
+    def test_max_nodes_keeps_trees_at_the_cap(self, kind):
+        spec = GeneratorSpec(kind, 4, 4, seed=5)
+        tree = generate_tree(spec)
+        n = tree.count()
+        assert generate_tree(spec, max_nodes=n) == tree
+        assert generate_tree(spec, max_nodes=n - 1) is None
+
     def test_values_sum_exactly(self):
         tree = generate_tree(GeneratorSpec("random", 5, 5, seed=3))
         for node in tree.walk():
