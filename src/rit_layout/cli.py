@@ -169,10 +169,10 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     cfg.validate()
     tree = assign_colors(normalize(_read_tree(args.input)))
     text = layout_to_json(compute_layout(tree, args.style, cfg))
-    if args.output == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        FsPath(args.output).write_text(text + "\n", encoding="utf-8")
+    # The text and its newline are written apart, so the document is not copied.
+    with (contextlib.nullcontext(sys.stdout) if args.output == "-"
+          else open(args.output, "w", encoding="utf-8")) as out:
+        out.writelines((text, "\n"))
     return EXIT_OK
 
 
@@ -205,10 +205,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         GeneratorSpec(args.generator, args.cmax, depth, seed=args.seed + depth)
         for depth in args.depths
     ]
-    # A bad spec must not truncate the CSV; an unwritable CSV must fail
-    # before any tree is timed.
+    # A bad spec or repeat count must not truncate the CSV; an unwritable
+    # CSV must fail before any tree is timed.
     for spec in specs:
         spec.validate()
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as out:
         result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap)
         if out is not None:

@@ -387,72 +387,106 @@ def compute_layout(tree: NormalizedNode, style: str, cfg: LayoutConfig = LayoutC
     raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
-def _segment_json(seg) -> str | None:
-    """One path segment as an item of a node's ``"path"`` list (indent 4).
+def _path_json(
+    segments: tuple[geo.Segment, ...], r_in: float, r_in_text: str, theta: float, theta_text: str,
+) -> str | None:
+    """A node's segments as the items of its ``"path"`` list (indent 4).
 
-    Only a segment of the package's own types whose numbers are all finite
-    ``float``s, as every outline of a float layout is, is written: ``!r``
+    Only segments of the package's own types whose numbers are all finite
+    ``float``s, as every outline of a float layout is, are written: ``!r``
     spells such a number as ``json.dumps`` does.  Any other segment (an
     int radius, a non-finite or overflowing sum, a float subclass) gives
-    ``None``.
+    ``None``.  A line's ``x0``/``y0`` equal to the last line's end, and an
+    arc's ``radius``/``start`` equal to the node's ``r_in``/``theta``, reuse
+    that number's text (see ``_nodes_json``).
     """
-    kind = type(seg)
-    if kind is geo.LineSegment:
-        x0, y0, x1, y1 = seg
-        if (type(x0) is type(y0) is type(x1) is type(y1) is float
-                and math.isfinite(x0 + y0 + x1 + y1)):
-            return (
+    items = []
+    # The end of the last line written, and its text.
+    x = y = None
+    x_text = y_text = ""
+    for seg in segments:
+        kind = type(seg)
+        if kind is geo.LineSegment:
+            x0, y0, x1, y1 = seg
+            if not (type(x0) is type(y0) is type(x1) is type(y1) is float
+                    and math.isfinite(x0 + y0 + x1 + y1)):
+                return None
+            x0_text = x_text if x0 == x and x0 else repr(x0)
+            y0_text = y_text if y0 == y and y0 else repr(y0)
+            x, y, x_text, y_text = x1, y1, repr(x1), repr(y1)
+            items.append(
                 '    {\n     "type": "line",\n'
-                f'     "x0": {x0!r},\n     "y0": {y0!r},\n'
-                f'     "x1": {x1!r},\n     "y1": {y1!r}\n    }}'
+                f'     "x0": {x0_text},\n     "y0": {y0_text},\n'
+                f'     "x1": {x_text},\n     "y1": {y_text}\n    }}'
             )
-    elif kind is geo.ArcSegment:
-        radius, start, end = seg
-        if (type(radius) is type(start) is type(end) is float
-                and math.isfinite(radius + start + end)):
-            return (
+        elif kind is geo.ArcSegment:
+            radius, start, end = seg
+            if not (type(radius) is type(start) is type(end) is float
+                    and math.isfinite(radius + start + end)):
+                return None
+            items.append(
                 '    {\n     "type": "arc",\n'
-                f'     "radius": {radius!r},\n     "start": {start!r},\n'
+                f'     "radius": {r_in_text if radius == r_in and radius else repr(radius)},\n'
+                f'     "start": {theta_text if start == theta and start else repr(start)},\n'
                 f'     "end": {end!r}\n    }}'
             )
-    return None
+        else:
+            return None
+    return ",\n".join(items)
 
 
-def _node_json(n: PlacedNode) -> str | None:
-    """One node as an item of the ``"nodes"`` list (indent 2).
+def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str] | None:
+    """Each node as an item of the ``"nodes"`` list (indent 2).
 
-    Written only when its six sector numbers are finite ``float``s, ``id``
-    and ``label`` are ``str``, ``color`` is ``str`` or ``None``, ``depth``
-    is an ``int`` and ``relaxed`` a ``bool``, each of exactly that type,
-    and every segment is one ``_segment_json`` writes; otherwise ``None``.
+    Written only when every node's six sector numbers are finite ``float``s,
+    ``id`` and ``label`` are ``str``, ``color`` is ``str`` or ``None``,
+    ``depth`` is an ``int`` and ``relaxed`` a ``bool``, each of exactly that
+    type, and ``_path_json`` writes its segments; otherwise ``None``.
+
+    Siblings share ``r_in`` and ``height``, and outline segments share
+    corners, so a number equal to the one just written in its matching
+    slot reuses that text instead of spelling it again: two equal finite
+    floats other than zero have the same bits, so the same ``repr``.  Zero
+    is spelled each time, because ``0.0 == -0.0`` but the two spell
+    differently.
     """
-    s = n.sector
-    theta, beta, alpha, r_in = s.theta, s.beta, s.alpha, s.r_in
-    height, topup = s.height, s.topup_height
-    node_id, label, color, depth, relaxed = n.id, n.label, n.color, n.depth, n.relaxed
-    if not (
-        type(theta) is type(beta) is type(alpha) is type(r_in) is type(height)
-        is type(topup) is float
-        and math.isfinite(theta + beta + alpha + r_in + height + topup)
-        and type(node_id) is type(label) is str
-        and (color is None or type(color) is str)
-        and type(depth) is int
-        and type(relaxed) is bool
-    ):
-        return None
-    segments = [_segment_json(seg) for seg in n.path.segments]
-    if None in segments:
-        return None
-    body = ",\n".join(segments)
-    return (
-        f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
-        f'   "theta": {theta!r},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
-        f'   "r_in": {r_in!r},\n   "height": {height!r},\n   "topup_height": {topup!r},\n'
-        f'   "relaxed": {"true" if relaxed else "false"},\n'
-        f'   "color": {"null" if color is None else encode_basestring_ascii(color)},\n'
-        f'   "label": {encode_basestring_ascii(label)},\n'
-        f'   "path": [\n{body}\n   ]\n  }}'
-    )
+    items = []
+    # The previous node's r_in and height, and their texts.
+    last_r_in = last_height = None
+    last_r_in_text = last_height_text = ""
+    for n in nodes:
+        s = n.sector
+        theta, beta, alpha, r_in = s.theta, s.beta, s.alpha, s.r_in
+        height, topup = s.height, s.topup_height
+        node_id, label, color, depth, relaxed = n.id, n.label, n.color, n.depth, n.relaxed
+        if not (
+            type(theta) is type(beta) is type(alpha) is type(r_in) is type(height)
+            is type(topup) is float
+            and math.isfinite(theta + beta + alpha + r_in + height + topup)
+            and type(node_id) is type(label) is str
+            and (color is None or type(color) is str)
+            and type(depth) is int
+            and type(relaxed) is bool
+        ):
+            return None
+        theta_text = repr(theta)
+        r_in_text = last_r_in_text if r_in == last_r_in and r_in else repr(r_in)
+        height_text = last_height_text if height == last_height and height else repr(height)
+        body = _path_json(n.path.segments, r_in, r_in_text, theta, theta_text)
+        if body is None:
+            return None
+        items.append(
+            f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
+            f'   "theta": {theta_text},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
+            f'   "r_in": {r_in_text},\n   "height": {height_text},\n   "topup_height": {topup!r},\n'
+            f'   "relaxed": {"true" if relaxed else "false"},\n'
+            f'   "color": {"null" if color is None else encode_basestring_ascii(color)},\n'
+            f'   "label": {encode_basestring_ascii(label)},\n'
+            f'   "path": [\n{body}\n   ]\n  }}'
+        )
+        last_r_in, last_r_in_text, last_height, last_height_text = (
+            r_in, r_in_text, height, height_text)
+    return items
 
 
 def _document(layout: Layout) -> dict:
@@ -489,16 +523,19 @@ def layout_to_json(layout: Layout) -> str:
     "line", "x0", "y0", "x1", "y1"}``.  A layout of finite plain floats and
     strings, as every layout the package builds from a float config is, is
     written directly, one string per node and per segment, because any
-    indent sends ``json.dumps`` to its pure-Python encoder.  Any other
-    layout, and one without nodes, is written by ``json.dumps`` itself.
+    indent sends ``json.dumps`` to its pure-Python encoder.  The head rides
+    on the first node's string and the tail on the last, so one join
+    builds the whole text.  Any other layout, and one without nodes, is
+    written by ``json.dumps`` itself.
     """
     a_std, style = layout.a_std, layout.style
     if type(a_std) is float and math.isfinite(a_std) and type(style) is str:
-        nodes = [_node_json(n) for n in layout.nodes]
-        if nodes and None not in nodes:
-            body = ",\n".join(nodes)
-            return (
+        items = _nodes_json(layout.nodes)
+        if items:
+            items[0] = (
                 f'{{\n "a_std": {a_std!r},\n "style": {encode_basestring_ascii(style)},\n'
-                f' "nodes": [\n{body}\n ]\n}}'
+                f' "nodes": [\n{items[0]}'
             )
+            items[-1] += "\n ]\n}"
+            return ",\n".join(items)
     return json.dumps(_document(layout), indent=" ")

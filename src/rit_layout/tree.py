@@ -229,18 +229,52 @@ def detect_format(filename: str) -> str:
     return "json-tree"
 
 
-def _node_to_json(node: TreeNode) -> dict:
-    obj: dict = {"label": node.label, "value": node.value}
-    if node.color is not None:
-        obj["color"] = node.color
-    if node.children:
-        obj["children"] = [_node_to_json(c) for c in node.children]
-    return obj
+def _json_field(key: str, value, indent: str) -> str:
+    """One ``"key": value`` member at ``indent``, a line break plus spaces.
+
+    ``json.dumps`` spells the value; only a container value has line
+    breaks of its own, and each gets the member's indent.
+    """
+    text = json.dumps(value, indent=2).replace("\n", indent)
+    return f'{indent}"{key}": {text}'
+
+
+def _json_tree_text(tree: TreeNode) -> str:
+    """The bytes of ``json.dumps(doc, indent=2)`` for the tree's nested node
+    objects ``{"label", "value", "color" (if set), "children" (if any)}``.
+
+    Written from an explicit stack, so depth has no limit.
+    """
+    parts: list[str] = []
+    # A node with the indent of its opening brace, or text to copy as is.
+    stack: list = [(tree, "\n")]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, indent = item
+        inner = indent + "  "
+        fields = [_json_field("label", node.label, inner), _json_field("value", node.value, inner)]
+        if node.color is not None:
+            fields.append(_json_field("color", node.color, inner))
+        parts.append("{" + ",".join(fields))
+        if not node.children:
+            parts.append(indent + "}")
+            continue
+        parts.append(f',{inner}"children": [')
+        stack.append(f"{inner}]{indent}}}")
+        child_indent = inner + "  "
+        # Pushed last child first, each above the text that precedes it.
+        for i in range(len(node.children) - 1, -1, -1):
+            stack.append((node.children[i], child_indent))
+            stack.append("," + child_indent if i else child_indent)
+    return "".join(parts)
 
 
 def serialize_tree(tree: TreeNode, fmt: str) -> str:
     if fmt == "json-tree":
-        return json.dumps(_node_to_json(tree), indent=2)
+        return _json_tree_text(tree)
     if fmt == "csv-edges":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

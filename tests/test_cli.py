@@ -358,6 +358,20 @@ class TestBenchCommand:
         assert "depth must be >= 1" in capsys.readouterr().err
         assert out.read_text() == "earlier run\n"
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_keeps_existing_csv(self, tmp_path, capsys, monkeypatch, repeats):
+        def never(*args, **kwargs):
+            raise AssertionError("run_bench was called")
+
+        monkeypatch.setattr(cli, "run_bench", never)
+        out = tmp_path / "bench.csv"
+        out.write_text("earlier run\n")
+        rc = main(["bench", "--depths", "1..4", "--repeats", repeats, "--csv", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --repeats must be at least 1, got {repeats}\n"
+        assert out.read_text() == "earlier run\n"
+
 
 @pytest.mark.parametrize("case, code", [
     ("render", 0),

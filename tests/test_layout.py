@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rit_layout import (
     GeneratorSpec,
     LayoutConfig,
+    assign_colors,
     compute_layout,
     demo_tree,
     diagnostics,
@@ -506,6 +507,14 @@ class TestLayoutJson:
             LayoutConfig(relax_enabled=True, relax_threshold=0.05)), id="relax-0.05"),
         pytest.param(lambda: layout_rit(normalize(_zero_value_tree(), "strict")),
                      id="uncolored-zero-values"),
+    ] + [
+        # About 1,300 nodes each, over 1,000 of them relaxed.
+        pytest.param(lambda spec=spec: layout_rit(
+            assign_colors(normalize(generate_tree(spec), "strict")),
+            LayoutConfig(relax_enabled=True, relax_threshold=1e-3)), id=f"{spec.kind}-relax-1e-3")
+        for spec in (GeneratorSpec("random", 8, 5, seed=1),
+                     GeneratorSpec("semi-random", 12, 4, seed=3))
+    ] + [
         pytest.param(lambda: layout_rit(normalize(_hostile_tree(), "strict")), id="hostile-strings"),
         pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"),
                                         LayoutConfig(r0=8, h0=2)), id="int-config"),
@@ -555,16 +564,20 @@ class _DrawnSector(SectorGeometry):
 
 
 # Values the direct writer can spell, and ones it must hand to json.dumps:
-# 1e308 sums overflow, and a float subclass has its own repr.
+# 1e308 sums overflow, and a float subclass has its own repr.  Zeros are
+# drawn often, because 0.0 == -0.0 spell differently.
 _CLEAN_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
 )
 _WILD_FLOATS = st.sampled_from(
     [math.nan, math.inf, -math.inf, _ReprFloat(-0.0), _ReprFloat(1e-310), 7])
 
 
-# Per kind of value: a clean strategy, then a wild one.
+# Per kind of value: a clean strategy, then a wild one.  A "join" is a
+# line's x0 or y0 after another line; its wild value is a _ReprFloat of the
+# last line's end.
 _VALUES = {
     "a_std": (_CLEAN_FLOATS, _WILD_FLOATS),
     "style": (st.sampled_from(["rit", "sunburst", "icicle"]), st.none()),
@@ -574,36 +587,83 @@ _VALUES = {
     "relaxed": (st.booleans(), st.integers(0, 1)),
     "sector": (_CLEAN_FLOATS, _WILD_FLOATS),
     "LineSegment": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "join": (_CLEAN_FLOATS, None),
     "ArcSegment": (_CLEAN_FLOATS, _WILD_FLOATS),
 }
+
+# How a slot that may repeat an earlier value is filled: by its own draw,
+# by that value itself, or by an equal plain float (the other zero for a
+# zero, so the two compare equal but spell differently).
+_SHARES = st.sampled_from(["own", "same", "equal"])
+
+
+def _equal_float(value):
+    return -value if value == 0 else float(value)
+
+
+def _slots(outlines) -> list[tuple[str, int | None]]:
+    """Each value's kind, and the index of the earlier value it may repeat.
+
+    The repeats are the JSON writer's: a node's ``r_in`` and ``height``
+    repeat the previous node's, an arc's ``radius`` and ``start`` the
+    node's ``r_in`` and ``theta``, and a line's ``x0`` and ``y0`` the last
+    line's ``x1`` and ``y1``.
+    """
+    slots: list[tuple[str, int | None]] = [("a_std", None), ("style", None)]
+    sector = None
+    for outline in outlines:
+        slots += [(kind, None) for kind in ("id", "label", "color", "depth", "relaxed")]
+        previous, sector = sector, len(slots)
+        slots += [("sector", None)] * 6
+        if previous is not None:
+            slots[sector + 3] = ("sector", previous + 3)
+            slots[sector + 4] = ("sector", previous + 4)
+        line_end = None
+        for seg_type in outline:
+            if seg_type is ArcSegment:
+                slots += [("ArcSegment", sector + 3), ("ArcSegment", sector), ("ArcSegment", None)]
+                continue
+            if line_end is None:
+                slots += [("LineSegment", None)] * 2
+            else:
+                slots += [("join", line_end), ("join", line_end + 1)]
+            line_end = len(slots)
+            slots += [("LineSegment", None)] * 2
+    return slots
 
 
 @st.composite
 def _hand_made_layouts(draw):
     # Every value is clean but at most one, which is wild: NaN, an infinity,
     # a float subclass or an int for a number, None for a string, a list
-    # colour, a bool depth or an int flag.  The wild value's kind is drawn
-    # first, so each kind is drawn as often as the others.
+    # colour, a bool depth or an int flag.  Half the layouts are all clean,
+    # for the direct writer; otherwise the wild value's kind is drawn first,
+    # so each kind is drawn as often as the others.  A clean value in a
+    # slot whose text the direct writer may reuse is drawn by a _SHARES rule.
     ids = draw(st.lists(st.text(), max_size=3, unique=True))
-    outlines = [draw(st.lists(st.sampled_from([LineSegment, ArcSegment]), min_size=1, max_size=3))
+    outlines = [draw(st.lists(st.sampled_from([LineSegment, ArcSegment]), min_size=1, max_size=5))
                 for _ in ids]
-    slots = ["a_std", "style"]
-    for outline in outlines:
-        slots += ["id", "label", "color", "depth", "relaxed"] + ["sector"] * 6
-        for seg_type in outline:
-            slots += [seg_type.__name__] * len(seg_type._fields)
-    kind = draw(st.sampled_from([None, "id", *_VALUES]))
-    spots = [i for i, slot in enumerate(slots) if slot == kind]
+    slots = _slots(outlines)
+    kind = draw(st.one_of(st.none(), st.sampled_from(["id", *_VALUES])))
+    spots = [i for i, (slot, _) in enumerate(slots) if slot == kind]
     wild = draw(st.sampled_from(spots)) if spots else None
     node_ids = iter(ids)
-
-    def value(i, slot):
+    values: list = []
+    for i, (slot, ref) in enumerate(slots):
         if slot == "id":
             node_id = next(node_ids)
-            return None if i == wild else node_id
-        return draw(_VALUES[slot][i == wild])
-
-    values = iter([value(i, slot) for i, slot in enumerate(slots)])
+            values.append(None if i == wild else node_id)
+        elif i == wild and slot == "join":
+            values.append(_ReprFloat(values[ref]))
+        else:
+            share = "own" if ref is None or i == wild else draw(_SHARES)
+            if share == "same":
+                values.append(values[ref])
+            elif share == "equal":
+                values.append(_equal_float(values[ref]))
+            else:
+                values.append(draw(_VALUES[slot][i == wild]))
+    values = iter(values)
 
     a_std, style = next(values), next(values)
     nodes = []

@@ -1,8 +1,9 @@
+import json
 import math
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rit_layout import GeneratorSpec, demo_tree, generate_tree, normalize, parse_tree, serialize_tree, validate
 from rit_layout.generate import default_schedule
@@ -25,6 +26,35 @@ FIG_CSV = (
     "root,a,a,75,\n"
     "root,b,b,25,\n"
 )
+
+
+def _json_tree_oracle(node: TreeNode) -> dict:
+    """The nested node objects json-tree files hold, built recursively."""
+    obj: dict = {"label": node.label, "value": node.value}
+    if node.color is not None:
+        obj["color"] = node.color
+    if node.children:
+        obj["children"] = [_json_tree_oracle(c) for c in node.children]
+    return obj
+
+
+_HOSTILE_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(['quote"d', "back\\slash", "new\nline", "ctl\x01", "\ud800", "☃", "</svg>"]),
+)
+
+
+@st.composite
+def _hostile_trees(draw, depth=0):
+    # Containers too: json.dumps indents their items at the member's depth.
+    value = draw(st.one_of(
+        st.integers(), st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+        st.booleans(), st.none(), st.lists(st.floats(), max_size=2),
+        st.dictionaries(_HOSTILE_TEXT, st.lists(st.integers(), max_size=2), max_size=2)))
+    color = draw(st.one_of(st.none(), st.just(""), _HOSTILE_TEXT,
+                           st.from_regex(r"#[0-9a-fA-F]{6}", fullmatch=True)))
+    children = draw(st.lists(_hostile_trees(depth + 1), max_size=3)) if depth < 3 else []
+    return TreeNode("id", draw(_HOSTILE_TEXT), value, color, children)
 
 
 class TestParse:
@@ -149,6 +179,27 @@ class TestRoundTrip:
             parent.children = [child]
         again = parse_tree(serialize_tree(nodes[0], "csv-edges"), "csv-edges")
         assert [(n.id, n.value) for n in again.walk()] == [(n.id, n.value) for n in nodes]
+
+    def test_deep_chain_json_round_trip(self):
+        nodes = [TreeNode(f"n{i}", f"n{i}", 1.0 + i, "#a0b1c2" if i % 2 else None)
+                 for i in range(3000)]
+        for parent, child in zip(nodes, nodes[1:]):
+            parent.children = [child]
+        text = serialize_tree(nodes[0], "json-tree")
+        # json.loads nests two containers per level; the writer nests none.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 20_000))
+        try:
+            again = parse_tree(text, "json-tree")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ([(n.label, n.value, n.color, len(n.children)) for n in again.walk()]
+                == [(n.label, n.value, n.color, len(n.children)) for n in nodes])
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=_hostile_trees())
+    def test_json_tree_bytes_equal_json_dumps(self, tree):
+        assert serialize_tree(tree, "json-tree") == json.dumps(_json_tree_oracle(tree), indent=2)
 
     def test_awkward_labels_round_trip(self):
         tree = TreeNode("r", ' spaced, "quoted"\nlabel ', 2.0, children=[
