@@ -15,6 +15,8 @@ import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path as FsPath
 
@@ -112,6 +114,34 @@ def _read_tree(path: str) -> TreeNode:
     return parse_tree(data, detect_format(path))
 
 
+@contextlib.contextmanager
+def _output_file(path: str, mode: str, encoding: str | None = None):
+    """``path`` opened for writing before the command reads its input.
+
+    An unwritable path then fails at once, not after a whole layout.
+    Opening does not truncate: the command writes from the start and a
+    regular file is cut at the end of what it wrote.  If the command
+    fails, a file this call created is removed; a file that already
+    existed is left as it was unless the failure came while writing.
+    """
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
+    except FileExistsError:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+        created = False
+    try:
+        with open(fd, mode, encoding=encoding) as out:
+            yield out
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                out.truncate()
+    except BaseException:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 @functools.cache
 def build_parser() -> _Parser:
     """The ``rit`` parser, built once per process and reused by every ``main`` call."""
@@ -158,20 +188,20 @@ def _cmd_render(args: argparse.Namespace) -> int:
     cfg.validate()
     style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
     style.validate()
-    tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
-    layout = compute_layout(tree, args.style, cfg)
-    FsPath(args.output).write_bytes(render_svg(layout, style))
+    with _output_file(args.output, "wb") as out:
+        tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
+        out.write(render_svg(compute_layout(tree, args.style, cfg), style))
     return EXIT_OK
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
-    tree = assign_colors(normalize(_read_tree(args.input)))
-    text = layout_to_json(compute_layout(tree, args.style, cfg))
-    # The text and its newline are written apart, so the document is not copied.
     with (contextlib.nullcontext(sys.stdout) if args.output == "-"
-          else open(args.output, "w", encoding="utf-8")) as out:
+          else _output_file(args.output, "w", encoding="utf-8")) as out:
+        tree = assign_colors(normalize(_read_tree(args.input)))
+        text = layout_to_json(compute_layout(tree, args.style, cfg))
+        # The text and its newline are written apart, so the document is not copied.
         out.writelines((text, "\n"))
     return EXIT_OK
 

@@ -174,6 +174,10 @@ class LineSegment(namedtuple("LineSegment", "x0 y0 x1 y1")):
 
 Segment = ArcSegment | LineSegment
 
+# ``_new(LineSegment, (x0, y0, x1, y1))`` is ``LineSegment(x0, y0, x1, y1)``
+# without the named tuple's Python-level ``__new__`` frame.
+_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class Path:
@@ -203,15 +207,47 @@ def _check_loop(loop: tuple[Segment, ...]) -> None:
     """Reject an empty loop, a gap between segments, or an open end.
 
     A join passes when its endpoints lie within ``PATH_JOIN_TOL`` times the
-    loop's largest coordinate (at least 1) of each other.  Each endpoint is
-    computed once.  When every join and the close match exactly, which is
-    how the package builds all but full-turn arcs, the loop passes without
-    the distance test: an exact match is within any positive tolerance.
-    Segments are unpacked in place rather than read through their
-    ``start_point`` and ``end_point`` properties.
+    loop's largest coordinate (at least 1) of each other.  One walk
+    computes each segment's endpoints and compares its start with the
+    previous end exactly, building no lists.  When every join and the close
+    match exactly, which is how the package builds all but full-turn arcs,
+    the loop passes without the distance test: an exact match is within any
+    positive tolerance.  A one-segment loop (every full turn) is judged on
+    the endpoints the walk computed; any other inexact loop goes to
+    ``_check_loop_tolerance``.
     """
     if not loop:
         raise ValueError("empty loop")
+    cos, sin = math.cos, math.sin
+    segs = iter(loop)
+    seg = next(segs)
+    if isinstance(seg, LineSegment):
+        first_x, first_y, x, y = seg
+    else:
+        r, a0, a1 = seg
+        first_x, first_y, x, y = r * cos(a0), r * sin(a0), r * cos(a1), r * sin(a1)
+    for seg in segs:
+        if isinstance(seg, LineSegment):
+            x0, y0, x1, y1 = seg
+            if x0 != x or y0 != y:
+                return _check_loop_tolerance(loop)
+            x, y = x1, y1
+        else:
+            r, a0, a1 = seg
+            if r * cos(a0) != x or r * sin(a0) != y:
+                return _check_loop_tolerance(loop)
+            x, y = r * cos(a1), r * sin(a1)
+    if x == first_x and y == first_y:
+        return
+    if len(loop) > 1:
+        return _check_loop_tolerance(loop)
+    scale = max(1.0, max(abs(first_x), abs(first_y), abs(x), abs(y)))
+    if math.dist((x, y), (first_x, first_y)) > PATH_JOIN_TOL * scale:
+        raise ValueError("loop does not close")
+
+
+def _check_loop_tolerance(loop: tuple[Segment, ...]) -> None:
+    """``_check_loop``'s distance test over every join and the close, in order."""
     starts = []
     ends = []
     cos, sin = math.cos, math.sin
@@ -224,8 +260,6 @@ def _check_loop(loop: tuple[Segment, ...]) -> None:
             r, a0, a1 = seg
             starts.append((r * cos(a0), r * sin(a0)))
             ends.append((r * cos(a1), r * sin(a1)))
-    if ends[:-1] == starts[1:] and ends[-1] == starts[0]:
-        return
     scale = max(1.0, max(abs(c) for s, e in zip(starts, ends) for c in (*s, *e)))
     tol = PATH_JOIN_TOL * scale
     for end, start in zip(ends, starts[1:]):
@@ -280,9 +314,10 @@ class SectorGeometry:
         sliver with no area; any other is ``build_node_path``'s shape.
         """
         if self.beta <= 0.0:
-            p0 = _polar(self.r_in, self.theta)
-            p1 = _polar(self.outer_radius, self.theta)
-            return Path.single([LineSegment(*p0, *p1), LineSegment(*p1, *p0)])
+            x0, y0 = _polar(self.r_in, self.theta)
+            x1, y1 = _polar(self.outer_radius, self.theta)
+            return Path(((_new(LineSegment, (x0, y0, x1, y1)),
+                          _new(LineSegment, (x1, y1, x0, y0))),))
         return build_node_path(self)
 
 
@@ -319,48 +354,46 @@ def build_node_path(g: SectorGeometry) -> Path:
     r, big_r = g.r_in, g.outer_radius
 
     if is_full_turn(g.beta):
-        outer = ArcSegment(big_r, t0, t0 + TAU)
+        outer = _new(ArcSegment, (big_r, t0, t0 + TAU))
         if r == 0.0:
-            return Path(loops=((outer,),))
-        inner = ArcSegment(r, t0 + TAU, t0)
-        return Path(loops=((outer,), (inner,)))
+            return Path(((outer,),))
+        return Path(((outer,), (_new(ArcSegment, (r, t0 + TAU, t0)),)))
 
-    # Each corner is (radius * cos(angle), radius * sin(angle)), with every
-    # angle's cosine and sine taken once; corners shared by two segments
-    # are the same numbers, so the joins match exactly.
+    # Each corner is (radius * cos(angle), radius * sin(angle)), computed
+    # once and handed to both segments that share it, so the joins match
+    # exactly.  Segments are made by ``tuple.__new__``, which is all the
+    # named tuples' own constructors do.
     c0, s0, c1, s1 = math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1)
-    segs: list[Segment] = [ArcSegment(r, t0, t1)] if r > 0.0 else []
+    ix0, iy0, ix1, iy1 = r * c0, r * s0, r * c1, r * s1
+    inner = (_new(ArcSegment, (r, t0, t1)),) if r > 0.0 else ()
     if g.alpha == 0.0:
-        segs += (
-            LineSegment(r * c1, r * s1, big_r * c1, big_r * s1),
-            ArcSegment(big_r, t1, t0),
-            LineSegment(big_r * c0, big_r * s0, r * c0, r * s0),
-        )
-        return Path.single(segs)
+        return Path((inner + (
+            _new(LineSegment, (ix1, iy1, big_r * c1, big_r * s1)),
+            _new(ArcSegment, (big_r, t1, t0)),
+            _new(LineSegment, (big_r * c0, big_r * s0, ix0, iy0)),
+        ),))
 
     top_r = g.total_radius
     a0 = g.cut_start
     a1 = g.cut_end
     ca0, sa0, ca1, sa1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
-    segs += (
-        LineSegment(r * c1, r * s1, big_r * ca1, big_r * sa1),
-        LineSegment(big_r * ca1, big_r * sa1, top_r * ca1, top_r * sa1),
-        ArcSegment(top_r, a1, a0),
-        LineSegment(top_r * ca0, top_r * sa0, big_r * ca0, big_r * sa0),
-        LineSegment(big_r * ca0, big_r * sa0, r * c0, r * s0),
-    )
-    return Path.single(segs)
+    bx1, by1, bx0, by0 = big_r * ca1, big_r * sa1, big_r * ca0, big_r * sa0
+    tx1, ty1 = top_r * ca1, top_r * sa1
+    return Path((inner + (
+        _new(LineSegment, (ix1, iy1, bx1, by1)),
+        _new(LineSegment, (bx1, by1, tx1, ty1)),
+        _new(ArcSegment, (top_r, a1, a0)),
+        _new(LineSegment, (top_r * ca0, top_r * sa0, bx0, by0)),
+        _new(LineSegment, (bx0, by0, ix0, iy0)),
+    ),))
 
 
 def rect_path(x0: float, y0: float, width: float, height: float) -> Path:
     """Counter-clockwise rectangle outline with lower-left corner (x0, y0)."""
     x1, y1 = x0 + width, y0 + height
-    return Path.single(
-        [
-            LineSegment(x0, y0, x1, y0),
-            LineSegment(x1, y0, x1, y1),
-            LineSegment(x1, y1, x0, y1),
-            LineSegment(x0, y1, x0, y0),
-        ]
-    )
-
+    return Path(((
+        _new(LineSegment, (x0, y0, x1, y0)),
+        _new(LineSegment, (x1, y0, x1, y1)),
+        _new(LineSegment, (x1, y1, x0, y1)),
+        _new(LineSegment, (x0, y1, x0, y0)),
+    ),))

@@ -13,6 +13,7 @@ self-describing.  Identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .geometry import LineSegment, Path
@@ -99,9 +100,10 @@ class _Transform:
 def _split_arc(start: float, span: float) -> list[tuple[float, float]]:
     """(start, end) angle pairs, each spanning at most pi.
 
-    An arc spanning less than pi is one piece ending at ``start + span``.
-    A full turn gives two pieces of exactly pi; the sweep flag makes such
-    a command unambiguous.
+    An arc spanning less than pi is one piece ending at ``start + span``;
+    ``_loop_to_d`` writes that piece itself without calling here.  A full
+    turn gives two pieces of exactly pi; the sweep flag makes such a
+    command unambiguous.
     """
     if abs(span) < math.pi:
         return [(start, start + span)]
@@ -110,35 +112,46 @@ def _split_arc(start: float, span: float) -> list[tuple[float, float]]:
     return [(start + i * step, start + (i + 1) * step) for i in range(pieces)]
 
 
+# Path-data commands as ``%`` templates; ``"%.6f" % x`` spells what
+# ``f"{x:.6f}"`` does.  An arc's sweep flag is 0 for a math-CCW span: the y
+# flip makes SVG's positive-angle direction (sweep=1) screen-clockwise.
+_LINE = " L %.6f %.6f"
+_ARC = (" A %.6f %.6f 0 0 1 %.6f %.6f", " A %.6f %.6f 0 0 0 %.6f %.6f")
+
+
 def _loop_to_d(loop, tf: _Transform) -> str:
     """One closed loop as ``M ... Z`` path data, each number as ``_fmt`` spells it.
 
-    The transform is inlined, each command takes one f-string, and an arc's
-    radius is formatted once.  A ``-0.000000`` token is rewritten to
-    ``0.000000`` once over the finished string: every token is a whole
-    6-decimal number, so only such a token can contain that text.
+    The loop's commands become one ``%`` template and one value list,
+    formatted by one ``%`` call with the transform inlined.  A
+    ``-0.000000`` token is then rewritten to ``0.000000`` once over the
+    finished string: every token is a whole 6-decimal number, so only such
+    a token can contain that text.
     """
     scale, cx, cy = tf.scale, tf.cx, tf.cy
-    cos, sin = math.cos, math.sin
+    cos, sin, pi = math.cos, math.sin, math.pi
     x0, y0 = loop[0].start_point
-    parts = [f"M {cx + scale * x0:.6f} {cy - scale * y0:.6f}"]
+    template = "M %.6f %.6f"
+    values = [cx + scale * x0, cy - scale * y0]
     for seg in loop:
         if isinstance(seg, LineSegment):
             _, _, x1, y1 = seg
-            parts.append(f"L {cx + scale * x1:.6f} {cy - scale * y1:.6f}")
+            template += _LINE
+            values += (cx + scale * x1, cy - scale * y1)
             continue
         r, start, end = seg
         span = end - start
-        radius = f"{r * scale:.6f}"
-        # The y flip mirrors orientation: SVG's positive-angle direction
-        # (sweep=1) is screen-clockwise, so math-CCW arcs take sweep=0.
-        head = f"A {radius} {radius} 0 0 {0 if span > 0 else 1}"
+        radius = r * scale
+        arc = _ARC[span > 0]
+        if abs(span) < pi:
+            a1 = start + span
+            template += arc
+            values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
+            continue
         for _, a1 in _split_arc(start, span):
-            x = cx + scale * (r * cos(a1))
-            y = cy - scale * (r * sin(a1))
-            parts.append(f"{head} {x:.6f} {y:.6f}")
-    parts.append("Z")
-    return " ".join(parts).replace("-0.000000", "0.000000")
+            template += arc
+            values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
+    return ((template + " Z") % tuple(values)).replace("-0.000000", "0.000000")
 
 
 def _path_d(path: Path, tf: _Transform) -> str:
@@ -213,11 +226,11 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
         f'<rect width="{size}" height="{size}" fill="{BACKGROUND}"/>',
     ]
 
-    ordered = sorted(range(len(layout.nodes)), key=lambda i: (layout.nodes[i].depth, i))
+    # A stable sort on depth keeps equal depths in node order.
+    ordered = sorted(layout.nodes, key=operator.attrgetter("depth"))
     is_icicle = layout.style == "icicle"
     labels: list[str] = []
-    for i in ordered:
-        node = layout.nodes[i]
+    for node in ordered:
         fill = node.color or FALLBACK_FILL
         d = _path_d(node.path, tf)
         if node.relaxed:
@@ -233,5 +246,6 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
             if el is not None:
                 labels.append(el)
     lines.extend(labels)
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    # The trailing empty item gives the closing newline in the one join.
+    lines += ("</svg>", "")
+    return "\n".join(lines).encode("utf-8")

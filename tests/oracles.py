@@ -4,8 +4,9 @@ The package itself measures outlines exactly (``measure.path_area``) and
 imports only the standard library.  These helpers give the tests a second,
 independent view of the same shapes: polygonized loops for a shoelace
 cross-check, points spread along a boundary, a vectorized interior test
-straight from a sector's closed-form description, and the two wedges a
-sector's cuts remove.  They also hold the reference checks the package
+straight from a sector's closed-form description, the two wedges a
+sector's cuts remove, and the outline builder spelled with the segment
+types' own constructors.  They also hold the reference checks the package
 does not run itself: the deficient half top-up solve, the wedge-angle
 bound with its ``ANGLE_EPS`` margin, and the normalized-tree invariants.
 """
@@ -110,6 +111,58 @@ def wedge_paths(g: SectorGeometry) -> tuple[Path, Path]:
         ]
     )
     return start, end
+
+
+def reference_node_path(g: SectorGeometry) -> Path:
+    """``build_node_path`` spelled with the segment types' own constructors
+    and ``Path.single``: the outlines the package builds must equal these.
+
+    Closed outline of a node shape.
+
+    Full annuli become two concentric loops (or one circle when r_in = 0);
+    plain sectors a 4-segment outline; wedge-cut sectors the 6-segment
+    outline of sector-minus-wedges plus top-up.  The inner arc always spans
+    the full [theta, theta+beta]: cuts shorten the shape only above it.
+    """
+    if g.height <= 0.0:
+        raise ValueError(f"degenerate sector height {g.height}")
+    if g.beta < 0.0:
+        raise ValueError(f"negative sector angle {g.beta}")
+    t0, t1 = g.theta, g.theta + g.beta
+    r, big_r = g.r_in, g.outer_radius
+
+    if is_full_turn(g.beta):
+        outer = ArcSegment(big_r, t0, t0 + TAU)
+        if r == 0.0:
+            return Path(loops=((outer,),))
+        inner = ArcSegment(r, t0 + TAU, t0)
+        return Path(loops=((outer,), (inner,)))
+
+    # Each corner is (radius * cos(angle), radius * sin(angle)), with every
+    # angle's cosine and sine taken once; corners shared by two segments
+    # are the same numbers, so the joins match exactly.
+    c0, s0, c1, s1 = math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1)
+    segs: list[Segment] = [ArcSegment(r, t0, t1)] if r > 0.0 else []
+    if g.alpha == 0.0:
+        segs += (
+            LineSegment(r * c1, r * s1, big_r * c1, big_r * s1),
+            ArcSegment(big_r, t1, t0),
+            LineSegment(big_r * c0, big_r * s0, r * c0, r * s0),
+        )
+        return Path.single(segs)
+
+    top_r = g.total_radius
+    a0 = g.cut_start
+    a1 = g.cut_end
+    ca0, sa0, ca1, sa1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
+    segs += (
+        LineSegment(r * c1, r * s1, big_r * ca1, big_r * sa1),
+        LineSegment(big_r * ca1, big_r * sa1, top_r * ca1, top_r * sa1),
+        ArcSegment(top_r, a1, a0),
+        LineSegment(top_r * ca0, top_r * sa0, big_r * ca0, big_r * sa0),
+        LineSegment(big_r * ca0, big_r * sa0, r * c0, r * s0),
+    )
+    return Path.single(segs)
 
 
 def sector_contains_points(

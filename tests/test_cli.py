@@ -210,6 +210,46 @@ def test_write_failure_exit_1(tmp_path, capsys, demo_file, command):
     assert capsys.readouterr().err.startswith("error: cannot write: ")
 
 
+@pytest.mark.parametrize("command", ["render", "layout"])
+def test_unwritable_output_fails_before_layout(tmp_path, capsys, monkeypatch, demo_file, command):
+    def never(*args, **kwargs):
+        raise AssertionError("compute_layout was called")
+
+    monkeypatch.setattr(cli, "compute_layout", never)
+    rc = main([command, "--input", demo_file, "--output", str(tmp_path / "missing" / "x.svg")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot write: ")
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["render", "layout"])
+def test_failed_command_keeps_existing_output(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier run\n")
+    assert main([command, "--input", str(bad), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert out.read_bytes() == b"earlier run\n"
+
+
+@pytest.mark.parametrize("command", ["render", "layout"])
+def test_failed_command_removes_output_it_created(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    assert main([command, "--input", str(bad), "--output", str(tmp_path / "out")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+@pytest.mark.parametrize("command", ["render", "layout"])
+def test_longer_existing_output_is_replaced(tmp_path, demo_file, command):
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert main([command, "--input", demo_file, "--output", str(fresh)]) == 0
+    old.write_bytes(b"x" * (3 * len(fresh.read_bytes())))
+    assert main([command, "--input", demo_file, "--output", str(old)]) == 0
+    assert old.read_bytes() == fresh.read_bytes()
+
+
 class TestLayoutCommand:
     def test_geometry_json(self, demo_file, tmp_path):
         out = tmp_path / "layout.json"

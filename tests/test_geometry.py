@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rit_layout import (
     build_node_path,
@@ -15,6 +15,7 @@ from rit_layout import (
 )
 from rit_layout.geometry import (
     ANGLE_EPS,
+    FULL_TURN_TOL,
     PATH_JOIN_TOL,
     ArcSegment,
     BandGeometry,
@@ -22,11 +23,20 @@ from rit_layout.geometry import (
     Path,
     SectorGeometry,
     _check_loop,
+    _polar,
+    is_full_turn,
     max_wedge_angle,
     normalize_angle,
+    rect_path,
 )
 
-from oracles import half_topup_height, path_boundary_points, sector_contains_points, wedge_paths
+from oracles import (
+    half_topup_height,
+    path_boundary_points,
+    reference_node_path,
+    sector_contains_points,
+    wedge_paths,
+)
 
 TAU = 2.0 * math.pi
 
@@ -458,3 +468,60 @@ class TestSegmentFastPaths:
         # The cases cover acceptance and both rejections.
         assert None in verdicts and "empty loop" in verdicts and "loop does not close" in verdicts
         assert any(v and v.startswith("segments do not join") for v in verdicts)
+
+
+@st.composite
+def _sector_geometries(draw):
+    """Sectors with and without a hole and wedge cuts, at any sign of
+    theta, spanning zero, less than pi, pi, more than pi or a full turn."""
+    beta = draw(st.one_of(
+        st.sampled_from([0.0, BELOW_PI, math.pi, math.nextafter(math.pi, 4.0),
+                         TAU - 0.5 * FULL_TURN_TOL, TAU]),
+        st.floats(1e-12, TAU),
+    ))
+    alpha = draw(st.just(0.0) | st.floats(0.0, 0.5 * beta, exclude_min=True)) if beta else 0.0
+    return SectorGeometry(
+        theta=draw(st.floats(-20.0, 20.0)),
+        beta=beta,
+        alpha=alpha,
+        r_in=draw(st.just(0.0) | st.floats(1e-3, 100.0)),
+        height=draw(st.floats(1e-3, 50.0)),
+        topup_height=draw(st.floats(1e-6, 10.0)) if alpha else 0.0,
+    )
+
+
+class TestOutlineBuilders:
+    """The outline builders make their segments with ``tuple.__new__``; the
+    outlines equal those the segment types' own constructors give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=_sector_geometries())
+    def test_node_path_matches_reference(self, g):
+        path = g.outline()
+        if g.beta == 0.0:
+            p0, p1 = _polar(g.r_in, g.theta), _polar(g.outer_radius, g.theta)
+            ref = Path.single([LineSegment(*p0, *p1), LineSegment(*p1, *p0)])
+        else:
+            ref = reference_node_path(g)
+        assert path == ref
+        # repr tells the segment types and the sign of a zero apart.
+        assert repr(path) == repr(ref)
+        for loop in path.loops:
+            assert {type(seg) for seg in loop} <= {ArcSegment, LineSegment}
+            if is_full_turn(g.beta):
+                continue
+            starts = [seg.start_point for seg in loop]
+            ends = [seg.end_point for seg in loop]
+            assert ends[:-1] == starts[1:] and ends[-1] == starts[0]
+
+    @given(x0=st.floats(-100.0, 100.0), y0=st.floats(-100.0, 100.0),
+           width=st.floats(0.0, 100.0), height=st.floats(0.0, 100.0))
+    def test_rect_path_matches_reference(self, x0, y0, width, height):
+        x1, y1 = x0 + width, y0 + height
+        ref = Path.single([
+            LineSegment(x0, y0, x1, y0),
+            LineSegment(x1, y0, x1, y1),
+            LineSegment(x1, y1, x0, y1),
+            LineSegment(x0, y1, x0, y0),
+        ])
+        assert repr(rect_path(x0, y0, width, height)) == repr(ref)

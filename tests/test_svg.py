@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rit_layout import (
     LayoutConfig,
@@ -18,13 +19,13 @@ from rit_layout import (
     path_area,
     render_svg,
 )
-from rit_layout.geometry import LineSegment, Path, SectorGeometry
+from rit_layout.geometry import ArcSegment, LineSegment, Path, SectorGeometry
 from rit_layout.layout import Layout, PlacedNode
-from rit_layout.svg import HALF_PI, _extent, _split_arc
+from rit_layout.svg import HALF_PI, _extent, _loop_to_d, _split_arc, _Transform
 from rit_layout.tree import TreeNode
 
 from oracles import path_boundary_points
-from test_geometry import BELOW_PI, hand_loops
+from test_geometry import BELOW_PI, SubArc, SubLine, hand_loops
 from test_golden import QUARTER
 from test_relax import flanked_thin_run
 
@@ -319,6 +320,40 @@ def _reference_extent(layout: Layout) -> tuple[float, float, float, float]:
     return min(xs), max(xs), min(ys), max(ys)
 
 
+# Arc spans at and around +-pi and full turns, besides any in (-3*pi, 3*pi).
+_EDGE_SPANS = (0.0, BELOW_PI, math.pi, math.nextafter(math.pi, 4.0), 2.0 * math.pi)
+
+
+@st.composite
+def _closed_loops(draw):
+    """One loop of arcs and lines, in the package's types or subclasses of
+    them, closed exactly: a line joins each piece's start to the last end."""
+    segs = []
+    first = end = None
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            span = draw(st.sampled_from(_EDGE_SPANS + tuple(-s for s in _EDGE_SPANS))
+                        | st.floats(-3.0 * math.pi, 3.0 * math.pi,
+                                    exclude_min=True, exclude_max=True))
+            # Starting at 0 keeps a drawn span exact through end - start.
+            start = draw(st.just(0.0) | st.floats(-10.0, 10.0))
+            arc = draw(st.sampled_from([ArcSegment, SubArc]))(
+                draw(st.floats(0.0, 100.0)), start, start + span)
+            pieces = [arc]
+            point, next_end = arc.start_point, arc.end_point
+        else:
+            point = next_end = (draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))
+            pieces = []
+        if end is None:
+            first = point
+        else:
+            segs.append(draw(st.sampled_from([LineSegment, SubLine]))(*end, *point))
+        segs += pieces
+        end = next_end
+    segs.append(draw(st.sampled_from([LineSegment, SubLine]))(*end, *first))
+    return tuple(segs)
+
+
 class TestSegmentFastPaths:
     """Hand-made arcs on either side of pi, full and clockwise turns, a 1e-15
     sliver and subclass segments: the renderer's type-dispatched loops give
@@ -341,6 +376,18 @@ class TestSegmentFastPaths:
         for node in layout.nodes:
             one = Layout("rit", layout.config, 1.0, (node,), 1)
             assert _extent(one) == _reference_extent(one), node.id
+
+    @pytest.mark.parametrize("margin", [0.0, 20.0])
+    @settings(max_examples=200, deadline=None)
+    @given(loops=st.lists(_closed_loops(), min_size=1, max_size=3))
+    def test_loop_to_d_equals_reference_on_drawn_loops(self, margin, loops):
+        path = Path(loops=tuple(loops))
+        node = PlacedNode("n", "n", "#123456", 0.5, 1, None,
+                          _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=path))
+        layout = Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=(node,), visits=1)
+        tf = _Transform(layout, RenderStyle(margin=margin))
+        for loop in path.loops:
+            assert _loop_to_d(loop, tf) == _reference_d(Path((loop,)), tf.scale, tf.cx, tf.cy)
 
     def test_split_arc_matches_piece_count_rule(self):
         # Below pi the early return gives bit for bit the one piece the
