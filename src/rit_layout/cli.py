@@ -124,22 +124,38 @@ def _output_file(path: str, mode: str, encoding: str | None = None):
     fails, a file this call created is removed; a file that already
     existed is left as it was unless the failure came while writing.
     """
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        created = True
-    except FileExistsError:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT)
-        created = False
+    fd, created = _open_output(path)
     try:
         with open(fd, mode, encoding=encoding) as out:
             yield out
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 out.truncate()
     except BaseException:
-        if created:
+        if created is not None:
             with contextlib.suppress(OSError):
-                os.unlink(path)
+                os.unlink(created)
         raise
+
+
+def _open_output(path: str) -> tuple[int, str | None]:
+    """A write-only descriptor for ``path`` and the file it created, if any.
+
+    An existing file is opened without ``O_CREAT``, so only the exclusive
+    create can make a file and ``created`` names every file this call made.
+    When the plain open finds nothing, ``path`` is a dangling symlink or was
+    removed between the two opens; the exclusive create is then retried on
+    the path with its links resolved.
+    """
+    for _ in range(2):
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), path
+        except FileExistsError:
+            pass
+        try:
+            return os.open(path, os.O_WRONLY), None
+        except FileNotFoundError:
+            path = os.path.realpath(path)
+    return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), path
 
 
 @functools.cache

@@ -212,8 +212,7 @@ def _check_loop(loop: tuple[Segment, ...]) -> None:
     previous end exactly, building no lists.  When every join and the close
     match exactly, which is how the package builds all but full-turn arcs,
     the loop passes without the distance test: an exact match is within any
-    positive tolerance.  A one-segment loop (every full turn) is judged on
-    the endpoints the walk computed; any other inexact loop goes to
+    positive tolerance.  Any other loop, such as a full turn, goes to
     ``_check_loop_tolerance``.
     """
     if not loop:
@@ -237,13 +236,8 @@ def _check_loop(loop: tuple[Segment, ...]) -> None:
             if r * cos(a0) != x or r * sin(a0) != y:
                 return _check_loop_tolerance(loop)
             x, y = r * cos(a1), r * sin(a1)
-    if x == first_x and y == first_y:
-        return
-    if len(loop) > 1:
-        return _check_loop_tolerance(loop)
-    scale = max(1.0, max(abs(first_x), abs(first_y), abs(x), abs(y)))
-    if math.dist((x, y), (first_x, first_y)) > PATH_JOIN_TOL * scale:
-        raise ValueError("loop does not close")
+    if x != first_x or y != first_y:
+        _check_loop_tolerance(loop)
 
 
 def _check_loop_tolerance(loop: tuple[Segment, ...]) -> None:

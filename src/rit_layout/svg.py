@@ -100,10 +100,9 @@ class _Transform:
 def _split_arc(start: float, span: float) -> list[tuple[float, float]]:
     """(start, end) angle pairs, each spanning at most pi.
 
-    An arc spanning less than pi is one piece ending at ``start + span``;
-    ``_loop_to_d`` writes that piece itself without calling here.  A full
-    turn gives two pieces of exactly pi; the sweep flag makes such a
-    command unambiguous.
+    An arc spanning less than pi is one piece ending at ``start + span``.
+    A full turn gives two pieces of exactly pi; the sweep flag makes such
+    a command unambiguous.
     """
     if abs(span) < math.pi:
         return [(start, start + span)]
@@ -129,7 +128,7 @@ def _loop_to_d(loop, tf: _Transform) -> str:
     a token can contain that text.
     """
     scale, cx, cy = tf.scale, tf.cx, tf.cy
-    cos, sin, pi = math.cos, math.sin, math.pi
+    cos, sin = math.cos, math.sin
     x0, y0 = loop[0].start_point
     template = "M %.6f %.6f"
     values = [cx + scale * x0, cy - scale * y0]
@@ -143,11 +142,6 @@ def _loop_to_d(loop, tf: _Transform) -> str:
         span = end - start
         radius = r * scale
         arc = _ARC[span > 0]
-        if abs(span) < pi:
-            a1 = start + span
-            template += arc
-            values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
-            continue
         for _, a1 in _split_arc(start, span):
             template += arc
             values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))

@@ -242,6 +242,45 @@ def test_failed_command_removes_output_it_created(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["render", "layout"])
+def test_failed_command_through_dangling_symlink_removes_target(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    link = tmp_path / "link"
+    link.symlink_to("target")
+    assert main([command, "--input", str(bad), "--output", str(link)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "link"]
+    assert link.is_symlink() and not link.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "layout"])
+def test_dangling_symlink_output_writes_its_target(tmp_path, demo_file, command):
+    fresh, link = tmp_path / "fresh", tmp_path / "link"
+    assert main([command, "--input", demo_file, "--output", str(fresh)]) == 0
+    link.symlink_to("target")
+    assert main([command, "--input", demo_file, "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert (tmp_path / "target").read_bytes() == fresh.read_bytes()
+
+
+def test_output_removed_between_opens_counts_as_created(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.write_bytes(b"earlier run\n")
+    real_open = os.open
+
+    def racing_open(path, flags, *args):
+        # The file vanishes after the exclusive create found it.
+        if not flags & os.O_CREAT and out.exists():
+            out.unlink()
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(cli.os, "open", racing_open)
+    fd, created = cli._open_output(str(out))
+    os.close(fd)
+    assert created == os.path.realpath(out)
+
+
+@pytest.mark.parametrize("command", ["render", "layout"])
 def test_longer_existing_output_is_replaced(tmp_path, demo_file, command):
     fresh, old = tmp_path / "fresh", tmp_path / "old"
     assert main([command, "--input", demo_file, "--output", str(fresh)]) == 0
