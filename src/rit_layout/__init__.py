@@ -13,8 +13,6 @@ from .colors import assign_colors
 from .diagnostics import DiagnosticsReport, diagnostics
 from .generate import GeneratorSpec, demo_tree, generate_tree
 from .geometry import (
-    ArcSegment,
-    LineSegment,
     Path,
     SectorGeometry,
     build_node_path,
@@ -49,14 +47,12 @@ from .tree import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcSegment",
     "BenchRecord",
     "DiagnosticsReport",
     "FitResult",
     "GeneratorSpec",
     "Layout",
     "LayoutConfig",
-    "LineSegment",
     "NormalizedNode",
     "Path",
     "PlacedNode",

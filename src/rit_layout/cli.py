@@ -118,12 +118,17 @@ def _read_tree(path: str) -> TreeNode:
 def _output_file(path: str, mode: str, encoding: str | None = None):
     """``path`` opened for writing before the command reads its input.
 
-    An unwritable path then fails at once, not after a whole layout.
+    ``-`` is standard output: ``sys.stdout.buffer`` in binary mode,
+    ``sys.stdout`` in text mode; it is neither opened nor closed here.
+    Any other unwritable path then fails at once, not after a whole layout.
     Opening does not truncate: the command writes from the start and a
     regular file is cut at the end of what it wrote.  If the command
     fails, a file this call created is removed; a file that already
     existed is left as it was unless the failure came while writing.
     """
+    if path == "-":
+        yield sys.stdout.buffer if "b" in mode else sys.stdout
+        return
     fd, created = _open_output(path)
     try:
         with open(fd, mode, encoding=encoding) as out:
@@ -166,7 +171,7 @@ def build_parser() -> _Parser:
 
     p_render = sub.add_parser("render", help="render one style to an SVG file")
     p_render.add_argument("--input", required=True)
-    p_render.add_argument("--output", required=True)
+    p_render.add_argument("--output", required=True, help="output path, or - for stdout")
     p_render.add_argument("--style", choices=list(STYLES), default="rit")
     _add_config_args(p_render)
     _add_render_style_args(p_render)
@@ -213,8 +218,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_layout(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     cfg.validate()
-    with (contextlib.nullcontext(sys.stdout) if args.output == "-"
-          else _output_file(args.output, "w", encoding="utf-8")) as out:
+    with _output_file(args.output, "w", encoding="utf-8") as out:
         tree = assign_colors(normalize(_read_tree(args.input)))
         text = layout_to_json(compute_layout(tree, args.style, cfg))
         # The text and its newline are written apart, so the document is not copied.

@@ -7,6 +7,13 @@ sector with a fan-shaped wedge of half-angle ``alpha/2`` cut off each end
 stacked on its outer arc whose area exactly replaces the two wedges, so
 the shape's total area stays proportional to the encoded value.
 
+An outline segment is a plain ``tuple`` whose length says what it is:
+``(radius, start, end)`` is an arc of the circle of that radius about the
+origin, counter-clockwise from ``start`` to ``end`` (clockwise when
+``end < start``), and ``(x0, y0, x1, y1)`` is the straight segment from
+``(x0, y0)`` to ``(x1, y1)``.  Every reader tells them apart by
+``len(seg) == 4``.
+
 Everything here is plain ``math``.  Point sampling, vectorized
 containment and the explicit wedge outlines, which only the tests need,
 live in the tests' ``oracles`` module.
@@ -15,7 +22,6 @@ live in the tests' ``oracles`` module.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 TAU = 2.0 * math.pi
@@ -140,43 +146,8 @@ def clamp_wedge_angle(ar: float, beta: float, r: float, outer_radius: float) -> 
     )
 
 
-class ArcSegment(namedtuple("ArcSegment", "radius start end")):
-    """Circular arc centered on the origin; end < start means clockwise."""
-
-    __slots__ = ()
-
-    @property
-    def start_point(self) -> tuple[float, float]:
-        return (self.radius * math.cos(self.start), self.radius * math.sin(self.start))
-
-    @property
-    def end_point(self) -> tuple[float, float]:
-        return (self.radius * math.cos(self.end), self.radius * math.sin(self.end))
-
-    @property
-    def span(self) -> float:
-        return self.end - self.start
-
-
-class LineSegment(namedtuple("LineSegment", "x0 y0 x1 y1")):
-    """Straight segment from (x0, y0) to (x1, y1)."""
-
-    __slots__ = ()
-
-    @property
-    def start_point(self) -> tuple[float, float]:
-        return (self.x0, self.y0)
-
-    @property
-    def end_point(self) -> tuple[float, float]:
-        return (self.x1, self.y1)
-
-
-Segment = ArcSegment | LineSegment
-
-# ``_new(LineSegment, (x0, y0, x1, y1))`` is ``LineSegment(x0, y0, x1, y1)``
-# without the named tuple's Python-level ``__new__`` frame.
-_new = tuple.__new__
+# An arc ``(radius, start, end)`` or a line ``(x0, y0, x1, y1)``.
+Segment = tuple[float, float, float] | tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -198,10 +169,6 @@ class Path:
     def segments(self) -> tuple[Segment, ...]:
         return tuple(seg for loop in self.loops for seg in loop)
 
-    @classmethod
-    def single(cls, segments: list[Segment]) -> "Path":
-        return cls(loops=(tuple(segments),))
-
 
 def _check_loop(loop: tuple[Segment, ...]) -> None:
     """Reject an empty loop, a gap between segments, or an open end.
@@ -220,13 +187,13 @@ def _check_loop(loop: tuple[Segment, ...]) -> None:
     cos, sin = math.cos, math.sin
     segs = iter(loop)
     seg = next(segs)
-    if isinstance(seg, LineSegment):
+    if len(seg) == 4:
         first_x, first_y, x, y = seg
     else:
         r, a0, a1 = seg
         first_x, first_y, x, y = r * cos(a0), r * sin(a0), r * cos(a1), r * sin(a1)
     for seg in segs:
-        if isinstance(seg, LineSegment):
+        if len(seg) == 4:
             x0, y0, x1, y1 = seg
             if x0 != x or y0 != y:
                 return _check_loop_tolerance(loop)
@@ -246,7 +213,7 @@ def _check_loop_tolerance(loop: tuple[Segment, ...]) -> None:
     ends = []
     cos, sin = math.cos, math.sin
     for seg in loop:
-        if isinstance(seg, LineSegment):
+        if len(seg) == 4:
             x0, y0, x1, y1 = seg
             starts.append((x0, y0))
             ends.append((x1, y1))
@@ -310,8 +277,7 @@ class SectorGeometry:
         if self.beta <= 0.0:
             x0, y0 = _polar(self.r_in, self.theta)
             x1, y1 = _polar(self.outer_radius, self.theta)
-            return Path(((_new(LineSegment, (x0, y0, x1, y1)),
-                          _new(LineSegment, (x1, y1, x0, y0))),))
+            return Path((((x0, y0, x1, y1), (x1, y1, x0, y0)),))
         return build_node_path(self)
 
 
@@ -348,23 +314,22 @@ def build_node_path(g: SectorGeometry) -> Path:
     r, big_r = g.r_in, g.outer_radius
 
     if is_full_turn(g.beta):
-        outer = _new(ArcSegment, (big_r, t0, t0 + TAU))
+        outer = (big_r, t0, t0 + TAU)
         if r == 0.0:
             return Path(((outer,),))
-        return Path(((outer,), (_new(ArcSegment, (r, t0 + TAU, t0)),)))
+        return Path(((outer,), ((r, t0 + TAU, t0),)))
 
     # Each corner is (radius * cos(angle), radius * sin(angle)), computed
     # once and handed to both segments that share it, so the joins match
-    # exactly.  Segments are made by ``tuple.__new__``, which is all the
-    # named tuples' own constructors do.
+    # exactly.
     c0, s0, c1, s1 = math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1)
     ix0, iy0, ix1, iy1 = r * c0, r * s0, r * c1, r * s1
-    inner = (_new(ArcSegment, (r, t0, t1)),) if r > 0.0 else ()
+    inner = ((r, t0, t1),) if r > 0.0 else ()
     if g.alpha == 0.0:
         return Path((inner + (
-            _new(LineSegment, (ix1, iy1, big_r * c1, big_r * s1)),
-            _new(ArcSegment, (big_r, t1, t0)),
-            _new(LineSegment, (big_r * c0, big_r * s0, ix0, iy0)),
+            (ix1, iy1, big_r * c1, big_r * s1),
+            (big_r, t1, t0),
+            (big_r * c0, big_r * s0, ix0, iy0),
         ),))
 
     top_r = g.total_radius
@@ -374,11 +339,11 @@ def build_node_path(g: SectorGeometry) -> Path:
     bx1, by1, bx0, by0 = big_r * ca1, big_r * sa1, big_r * ca0, big_r * sa0
     tx1, ty1 = top_r * ca1, top_r * sa1
     return Path((inner + (
-        _new(LineSegment, (ix1, iy1, bx1, by1)),
-        _new(LineSegment, (bx1, by1, tx1, ty1)),
-        _new(ArcSegment, (top_r, a1, a0)),
-        _new(LineSegment, (top_r * ca0, top_r * sa0, bx0, by0)),
-        _new(LineSegment, (bx0, by0, ix0, iy0)),
+        (ix1, iy1, bx1, by1),
+        (bx1, by1, tx1, ty1),
+        (top_r, a1, a0),
+        (top_r * ca0, top_r * sa0, bx0, by0),
+        (bx0, by0, ix0, iy0),
     ),))
 
 
@@ -386,8 +351,8 @@ def rect_path(x0: float, y0: float, width: float, height: float) -> Path:
     """Counter-clockwise rectangle outline with lower-left corner (x0, y0)."""
     x1, y1 = x0 + width, y0 + height
     return Path(((
-        _new(LineSegment, (x0, y0, x1, y0)),
-        _new(LineSegment, (x1, y0, x1, y1)),
-        _new(LineSegment, (x1, y1, x0, y1)),
-        _new(LineSegment, (x0, y1, x0, y0)),
+        (x0, y0, x1, y0),
+        (x1, y0, x1, y1),
+        (x1, y1, x0, y1),
+        (x0, y1, x0, y0),
     ),))

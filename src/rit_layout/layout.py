@@ -392,9 +392,9 @@ def _path_json(
 ) -> str | None:
     """A node's segments as the items of its ``"path"`` list (indent 4).
 
-    Only segments of the package's own types whose numbers are all finite
-    ``float``s, as every outline of a float layout is, are written: ``!r``
-    spells such a number as ``json.dumps`` does.  Any other segment (an
+    Only segments that are exact ``tuple``s of finite exact ``float``s, as
+    every outline of a float layout is, are written: ``!r`` spells such a
+    number as ``json.dumps`` does.  Any other segment (a tuple subclass, an
     int radius, a non-finite or overflowing sum, a float subclass) gives
     ``None``.  A line's ``x0``/``y0`` equal to the last line's end, and an
     arc's ``radius``/``start`` equal to the node's ``r_in``/``theta``, reuse
@@ -405,8 +405,9 @@ def _path_json(
     x = y = None
     x_text = y_text = ""
     for seg in segments:
-        kind = type(seg)
-        if kind is geo.LineSegment:
+        if type(seg) is not tuple:
+            return None
+        if len(seg) == 4:
             x0, y0, x1, y1 = seg
             if not (type(x0) is type(y0) is type(x1) is type(y1) is float
                     and math.isfinite(x0 + y0 + x1 + y1)):
@@ -419,7 +420,7 @@ def _path_json(
                 f'     "x0": {x0_text},\n     "y0": {y0_text},\n'
                 f'     "x1": {x_text},\n     "y1": {y_text}\n    }}'
             )
-        elif kind is geo.ArcSegment:
+        else:
             radius, start, end = seg
             if not (type(radius) is type(start) is type(end) is float
                     and math.isfinite(radius + start + end)):
@@ -430,8 +431,6 @@ def _path_json(
                 f'     "start": {theta_text if start == theta and start else repr(start)},\n'
                 f'     "end": {end!r}\n    }}'
             )
-        else:
-            return None
     return ",\n".join(items)
 
 
@@ -441,7 +440,8 @@ def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str] | None:
     Written only when every node's six sector numbers are finite ``float``s,
     ``id`` and ``label`` are ``str``, ``color`` is ``str`` or ``None``,
     ``depth`` is an ``int`` and ``relaxed`` a ``bool``, each of exactly that
-    type, and ``_path_json`` writes its segments; otherwise ``None``.
+    type, and ``_path_json`` writes its segments, each an exact ``tuple`` of
+    finite exact ``float``s; otherwise ``None``.
 
     Siblings share ``r_in`` and ``height``, and outline segments share
     corners, so a number equal to the one just written in its matching
@@ -502,8 +502,9 @@ def _document(layout: Layout) -> dict:
                 "topup_height": n.sector.topup_height,
                 "relaxed": n.relaxed, "color": n.color, "label": n.label,
                 "path": [
-                    {"type": "arc" if isinstance(seg, geo.ArcSegment) else "line",
-                     **seg._asdict()}
+                    {"type": "line", **dict(zip(("x0", "y0", "x1", "y1"), seg))}
+                    if len(seg) == 4
+                    else {"type": "arc", **dict(zip(("radius", "start", "end"), seg))}
                     for seg in n.path.segments
                 ],
             }
@@ -518,15 +519,16 @@ def layout_to_json(layout: Layout) -> str:
     The bytes are those of ``json.dumps(doc, indent=" ")``, a one-space
     indent, for the document ``{"a_std", "style", "nodes": [{"id", "depth",
     "theta", "beta", "alpha", "r_in", "height", "topup_height", "relaxed",
-    "color", "label", "path": [segment, ...]}, ...]}``, where an arc segment
-    is ``{"type": "arc", "radius", "start", "end"}`` and a line ``{"type":
-    "line", "x0", "y0", "x1", "y1"}``.  A layout of finite plain floats and
-    strings, as every layout the package builds from a float config is, is
-    written directly, one string per node and per segment, because any
-    indent sends ``json.dumps`` to its pure-Python encoder.  The head rides
-    on the first node's string and the tail on the last, so one join
-    builds the whole text.  Any other layout, and one without nodes, is
-    written by ``json.dumps`` itself.
+    "color", "label", "path": [segment, ...]}, ...]}``, where an arc
+    ``(radius, start, end)`` is ``{"type": "arc", "radius", "start", "end"}``
+    and a line ``(x0, y0, x1, y1)`` is ``{"type": "line", "x0", "y0", "x1",
+    "y1"}``.  A layout of finite plain floats and strings, as every layout
+    the package builds from a float config is, is written directly, one
+    string per node and per segment, because any indent sends
+    ``json.dumps`` to its pure-Python encoder.  The head rides on the
+    first node's string and the tail on the last, so one join builds the
+    whole text.  Any other layout, and one without nodes, is written by
+    ``json.dumps`` itself.
     """
     a_std, style = layout.a_std, layout.style
     if type(a_std) is float and math.isfinite(a_std) and type(style) is str:

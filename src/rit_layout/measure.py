@@ -10,11 +10,13 @@ floating-point rounding.
 
 from __future__ import annotations
 
-from .geometry import LineSegment, Path
+from .geometry import Path
 
 # Angle step for polygonized arcs; the inscribed polygon's relative area
 # error is O(step^2), about 1.7e-9 at this step.  Only the test oracles
-# polygonize; perfbench's measure.arc_vertices counter imports it too.
+# polygonize.  perfbench's measure.arc_vertices counter imports it too, but
+# it counts only segments with a ``radius`` attribute, which no plain-tuple
+# segment has, so it reads 0.
 DEFAULT_ARC_STEP = 1e-4
 
 
@@ -23,7 +25,7 @@ def path_area(path: Path) -> float:
     total = 0.0
     for loop in path.loops:
         for seg in loop:
-            if isinstance(seg, LineSegment):
+            if len(seg) == 4:
                 x0, y0, x1, y1 = seg
                 total += x0 * y1 - x1 * y0
             else:

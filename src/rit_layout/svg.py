@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .geometry import LineSegment, Path
+from .geometry import Path
 from .layout import Layout, require_finite
 
 FALLBACK_FILL = "#cccccc"
@@ -64,7 +64,7 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
     for node in layout.nodes:
         for loop in node.path.loops:
             for seg in loop:
-                if isinstance(seg, LineSegment):
+                if len(seg) == 4:
                     x0, y0, x1, y1 = seg
                     xs += (x0, x1)
                     ys += (y0, y1)
@@ -129,11 +129,15 @@ def _loop_to_d(loop, tf: _Transform) -> str:
     """
     scale, cx, cy = tf.scale, tf.cx, tf.cy
     cos, sin = math.cos, math.sin
-    x0, y0 = loop[0].start_point
+    first = loop[0]
+    if len(first) == 4:
+        x0, y0 = first[0], first[1]
+    else:
+        x0, y0 = first[0] * cos(first[1]), first[0] * sin(first[1])
     template = "M %.6f %.6f"
     values = [cx + scale * x0, cy - scale * y0]
     for seg in loop:
-        if isinstance(seg, LineSegment):
+        if len(seg) == 4:
             _, _, x1, y1 = seg
             template += _LINE
             values += (cx + scale * x1, cy - scale * y1)

@@ -5,8 +5,9 @@ imports only the standard library.  These helpers give the tests a second,
 independent view of the same shapes: polygonized loops for a shoelace
 cross-check, points spread along a boundary, a vectorized interior test
 straight from a sector's closed-form description, the two wedges a
-sector's cuts remove, and the outline builder spelled with the segment
-types' own constructors.  They also hold the reference checks the package
+sector's cuts remove, the outline builder spelled a second way, and
+``single`` plus the ``seg_*`` endpoint helpers for the package's
+plain-tuple segments.  They also hold the reference checks the package
 does not run itself: the deficient half top-up solve, the wedge-angle
 bound with its ``ANGLE_EPS`` margin, and the normalized-tree invariants.
 """
@@ -20,8 +21,6 @@ import numpy as np
 from rit_layout.geometry import (
     ANGLE_EPS,
     TAU,
-    ArcSegment,
-    LineSegment,
     Path,
     SectorGeometry,
     Segment,
@@ -34,8 +33,34 @@ from rit_layout.measure import DEFAULT_ARC_STEP
 from rit_layout.tree import SUM_TOL, NormalizedNode, _sum_in_order
 
 
-def _arc_steps(seg: ArcSegment, max_step: float) -> int:
-    return max(1, math.ceil(abs(seg.span) / max_step))
+def single(segments) -> Path:
+    """A one-loop ``Path`` of ``segments``."""
+    return Path(loops=(tuple(segments),))
+
+
+def seg_start(seg: Segment) -> tuple[float, float]:
+    """Where a segment begins: a line's (x0, y0), or an arc's start point."""
+    if len(seg) == 4:
+        return (seg[0], seg[1])
+    r, start, _ = seg
+    return (r * math.cos(start), r * math.sin(start))
+
+
+def seg_end(seg: Segment) -> tuple[float, float]:
+    """Where a segment ends: a line's (x1, y1), or an arc's end point."""
+    if len(seg) == 4:
+        return (seg[2], seg[3])
+    r, _, end = seg
+    return (r * math.cos(end), r * math.sin(end))
+
+
+def seg_span(seg: Segment) -> float:
+    """An arc's signed angle, ``end - start``."""
+    return seg[2] - seg[1]
+
+
+def _arc_steps(seg: Segment, max_step: float) -> int:
+    return max(1, math.ceil(abs(seg_span(seg)) / max_step))
 
 
 def loop_vertices(
@@ -43,15 +68,15 @@ def loop_vertices(
 ) -> np.ndarray:
     """Polygon vertices of one loop, shape (n, 2), last point not repeated."""
     chunks: list[np.ndarray] = []
-    first = loop[0].start_point
-    chunks.append(np.array([first]))
+    chunks.append(np.array([seg_start(loop[0])]))
     for seg in loop:
-        if isinstance(seg, LineSegment):
-            chunks.append(np.array([[seg.x1, seg.y1]]))
+        if len(seg) == 4:
+            chunks.append(np.array([seg_end(seg)]))
         else:
             n = _arc_steps(seg, max_arc_step)
-            angles = seg.start + (seg.span / n) * np.arange(1, n + 1)
-            chunks.append(seg.radius * np.column_stack([np.cos(angles), np.sin(angles)]))
+            r, start, _ = seg
+            angles = start + (seg_span(seg) / n) * np.arange(1, n + 1)
+            chunks.append(r * np.column_stack([np.cos(angles), np.sin(angles)]))
     pts = np.concatenate(chunks)
     if np.allclose(pts[-1], pts[0]):
         pts = pts[:-1]
@@ -59,9 +84,10 @@ def loop_vertices(
 
 
 def _segment_length(seg: Segment) -> float:
-    if isinstance(seg, LineSegment):
-        return math.hypot(seg.x1 - seg.x0, seg.y1 - seg.y0)
-    return abs(seg.span) * seg.radius
+    if len(seg) == 4:
+        x0, y0, x1, y1 = seg
+        return math.hypot(x1 - x0, y1 - y0)
+    return abs(seg_span(seg)) * seg[0]
 
 
 def path_boundary_points(path: Path, n: int) -> np.ndarray:
@@ -75,13 +101,15 @@ def path_boundary_points(path: Path, n: int) -> np.ndarray:
     for seg, length in zip(segments, lengths):
         k = max(2, math.ceil(n * length / total))
         t = np.linspace(0.0, 1.0, k)
-        if isinstance(seg, LineSegment):
-            xs = seg.x0 + (seg.x1 - seg.x0) * t
-            ys = seg.y0 + (seg.y1 - seg.y0) * t
+        if len(seg) == 4:
+            x0, y0, x1, y1 = seg
+            xs = x0 + (x1 - x0) * t
+            ys = y0 + (y1 - y0) * t
         else:
-            angles = seg.start + seg.span * t
-            xs = seg.radius * np.cos(angles)
-            ys = seg.radius * np.sin(angles)
+            r, start, _ = seg
+            angles = start + seg_span(seg) * t
+            xs = r * np.cos(angles)
+            ys = r * np.sin(angles)
         chunks.append(np.column_stack([xs, ys]))
     return np.concatenate(chunks)
 
@@ -96,26 +124,26 @@ def wedge_paths(g: SectorGeometry) -> tuple[Path, Path]:
         raise ValueError("sector has no wedges")
     r, big_r = g.r_in, g.outer_radius
     t0, t1 = g.theta, g.theta + g.beta
-    start = Path.single(
+    start = single(
         [
-            LineSegment(*_polar(r, t0), *_polar(big_r, t0)),
-            ArcSegment(big_r, t0, t0 + 0.5 * g.alpha),
-            LineSegment(*_polar(big_r, t0 + 0.5 * g.alpha), *_polar(r, t0)),
+            (*_polar(r, t0), *_polar(big_r, t0)),
+            (big_r, t0, t0 + 0.5 * g.alpha),
+            (*_polar(big_r, t0 + 0.5 * g.alpha), *_polar(r, t0)),
         ]
     )
-    end = Path.single(
+    end = single(
         [
-            LineSegment(*_polar(r, t1), *_polar(big_r, t1 - 0.5 * g.alpha)),
-            ArcSegment(big_r, t1 - 0.5 * g.alpha, t1),
-            LineSegment(*_polar(big_r, t1), *_polar(r, t1)),
+            (*_polar(r, t1), *_polar(big_r, t1 - 0.5 * g.alpha)),
+            (big_r, t1 - 0.5 * g.alpha, t1),
+            (*_polar(big_r, t1), *_polar(r, t1)),
         ]
     )
     return start, end
 
 
 def reference_node_path(g: SectorGeometry) -> Path:
-    """``build_node_path`` spelled with the segment types' own constructors
-    and ``Path.single``: the outlines the package builds must equal these.
+    """``build_node_path`` spelled a second way, one list per loop handed
+    to ``single``: the outlines the package builds must equal these.
 
     Closed outline of a node shape.
 
@@ -132,37 +160,37 @@ def reference_node_path(g: SectorGeometry) -> Path:
     r, big_r = g.r_in, g.outer_radius
 
     if is_full_turn(g.beta):
-        outer = ArcSegment(big_r, t0, t0 + TAU)
+        outer = (big_r, t0, t0 + TAU)
         if r == 0.0:
             return Path(loops=((outer,),))
-        inner = ArcSegment(r, t0 + TAU, t0)
+        inner = (r, t0 + TAU, t0)
         return Path(loops=((outer,), (inner,)))
 
     # Each corner is (radius * cos(angle), radius * sin(angle)), with every
     # angle's cosine and sine taken once; corners shared by two segments
     # are the same numbers, so the joins match exactly.
     c0, s0, c1, s1 = math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1)
-    segs: list[Segment] = [ArcSegment(r, t0, t1)] if r > 0.0 else []
+    segs: list[Segment] = [(r, t0, t1)] if r > 0.0 else []
     if g.alpha == 0.0:
         segs += (
-            LineSegment(r * c1, r * s1, big_r * c1, big_r * s1),
-            ArcSegment(big_r, t1, t0),
-            LineSegment(big_r * c0, big_r * s0, r * c0, r * s0),
+            (r * c1, r * s1, big_r * c1, big_r * s1),
+            (big_r, t1, t0),
+            (big_r * c0, big_r * s0, r * c0, r * s0),
         )
-        return Path.single(segs)
+        return single(segs)
 
     top_r = g.total_radius
     a0 = g.cut_start
     a1 = g.cut_end
     ca0, sa0, ca1, sa1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
     segs += (
-        LineSegment(r * c1, r * s1, big_r * ca1, big_r * sa1),
-        LineSegment(big_r * ca1, big_r * sa1, top_r * ca1, top_r * sa1),
-        ArcSegment(top_r, a1, a0),
-        LineSegment(top_r * ca0, top_r * sa0, big_r * ca0, big_r * sa0),
-        LineSegment(big_r * ca0, big_r * sa0, r * c0, r * s0),
+        (r * c1, r * s1, big_r * ca1, big_r * sa1),
+        (big_r * ca1, big_r * sa1, top_r * ca1, top_r * sa1),
+        (top_r, a1, a0),
+        (top_r * ca0, top_r * sa0, big_r * ca0, big_r * sa0),
+        (big_r * ca0, big_r * sa0, r * c0, r * s0),
     )
-    return Path.single(segs)
+    return single(segs)
 
 
 def sector_contains_points(

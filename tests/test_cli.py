@@ -289,6 +289,16 @@ def test_longer_existing_output_is_replaced(tmp_path, demo_file, command):
     assert old.read_bytes() == fresh.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["render", "layout"])
+def test_dash_output_is_stdout(tmp_path, demo_file, monkeypatch, capsysbinary, command):
+    out = tmp_path / "out"
+    assert main([command, "--input", demo_file, "--output", str(out)]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--input", demo_file, "--output", "-"]) == 0
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert not (tmp_path / "-").exists()
+
+
 class TestLayoutCommand:
     def test_geometry_json(self, demo_file, tmp_path):
         out = tmp_path / "layout.json"

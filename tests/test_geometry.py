@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -5,9 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rit_layout import (
+    GeneratorSpec,
     build_node_path,
     clamp_wedge_angle,
+    generate_tree,
     height_for_scale,
+    layout_rit,
+    normalize,
     path_area,
     sector_area,
     topup_height,
@@ -17,9 +22,7 @@ from rit_layout.geometry import (
     ANGLE_EPS,
     FULL_TURN_TOL,
     PATH_JOIN_TOL,
-    ArcSegment,
     BandGeometry,
-    LineSegment,
     Path,
     SectorGeometry,
     _check_loop,
@@ -35,6 +38,9 @@ from oracles import (
     path_boundary_points,
     reference_node_path,
     sector_contains_points,
+    seg_end,
+    seg_start,
+    single,
     wedge_paths,
 )
 
@@ -249,7 +255,7 @@ class TestBuildNodePath:
         path = build_node_path(g)
         assert len(path.loops) == 2
         assert all(len(loop) == 1 for loop in path.loops)
-        radii = sorted(seg.radius for seg in path.segments)
+        radii = sorted(seg[0] for seg in path.segments)
         assert radii == [8.0, 10.0]
 
     def test_circle_single_loop(self):
@@ -262,8 +268,8 @@ class TestBuildNodePath:
         g = SectorGeometry(theta=0.2, beta=1.0, alpha=0.0, r_in=1.0, height=1.0)
         path = build_node_path(g)
         assert len(path.segments) == 4
-        arcs = [s for s in path.segments if isinstance(s, ArcSegment)]
-        lines = [s for s in path.segments if isinstance(s, LineSegment)]
+        arcs = [s for s in path.segments if len(s) == 3]
+        lines = [s for s in path.segments if len(s) == 4]
         assert len(arcs) == 2 and len(lines) == 2
 
     def test_cut_sector_six_segments_and_area(self):
@@ -307,11 +313,11 @@ class TestContainment:
 class TestPathInvariants:
     def test_disconnected_segments_rejected(self):
         with pytest.raises(ValueError):
-            Path.single([LineSegment(0, 0, 1, 0), LineSegment(2, 0, 2, 1)])
+            single([(0, 0, 1, 0), (2, 0, 2, 1)])
 
     def test_open_loop_rejected(self):
         with pytest.raises(ValueError):
-            Path.single([LineSegment(0, 0, 1, 0), LineSegment(1, 0, 1, 1)])
+            single([(0, 0, 1, 0), (1, 0, 1, 1)])
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_join_tolerance_scales_with_coordinates(self, scale):
@@ -320,10 +326,10 @@ class TestPathInvariants:
         tol = PATH_JOIN_TOL * scale
 
         def triangle(join_gap, close_gap):
-            return Path.single([
-                LineSegment(0.0, 0.0, scale, 0.0),
-                LineSegment(scale, join_gap, 0.0, scale),
-                LineSegment(0.0, scale, 0.0, close_gap),
+            return single([
+                (0.0, 0.0, scale, 0.0),
+                (scale, join_gap, 0.0, scale),
+                (0.0, scale, 0.0, close_gap),
             ])
 
         triangle(0.99 * tol, 0.99 * tol)
@@ -334,14 +340,14 @@ class TestPathInvariants:
 
     def test_empty_loop_rejected(self):
         with pytest.raises(ValueError, match="empty loop"):
-            Path.single([])
+            single([])
         with pytest.raises(ValueError, match="empty loop"):
-            Path(loops=((ArcSegment(1.0, 0.0, TAU),), ()))
+            Path(loops=(((1.0, 0.0, TAU),), ()))
 
     def test_full_turn_arc_with_inexact_close_accepted(self):
-        arc = ArcSegment(10.0, 0.3, 0.3 + TAU)
-        assert arc.end_point != arc.start_point
-        assert Path.single([arc]).loops == ((arc,),)
+        arc = (10.0, 0.3, 0.3 + TAU)
+        assert seg_end(arc) != seg_start(arc)
+        assert single([arc]).loops == ((arc,),)
 
     @pytest.mark.parametrize("geometry", [
         SectorGeometry(theta=0.4, beta=TAU, alpha=0.0, r_in=8.0, height=2.0),
@@ -355,11 +361,31 @@ class TestPathInvariants:
     ], ids=["annulus", "disc", "sector-r0", "sector", "wedge-cut", "sliver", "band"])
     def test_outline_joins_are_exact(self, geometry):
         for loop in geometry.outline().loops:
-            starts = [seg.start_point for seg in loop]
-            ends = [seg.end_point for seg in loop]
+            starts = [seg_start(seg) for seg in loop]
+            ends = [seg_end(seg) for seg in loop]
             assert ends[:-1] == starts[1:]
-            if not (len(loop) == 1 and isinstance(loop[0], ArcSegment)):
+            if not (len(loop) == 1 and len(loop[0]) == 3):
                 assert ends[-1] == starts[0]
+
+    @pytest.mark.parametrize("bad", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0, 5.0)],
+                             ids=["2-tuple", "5-tuple"])
+    def test_segment_of_other_length_rejected(self, bad):
+        with pytest.raises(ValueError):
+            single([bad])
+        with pytest.raises(ValueError):
+            single([(0.0, 0.0, 1.0, 0.0), bad])
+
+    def test_outlines_are_untracked_by_the_gc(self):
+        # A collection untracks every plain tuple of floats it sees, and a
+        # tuple of untracked tuples once it sees it after them; a loop the
+        # first collection walked before its segments waits for the next.
+        layout = layout_rit(normalize(generate_tree(GeneratorSpec("fixed", 2, 11)), "strict"))
+        loops = [loop for node in layout.nodes for loop in node.path.loops]
+        assert len(layout.nodes) == 4095
+        gc.collect()
+        assert not any(gc.is_tracked(seg) for loop in loops for seg in loop)
+        gc.collect()
+        assert not any(gc.is_tracked(loop) for loop in loops)
 
     def test_normalize_angle(self):
         assert normalize_angle(-math.pi) == pytest.approx(math.pi)
@@ -367,29 +393,25 @@ class TestPathInvariants:
         assert 0.0 <= normalize_angle(-1e-9) < TAU
 
 
-# Hand-made outlines for the per-segment loops' type-dispatched fast paths:
-# arcs whose spans sit on either side of pi, full turns, clockwise arcs and
-# a 1e-15 sliver, built from the package's segment types and from plain
-# subclasses of them, which the loops unpack the same way.
+# Hand-made outlines for the per-segment loops' length-dispatched fast
+# paths: arcs whose spans sit on either side of pi, full turns, clockwise
+# arcs and a 1e-15 sliver, built from plain tuples and from a tuple
+# subclass, which the loops unpack the same way.
 
 
-class SubLine(LineSegment):
+class SubSeg(tuple):
     __slots__ = ()
 
 
-class SubArc(ArcSegment):
-    __slots__ = ()
-
-
-def sector_loop(r_in, r_out, a0, a1, arc=ArcSegment, line=LineSegment):
+def sector_loop(r_in, r_out, a0, a1, arc=tuple, line=tuple):
     """Annular sector from ``a0`` to ``a1`` whose joins and close are exact."""
-    inner = arc(r_in, a0, a1)
-    outer = arc(r_out, a1, a0)
+    inner = arc((r_in, a0, a1))
+    outer = arc((r_out, a1, a0))
     return (
         inner,
-        line(*inner.end_point, *outer.start_point),
+        line((*seg_end(inner), *seg_start(outer))),
         outer,
-        line(*outer.end_point, *inner.start_point),
+        line((*seg_end(outer), *seg_start(inner))),
     )
 
 
@@ -407,32 +429,34 @@ def hand_loops():
         "negative-angles": (sector_loop(1.0, 4.0, -5.0, -3.2),),
         "past-full-turn": (sector_loop(1.0, 4.0, 7.0, 10.5),),
         "wide": (sector_loop(0.5, 1.5, 0.25, 0.25 + 5.5),),
-        "full-turn": ((ArcSegment(3.0, 0.3, 0.3 + TAU),), (ArcSegment(2.0, 0.3 + TAU, 0.3),)),
-        "circle": ((ArcSegment(3.0, -1.0, -1.0 + TAU),),),
-        "clockwise-circle": ((ArcSegment(3.0, TAU, 0.0),),),
-        "subclass": (sector_loop(2.0, 3.0, 1.0, 1.0 + BELOW_PI, SubArc, SubLine),),
-        "subclass-full-turn": ((SubArc(3.0, 0.3, 0.3 + TAU),), (SubArc(2.0, 0.3 + TAU, 0.3),)),
-        "mixed": (sector_loop(2.0, 3.0, -0.4, 3.9, ArcSegment, SubLine),),
+        "full-turn": (((3.0, 0.3, 0.3 + TAU),), ((2.0, 0.3 + TAU, 0.3),)),
+        "circle": (((3.0, -1.0, -1.0 + TAU),),),
+        "clockwise-circle": (((3.0, TAU, 0.0),),),
+        "subclass": (sector_loop(2.0, 3.0, 1.0, 1.0 + BELOW_PI, SubSeg, SubSeg),),
+        "subclass-full-turn": ((SubSeg((3.0, 0.3, 0.3 + TAU)),), (SubSeg((2.0, 0.3 + TAU, 0.3)),)),
+        "mixed": (sector_loop(2.0, 3.0, -0.4, 3.9, tuple, SubSeg),),
         "square": ((
-            LineSegment(1.0, 1.0, 2.0, 1.0), SubLine(2.0, 1.0, 2.0, 2.0),
-            LineSegment(2.0, 2.0, 1.0, 2.0), LineSegment(1.0, 2.0, 1.0, 1.0),
+            (1.0, 1.0, 2.0, 1.0), SubSeg((2.0, 1.0, 2.0, 2.0)),
+            (2.0, 2.0, 1.0, 2.0), (1.0, 2.0, 1.0, 1.0),
         ),),
     }
 
 
 def _moved_end(seg, dx):
     """``seg`` in its own type, nudged by ``dx``: a line's end x, an arc's radius."""
-    if isinstance(seg, LineSegment):
-        return type(seg)(seg.x0, seg.y0, seg.x1 + dx, seg.y1)
-    return type(seg)(seg.radius + dx, seg.start, seg.end)
+    if len(seg) == 4:
+        x0, y0, x1, y1 = seg
+        return type(seg)((x0, y0, x1 + dx, y1))
+    r, start, end = seg
+    return type(seg)((r + dx, start, end))
 
 
 def reference_check_loop(loop):
-    """``_check_loop``'s rule read through the segment properties only."""
+    """``_check_loop``'s rule read through the oracle endpoint helpers only."""
     if not loop:
         raise ValueError("empty loop")
-    starts = [seg.start_point for seg in loop]
-    ends = [seg.end_point for seg in loop]
+    starts = [seg_start(seg) for seg in loop]
+    ends = [seg_end(seg) for seg in loop]
     scale = max(1.0, max(abs(c) for s, e in zip(starts, ends) for c in (*s, *e)))
     tol = PATH_JOIN_TOL * scale
     for end, start in zip(ends, starts[1:]):
@@ -491,8 +515,8 @@ def _sector_geometries(draw):
 
 
 class TestOutlineBuilders:
-    """The outline builders make their segments with ``tuple.__new__``; the
-    outlines equal those the segment types' own constructors give."""
+    """The outline builders' tuple literals equal the oracle's second
+    spelling of every outline."""
 
     @settings(max_examples=300, deadline=None)
     @given(g=_sector_geometries())
@@ -500,28 +524,28 @@ class TestOutlineBuilders:
         path = g.outline()
         if g.beta == 0.0:
             p0, p1 = _polar(g.r_in, g.theta), _polar(g.outer_radius, g.theta)
-            ref = Path.single([LineSegment(*p0, *p1), LineSegment(*p1, *p0)])
+            ref = single([(*p0, *p1), (*p1, *p0)])
         else:
             ref = reference_node_path(g)
         assert path == ref
-        # repr tells the segment types and the sign of a zero apart.
+        # repr tells the segment lengths and the sign of a zero apart.
         assert repr(path) == repr(ref)
         for loop in path.loops:
-            assert {type(seg) for seg in loop} <= {ArcSegment, LineSegment}
+            assert all(type(seg) is tuple for seg in loop)
             if is_full_turn(g.beta):
                 continue
-            starts = [seg.start_point for seg in loop]
-            ends = [seg.end_point for seg in loop]
+            starts = [seg_start(seg) for seg in loop]
+            ends = [seg_end(seg) for seg in loop]
             assert ends[:-1] == starts[1:] and ends[-1] == starts[0]
 
     @given(x0=st.floats(-100.0, 100.0), y0=st.floats(-100.0, 100.0),
            width=st.floats(0.0, 100.0), height=st.floats(0.0, 100.0))
     def test_rect_path_matches_reference(self, x0, y0, width, height):
         x1, y1 = x0 + width, y0 + height
-        ref = Path.single([
-            LineSegment(x0, y0, x1, y0),
-            LineSegment(x1, y0, x1, y1),
-            LineSegment(x1, y1, x0, y1),
-            LineSegment(x0, y1, x0, y0),
+        ref = single([
+            (x0, y0, x1, y0),
+            (x1, y0, x1, y1),
+            (x1, y1, x0, y1),
+            (x0, y1, x0, y0),
         ])
         assert repr(rect_path(x0, y0, width, height)) == repr(ref)

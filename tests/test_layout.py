@@ -22,9 +22,7 @@ from rit_layout import (
     sector_area,
 )
 from rit_layout.geometry import (
-    ArcSegment,
     BandGeometry,
-    LineSegment,
     Path,
     SectorGeometry,
     build_node_path,
@@ -34,7 +32,7 @@ from rit_layout.layout import Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
-from oracles import wedge_bound_satisfied
+from oracles import single, wedge_bound_satisfied
 from test_golden import QUARTER
 
 
@@ -334,9 +332,11 @@ def _json_oracle(layout) -> dict:
     """The geometry document as a dict, for ``json.dumps(doc, indent=1)``."""
 
     def segment(seg):
-        if isinstance(seg, ArcSegment):
-            return {"type": "arc", "radius": seg.radius, "start": seg.start, "end": seg.end}
-        return {"type": "line", "x0": seg.x0, "y0": seg.y0, "x1": seg.x1, "y1": seg.y1}
+        if len(seg) == 3:
+            radius, start, end = seg
+            return {"type": "arc", "radius": radius, "start": start, "end": end}
+        x0, y0, x1, y1 = seg
+        return {"type": "line", "x0": x0, "y0": y0, "x1": x1, "y1": y1}
 
     return {
         "a_std": layout.a_std,
@@ -386,9 +386,10 @@ class _OddSegmentSector(SectorGeometry):
 
     def outline(self) -> Path:
         segments = list(super().outline().loops[0])
-        i = next(i for i, seg in enumerate(segments) if isinstance(seg, LineSegment))
-        segments[i] = segments[i]._replace(y1=_ReprFloat(segments[i].y1))
-        return Path.single(segments)
+        i = next(i for i, seg in enumerate(segments) if len(seg) == 4)
+        x0, y0, x1, y1 = segments[i]
+        segments[i] = (x0, y0, x1, _ReprFloat(y1))
+        return single(segments)
 
 
 def _guard_layout(case: str):
@@ -436,7 +437,7 @@ def _rebuilt_outline(style: str, s) -> Path:
         x0, y0 = s.r_in * math.cos(s.theta), s.r_in * math.sin(s.theta)
         r = s.r_in + s.height
         x1, y1 = r * math.cos(s.theta), r * math.sin(s.theta)
-        return Path.single([LineSegment(x0, y0, x1, y1), LineSegment(x1, y1, x0, y0)])
+        return single([(x0, y0, x1, y1), (x1, y1, x0, y0)])
     return build_node_path(s)
 
 
@@ -563,9 +564,16 @@ class _DrawnSector(SectorGeometry):
         return path
 
 
+class _SubSeg(tuple):
+    """A tuple subclass segment, which the direct writer must refuse."""
+
+    __slots__ = ()
+
+
 # Values the direct writer can spell, and ones it must hand to json.dumps:
 # 1e308 sums overflow, and a float subclass has its own repr.  Zeros are
-# drawn often, because 0.0 == -0.0 spell differently.
+# drawn often, because 0.0 == -0.0 spell differently.  A segment is a plain
+# tuple; the wild one is a tuple subclass.
 _CLEAN_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0]),
@@ -586,9 +594,10 @@ _VALUES = {
     "depth": (st.integers(0, 3), st.booleans()),
     "relaxed": (st.booleans(), st.integers(0, 1)),
     "sector": (_CLEAN_FLOATS, _WILD_FLOATS),
-    "LineSegment": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "segment": (st.just(tuple), st.just(_SubSeg)),
+    "line": (_CLEAN_FLOATS, _WILD_FLOATS),
     "join": (_CLEAN_FLOATS, None),
-    "ArcSegment": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "arc": (_CLEAN_FLOATS, _WILD_FLOATS),
 }
 
 # How a slot that may repeat an earlier value is filled: by its own draw,
@@ -604,10 +613,11 @@ def _equal_float(value):
 def _slots(outlines) -> list[tuple[str, int | None]]:
     """Each value's kind, and the index of the earlier value it may repeat.
 
-    The repeats are the JSON writer's: a node's ``r_in`` and ``height``
-    repeat the previous node's, an arc's ``radius`` and ``start`` the
-    node's ``r_in`` and ``theta``, and a line's ``x0`` and ``y0`` the last
-    line's ``x1`` and ``y1``.
+    Each segment's values follow its tuple type, and ``outlines`` holds
+    each segment's length.  The repeats are the JSON writer's: a node's
+    ``r_in`` and ``height`` repeat the previous node's, an arc's ``radius``
+    and ``start`` the node's ``r_in`` and ``theta``, and a line's ``x0`` and
+    ``y0`` the last line's ``x1`` and ``y1``.
     """
     slots: list[tuple[str, int | None]] = [("a_std", None), ("style", None)]
     sector = None
@@ -619,16 +629,17 @@ def _slots(outlines) -> list[tuple[str, int | None]]:
             slots[sector + 3] = ("sector", previous + 3)
             slots[sector + 4] = ("sector", previous + 4)
         line_end = None
-        for seg_type in outline:
-            if seg_type is ArcSegment:
-                slots += [("ArcSegment", sector + 3), ("ArcSegment", sector), ("ArcSegment", None)]
+        for arity in outline:
+            slots.append(("segment", None))
+            if arity == 3:
+                slots += [("arc", sector + 3), ("arc", sector), ("arc", None)]
                 continue
             if line_end is None:
-                slots += [("LineSegment", None)] * 2
+                slots += [("line", None)] * 2
             else:
                 slots += [("join", line_end), ("join", line_end + 1)]
             line_end = len(slots)
-            slots += [("LineSegment", None)] * 2
+            slots += [("line", None)] * 2
     return slots
 
 
@@ -636,13 +647,12 @@ def _slots(outlines) -> list[tuple[str, int | None]]:
 def _hand_made_layouts(draw):
     # Every value is clean but at most one, which is wild: NaN, an infinity,
     # a float subclass or an int for a number, None for a string, a list
-    # colour, a bool depth or an int flag.  Half the layouts are all clean,
+    # colour, a bool depth, an int flag or a tuple-subclass segment.  Half the layouts are all clean,
     # for the direct writer; otherwise the wild value's kind is drawn first,
     # so each kind is drawn as often as the others.  A clean value in a
     # slot whose text the direct writer may reuse is drawn by a _SHARES rule.
     ids = draw(st.lists(st.text(), max_size=3, unique=True))
-    outlines = [draw(st.lists(st.sampled_from([LineSegment, ArcSegment]), min_size=1, max_size=5))
-                for _ in ids]
+    outlines = [draw(st.lists(st.sampled_from([4, 3]), min_size=1, max_size=5)) for _ in ids]
     slots = _slots(outlines)
     kind = draw(st.one_of(st.none(), st.sampled_from(["id", *_VALUES])))
     spots = [i for i, (slot, _) in enumerate(slots) if slot == kind]
@@ -670,7 +680,8 @@ def _hand_made_layouts(draw):
     for outline in outlines:
         node_id, label, color, depth, relaxed = (next(values) for _ in range(5))
         fields = [next(values) for _ in range(6)]
-        drawn = tuple(seg_type(*(next(values) for _ in seg_type._fields)) for seg_type in outline)
+        # Each segment is its drawn tuple type called on its next values.
+        drawn = tuple(next(values)(next(values) for _ in range(arity)) for arity in outline)
         nodes.append(PlacedNode(node_id, label, color, 1.0, depth, None,
                                 _DrawnSector(*fields, drawn=drawn), relaxed))
     return Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes))

@@ -15,8 +15,6 @@ from rit_layout import (
     wedge_pair_area,
 )
 from rit_layout.geometry import (
-    ArcSegment,
-    LineSegment,
     Path,
     SectorGeometry,
     build_node_path,
@@ -24,27 +22,34 @@ from rit_layout.geometry import (
 )
 
 from conftest import full_chain
-from oracles import DEFAULT_ARC_STEP, loop_vertices, path_boundary_points, wedge_paths
+from oracles import (
+    DEFAULT_ARC_STEP,
+    loop_vertices,
+    path_boundary_points,
+    seg_span,
+    single,
+    wedge_paths,
+)
 from test_geometry import hand_loops
 
 TAU = 2.0 * math.pi
 
 
 def unit_circle() -> Path:
-    return Path(loops=((ArcSegment(1.0, 0.0, TAU),),))
+    return Path(loops=(((1.0, 0.0, TAU),),))
 
 
 def annulus(r: float, big_r: float) -> Path:
-    return Path(loops=((ArcSegment(big_r, 0.0, TAU),), (ArcSegment(r, TAU, 0.0),)))
+    return Path(loops=(((big_r, 0.0, TAU),), ((r, TAU, 0.0),)))
 
 
 def square() -> Path:
-    return Path.single(
+    return single(
         [
-            LineSegment(0, 0, 2, 0),
-            LineSegment(2, 0, 2, 2),
-            LineSegment(2, 2, 0, 2),
-            LineSegment(0, 2, 0, 0),
+            (0, 0, 2, 0),
+            (2, 0, 2, 2),
+            (2, 2, 0, 2),
+            (0, 2, 0, 0),
         ]
     )
 
@@ -73,12 +78,12 @@ def test_square_exact():
 
 
 def test_orientation_insensitive():
-    reversed_square = Path.single(
+    reversed_square = single(
         [
-            LineSegment(0, 0, 0, 2),
-            LineSegment(0, 2, 2, 2),
-            LineSegment(2, 2, 2, 0),
-            LineSegment(2, 0, 0, 0),
+            (0, 0, 0, 2),
+            (0, 2, 2, 2),
+            (2, 2, 2, 0),
+            (2, 0, 0, 0),
         ]
     )
     assert path_area(reversed_square) == 4.0
@@ -87,13 +92,13 @@ def test_orientation_insensitive():
 def test_zero_width_sliver_exactly_zero():
     p0 = (3.0 * math.cos(0.7), 3.0 * math.sin(0.7))
     p1 = (5.0 * math.cos(0.7), 5.0 * math.sin(0.7))
-    sliver = Path.single([LineSegment(*p0, *p1), LineSegment(*p1, *p0)])
+    sliver = single([(*p0, *p1), (*p1, *p0)])
     assert path_area(sliver) == 0.0
 
 
 def test_open_path_rejected():
     with pytest.raises(ValueError, match="loop does not close"):
-        Path.single([LineSegment(0, 0, 1, 0)])
+        single([(0, 0, 1, 0)])
 
 
 def test_matches_sector_area():
@@ -138,9 +143,9 @@ def _polygon_area(path: Path, step: float = DEFAULT_ARC_STEP) -> float:
 def _polygon_error_bound(path: Path) -> float:
     # Each inscribed chord of angle d <= step drops r^2 (d - sin d) / 2 <= r^2 d^3 / 12.
     return sum(
-        seg.radius ** 2 * abs(seg.span) * DEFAULT_ARC_STEP ** 2 / 12.0
+        seg[0] ** 2 * abs(seg_span(seg)) * DEFAULT_ARC_STEP ** 2 / 12.0
         for seg in path.segments
-        if isinstance(seg, ArcSegment)
+        if len(seg) == 3
     )
 
 
@@ -167,7 +172,7 @@ def test_polygon_cross_check():
 
 
 def test_loop_vertices_respects_step():
-    loop = (ArcSegment(1.0, 0.0, 1.0),)
+    loop = ((1.0, 0.0, 1.0),)
     pts = loop_vertices(loop, 1e-2)
     assert len(pts) >= 100
     assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), 1.0)
@@ -184,13 +189,13 @@ def test_boundary_points_lie_on_path():
 
 @pytest.mark.parametrize("name", sorted(hand_loops()))
 def test_path_area_terms_match_property_reference(name):
-    # Same terms in the same order as a sum over the segment properties,
-    # whether a segment is of the package's own type or a subclass.
+    # Same terms in the same order as a sum over the oracle's span helper
+    # and indexed coordinates, whether a segment is a tuple or a subclass.
     path = Path(loops=hand_loops()[name])
     total = 0.0
     for seg in path.segments:
-        if isinstance(seg, LineSegment):
-            total += seg.x0 * seg.y1 - seg.x1 * seg.y0
+        if len(seg) == 4:
+            total += seg[0] * seg[3] - seg[2] * seg[1]
         else:
-            total += seg.radius * seg.radius * seg.span
+            total += seg[0] * seg[0] * seg_span(seg)
     assert path_area(path) == abs(0.5 * total)

@@ -19,13 +19,13 @@ from rit_layout import (
     path_area,
     render_svg,
 )
-from rit_layout.geometry import ArcSegment, LineSegment, Path, SectorGeometry
+from rit_layout.geometry import Path, SectorGeometry
 from rit_layout.layout import Layout, PlacedNode
 from rit_layout.svg import HALF_PI, _extent, _loop_to_d, _split_arc, _Transform
 from rit_layout.tree import TreeNode
 
-from oracles import path_boundary_points
-from test_geometry import BELOW_PI, SubArc, SubLine, hand_loops
+from oracles import path_boundary_points, seg_end, seg_span, seg_start
+from test_geometry import BELOW_PI, SubSeg, hand_loops
 from test_golden import QUARTER
 from test_relax import flanked_thin_run
 
@@ -244,17 +244,19 @@ def _reference_d(path, scale: float, cx: float, cy: float) -> str:
     """Path data rebuilt from the outline, formatting each number on its own."""
     loops = []
     for loop in path.loops:
-        x, y = loop[0].start_point
+        x, y = seg_start(loop[0])
         parts = [f"M {_fmt_each(cx + scale * x)} {_fmt_each(cy - scale * y)}"]
         for seg in loop:
-            if isinstance(seg, LineSegment):
-                parts.append(f"L {_fmt_each(cx + scale * seg.x1)} {_fmt_each(cy - scale * seg.y1)}")
+            if len(seg) == 4:
+                x, y = seg_end(seg)
+                parts.append(f"L {_fmt_each(cx + scale * x)} {_fmt_each(cy - scale * y)}")
                 continue
-            radius = _fmt_each(seg.radius * scale)
-            sweep = 0 if seg.span > 0 else 1
-            for _, a1 in _split_arc(seg.start, seg.span):
-                x = cx + scale * (seg.radius * math.cos(a1))
-                y = cy - scale * (seg.radius * math.sin(a1))
+            r, start, _ = seg
+            radius = _fmt_each(r * scale)
+            sweep = 0 if seg_span(seg) > 0 else 1
+            for _, a1 in _split_arc(start, seg_span(seg)):
+                x = cx + scale * (r * math.cos(a1))
+                y = cy - scale * (r * math.sin(a1))
                 parts.append(f"A {radius} {radius} 0 0 {sweep} {_fmt_each(x)} {_fmt_each(y)}")
         parts.append("Z")
         loops.append(" ".join(parts))
@@ -301,22 +303,23 @@ def _hand_layout() -> Layout:
 
 
 def _reference_extent(layout: Layout) -> tuple[float, float, float, float]:
-    """Bounding box from each segment's start_point and end_point, plus the
+    """Bounding box from each segment's ``seg_start`` and ``seg_end``, plus the
     axis points (+-r, 0) / (0, +-r) at the multiples of pi/2 an arc sweeps."""
     xs, ys = [], []
     for node in layout.nodes:
         for seg in node.path.segments:
-            for x, y in (seg.start_point, seg.end_point):
+            for x, y in (seg_start(seg), seg_end(seg)):
                 xs.append(x)
                 ys.append(y)
-            if isinstance(seg, LineSegment):
+            if len(seg) == 4:
                 continue
-            lo, hi = sorted((seg.start, seg.end))
+            r, start, end = seg
+            lo, hi = sorted((start, end))
             for k in range(math.floor(lo / HALF_PI) - 1, math.ceil(hi / HALF_PI) + 2):
                 if lo <= k * HALF_PI <= hi:
                     ux, uy = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)][k % 4]
-                    xs.append(seg.radius * ux)
-                    ys.append(seg.radius * uy)
+                    xs.append(r * ux)
+                    ys.append(r * uy)
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -326,8 +329,8 @@ _EDGE_SPANS = (0.0, BELOW_PI, math.pi, math.nextafter(math.pi, 4.0), 2.0 * math.
 
 @st.composite
 def _closed_loops(draw):
-    """One loop of arcs and lines, in the package's types or subclasses of
-    them, closed exactly: a line joins each piece's start to the last end."""
+    """One loop of arcs and lines, plain tuples or a tuple subclass, closed
+    exactly: a line joins each piece's start to the last end."""
     segs = []
     first = end = None
     for _ in range(draw(st.integers(1, 5))):
@@ -337,27 +340,27 @@ def _closed_loops(draw):
                                     exclude_min=True, exclude_max=True))
             # Starting at 0 keeps a drawn span exact through end - start.
             start = draw(st.just(0.0) | st.floats(-10.0, 10.0))
-            arc = draw(st.sampled_from([ArcSegment, SubArc]))(
-                draw(st.floats(0.0, 100.0)), start, start + span)
+            arc = draw(st.sampled_from([tuple, SubSeg]))(
+                (draw(st.floats(0.0, 100.0)), start, start + span))
             pieces = [arc]
-            point, next_end = arc.start_point, arc.end_point
+            point, next_end = seg_start(arc), seg_end(arc)
         else:
             point = next_end = (draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0)))
             pieces = []
         if end is None:
             first = point
         else:
-            segs.append(draw(st.sampled_from([LineSegment, SubLine]))(*end, *point))
+            segs.append(draw(st.sampled_from([tuple, SubSeg]))((*end, *point)))
         segs += pieces
         end = next_end
-    segs.append(draw(st.sampled_from([LineSegment, SubLine]))(*end, *first))
+    segs.append(draw(st.sampled_from([tuple, SubSeg]))((*end, *first)))
     return tuple(segs)
 
 
 class TestSegmentFastPaths:
     """Hand-made arcs on either side of pi, full and clockwise turns, a 1e-15
-    sliver and subclass segments: the renderer's type-dispatched loops give
-    what the property-reading rebuilds give."""
+    sliver and subclass segments: the renderer's length-dispatched loops
+    give what the rebuilds through the oracle endpoint helpers give."""
 
     @pytest.mark.parametrize("margin", [0.0, 20.0])
     def test_path_data_equals_reference(self, margin):
@@ -393,18 +396,18 @@ class TestSegmentFastPaths:
         # Below pi the early return gives bit for bit the one piece the
         # general rule gives; pi and above split into at least two pieces.
         arcs = [seg for loops in hand_loops().values() for loop in loops for seg in loop
-                if not isinstance(seg, LineSegment)]
-        spans = [seg.span for seg in arcs]
+                if len(seg) == 3]
+        spans = [seg_span(seg) for seg in arcs]
         assert BELOW_PI in spans and math.pi in spans and -2 * math.pi in spans
         assert min(spans) < -math.pi and 0 < min(map(abs, spans)) < 1e-14
         for seg in arcs:
-            span = seg.span
+            start, span = seg[1], seg_span(seg)
             pieces = max(1, math.ceil(abs(span) / math.pi - 1e-12))
             if abs(span) >= math.pi:
                 pieces = max(pieces, 2)
             step = span / pieces
-            expected = [(seg.start + i * step, seg.start + (i + 1) * step) for i in range(pieces)]
-            assert _split_arc(seg.start, span) == expected, seg
+            expected = [(start + i * step, start + (i + 1) * step) for i in range(pieces)]
+            assert _split_arc(start, span) == expected, seg
 
 
 def test_ids_keep_negative_zero_text():
@@ -447,8 +450,8 @@ class TestGeometricFidelity:
             expected = set()
             for loop in node.path.loops:
                 for seg in loop:
-                    expected.add(tf(seg.start_point))
-                    expected.add(tf(seg.end_point))
+                    expected.add(tf(seg_start(seg)))
+                    expected.add(tf(seg_end(seg)))
             for sub in parse_d(el.get("d")):
                 for cmd, args in sub:
                     if cmd in ("M", "L"):
