@@ -16,6 +16,7 @@ import contextlib
 import csv
 import gc
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -59,16 +60,16 @@ def fit_linear(points: list[tuple[float, float]]) -> FitResult:
     if len({x for x, _ in points}) < 2:
         raise ValueError("need at least 2 distinct x values to fit a line")
     n = len(points)
-    mean_x = sum(x for x, _ in points) / n
-    mean_y = sum(y for _, y in points) / n
-    sxx = sum((x - mean_x) ** 2 for x, _ in points)
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    syy = sum((y - mean_y) ** 2 for _, y in points)
+    mean_x = math.fsum(x for x, _ in points) / n
+    mean_y = math.fsum(y for _, y in points) / n
+    sxx = math.fsum((x - mean_x) ** 2 for x, _ in points)
+    sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in points)
+    syy = math.fsum((y - mean_y) ** 2 for _, y in points)
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
     if syy == 0.0:
         return FitResult(slope=slope, intercept=intercept, r_squared=0.0)
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in points)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in points)
     return FitResult(slope=slope, intercept=intercept, r_squared=1.0 - ss_res / syy)
 
 
@@ -133,7 +134,7 @@ def run_bench(
     points: dict[int, list[float]] = {}
     for rec in records:
         points.setdefault(rec.nodes, []).append(rec.seconds)
-    averaged = [(float(n), sum(ts) / len(ts)) for n, ts in sorted(points.items())]
+    averaged = [(float(n), math.fsum(ts) / len(ts)) for n, ts in sorted(points.items())]
     try:
         fit = fit_linear(averaged)
     except ValueError:

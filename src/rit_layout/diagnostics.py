@@ -125,11 +125,11 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
         visits=layout.visits,
         nodes=node_reports,
         max_area_error=max_area_error,
-        mean_area_ratio=sum(ratios) / len(ratios) if ratios else None,
+        mean_area_ratio=math.fsum(ratios) / len(ratios) if ratios else None,
         min_area_ratio=min(ratios) if ratios else None,
         max_area_ratio=max(ratios) if ratios else None,
         min_gap=min(gaps) if gaps else None,
-        mean_gap=sum(gaps) / len(gaps) if gaps else None,
+        mean_gap=math.fsum(gaps) / len(gaps) if gaps else None,
         min_half_beta_margin=min(half_margins) if half_margins else None,
         min_geometric_margin=min(geo_margins) if geo_margins else None,
         containment_violations=violations,

@@ -15,6 +15,7 @@ for the separation geometry.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -85,7 +86,7 @@ def generate_tree(spec: GeneratorSpec, max_nodes: int | None = None) -> TreeNode
     # Children follow their parent in preorder: sum them bottom-up.
     for node in reversed(order):
         if node.children:
-            node.value = float(sum(c.value for c in node.children))
+            node.value = math.fsum(c.value for c in node.children)
     return order[0]
 
 

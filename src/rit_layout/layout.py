@@ -42,7 +42,7 @@ from .geometry import (
     topup_height,
     wedge_pair_area,
 )
-from .tree import NormalizedNode, _require_valid_value, _sum_in_order
+from .tree import NormalizedNode, _require_valid_value
 
 MODES = ("contained", "literal")
 STYLES = ("rit", "sunburst", "icicle")
@@ -214,7 +214,7 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         children = parent.children
         if not children:
             continue
-        total = _sum_in_order(c.data for c in children)
+        total = math.fsum(c.data for c in children)
         if cfg.mode == "contained" and total > 0.0 and f_beta > 0.0:
             k = min(1.0, f_beta / (scale_in * total))
         else:
@@ -319,7 +319,7 @@ def _relax_thin_runs(
             theta + beta - 0.5 * alpha - start
             for (_, theta, beta, alpha, _), start in zip(run, starts)
         ]
-        gap = (span_hi - span_lo - _sum_in_order(widths)) / (len(run) + 1)
+        gap = (span_hi - span_lo - math.fsum(widths)) / (len(run) + 1)
         edge = span_lo + gap
         base = 0.0 if rot is None else rot
         for entry, start, width in zip(run, starts, widths):

@@ -19,11 +19,14 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import repeat
-from operator import add
 
 SUM_TOL = 1e-12
+
+# The deepest tree json-tree text holds.  ``json.dumps(indent=2)`` and
+# ``json.loads`` both recurse per level, and both reach this depth at the
+# default recursion limit on every supported Python; csv-edges has no bound.
+MAX_JSON_TREE_DEPTH = 256
 
 _COLOR_RE = re.compile(r"^#[0-9a-fA-F]{6}$")
 
@@ -34,16 +37,6 @@ class TreeInputError(ValueError):
 
 class NormalizationError(ValueError):
     """Tree values cannot be normalized under the requested strategy."""
-
-
-def _sum_in_order(values) -> float:
-    """Left-to-right float sum, the same on every Python version.
-
-    Python 3.12's ``sum()`` compensates float rounding, so it can differ
-    from 3.10/3.11 in the last bit and move output bytes between
-    interpreters.
-    """
-    return reduce(add, values, 0.0)
 
 
 def _preorder(root):
@@ -219,7 +212,11 @@ def parse_tree(data: bytes | str, fmt: str) -> TreeNode:
     if fmt == "json-tree":
         return _parse_json_tree(data)
     if fmt == "csv-edges":
-        return _parse_csv_edges(data)
+        try:
+            return _parse_csv_edges(data)
+        except csv.Error as exc:
+            # A carriage return or a NUL the csv module will not read.
+            raise TreeInputError(f"invalid csv: {exc}") from None
     raise ValueError(f"unknown tree format {fmt!r}")
 
 
@@ -229,61 +226,46 @@ def detect_format(filename: str) -> str:
     return "json-tree"
 
 
-def _json_field(key: str, value, indent: str) -> str:
-    """One ``"key": value`` member at ``indent``, a line break plus spaces.
-
-    ``json.dumps`` spells the value; only a container value has line
-    breaks of its own, and each gets the member's indent.
-    """
-    text = json.dumps(value, indent=2).replace("\n", indent)
-    return f'{indent}"{key}": {text}'
-
-
-def _json_tree_text(tree: TreeNode) -> str:
-    """The bytes of ``json.dumps(doc, indent=2)`` for the tree's nested node
-    objects ``{"label", "value", "color" (if set), "children" (if any)}``.
-
-    Written from an explicit stack, so depth has no limit.
-    """
-    parts: list[str] = []
-    # A node with the indent of its opening brace, or text to copy as is.
-    stack: list = [(tree, "\n")]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            parts.append(item)
-            continue
-        node, indent = item
-        inner = indent + "  "
-        fields = [_json_field("label", node.label, inner), _json_field("value", node.value, inner)]
-        if node.color is not None:
-            fields.append(_json_field("color", node.color, inner))
-        parts.append("{" + ",".join(fields))
-        if not node.children:
-            parts.append(indent + "}")
-            continue
-        parts.append(f',{inner}"children": [')
-        stack.append(f"{inner}]{indent}}}")
-        child_indent = inner + "  "
-        # Pushed last child first, each above the text that precedes it.
-        for i in range(len(node.children) - 1, -1, -1):
-            stack.append((node.children[i], child_indent))
-            stack.append("," + child_indent if i else child_indent)
-    return "".join(parts)
+def _json_tree_doc(node: TreeNode, depth: int = 1) -> dict:
+    """The nested node objects ``{"label", "value", "color" (if set),
+    "children" (if any)}`` of a json-tree file, ``node`` at level ``depth``."""
+    obj = {"label": node.label, "value": node.value}
+    if node.color is not None:
+        obj["color"] = node.color
+    if node.children:
+        if depth == MAX_JSON_TREE_DEPTH:
+            raise TreeInputError(
+                f"node {node.id!r}: json-tree holds at most {MAX_JSON_TREE_DEPTH} "
+                "levels; write a deeper tree as csv-edges"
+            )
+        obj["children"] = [_json_tree_doc(child, depth + 1) for child in node.children]
+    return obj
 
 
 def serialize_tree(tree: TreeNode, fmt: str) -> str:
+    """The tree as text in the given format ("json-tree"/"csv-edges").
+
+    json-tree is ``json.dumps(indent=2)`` of the nested node objects.  It
+    holds at most ``MAX_JSON_TREE_DEPTH`` levels, so ``parse_tree`` can read
+    it back; a deeper tree raises ``TreeInputError``.  csv-edges takes any
+    depth.
+    """
     if fmt == "json-tree":
-        return _json_tree_text(tree)
+        return json.dumps(_json_tree_doc(tree), indent=2)
     if fmt == "csv-edges":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
+        # With "\n" as the line terminator, the minimal quoting leaves a lone
+        # carriage return bare, and the reader would end the row there.
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(["parent_id", "id", "label", "value", "color"])
         # Preorder with an explicit stack of (node, parent id): any depth.
         stack = [(tree, "")]
         while stack:
             node, parent_id = stack.pop()
-            writer.writerow([parent_id, node.id, node.label, repr(node.value), node.color or ""])
+            bare_cr = "\r" in f"{parent_id}{node.id}{node.label}{node.color}"
+            (quoted if bare_cr else writer).writerow(
+                [parent_id, node.id, node.label, repr(node.value), node.color or ""])
             stack.extend((child, node.id) for child in reversed(node.children))
         return out.getvalue()
     raise ValueError(f"unknown tree format {fmt!r}")
@@ -333,7 +315,7 @@ def validate(tree: TreeNode) -> list[Violation]:
             if bad.rule == "non-finite-value":
                 continue
         if node.children:
-            child_sum = _sum_in_order(c.value for c in node.children)
+            child_sum = math.fsum(c.value for c in node.children)
             bad = _overfull_violation(node.id, node.value, child_sum)
             if bad is not None:
                 violations.append(bad)
@@ -371,7 +353,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
         for child in node.children:
             _require_valid_value(child.id, child.value)
         child_scale = scale
-        child_sum = _sum_in_order(c.value for c in node.children)
+        child_sum = math.fsum(c.value for c in node.children)
         if child_sum > node.value:
             if strategy == "strict":
                 bad = _overfull_violation(node.id, node.value, child_sum)

@@ -30,7 +30,7 @@ from rit_layout.geometry import (
 )
 from rit_layout.layout import Layout
 from rit_layout.measure import DEFAULT_ARC_STEP
-from rit_layout.tree import SUM_TOL, NormalizedNode, _sum_in_order
+from rit_layout.tree import SUM_TOL, NormalizedNode
 
 
 def single(segments) -> Path:
@@ -279,6 +279,6 @@ def normalized_violations(tree: NormalizedNode) -> list[tuple[str, str]]:
         if not 0.0 <= node.data <= 1.0:
             violations.append((node.id, "data-range"))
         if node.children:
-            if _sum_in_order(c.data for c in node.children) > node.data + SUM_TOL:
+            if math.fsum(c.data for c in node.children) > node.data + SUM_TOL:
                 violations.append((node.id, "overfull-parent"))
     return violations

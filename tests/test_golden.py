@@ -83,23 +83,23 @@ GOLDEN = {
         "22c94a3c2bf6aa7c0a3f583ce44ed4e331d1e118bfd26d89e464b7b1f201078d",
     ),
     "demo-quarter": (
-        "5d96391e3f5e29705a1d7d987e2e03fb859d69150534bef40bd5549762835052",
+        "a676d30e07a938f667e738e92b51f94a970609085341b3d69a6e691cde7ee230",
         "878ede9cfa70b25296e955f44bf884e5d0d421619b8cd31f433ce144e5b6d01a",
     ),
     "demo-relax-0.01": (
-        "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
+        "508b96f6ec0ccd88b3c920d86871cbdc06bd3ff2485078b73ba43ba0766bf189",
         "e930b7601686266c483976cd86d7a83d675ca91153a6c71a51ec6f9350a57c5a",
     ),
     "demo-relax-0.05": (
-        "b2c7f40bc86cff504313f8380b708e68ddcefc5f2ff67b4f864461f58b62303b",
+        "9bd161d1d0d85b9f0a7ca421e2a7cf1e0990bcb51693d04098d9e5436bd45f1c",
         "433b59b331fb6e606a04349d2717b0bf83e286e4032f6a40c490fee850edd483",
     ),
     "demo-rit": (
-        "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
+        "508b96f6ec0ccd88b3c920d86871cbdc06bd3ff2485078b73ba43ba0766bf189",
         "d1122ace22d72678d0caecbdf1ef9662791f1f160465f52cc9dc88a7c1098f8e",
     ),
     "demo-rit-labels": (
-        "6c438aa79834e66a629bbc39f1a6a888d509d0dfed479ece5e442f185f650d04",
+        "508b96f6ec0ccd88b3c920d86871cbdc06bd3ff2485078b73ba43ba0766bf189",
         "39c2d53b838f017ea0ded5f797bef763f2c0e0e9c646e9df9c1f9dd40740743a",
     ),
     "demo-sunburst": (
@@ -139,16 +139,16 @@ GOLDEN = {
         "77263e73f1ae1bf9aeff0c3e801ec6776c52279129b2ad655431b2a2a3350e43",
     ),
     "semi-relax-0.001": (
-        "35826d0a19f01f9ede462012b538bb6f368e7c57cedb819ac41d13b15f05dcae",
-        "a1a2309c5ac4f1a0aac92aca7a17e4134b08eef87e3e43434a8a8f88f593020b",
+        "57285e66962a068eeec91abb81674b6f966789203d96dd32ef94b6ea38271e0b",
+        "4a894b8e706adc2fbd35021e74d42316b3dafc4e2921d50403e279e698fca30d",
     ),
     "semi-relax-0.05": (
-        "05358f0c76f03e683722c90ecb62ac7ba41603758ebd31550c20e84f8b03c6d5",
-        "567d52222a3494b6af82f36dca7d39745ffc8ba9e54ba168bf89727ab9fd9c7a",
+        "e5d14035ff74666804189a711eaa7780a0fa92a6daaa920d75ff03ccc88f5a87",
+        "aa3b5e9ec03295bff55d859d462e0baffc1bcb21d0c60b213a4de143870403c5",
     ),
     "semi-rit": (
-        "35826d0a19f01f9ede462012b538bb6f368e7c57cedb819ac41d13b15f05dcae",
-        "4912e8d2b7e1f00e3646797ebaa6e855ea85d7e607c24076f17e7e261846bc06",
+        "57285e66962a068eeec91abb81674b6f966789203d96dd32ef94b6ea38271e0b",
+        "7de026e142d79646434d892eddce02cc19d8d9e3393ba7bbc20b9b700741d4a7",
     ),
     "semi-sunburst": (
         "936bed81a3731f348d58024604dae31b7f2d3b489194da77ab4850537d28e3e2",

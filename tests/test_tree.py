@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -8,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from rit_layout import GeneratorSpec, demo_tree, generate_tree, normalize, parse_tree, serialize_tree, validate
 from rit_layout.generate import default_schedule
 from rit_layout.tree import (
+    MAX_JSON_TREE_DEPTH,
     NormalizationError,
     TreeInputError,
     TreeNode,
     _node_from_json,
-    _sum_in_order,
 )
 
 from conftest import tree_equal_ignoring_ids
@@ -55,6 +56,43 @@ def _hostile_trees(draw, depth=0):
                            st.from_regex(r"#[0-9a-fA-F]{6}", fullmatch=True)))
     children = draw(st.lists(_hostile_trees(depth + 1), max_size=3)) if depth < 3 else []
     return TreeNode("id", draw(_HOSTILE_TEXT), value, color, children)
+
+
+# Python 3.10's csv module reads no NUL.
+_CSV_TEXT = (st.text(alphabet=st.characters(blacklist_characters="\x00"))
+             if sys.version_info < (3, 11) else st.text())
+
+
+@st.composite
+def _writable_trees(draw):
+    """A generator tree with any labels, colors and non-NaN values, below a
+    chain whose length takes the whole tree to either side of
+    ``MAX_JSON_TREE_DEPTH`` levels.
+
+    Ids are the generator's: unique, and unchanged by the csv reader's strip.
+    """
+    spec = GeneratorSpec(draw(st.sampled_from(["random", "semi-random"])),
+                         draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+                         seed=draw(st.integers(0, 10_000)))
+    tree = generate_tree(spec)
+    for node in tree.walk():
+        node.label = draw(st.one_of(_CSV_TEXT, st.sampled_from(
+            ["\r", "a\rb", "\r\n", 'quote"d', " spaced ", "\ud800", "</svg>"])))
+        node.value = draw(st.floats(allow_nan=False))
+        node.color = draw(st.one_of(st.none(), st.from_regex(r"#[0-9a-fA-F]{6}", fullmatch=True)))
+    levels = draw(st.one_of(st.just(0), st.integers(MAX_JSON_TREE_DEPTH - 6, MAX_JSON_TREE_DEPTH)))
+    for i in range(levels):
+        tree = TreeNode(f"c{i}", f"c{i}", 1.0, children=[tree])
+    return tree
+
+
+def _levels(tree: TreeNode) -> int:
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in node.children)
+    return deepest
 
 
 class TestParse:
@@ -150,6 +188,10 @@ class TestParse:
         with pytest.raises(TreeInputError, match="cycle"):
             parse_tree(bad, "csv-edges")
 
+    def test_csv_bare_carriage_return_is_input_error(self):
+        with pytest.raises(TreeInputError, match="invalid csv"):
+            parse_tree(FIG_CSV + "root,c,a\rb,1,\n", "csv-edges")
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             parse_tree(FIG_JSON, "xml")
@@ -180,26 +222,45 @@ class TestRoundTrip:
         again = parse_tree(serialize_tree(nodes[0], "csv-edges"), "csv-edges")
         assert [(n.id, n.value) for n in again.walk()] == [(n.id, n.value) for n in nodes]
 
-    def test_deep_chain_json_round_trip(self):
+    @staticmethod
+    def _chain(levels: int) -> list[TreeNode]:
         nodes = [TreeNode(f"n{i}", f"n{i}", 1.0 + i, "#a0b1c2" if i % 2 else None)
-                 for i in range(3000)]
+                 for i in range(levels)]
         for parent, child in zip(nodes, nodes[1:]):
             parent.children = [child]
-        text = serialize_tree(nodes[0], "json-tree")
-        # json.loads nests two containers per level; the writer nests none.
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, 20_000))
-        try:
-            again = parse_tree(text, "json-tree")
-        finally:
-            sys.setrecursionlimit(limit)
+        return nodes
+
+    def test_chain_at_json_depth_bound_round_trips(self):
+        nodes = self._chain(MAX_JSON_TREE_DEPTH)
+        again = parse_tree(serialize_tree(nodes[0], "json-tree"), "json-tree")
         assert ([(n.label, n.value, n.color, len(n.children)) for n in again.walk()]
                 == [(n.label, n.value, n.color, len(n.children)) for n in nodes])
+
+    def test_chain_past_json_depth_bound_names_csv_edges(self):
+        nodes = self._chain(MAX_JSON_TREE_DEPTH + 1)
+        with pytest.raises(TreeInputError, match="csv-edges"):
+            serialize_tree(nodes[0], "json-tree")
 
     @settings(max_examples=200, deadline=None)
     @given(tree=_hostile_trees())
     def test_json_tree_bytes_equal_json_dumps(self, tree):
         assert serialize_tree(tree, "json-tree") == json.dumps(_json_tree_oracle(tree), indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=_writable_trees())
+    def test_every_written_tree_reads_back(self, tree):
+        def rows(root, ids):
+            return [(n.id if ids else None, n.label, repr(n.value), n.color, len(n.children))
+                    for n in root.walk()]
+
+        again = parse_tree(serialize_tree(tree, "csv-edges"), "csv-edges")
+        assert rows(again, True) == rows(tree, True)
+        if _levels(tree) > MAX_JSON_TREE_DEPTH:
+            with pytest.raises(TreeInputError, match="csv-edges"):
+                serialize_tree(tree, "json-tree")
+            return
+        again = parse_tree(serialize_tree(tree, "json-tree"), "json-tree")
+        assert rows(again, False) == rows(tree, False)
 
     def test_awkward_labels_round_trip(self):
         tree = TreeNode("r", ' spaced, "quoted"\nlabel ', 2.0, children=[
@@ -308,17 +369,16 @@ class TestNormalize:
         result = normalize(tree, "strict")
         assert sum(c.data for c in result.children) <= result.data + 1e-12
 
-    def test_child_sums_run_left_to_right(self):
-        # 0.1 + 0.2 + 0.3 is 0.6000000000000001 left to right; Python 3.12's
-        # compensated sum() gives 0.6, which would make the last child 0.5.
-        tree = TreeNode("p", "p", 0.6, children=[
-            TreeNode(c, c, v) for c, v in (("a", 0.1), ("b", 0.2), ("c", 0.3))])
-        assert _sum_in_order(c.value for c in tree.children) == 0.6000000000000001
-        scale = 0.6 / 0.6000000000000001
-        result = normalize(tree, "strict")
-        assert [c.data for c in result.children] == [
-            scale * 0.1 / 0.6, scale * 0.2 / 0.6, scale * 0.3 / 0.6]
-        assert result.children[2].data == 0.4999999999999999
+    def test_child_order_never_changes_data(self):
+        # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001 left to right but to
+        # 0.6 right to left; the correctly rounded sum is 0.6 in every order.
+        values = {"a": 0.1, "b": 0.2, "c": 0.3}
+        datas = set()
+        for order in itertools.permutations(values):
+            tree = TreeNode("p", "p", 0.6, children=[TreeNode(c, c, values[c]) for c in order])
+            result = normalize(tree, "strict")
+            datas.add(tuple(sorted((c.id, c.data) for c in result.children)))
+        assert datas == {(("a", 0.1 / 0.6), ("b", 0.2 / 0.6), ("c", 0.3 / 0.6))}
 
     def test_deep_chain_normalizes_without_recursion(self):
         nodes = [TreeNode(f"n{i}", f"n{i}", 1.0) for i in range(3001)]
