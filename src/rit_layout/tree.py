@@ -280,6 +280,16 @@ def _value_violation(node_id: str, value: float) -> Violation | None:
     return None
 
 
+def _child_sum(children: list[TreeNode]) -> float:
+    """The correctly rounded sum of the children's values, so child order
+    never changes it.  A sum past the float range is ``inf``, as a running
+    sum would give, where ``math.fsum`` raises."""
+    try:
+        return math.fsum(c.value for c in children)
+    except OverflowError:
+        return math.inf
+
+
 def _overfull_violation(node_id: str, value: float, child_sum: float) -> Violation | None:
     """The overfull-parent rule that ``validate`` and ``normalize`` share.
 
@@ -314,9 +324,9 @@ def validate(tree: TreeNode) -> list[Violation]:
             violations.append(bad)
             if bad.rule == "non-finite-value":
                 continue
-        if node.children:
-            child_sum = math.fsum(c.value for c in node.children)
-            bad = _overfull_violation(node.id, node.value, child_sum)
+        # A non-finite child is reported on its own; it gives no child sum.
+        if node.children and all(math.isfinite(c.value) for c in node.children):
+            bad = _overfull_violation(node.id, node.value, _child_sum(node.children))
             if bad is not None:
                 violations.append(bad)
     return violations
@@ -353,7 +363,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
         for child in node.children:
             _require_valid_value(child.id, child.value)
         child_scale = scale
-        child_sum = math.fsum(c.value for c in node.children)
+        child_sum = _child_sum(node.children)
         if child_sum > node.value:
             if strategy == "strict":
                 bad = _overfull_violation(node.id, node.value, child_sum)

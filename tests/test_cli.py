@@ -169,6 +169,20 @@ def test_bad_node_value_exit_2(tmp_path, capsys, command, fmt, suffix, bad_id, v
     assert bad_id in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["render", "layout", "compare"])
+def test_children_summing_past_float_range_exit_2(tmp_path, capsys, command):
+    tree = TreeNode("root", "root", 1.7e308, children=[
+        TreeNode("a", "a", 1e308), TreeNode("b", "b", 1e308)])
+    src = tmp_path / "huge.json"
+    src.write_text(serialize_tree(tree, "json-tree"))
+    out = ["--outdir", str(tmp_path / "cmp")] if command == "compare" else [
+        "--output", str(tmp_path / "out")]
+    assert main([command, "--input", str(src), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "overfull-parent" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["9" * 400, "9" * 5000], ids=["400-digits", "5000-digits"])
 @pytest.mark.parametrize("command", ["render", "validate"])
 def test_value_too_large_exit_2(tmp_path, capsys, command, value):
@@ -371,6 +385,15 @@ class TestValidateCommand:
         assert main(["validate", "--input", str(bad)]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report[0]["rule"] == "overfull-parent"
+
+    def test_infinite_children_listed_exit_3(self, tmp_path, capsys):
+        src = tmp_path / "inf.csv"
+        src.write_text("parent_id,id,label,value,color\n,p,p,1,\n"
+                       "p,a,a,inf,\np,b,b,-inf,\n")
+        assert main(["validate", "--input", str(src)]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert [(v["node"], v["rule"]) for v in report] == [
+            ("a", "non-finite-value"), ("b", "non-finite-value")]
 
     def test_deep_csv_chain_exit_0(self, tmp_path, capsys):
         src = _deep_csv_chain(tmp_path)

@@ -299,6 +299,17 @@ class TestValidate:
         violations = validate(TreeNode("n", "n", -1.0))
         assert [v.rule for v in violations] == ["negative-value"]
 
+    def test_children_summing_past_float_range_are_overfull(self):
+        tree = TreeNode("p", "p", 1e308, children=[
+            TreeNode("a", "a", 1e308), TreeNode("b", "b", 1e308)])
+        assert [(v.node_id, v.rule) for v in validate(tree)] == [("p", "overfull-parent")]
+
+    def test_infinite_children_are_reported_not_raised(self):
+        tree = TreeNode("p", "p", 1.0, children=[
+            TreeNode("a", "a", math.inf), TreeNode("b", "b", -math.inf)])
+        assert [(v.node_id, v.rule) for v in validate(tree)] == [
+            ("a", "non-finite-value"), ("b", "non-finite-value")]
+
 
 class TestNormalize:
     def test_simple_fractions(self):
@@ -357,6 +368,12 @@ class TestNormalize:
         for tree in (parent, TreeNode("r", "r", 20, children=[parent]), TreeNode("x", "x", value)):
             with pytest.raises(NormalizationError, match=f"'x': {rule}"):
                 normalize(tree, strategy)
+
+    def test_children_summing_past_float_range_rejected_in_strict(self):
+        tree = TreeNode("p", "p", 1.7e308, children=[
+            TreeNode("a", "a", 1e308), TreeNode("b", "b", 1e308)])
+        with pytest.raises(NormalizationError, match="overfull-parent"):
+            normalize(tree, "strict")
 
     def test_zero_root_rejected(self):
         with pytest.raises(NormalizationError):
