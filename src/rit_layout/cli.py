@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -27,9 +28,10 @@ from .bench import (
     records_to_csv,
     run_bench,
 )
-from .colors import assign_colors
+from .colors import PALETTES, assign_colors
 from .diagnostics import diagnostics
-from .layout import STYLES, LayoutConfig, compute_layout, layout_to_json
+from .generate import KINDS
+from .layout import MODES, STYLES, LayoutConfig, compute_layout, layout_to_json
 from .svg import RenderStyle, render_svg
 from .tree import (
     NormalizationError,
@@ -74,36 +76,30 @@ def _depth_range(text: str) -> list[int]:
 
 
 def _add_config_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta0", type=_angle, default=0.0, help="root start angle (rad; accepts e.g. 1.25pi)")
-    p.add_argument("--beta0", type=_angle, default=2.0 * math.pi, help="root arc angle (rad)")
-    p.add_argument("--r0", type=float, default=8.0, help="root inner radius")
-    p.add_argument("--h0", type=float, default=2.0, help="root ring height")
-    p.add_argument("--ar", type=float, default=0.1, help="initial wedge angle ratio")
-    p.add_argument("--acr", type=float, default=1.0, help="per-depth wedge ratio multiplier")
-    p.add_argument("--mode", choices=["contained", "literal"], default="contained")
-    p.add_argument("--relax", action="store_true", help="re-space runs of thin siblings")
-    p.add_argument("--relax-threshold", type=float, default=0.01)
-
-
-def _config_from_args(args: argparse.Namespace) -> LayoutConfig:
-    return LayoutConfig(
-        theta0=args.theta0,
-        beta0=args.beta0,
-        r0=args.r0,
-        h0=args.h0,
-        ar0=args.ar,
-        acr=args.acr,
-        mode=args.mode,
-        relax_enabled=args.relax,
-        relax_threshold=args.relax_threshold,
-    )
+    # Each dest names the LayoutConfig field the flag fills (see _from_args).
+    c = LayoutConfig
+    p.add_argument("--theta0", type=_angle, default=c.theta0, help="root start angle (rad; accepts e.g. 1.25pi)")
+    p.add_argument("--beta0", type=_angle, default=c.beta0, help="root arc angle (rad)")
+    p.add_argument("--r0", type=float, default=c.r0, help="root inner radius")
+    p.add_argument("--h0", type=float, default=c.h0, help="root ring height")
+    p.add_argument("--ar", dest="ar0", type=float, default=c.ar0, help="initial wedge angle ratio")
+    p.add_argument("--acr", type=float, default=c.acr, help="per-depth wedge ratio multiplier")
+    p.add_argument("--mode", choices=MODES, default=c.mode)
+    p.add_argument("--relax", dest="relax_enabled", action="store_true", help="re-space runs of thin siblings")
+    p.add_argument("--relax-threshold", type=float, default=c.relax_threshold)
 
 
 def _add_render_style_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--canvas", type=int, default=840, help="canvas size in pixels")
-    p.add_argument("--svg-margin", type=float, default=20.0)
-    p.add_argument("--labels", action="store_true", help="draw node labels")
-    p.add_argument("--palette", choices=["hue-partition", "fixed-list"], default="hue-partition")
+    # Each dest but --palette's names the RenderStyle field the flag fills.
+    p.add_argument("--canvas", type=int, default=RenderStyle.canvas, help="canvas size in pixels")
+    p.add_argument("--svg-margin", dest="margin", type=float, default=RenderStyle.margin)
+    p.add_argument("--labels", dest="draw_labels", action="store_true", help="draw node labels")
+    p.add_argument("--palette", choices=PALETTES, default=PALETTES[0])
+
+
+def _from_args(cls, args: argparse.Namespace):
+    """A ``cls`` built, and so checked, from the parsed flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _read_tree(path: str) -> TreeNode:
@@ -169,18 +165,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_render = sub.add_parser("render", help="render one style to an SVG file")
-    p_render.add_argument("--input", required=True)
-    p_render.add_argument("--output", required=True, help="output path, or - for stdout")
-    p_render.add_argument("--style", choices=list(STYLES), default="rit")
-    _add_config_args(p_render)
-    _add_render_style_args(p_render)
-
-    p_layout = sub.add_parser("layout", help="write the geometry JSON for one style")
-    p_layout.add_argument("--input", required=True)
-    p_layout.add_argument("--output", required=True, help="output path, or - for stdout")
-    p_layout.add_argument("--style", choices=list(STYLES), default="rit")
-    _add_config_args(p_layout)
+    for name, text in (("render", "render one style to an SVG file"),
+                       ("layout", "write the geometry JSON for one style")):
+        p_one = sub.add_parser(name, help=text)
+        p_one.add_argument("--input", required=True)
+        p_one.add_argument("--output", required=True, help="output path, or - for stdout")
+        p_one.add_argument("--style", choices=STYLES, default="rit")
+        _add_config_args(p_one)
+        if name == "render":
+            _add_render_style_args(p_one)
 
     p_cmp = sub.add_parser("compare", help="render all three styles plus diagnostics")
     p_cmp.add_argument("--input", required=True)
@@ -189,12 +182,12 @@ def build_parser() -> _Parser:
     _add_render_style_args(p_cmp)
 
     p_bench = sub.add_parser("bench", help="time layouts over generated trees")
-    p_bench.add_argument("--generator", choices=["fixed", "random", "semi-random"], default="fixed")
+    p_bench.add_argument("--generator", choices=KINDS, default="fixed")
     p_bench.add_argument("--cmax", type=int, default=2)
     p_bench.add_argument("--depths", type=_depth_range, default=[1, 2, 3, 4, 5, 6, 7, 8],
                          help="e.g. 1..8 or 2,4,6")
     p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--csv", default=None, help="write records to this CSV file")
+    p_bench.add_argument("--csv", default=None, help="write records to this CSV file, or - for stdout")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--node-cap", type=int, default=DEFAULT_NODE_CAP)
 
@@ -205,10 +198,8 @@ def build_parser() -> _Parser:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate()
-    style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
-    style.validate()
+    cfg = _from_args(LayoutConfig, args)
+    style = _from_args(RenderStyle, args)
     with _output_file(args.output, "wb") as out:
         tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
         out.write(render_svg(compute_layout(tree, args.style, cfg), style))
@@ -216,8 +207,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate()
+    cfg = _from_args(LayoutConfig, args)
     with _output_file(args.output, "w", encoding="utf-8") as out:
         tree = assign_colors(normalize(_read_tree(args.input)))
         text = layout_to_json(compute_layout(tree, args.style, cfg))
@@ -227,10 +217,8 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    cfg.validate()
-    style = RenderStyle(canvas=args.canvas, margin=args.svg_margin, draw_labels=args.labels)
-    style.validate()
+    cfg = _from_args(LayoutConfig, args)
+    style = _from_args(RenderStyle, args)
     tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
     outdir = FsPath(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -251,17 +239,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # A bad spec or repeat count fails before the CSV is opened, and an
+    # unwritable CSV before any tree is timed.
     specs = [
         GeneratorSpec(args.generator, args.cmax, depth, seed=args.seed + depth)
         for depth in args.depths
     ]
-    # A bad spec or repeat count must not truncate the CSV; an unwritable
-    # CSV must fail before any tree is timed.
-    for spec in specs:
-        spec.validate()
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
-    with open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext() as out:
+    csv_out = _output_file(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext()
+    with csv_out as out:
         result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap)
         if out is not None:
             out.write(records_to_csv(result.records))

@@ -15,6 +15,8 @@ from .tree import NormalizedNode
 
 ROOT_GREY = "#9e9e9e"
 
+PALETTES = ("hue-partition", "fixed-list")  # assign_colors's default first
+
 FIXED_PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
     "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac",
@@ -29,9 +31,9 @@ def hsv_hex(hue_deg: float, sat: float, val: float) -> str:
     return "#{:02x}{:02x}{:02x}".format(round(r * 255), round(g * 255), round(b * 255))
 
 
-def assign_colors(tree: NormalizedNode, palette: str = "hue-partition") -> NormalizedNode:
+def assign_colors(tree: NormalizedNode, palette: str = PALETTES[0]) -> NormalizedNode:
     """Return a copy of the tree with missing colors filled in."""
-    if palette not in ("hue-partition", "fixed-list"):
+    if palette not in PALETTES:
         raise ValueError(f"unknown palette {palette!r}")
     copies: list[NormalizedNode] = []
     used = 0  # fixed-list slots handed out, in preorder

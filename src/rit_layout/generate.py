@@ -4,13 +4,13 @@ Three generator kinds:
 
 * fixed: every internal node has exactly c_max children.
 * random: each parent draws its child count uniformly from [1, c_max].
-* semi-random: like random, but the per-depth cap follows a schedule with
-  an overall decreasing trend (default: c_max dropping by 1 every two
-  levels, floored at 2).
+* semi-random: like random, but the per-depth cap follows
+  ``default_schedule``: c_max dropping by 1 every two levels, floored at
+  ``min(2, c_max)``.
 
 Leaves get value 1 and internal values are the sum of their children, so
 every generated tree is exactly full at every parent - the hardest case
-for the separation geometry.
+for the separation geometry.  A ``GeneratorSpec`` is checked when built.
 """
 
 from __future__ import annotations
@@ -30,24 +30,14 @@ class GeneratorSpec:
     c_max: int
     depth: int
     seed: int = 0
-    schedule: tuple[int, ...] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.c_max < 1:
             raise ValueError(f"c_max must be >= 1, got {self.c_max}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.schedule is not None:
-            if self.kind != "semi-random":
-                raise ValueError("schedule applies only to semi-random trees")
-            if len(self.schedule) != self.depth:
-                raise ValueError(
-                    f"schedule length {len(self.schedule)} != depth {self.depth}"
-                )
-            if any(c < 1 for c in self.schedule):
-                raise ValueError("schedule entries must be >= 1")
 
 
 def default_schedule(c_max: int, depth: int) -> tuple[int, ...]:
@@ -61,10 +51,9 @@ def generate_tree(spec: GeneratorSpec, max_nodes: int | None = None) -> TreeNode
     With ``max_nodes``, generation stops and returns None as soon as the
     tree would have more nodes than that.
     """
-    spec.validate()
     rng = random.Random(spec.seed)
     if spec.kind == "semi-random":
-        schedule = spec.schedule or default_schedule(spec.c_max, spec.depth)
+        schedule = default_schedule(spec.c_max, spec.depth)
     else:
         schedule = (spec.c_max,) * spec.depth
     # Ids are handed out and child counts drawn in preorder, from a stack

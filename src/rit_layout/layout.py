@@ -70,7 +70,8 @@ class LayoutConfig:
     """Root placement and wedge controls.
 
     ``ar0`` is the initial wedge-angle ratio alpha/beta for depth-1 nodes;
-    ``acr`` multiplies it per generation.
+    ``acr`` multiplies it per generation.  A bad field raises ``ValueError``
+    when the config is built.
     """
 
     theta0: float = 0.0
@@ -83,7 +84,7 @@ class LayoutConfig:
     relax_enabled: bool = False
     relax_threshold: float = 0.01
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self, ("theta0", "r0", "h0", "acr", "relax_threshold"))
         if not 0.0 < self.beta0 <= TAU + geo.FULL_TURN_TOL:
             raise ValueError(f"beta0 must be in (0, 2*pi], got {self.beta0}")
@@ -189,7 +190,6 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     children (see ``_relax_thin_runs``); a moved child turns its subtree
     with it, and every node so turned is flagged ``relaxed``.
     """
-    cfg.validate()
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
     a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
@@ -330,7 +330,6 @@ def _relax_thin_runs(
 
 def layout_sunburst(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layout:
     """Classic sunburst: constant ring height, angle proportional to data."""
-    cfg.validate()
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
     return _place_proportional(tree, cfg, "sunburst", SectorGeometry, theta0, cfg.beta0, cfg.r0)
@@ -342,7 +341,6 @@ def layout_icicle(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> L
     The root width is a_std / h0, so rectangle areas equal data * a_std and
     all three styles share one area scale.
     """
-    cfg.validate()
     _check_tree(tree)
     width0 = sector_area(cfg.r0, cfg.h0, cfg.beta0) / cfg.h0
     # An int base keeps each row offset exactly depth * h0, in h0's type.

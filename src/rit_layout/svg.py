@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .geometry import Path
 from .layout import Layout, require_finite
+from .tree import _require_xml_text
 
 FALLBACK_FILL = "#cccccc"
 BACKGROUND = "#ffffff"
@@ -36,7 +37,7 @@ class RenderStyle:
     margin: float = 20.0
     draw_labels: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         require_finite(self, ("canvas", "margin"))
         if self.canvas <= 0:
             raise ValueError(f"canvas size must be > 0, got {self.canvas}")
@@ -212,8 +213,9 @@ def _escape(text: str) -> str:
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
-    """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes."""
-    style.validate()
+    """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes.
+
+    An id, or a drawn label, that XML 1.0 cannot hold raises ``ValueError``."""
     tf = _Transform(layout, style)
     size = style.canvas
     lines = [
@@ -229,6 +231,7 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     is_icicle = layout.style == "icicle"
     labels: list[str] = []
     for node in ordered:
+        _require_xml_text(node.id, "id", node.id, ValueError)
         fill = node.color or FALLBACK_FILL
         d = _path_d(node.path, tf)
         if node.relaxed:
@@ -240,6 +243,7 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
             attrs = f'fill="{fill}" fill-rule="evenodd" stroke="none"'
         lines.append(f'<path id="{_escape(node.id)}" d="{d}" {attrs}/>')
         if style.draw_labels:
+            _require_xml_text(node.id, "label", node.label, ValueError)
             el = _label_element(node, tf, is_icicle)
             if el is not None:
                 labels.append(el)

@@ -30,6 +30,11 @@ MAX_JSON_TREE_DEPTH = 256
 
 _COLOR_RE = re.compile(r"^#[0-9a-fA-F]{6}$")
 
+# A character outside XML 1.0's Char production (a C0 control but tab, newline
+# or carriage return, a surrogate, U+FFFE or U+FFFF): no SVG can hold one.
+# Listed rather than negated, the class compiles some ten times faster.
+_NON_XML_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
 
 class TreeInputError(ValueError):
     """Malformed or structurally invalid input data."""
@@ -39,17 +44,23 @@ class NormalizationError(ValueError):
     """Tree values cannot be normalized under the requested strategy."""
 
 
-def _preorder(root):
-    """Nodes in preorder, with an explicit stack so depth has no limit."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+class _Tree:
+    """The walk and count that raw and normalized nodes share."""
+
+    def walk(self):
+        """Nodes in preorder, with an explicit stack so depth has no limit."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
+
+    def count(self) -> int:
+        return sum(1 for _ in self.walk())
 
 
 @dataclass
-class TreeNode:
+class TreeNode(_Tree):
     """Raw input node; ``value`` is in application units."""
 
     id: str
@@ -58,15 +69,9 @@ class TreeNode:
     color: str | None = None
     children: list["TreeNode"] = field(default_factory=list)
 
-    def walk(self):
-        return _preorder(self)
-
-    def count(self) -> int:
-        return sum(1 for _ in self.walk())
-
 
 @dataclass
-class NormalizedNode:
+class NormalizedNode(_Tree):
     """Node with ``data`` = value / root value, in [0, 1]; root data = 1."""
 
     id: str
@@ -74,12 +79,6 @@ class NormalizedNode:
     data: float
     color: str | None = None
     children: list["NormalizedNode"] = field(default_factory=list)
-
-    def walk(self):
-        return _preorder(self)
-
-    def count(self) -> int:
-        return sum(1 for _ in self.walk())
 
 
 @dataclass(frozen=True)
@@ -97,6 +96,12 @@ def _check_color(color, where: str) -> str | None:
     return color
 
 
+def _require_xml_text(node_id: str, field: str, text: str, error=TreeInputError) -> None:
+    bad = _NON_XML_CHAR.search(text)
+    if bad is not None:
+        raise error(f"node {node_id!r}: {field} holds {bad.group()!r}, a character XML 1.0 cannot hold")
+
+
 def _node_from_json(obj, node_id: str) -> TreeNode:
     """Build the tree under ``obj``, checking its nodes in preorder.
 
@@ -110,6 +115,7 @@ def _node_from_json(obj, node_id: str) -> TreeNode:
             raise TreeInputError(f"node {node_id}: expected an object, got {type(obj).__name__}")
         if "label" not in obj or not isinstance(obj["label"], str):
             raise TreeInputError(f"node {node_id}: missing or non-string label")
+        _require_xml_text(node_id, "label", obj["label"])
         if "value" not in obj or not isinstance(obj["value"], (int, float)) or isinstance(obj["value"], bool):
             raise TreeInputError(f"node {node_id} ({obj.get('label')}): missing or non-numeric value")
         color = _check_color(obj.get("color"), f"node {node_id}")
@@ -169,6 +175,8 @@ def _parse_csv_edges(text: str) -> TreeNode:
             raise TreeInputError(f"csv line {lineno}: empty id")
         if node_id in nodes:
             raise TreeInputError(f"csv line {lineno}: duplicate id {node_id!r}")
+        _require_xml_text(node_id, "id", node_id)
+        _require_xml_text(node_id, "label", label)
         try:
             value = float(value_s)
         except ValueError:
@@ -248,7 +256,7 @@ def serialize_tree(tree: TreeNode, fmt: str) -> str:
     json-tree is ``json.dumps(indent=2)`` of the nested node objects.  It
     holds at most ``MAX_JSON_TREE_DEPTH`` levels, so ``parse_tree`` can read
     it back; a deeper tree raises ``TreeInputError``.  csv-edges takes any
-    depth.
+    depth, but raises ``TreeInputError`` for an id the reader would change.
     """
     if fmt == "json-tree":
         return json.dumps(_json_tree_doc(tree), indent=2)
@@ -261,8 +269,14 @@ def serialize_tree(tree: TreeNode, fmt: str) -> str:
         writer.writerow(["parent_id", "id", "label", "value", "color"])
         # Preorder with an explicit stack of (node, parent id): any depth.
         stack = [(tree, "")]
+        seen: set[str] = set()
         while stack:
             node, parent_id = stack.pop()
+            # The reader strips ids and needs them non-empty and unique.
+            if not node.id or node.id != node.id.strip() or node.id in seen:
+                raise TreeInputError(f"node {node.id!r}: a csv-edges id must be non-empty, "
+                                     "unique and without surrounding whitespace")
+            seen.add(node.id)
             bare_cr = "\r" in f"{parent_id}{node.id}{node.label}{node.color}"
             (quoted if bare_cr else writer).writerow(
                 [parent_id, node.id, node.label, repr(node.value), node.color or ""])
@@ -369,6 +383,11 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
                 bad = _overfull_violation(node.id, node.value, child_sum)
                 if bad is not None:
                     raise NormalizationError(f"node {node.id!r}: {bad.rule}: {bad.message}")
-            child_scale = scale * node.value / child_sum
+            # Children summing past the float range sum in range once scaled by
+            # 2**e, which keeps the ratio: ldexp is exact but for values far
+            # too small to move the sum.  Otherwise e = 0 changes nothing.
+            e = 0 if child_sum < math.inf else -1 - len(node.children).bit_length()
+            child_sum = math.fsum(math.ldexp(c.value, e) for c in node.children)
+            child_scale = scale * math.ldexp(node.value, e) / child_sum
         stack.extend(zip(reversed(node.children), repeat(child_scale), repeat(out.children)))
     return copies[0]

@@ -17,6 +17,14 @@ def full_chain(n: int, value: float = 1.0) -> TreeNode:
     return nodes[0]
 
 
+def xml_text_ok(text: str) -> bool:
+    """Whether every character is in XML 1.0's Char production."""
+    return all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+        for c in text
+    )
+
+
 def tree_equal_ignoring_ids(a, b) -> bool:
     if (a.label, a.value, a.color) != (b.label, b.value, b.color):
         return False

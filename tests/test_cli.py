@@ -1,17 +1,27 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rit_layout import GeneratorSpec, demo_tree, generate_tree, serialize_tree
+from rit_layout import GeneratorSpec, LayoutConfig, RenderStyle, demo_tree, generate_tree, serialize_tree
 from rit_layout import cli
 from rit_layout.bench import gc_paused
 from rit_layout.cli import main
+from rit_layout.colors import PALETTES, assign_colors
+from rit_layout.generate import KINDS
+from rit_layout.layout import MODES
 from rit_layout.tree import TreeNode
+
+from conftest import xml_text_ok
 
 DEMO_JSON = serialize_tree(demo_tree(), "json-tree")
 DEMO_CSV = serialize_tree(demo_tree(), "csv-edges")
@@ -313,6 +323,108 @@ def test_dash_output_is_stdout(tmp_path, demo_file, monkeypatch, capsysbinary, c
     assert not (tmp_path / "-").exists()
 
 
+@pytest.mark.parametrize("argv, classes", [
+    (["render", "--input", "t.json", "--output", "t.svg"], (LayoutConfig, RenderStyle)),
+    (["layout", "--input", "t.json", "--output", "t.json"], (LayoutConfig,)),
+    (["compare", "--input", "t.json", "--outdir", "out"], (LayoutConfig, RenderStyle)),
+], ids=["render", "layout", "compare"])
+def test_flag_defaults_are_the_library_defaults(argv, classes):
+    args = cli.build_parser().parse_args(argv)
+    for cls in classes:
+        assert cli._from_args(cls, args) == cls()
+    if RenderStyle in classes:
+        assert args.palette == assign_colors.__defaults__[0]
+
+
+def _choices(command: str, flag: str) -> tuple:
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command").choices[command]
+    return tuple(next(a for a in sub._actions if flag in a.option_strings).choices)
+
+
+def test_flag_choices_are_the_library_choices():
+    for command in ("render", "layout", "compare"):
+        assert _choices(command, "--mode") == MODES
+    for command in ("render", "compare"):
+        assert _choices(command, "--palette") == PALETTES
+    assert _choices("bench", "--generator") == KINDS
+
+
+# Text XML 1.0 can hold, XML metacharacters and whitespace among it.
+_XML_TEXT = st.text(alphabet=st.one_of(st.characters(blacklist_categories=("Cc", "Cs")),
+                                       st.sampled_from('<>&"\'\t\n\r')), max_size=5)
+# Characters outside XML 1.0's Char production.  Python 3.10's csv module
+# reads no NUL.
+_NON_XML = ["\x01", "\x08", "\x0b", "\x1f", "\ud800", "\udfff", "\ufffe", "\uffff"] + (
+    [] if sys.version_info < (3, 11) else ["\x00"])
+
+
+@st.composite
+def _csv_trees_of_any_text(draw):
+    """A root and 1-4 leaves with ids and labels of XML-safe text, one of
+    which may hold one character XML 1.0 cannot."""
+    n = draw(st.integers(2, 5))
+    ids = draw(st.lists(_XML_TEXT.filter(lambda s: s and s == s.strip()),
+                        min_size=n, max_size=n, unique=True))
+    labels = draw(st.lists(_XML_TEXT, min_size=n, max_size=n))
+    bad = draw(st.sampled_from([None, *_NON_XML]))
+    if bad is not None:
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            # Inside the id, so it stays unique and unstripped.
+            ids[i] = f"{ids[i]}{bad}{ids[i]}"
+        else:
+            labels[i] = f"{labels[i]}{bad}"
+    return TreeNode(ids[0], labels[0], float(n - 1), children=[
+        TreeNode(node_id, label, 1.0) for node_id, label in zip(ids[1:], labels[1:])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=_csv_trees_of_any_text())
+def test_render_labels_of_any_text_is_well_formed_or_names_the_node(root):
+    """Ids and labels of any text: the SVG parses, or the run exits 2 naming
+    the first node whose text XML 1.0 cannot hold."""
+    nodes = list(root.walk())
+    text = serialize_tree(root, "csv-edges")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "t.csv"), Path(tmp, "t.svg")
+        # A lone surrogate has no UTF-8 form; its bytes make the file not UTF-8.
+        src.write_bytes(text.encode("utf-8", "surrogatepass"))
+        with contextlib.redirect_stderr(err):
+            rc = main(["render", "--input", str(src), "--output", str(out), "--labels"])
+        svg = out.read_bytes() if out.exists() else None
+    message = err.getvalue()
+    assert "Traceback" not in message
+    bad = next((n for n in nodes if not xml_text_ok(n.id + n.label)), None)
+    if any("\ud800" <= c <= "\udfff" for c in text):
+        assert rc == 2 and svg is None
+        assert message.startswith("input error: input is not valid UTF-8")
+    elif bad is not None:
+        assert rc == 2 and svg is None
+        assert message.startswith(f"input error: node {bad.id!r}: ")
+    else:
+        assert rc == 0, message
+        assert len(ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}path")) == len(nodes)
+
+
+@pytest.mark.parametrize("command", ["render", "compare"])
+@pytest.mark.parametrize("fmt, suffix, text, named", [
+    ("csv-edges", ".csv", "parent_id,id,label,value,color\n,r,r,2,\nr,a\x01b,a,1,\n", "'a\\x01b'"),
+    ("json-tree", ".json",
+     '{"label": "r", "value": 1, "children": [{"label": "a\\ud800b", "value": 1}]}', "'0.0'"),
+], ids=["csv-control-id", "json-surrogate-label"])
+def test_text_xml_cannot_hold_exit_2(tmp_path, capsys, command, fmt, suffix, text, named):
+    src = tmp_path / f"t{suffix}"
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    target = ["--outdir", str(out)] if command == "compare" else ["--output", str(out)]
+    assert main([command, "--input", str(src), *target, "--labels"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: node {named}: ")
+    assert "XML 1.0 cannot hold" in err
+    assert not out.exists()
+
+
 class TestLayoutCommand:
     def test_geometry_json(self, demo_file, tmp_path):
         out = tmp_path / "layout.json"
@@ -469,6 +581,26 @@ class TestBenchCommand:
         assert main(["bench", "--depths", "0", "--csv", str(out)]) == 1
         assert "depth must be >= 1" in capsys.readouterr().err
         assert out.read_text() == "earlier run\n"
+
+    def test_failed_run_keeps_existing_csv(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("timing failed")
+
+        monkeypatch.setattr(cli, "run_bench", fail)
+        out = tmp_path / "bench.csv"
+        out.write_text("earlier run\n")
+        assert main(["bench", "--depths", "1..4", "--csv", str(out)]) == 1
+        assert capsys.readouterr().err == "error: timing failed\n"
+        assert out.read_text() == "earlier run\n"
+
+    def test_dash_csv_is_stdout_before_the_fit_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", "--depths", "1..3", "--repeats", "1", "--csv", "-"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "generator,cmax,depth,nodes,repeat,seconds,visits"
+        assert len(lines) == 1 + 3 + 1
+        assert lines[-1].startswith("fit over 3 runs: ")
+        assert not (tmp_path / "-").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_keeps_existing_csv(self, tmp_path, capsys, monkeypatch, repeats):

@@ -142,28 +142,28 @@ class TestRitSpecialShapes:
 
     def test_empty_config_validation(self):
         with pytest.raises(ValueError):
-            LayoutConfig(ar0=0.5).validate()
+            LayoutConfig(ar0=0.5)
         with pytest.raises(ValueError):
-            LayoutConfig(beta0=0.0).validate()
+            LayoutConfig(beta0=0.0)
         with pytest.raises(ValueError):
-            LayoutConfig(h0=0.0).validate()
+            LayoutConfig(h0=0.0)
         with pytest.raises(ValueError):
-            LayoutConfig(acr=0.0).validate()
+            LayoutConfig(acr=0.0)
         with pytest.raises(ValueError):
-            LayoutConfig(mode="radial").validate()
+            LayoutConfig(mode="radial")
 
     @pytest.mark.parametrize(
         "name", ["theta0", "beta0", "r0", "h0", "ar0", "acr", "relax_threshold"])
     def test_int_beyond_float_range_is_a_value_error(self, name):
         with pytest.raises(ValueError, match=name):
-            LayoutConfig(**{name: 10 ** 400}).validate()
+            LayoutConfig(**{name: 10 ** 400})
 
     def test_standard_area_must_be_normal(self):
         # pi * (2 * r0 * h0 + h0**2) is about 3.1e-320, a subnormal float.
         with pytest.raises(ValueError, match="standard area of 3.14"):
-            LayoutConfig(r0=1e-300, h0=1e-160).validate()
+            LayoutConfig(r0=1e-300, h0=1e-160)
         # About 3.1e-308, just above the smallest normal float.
-        LayoutConfig(r0=0.0, h0=1e-154).validate()
+        LayoutConfig(r0=0.0, h0=1e-154)
 
 
 class TestAngleRatioDecay:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -211,6 +212,21 @@ class TestRendering:
         assert {el.get("id") for el in paths} == {"root", *names}
         assert {el.text for el in root.iter(f"{SVG_NS}text")} <= {"root", *names}
 
+    @pytest.mark.parametrize("field", ["id", "label"])
+    @pytest.mark.parametrize("char", ["\x01", "\ud800", "\uffff"])
+    def test_text_xml_cannot_hold_is_a_value_error(self, demo_layout, field, char):
+        nodes = list(demo_layout.nodes)
+        node = nodes[3] = dataclasses.replace(nodes[3], **{field: f"x{char}"})
+        layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
+        with pytest.raises(ValueError) as info:
+            render_svg(layout, RenderStyle(draw_labels=True))
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"node {node.id!r}: {field} holds {char!r}, a character XML 1.0 cannot hold")
+        if field == "label":
+            # A label that is not drawn is not written.
+            ET.fromstring(render_svg(layout))
+
     def test_background_and_canvas(self, demo_layout):
         svg = render_svg(demo_layout, RenderStyle(canvas=500))
         root = ET.fromstring(svg.decode())
@@ -231,7 +247,7 @@ class TestRendering:
         # NaN fails every comparison, so a range test alone lets it through;
         # an int beyond float range has no float to test.
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            RenderStyle(**{field: value}).validate()
+            RenderStyle(**{field: value})
 
 
 def _fmt_each(x: float) -> str:
