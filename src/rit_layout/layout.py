@@ -24,7 +24,6 @@ Two angle modes:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -65,13 +64,16 @@ def require_finite(config, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+_FLOAT_FIELDS = ("theta0", "beta0", "r0", "h0", "ar0", "acr", "relax_threshold")
+
+
 @dataclass(frozen=True)
 class LayoutConfig:
     """Root placement and wedge controls.
 
     ``ar0`` is the initial wedge-angle ratio alpha/beta for depth-1 nodes;
     ``acr`` multiplies it per generation.  A bad field raises ``ValueError``
-    when the config is built.
+    when the config is built.  Numeric fields are stored as ``float``.
     """
 
     theta0: float = 0.0
@@ -85,7 +87,9 @@ class LayoutConfig:
     relax_threshold: float = 0.01
 
     def __post_init__(self) -> None:
-        require_finite(self, ("theta0", "r0", "h0", "acr", "relax_threshold"))
+        require_finite(self, _FLOAT_FIELDS)
+        for name in _FLOAT_FIELDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.beta0 <= TAU + geo.FULL_TURN_TOL:
             raise ValueError(f"beta0 must be in (0, 2*pi], got {self.beta0}")
         if self.r0 < 0.0:
@@ -343,8 +347,7 @@ def layout_icicle(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> L
     """
     _check_tree(tree)
     width0 = sector_area(cfg.r0, cfg.h0, cfg.beta0) / cfg.h0
-    # An int base keeps each row offset exactly depth * h0, in h0's type.
-    return _place_proportional(tree, cfg, "icicle", BandGeometry, 0.0, width0, 0)
+    return _place_proportional(tree, cfg, "icicle", BandGeometry, 0.0, width0, 0.0)
 
 
 def _place_proportional(
@@ -385,18 +388,33 @@ def compute_layout(tree: NormalizedNode, style: str, cfg: LayoutConfig = LayoutC
     raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
+# The exact type of each field of the geometry document that is not a
+# number; ``color`` may also be None.  A number must be a finite exact
+# ``float``, which ``repr`` spells as JSON does.
+_JSON_TYPES = {"style": str, "id": str, "depth": int, "relaxed": bool, "color": str, "label": str}
+
+
+def _require_json(where: str, values: dict) -> None:
+    """Raise ValueError naming ``where`` and the first of ``values`` that the
+    writer cannot spell exactly.  Finite floats whose sum overflows pass."""
+    for name, value in values.items():
+        wanted = _JSON_TYPES.get(name, float)
+        if type(value) is not wanted and not (name == "color" and value is None) or (
+                wanted is float and not math.isfinite(value)):
+            finite = "a finite " if wanted is float else ""
+            raise ValueError(f"{where}: {name} {value!r} is not {finite}{wanted.__name__}")
+
+
 def _path_json(
-    segments: tuple[geo.Segment, ...], r_in: float, r_in_text: str, theta: float, theta_text: str,
-) -> str | None:
+    node_id: str, segments: tuple[geo.Segment, ...],
+    r_in: float, r_in_text: str, theta: float, theta_text: str,
+) -> str:
     """A node's segments as the items of its ``"path"`` list (indent 4).
 
-    Only segments that are exact ``tuple``s of finite exact ``float``s, as
-    every outline of a float layout is, are written: ``!r`` spells such a
-    number as ``json.dumps`` does.  Any other segment (a tuple subclass, an
-    int radius, a non-finite or overflowing sum, a float subclass) gives
-    ``None``.  A line's ``x0``/``y0`` equal to the last line's end, and an
-    arc's ``radius``/``start`` equal to the node's ``r_in``/``theta``, reuse
-    that number's text (see ``_nodes_json``).
+    A segment that is not an exact ``tuple`` of finite exact ``float``s
+    raises ``ValueError`` naming the node.  A line's ``x0``/``y0`` equal to
+    the last line's end, and an arc's ``radius``/``start`` equal to the
+    node's ``r_in``/``theta``, reuse that number's text (see ``_nodes_json``).
     """
     items = []
     # The end of the last line written, and its text.
@@ -404,12 +422,12 @@ def _path_json(
     x_text = y_text = ""
     for seg in segments:
         if type(seg) is not tuple:
-            return None
+            raise ValueError(f"node {node_id!r}: path segment {seg!r} is not a tuple")
         if len(seg) == 4:
             x0, y0, x1, y1 = seg
             if not (type(x0) is type(y0) is type(x1) is type(y1) is float
                     and math.isfinite(x0 + y0 + x1 + y1)):
-                return None
+                _require_json(f"node {node_id!r}: path line", dict(zip(("x0", "y0", "x1", "y1"), seg)))
             x0_text = x_text if x0 == x and x0 else repr(x0)
             y0_text = y_text if y0 == y and y0 else repr(y0)
             x, y, x_text, y_text = x1, y1, repr(x1), repr(y1)
@@ -422,7 +440,7 @@ def _path_json(
             radius, start, end = seg
             if not (type(radius) is type(start) is type(end) is float
                     and math.isfinite(radius + start + end)):
-                return None
+                _require_json(f"node {node_id!r}: path arc", dict(zip(("radius", "start", "end"), seg)))
             items.append(
                 '    {\n     "type": "arc",\n'
                 f'     "radius": {r_in_text if radius == r_in and radius else repr(radius)},\n'
@@ -432,21 +450,16 @@ def _path_json(
     return ",\n".join(items)
 
 
-def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str] | None:
+def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str]:
     """Each node as an item of the ``"nodes"`` list (indent 2).
 
-    Written only when every node's six sector numbers are finite ``float``s,
-    ``id`` and ``label`` are ``str``, ``color`` is ``str`` or ``None``,
-    ``depth`` is an ``int`` and ``relaxed`` a ``bool``, each of exactly that
-    type, and ``_path_json`` writes its segments, each an exact ``tuple`` of
-    finite exact ``float``s; otherwise ``None``.
-
-    Siblings share ``r_in`` and ``height``, and outline segments share
-    corners, so a number equal to the one just written in its matching
-    slot reuses that text instead of spelling it again: two equal finite
-    floats other than zero have the same bits, so the same ``repr``.  Zero
-    is spelled each time, because ``0.0 == -0.0`` but the two spell
-    differently.
+    A field the writer cannot spell exactly raises ``ValueError`` naming the
+    node (see ``_JSON_TYPES``).  Siblings share ``r_in`` and ``height``, and
+    outline segments share corners, so a number equal to the one just
+    written in its matching slot reuses that text instead of spelling it
+    again: two equal finite floats other than zero have the same bits, so
+    the same ``repr``.  Zero is spelled each time, because ``0.0 == -0.0``
+    but the two spell differently.
     """
     items = []
     # The previous node's r_in and height, and their texts.
@@ -466,13 +479,14 @@ def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str] | None:
             and type(depth) is int
             and type(relaxed) is bool
         ):
-            return None
+            _require_json(f"node {node_id!r}", {
+                "id": node_id, "depth": depth, "theta": theta, "beta": beta, "alpha": alpha,
+                "r_in": r_in, "height": height, "topup_height": topup, "relaxed": relaxed,
+                "color": color, "label": label})
         theta_text = repr(theta)
         r_in_text = last_r_in_text if r_in == last_r_in and r_in else repr(r_in)
         height_text = last_height_text if height == last_height and height else repr(height)
-        body = _path_json(n.path.segments, r_in, r_in_text, theta, theta_text)
-        if body is None:
-            return None
+        body = _path_json(node_id, n.path.segments, r_in, r_in_text, theta, theta_text)
         items.append(
             f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
             f'   "theta": {theta_text},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
@@ -487,30 +501,6 @@ def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str] | None:
     return items
 
 
-def _document(layout: Layout) -> dict:
-    """The geometry document ``layout_to_json`` spells, as a dict."""
-    return {
-        "a_std": layout.a_std,
-        "style": layout.style,
-        "nodes": [
-            {
-                "id": n.id, "depth": n.depth,
-                "theta": n.sector.theta, "beta": n.sector.beta, "alpha": n.sector.alpha,
-                "r_in": n.sector.r_in, "height": n.sector.height,
-                "topup_height": n.sector.topup_height,
-                "relaxed": n.relaxed, "color": n.color, "label": n.label,
-                "path": [
-                    {"type": "line", **dict(zip(("x0", "y0", "x1", "y1"), seg))}
-                    if len(seg) == 4
-                    else {"type": "arc", **dict(zip(("radius", "start", "end"), seg))}
-                    for seg in n.path.segments
-                ],
-            }
-            for n in layout.nodes
-        ],
-    }
-
-
 def layout_to_json(layout: Layout) -> str:
     """Geometry export: {a_std, style, nodes: [...]} with full float precision.
 
@@ -520,22 +510,24 @@ def layout_to_json(layout: Layout) -> str:
     "color", "label", "path": [segment, ...]}, ...]}``, where an arc
     ``(radius, start, end)`` is ``{"type": "arc", "radius", "start", "end"}``
     and a line ``(x0, y0, x1, y1)`` is ``{"type": "line", "x0", "y0", "x1",
-    "y1"}``.  A layout of finite plain floats and strings, as every layout
-    the package builds from a float config is, is written directly, one
-    string per node and per segment, because any indent sends
-    ``json.dumps`` to its pure-Python encoder.  The head rides on the
-    first node's string and the tail on the last, so one join builds the
-    whole text.  Any other layout, and one without nodes, is written by
-    ``json.dumps`` itself.
+    "y1"}``.  It is written directly, one string per node and per segment,
+    because any indent sends ``json.dumps`` to its pure-Python encoder; the
+    head rides on the first node's string and the tail on the last.
+
+    Every layout the package builds holds plain floats, as ``LayoutConfig``
+    and ``normalize`` store them.  A layout without nodes, or one holding a
+    value the writer cannot spell exactly (a non-finite or non-``float``
+    number, a bool ``depth``, an int ``relaxed``, a non-``str`` id, label or
+    colour, a segment that is not a ``tuple``), raises ``ValueError`` naming
+    the node or ``a_std``/``style``, so the text is always strict JSON.
     """
-    a_std, style = layout.a_std, layout.style
-    if type(a_std) is float and math.isfinite(a_std) and type(style) is str:
-        items = _nodes_json(layout.nodes)
-        if items:
-            items[0] = (
-                f'{{\n "a_std": {a_std!r},\n "style": {encode_basestring_ascii(style)},\n'
-                f' "nodes": [\n{items[0]}'
-            )
-            items[-1] += "\n ]\n}"
-            return ",\n".join(items)
-    return json.dumps(_document(layout), indent=" ")
+    _require_json("layout", {"a_std": layout.a_std, "style": layout.style})
+    if not layout.nodes:
+        raise ValueError("layout: no nodes to write")
+    items = _nodes_json(layout.nodes)
+    items[0] = (
+        f'{{\n "a_std": {layout.a_std!r},\n "style": {encode_basestring_ascii(layout.style)},\n'
+        f' "nodes": [\n{items[0]}'
+    )
+    items[-1] += "\n ]\n}"
+    return ",\n".join(items)

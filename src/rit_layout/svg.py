@@ -202,7 +202,7 @@ def _label_element(node, tf: _Transform, is_icicle: bool) -> str | None:
 
 
 def _escape(text: str) -> str:
-    """Escape XML metacharacters for text content and quoted attribute values."""
+    """Escape XML metacharacters for text content."""
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -210,6 +210,12 @@ def _escape(text: str) -> str:
         .replace('"', "&quot;")
         .replace("'", "&#39;")
     )
+
+
+def _escape_attr(text: str) -> str:
+    """Escape text for a quoted attribute value, where a raw tab, newline or
+    carriage return would read back as a space."""
+    return _escape(text).replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
@@ -232,7 +238,7 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     labels: list[str] = []
     for node in ordered:
         _require_xml_text(node.id, "id", node.id, ValueError)
-        fill = node.color or FALLBACK_FILL
+        fill = _escape_attr(node.color or FALLBACK_FILL)
         d = _path_d(node.path, tf)
         if node.relaxed:
             attrs = (
@@ -241,7 +247,7 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
             )
         else:
             attrs = f'fill="{fill}" fill-rule="evenodd" stroke="none"'
-        lines.append(f'<path id="{_escape(node.id)}" d="{d}" {attrs}/>')
+        lines.append(f'<path id="{_escape_attr(node.id)}" d="{d}" {attrs}/>')
         if style.draw_labels:
             _require_xml_text(node.id, "label", node.label, ValueError)
             el = _label_element(node, tf, is_icicle)

@@ -361,7 +361,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     _require_valid_value(tree.id, tree.value)
     root_value = tree.value
     if not root_value > 0.0:
-        raise NormalizationError(f"root value must be > 0, got {root_value}")
+        raise NormalizationError(f"node {tree.id!r}: root value must be > 0, got {root_value}")
 
     # Preorder with an explicit stack: an error names the first bad node in
     # preorder, at any depth.
@@ -369,7 +369,8 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     stack = [(tree, 1.0, copies)]
     while stack:
         node, scale, siblings = stack.pop()
-        data = scale * node.value / root_value
+        # A plain float, whatever number type the value has.
+        data = float(scale * node.value / root_value)
         out = NormalizedNode(node.id, node.label, data, node.color)
         siblings.append(out)
         if not node.children:

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -404,7 +405,69 @@ def test_render_labels_of_any_text_is_well_formed_or_names_the_node(root):
         assert message.startswith(f"input error: node {bad.id!r}: ")
     else:
         assert rc == 0, message
-        assert len(ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}path")) == len(nodes)
+        paths = ET.fromstring(svg).findall("{http://www.w3.org/2000/svg}path")
+        assert sorted(el.get("id") for el in paths) == sorted(n.id for n in nodes)
+
+
+def test_csv_ids_with_tab_newline_and_cr_read_back_from_the_svg(tmp_path):
+    ids = ["a\tb", "c\nd", "e\rf", "g \t\r\nh"]
+    root = TreeNode("r", "r", 4.0, children=[TreeNode(i, i, 1.0) for i in ids])
+    src, out = tmp_path / "t.csv", tmp_path / "t.svg"
+    src.write_text(serialize_tree(root, "csv-edges"), encoding="utf-8", newline="")
+    assert main(["render", "--input", str(src), "--output", str(out)]) == 0
+    paths = ET.fromstring(out.read_bytes()).findall("{http://www.w3.org/2000/svg}path")
+    assert [el.get("id") for el in paths] == ["r", *ids]
+
+
+# A node's own value: zero, or m * 10**-e, so siblings' ratios reach 1e-12.
+_OWN_VALUES = st.one_of(st.just(0.0), st.builds(
+    lambda m, e: m * 10.0 ** -e, st.sampled_from([1.0, 3.0, 7.5]), st.integers(0, 12)))
+
+
+@st.composite
+def _csv_trees_of_zero_and_tiny_values(draw):
+    """1-12 nodes, each below an earlier one.  A node's value is its own
+    value plus the fsum of its children's, or, for a drawn few, that sum
+    cut short by a part in 1e9, which overfills the node."""
+    n = draw(st.integers(1, 12))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    nodes = [TreeNode(f"n{i}", f"n{i}", draw(_OWN_VALUES)) for i in range(n)]
+    # Later nodes first, so each child's value is final before its parent's.
+    for i in range(n - 1, 0, -1):
+        nodes[parents[i - 1]].children.insert(0, nodes[i])
+    for node in reversed(nodes):
+        if node.children:
+            total = math.fsum(c.value for c in node.children)
+            node.value = total * (1 - 1e-9) if draw(st.integers(0, 9)) == 0 else math.fsum(
+                [node.value, total])
+    return nodes[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(root=_csv_trees_of_zero_and_tiny_values(),
+       style=st.sampled_from(["rit", "sunburst", "icicle"]),
+       flags=st.sampled_from([[], ["--mode", "literal"], ["--relax", "--relax-threshold", "0.01"]]))
+def test_layout_of_zero_values_and_tiny_ratios_is_strict_json_or_names_the_node(
+        root, style, flags):
+    """Exit 0 with strict JSON holding every node, or exit 2 naming a node."""
+    nodes = list(root.walk())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp, "t.csv"), Path(tmp, "t.json")
+        src.write_text(serialize_tree(root, "csv-edges"), encoding="utf-8")
+        with contextlib.redirect_stderr(err):
+            rc = main(["layout", "--input", str(src), "--output", str(out),
+                       "--style", style, *flags])
+        text = out.read_text(encoding="utf-8") if out.exists() else None
+    message = err.getvalue()
+    if rc == 0:
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not RFC 8259 JSON")
+        doc = json.loads(text, parse_constant=refuse)
+        assert sorted(n["id"] for n in doc["nodes"]) == sorted(n.id for n in nodes)
+    else:
+        assert rc == 2 and text is None, message
+        assert any(message.startswith(f"input error: node {n.id!r}: ") for n in nodes), message
 
 
 @pytest.mark.parametrize("command", ["render", "compare"])

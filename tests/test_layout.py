@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import re
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from rit_layout import (
     layout_to_json,
     normalize,
     path_area,
+    render_svg,
     sector_area,
 )
 from rit_layout.geometry import (
@@ -393,7 +396,8 @@ class _OddSegmentSector(SectorGeometry):
 
 
 def _guard_layout(case: str):
-    """A demo rit layout whose second node holds values the JSON fast path must refuse."""
+    """A demo rit layout whose second node, 'red', holds a value that the
+    writer's one-sum type and finiteness test sends to the slow check."""
     base = layout_rit(normalize(demo_tree(), "strict"))
     first, node, *rest = base.nodes
     s = node.sector
@@ -419,6 +423,10 @@ def _guard_layout(case: str):
         node = dataclasses.replace(node, relaxed=1)
     elif case == "list-color":
         node = dataclasses.replace(node, color=["#112233"])
+    elif case == "tuple-subclass-segment":
+        node = dataclasses.replace(node, sector=_DrawnSector(**{
+            f.name: getattr(s, f.name) for f in dataclasses.fields(s)},
+            drawn=(_SubSeg(s.outline().segments[0]),)))
     return dataclasses.replace(base, nodes=(first, node, *rest))
 
 
@@ -498,38 +506,85 @@ class TestDerivedOutline:
 
 
 class TestLayoutJson:
-    @pytest.mark.parametrize("make", [
-        pytest.param(lambda: compute_layout(normalize(demo_tree(), "strict"), style), id=style)
+    @pytest.mark.parametrize("make, error", [
+        pytest.param(lambda: compute_layout(normalize(demo_tree(), "strict"), style), None,
+                     id=style)
         for style in ("rit", "sunburst", "icicle")
     ] + [
-        pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"), QUARTER), id="quarter"),
+        pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"), QUARTER), None,
+                     id="quarter"),
         pytest.param(lambda: compute_layout(
             normalize(demo_tree(), "strict"), "rit",
-            LayoutConfig(relax_enabled=True, relax_threshold=0.05)), id="relax-0.05"),
-        pytest.param(lambda: layout_rit(normalize(_zero_value_tree(), "strict")),
+            LayoutConfig(relax_enabled=True, relax_threshold=0.05)), None, id="relax-0.05"),
+        pytest.param(lambda: layout_rit(normalize(_zero_value_tree(), "strict")), None,
                      id="uncolored-zero-values"),
     ] + [
         # About 1,300 nodes each, over 1,000 of them relaxed.
         pytest.param(lambda spec=spec: layout_rit(
             assign_colors(normalize(generate_tree(spec), "strict")),
-            LayoutConfig(relax_enabled=True, relax_threshold=1e-3)), id=f"{spec.kind}-relax-1e-3")
+            LayoutConfig(relax_enabled=True, relax_threshold=1e-3)), None,
+            id=f"{spec.kind}-relax-1e-3")
         for spec in (GeneratorSpec("random", 8, 5, seed=1),
                      GeneratorSpec("semi-random", 12, 4, seed=3))
     ] + [
-        pytest.param(lambda: layout_rit(normalize(_hostile_tree(), "strict")), id="hostile-strings"),
+        pytest.param(lambda: layout_rit(normalize(_hostile_tree(), "strict")), None,
+                     id="hostile-strings"),
         pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"),
-                                        LayoutConfig(r0=8, h0=2)), id="int-config"),
-        pytest.param(_non_finite_layout, id="hand-built-non-finite"),
-        pytest.param(lambda: dataclasses.replace(_non_finite_layout(), nodes=()), id="no-nodes"),
+                                        LayoutConfig(r0=8, h0=2)), None, id="int-config"),
     ] + [
-        pytest.param(lambda case=case: _guard_layout(case), id=case)
-        for case in ("float-subclass-sector", "float-subclass-segment", "sum-overflows",
-                     "non-finite-band", "negative-zero", "bool-depth", "int-relaxed",
-                     "list-color")
+        pytest.param(lambda case=case: _guard_layout(case), None, id=case)
+        for case in ("sum-overflows", "negative-zero")
+    ] + [
+        # A value the writer cannot spell exactly, where json.dumps would
+        # write NaN, Infinity or a float subclass's float text: the writer
+        # raises, naming the node or layout field, so no such text exists.
+        pytest.param(_non_finite_layout, "layout: a_std inf is not a finite float",
+                     id="hand-built-non-finite"),
+        pytest.param(lambda: dataclasses.replace(
+            layout_rit(normalize(demo_tree(), "strict")), nodes=()), "layout: no nodes to write",
+            id="no-nodes"),
+    ] + [
+        pytest.param(lambda case=case: _guard_layout(case), f"node 'red': {message}", id=case)
+        for case, message in (
+            ("float-subclass-sector", "theta _ReprFloat("),
+            ("float-subclass-segment", "path line: y1 _ReprFloat("),
+            ("non-finite-band", "theta inf is not a finite float"),
+            ("bool-depth", "depth True is not int"),
+            ("int-relaxed", "relaxed 1 is not bool"),
+            ("list-color", "color ['#112233'] is not str"),
+            ("tuple-subclass-segment", "path segment "),
+        )
     ])
-    def test_bytes_equal_json_dumps(self, make):
+    def test_bytes_equal_json_dumps(self, make, error):
+        """Every layout the writer takes gives ``json.dumps``'s bytes; one it
+        refuses (``error`` set) raises ``ValueError`` naming the bad value."""
         layout = make()
+        if error is None:
+            assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(error)):
+                layout_to_json(layout)
+
+    @pytest.mark.parametrize("style", ["rit", "sunburst", "icicle"])
+    def test_int_config_gives_the_float_config_bytes(self, style):
+        tree = normalize(demo_tree(), "strict")
+        as_int = compute_layout(tree, style, LayoutConfig(r0=8, h0=2))
+        as_float = compute_layout(tree, style, LayoutConfig(r0=8.0, h0=2.0))
+        assert as_int.config == as_float.config
+        assert type(as_int.config.r0) is type(as_int.config.h0) is float
+        assert layout_to_json(as_int) == layout_to_json(as_float)
+        assert render_svg(as_int) == render_svg(as_float)
+
+    def test_numpy_values_normalize_to_float_data_and_export(self):
+        tree = TreeNode("r", "r", numpy.float64(3.0), children=[
+            TreeNode("a", "a", numpy.float64(1.0)), TreeNode("b", "b", 2)])
+        normal = normalize(tree, "strict")
+        assert [type(n.data) for n in normal.walk()] == [float] * 3
+        layout = layout_rit(normal)
         assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
+        plain = TreeNode("r", "r", 3.0, children=[
+            TreeNode("a", "a", 1.0), TreeNode("b", "b", 2.0)])
+        assert layout_to_json(layout) == layout_to_json(layout_rit(normalize(plain, "strict")))
 
     def test_schema_and_precision(self, demo, default_cfg):
         doc = json.loads(layout_to_json(layout_rit(demo, default_cfg)))
@@ -570,10 +625,10 @@ class _SubSeg(tuple):
     __slots__ = ()
 
 
-# Values the direct writer can spell, and ones it must hand to json.dumps:
-# 1e308 sums overflow, and a float subclass has its own repr.  Zeros are
-# drawn often, because 0.0 == -0.0 spell differently.  A segment is a plain
-# tuple; the wild one is a tuple subclass.
+# Values the writer can spell, and ones it must refuse: 1e308 sums
+# overflow but are written, and a float subclass has its own repr.  Zeros
+# are drawn often, because 0.0 == -0.0 spell differently.  A segment is a
+# plain tuple; the wild one is a tuple subclass.
 _CLEAN_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0]),
@@ -647,10 +702,12 @@ def _slots(outlines) -> list[tuple[str, int | None]]:
 def _hand_made_layouts(draw):
     # Every value is clean but at most one, which is wild: NaN, an infinity,
     # a float subclass or an int for a number, None for a string, a list
-    # colour, a bool depth, an int flag or a tuple-subclass segment.  Half the layouts are all clean,
-    # for the direct writer; otherwise the wild value's kind is drawn first,
-    # so each kind is drawn as often as the others.  A clean value in a
-    # slot whose text the direct writer may reuse is drawn by a _SHARES rule.
+    # colour, a bool depth, an int flag or a tuple-subclass segment.  Half
+    # the layouts are all clean; otherwise the wild value's kind is drawn
+    # first, so each kind is drawn as often as the others.  A clean value in
+    # a slot whose text the writer may reuse is drawn by a _SHARES rule.
+    # Returns the layout and the start of the error the writer must raise
+    # for it, None when it must write the layout.
     ids = draw(st.lists(st.text(), max_size=3, unique=True))
     outlines = [draw(st.lists(st.sampled_from([4, 3]), min_size=1, max_size=5)) for _ in ids]
     slots = _slots(outlines)
@@ -659,10 +716,12 @@ def _hand_made_layouts(draw):
     wild = draw(st.sampled_from(spots)) if spots else None
     node_ids = iter(ids)
     values: list = []
+    error = None if ids else "layout: no nodes to write"
     for i, (slot, ref) in enumerate(slots):
         if slot == "id":
             node_id = next(node_ids)
             values.append(None if i == wild else node_id)
+            owner = f"node {values[-1]!r}: "
         elif i == wild and slot == "join":
             values.append(_ReprFloat(values[ref]))
         else:
@@ -673,6 +732,9 @@ def _hand_made_layouts(draw):
                 values.append(_equal_float(values[ref]))
             else:
                 values.append(draw(_VALUES[slot][i == wild]))
+        if i == wild:
+            # A node's id slot comes before its other values.
+            error = f"layout: {slot} " if slot in ("a_std", "style") else owner
     values = iter(values)
 
     a_std, style = next(values), next(values)
@@ -684,13 +746,20 @@ def _hand_made_layouts(draw):
         drawn = tuple(next(values)(next(values) for _ in range(arity)) for arity in outline)
         nodes.append(PlacedNode(node_id, label, color, 1.0, depth, None,
                                 _DrawnSector(*fields, drawn=drawn), relaxed))
-    return Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes))
+    return Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes)), error
 
 
 @settings(max_examples=200, deadline=None)
-@given(layout=_hand_made_layouts())
-def test_bytes_equal_json_dumps_for_hand_made_layouts(layout):
-    assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
+@given(drawn=_hand_made_layouts())
+def test_bytes_equal_json_dumps_for_hand_made_layouts(drawn):
+    """A clean layout gives ``json.dumps``'s bytes; a wild value, or no
+    nodes, raises ``ValueError`` naming the node or the layout field."""
+    layout, error = drawn
+    if error is None:
+        assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(error)):
+            layout_to_json(layout)
 
 
 def test_diagnostics_aggregates(demo, default_cfg):

@@ -212,6 +212,25 @@ class TestRendering:
         assert {el.get("id") for el in paths} == {"root", *names}
         assert {el.text for el in root.iter(f"{SVG_NS}text")} <= {"root", *names}
 
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_hand_built_color_and_id_read_back_exactly(self, demo_layout, relaxed):
+        # Attribute values: metacharacters, and tab, newline and carriage
+        # return, which a parser would read back, raw, as spaces.
+        odd = '/><x"\'&\t\n\r'
+        nodes = list(demo_layout.nodes)
+        nodes[3] = dataclasses.replace(nodes[3], id=f"id{odd}", color=odd, relaxed=relaxed)
+        layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
+        el = next(el for el in svg_paths(render_svg(layout)) if el.get("id") == f"id{odd}")
+        assert el.get("fill") == odd
+        assert el.get("stroke") == (odd if relaxed else "none")
+
+    def test_label_text_keeps_tab_and_newline(self):
+        tree = TreeNode("r", "a\tb\nc", 1.0)
+        layout = layout_rit(normalize(tree, "strict"))
+        svg = render_svg(layout, RenderStyle(draw_labels=True))
+        assert b">a\tb\nc</text>" in svg
+        assert next(ET.fromstring(svg).iter(f"{SVG_NS}text")).text == "a\tb\nc"
+
     @pytest.mark.parametrize("field", ["id", "label"])
     @pytest.mark.parametrize("char", ["\x01", "\ud800", "\uffff"])
     def test_text_xml_cannot_hold_is_a_value_error(self, demo_layout, field, char):
