@@ -226,14 +226,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for name in STYLES:
         layout = compute_layout(tree, name, cfg)
         (outdir / f"{name}.svg").write_bytes(render_svg(layout, style))
-        diag = diagnostics(layout)
-        report[name] = {
-            "a_std": diag.a_std,
-            "max_area_error": diag.max_area_error,
-            "min_gap": diag.min_gap,
-            "containment_violations": diag.containment_violations,
-            "area_ratios": {n.id: n.area_ratio for n in diag.nodes},
-        }
+        report[name] = diagnostics(layout).summary()
     (outdir / "diagnostics.json").write_text(json.dumps(report, indent=1), encoding="utf-8")
     return EXIT_OK
 

@@ -165,12 +165,6 @@ class Layout:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids in layout")
 
-    def node(self, node_id: str) -> PlacedNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
-
     def sibling_groups(self) -> list[list[PlacedNode]]:
         """Children grouped by parent, in placement order."""
         groups: dict[str, list[PlacedNode]] = {}

@@ -202,26 +202,29 @@ def _label_element(node, tf: _Transform, is_icicle: bool) -> str | None:
 
 
 def _escape(text: str) -> str:
-    """Escape XML metacharacters for text content."""
+    """Escape XML metacharacters, and the carriage return that a parser
+    would read back as a newline, for text content."""
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
         .replace('"', "&quot;")
         .replace("'", "&#39;")
+        .replace("\r", "&#13;")
     )
 
 
 def _escape_attr(text: str) -> str:
-    """Escape text for a quoted attribute value, where a raw tab, newline or
-    carriage return would read back as a space."""
-    return _escape(text).replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
+    """Escape text for a quoted attribute value, where a raw tab or newline
+    would read back as a space."""
+    return _escape(text).replace("\t", "&#9;").replace("\n", "&#10;")
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes.
 
-    An id, or a drawn label, that XML 1.0 cannot hold raises ``ValueError``."""
+    An id, colour or drawn label that XML 1.0 cannot hold, or a colour that
+    is not a ``str``, raises ``ValueError`` naming the node."""
     tf = _Transform(layout, style)
     size = style.canvas
     lines = [
@@ -238,7 +241,11 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     labels: list[str] = []
     for node in ordered:
         _require_xml_text(node.id, "id", node.id, ValueError)
-        fill = _escape_attr(node.color or FALLBACK_FILL)
+        fill = node.color or FALLBACK_FILL
+        if not isinstance(fill, str):
+            raise ValueError(f"node {node.id!r}: color {fill!r} is not str")
+        _require_xml_text(node.id, "color", fill, ValueError)
+        fill = _escape_attr(fill)
         d = _path_d(node.path, tf)
         if node.relaxed:
             attrs = (

@@ -7,8 +7,9 @@ cross-check, points spread along a boundary, a vectorized interior test
 straight from a sector's closed-form description, the two wedges a
 sector's cuts remove, the outline builder spelled a second way, and
 ``single`` plus the ``seg_*`` endpoint helpers for the package's
-plain-tuple segments.  They also hold the reference checks the package
-does not run itself: the deficient half top-up solve, the wedge-angle
+plain-tuple segments, and ``node_by_id``, a layout's node by id.  They
+also hold the reference checks the package does not run itself: the
+deficient half top-up solve, the wedge-angle
 bound with its ``ANGLE_EPS`` margin, and the normalized-tree invariants.
 """
 
@@ -28,7 +29,7 @@ from rit_layout.geometry import (
     is_full_turn,
     max_wedge_angle,
 )
-from rit_layout.layout import Layout
+from rit_layout.layout import Layout, PlacedNode
 from rit_layout.measure import DEFAULT_ARC_STEP
 from rit_layout.tree import SUM_TOL, NormalizedNode
 
@@ -36,6 +37,14 @@ from rit_layout.tree import SUM_TOL, NormalizedNode
 def single(segments) -> Path:
     """A one-loop ``Path`` of ``segments``."""
     return Path(loops=(tuple(segments),))
+
+
+def node_by_id(layout: Layout, node_id: str) -> PlacedNode:
+    """The node of ``layout`` whose id is ``node_id``."""
+    for n in layout.nodes:
+        if n.id == node_id:
+            return n
+    raise KeyError(node_id)
 
 
 def seg_start(seg: Segment) -> tuple[float, float]:

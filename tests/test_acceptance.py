@@ -36,6 +36,7 @@ from rit_layout.diagnostics import diagnostics
 from conftest import TAU, full_chain
 from oracles import (
     half_topup_height,
+    node_by_id,
     path_boundary_points,
     sector_contains_points,
     wedge_bound_satisfied,
@@ -197,14 +198,14 @@ def test_criterion_6_relaxation():
         tree = normalize(flanked_thin_run([3.0, 3.0, 3.0]), "strict")
         before = layout_rit(tree, cfg)
         for i in range(3):
-            assert before.node(f"t{i}").data == pytest.approx(0.003)
+            assert node_by_id(before, f"t{i}").data == pytest.approx(0.003)
         after = layout_rit(tree, replace(cfg, relax_enabled=True))
 
-        edges = [after.node("left").sector.cut_end]
+        edges = [node_by_id(after, "left").sector.cut_end]
         for i in range(3):
-            sec = after.node(f"t{i}").sector
+            sec = node_by_id(after, f"t{i}").sector
             edges.extend([sec.cut_start, sec.cut_end])
-        edges.append(after.node("right").sector.cut_start)
+        edges.append(node_by_id(after, "right").sector.cut_start)
         gaps = [edges[i + 1] - edges[i] for i in range(0, len(edges) - 1, 2)]
         assert max(gaps) - min(gaps) <= 1e-9
 

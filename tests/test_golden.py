@@ -1,9 +1,11 @@
-"""Byte-for-byte pins of the geometry JSON and SVG output.
+"""Byte-for-byte pins of the geometry JSON, SVG and diagnostics output.
 
 Each case lays out a fixed input and compares the sha256 of
-``layout_to_json`` and of ``render_svg`` with a recorded digest, so a
-refactor that changes any output byte fails here.  A change that alters
-output on purpose regenerates the table with
+``layout_to_json`` and of ``render_svg`` with a recorded digest; each
+tree is also run through ``rit compare`` and the sha256 of the
+``diagnostics.json`` it writes is compared.  So a refactor that changes
+any output byte fails here.  A change that alters output on purpose
+regenerates both tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -14,7 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +33,9 @@ from rit_layout import (
     layout_to_json,
     normalize,
     render_svg,
+    serialize_tree,
 )
+from rit_layout.cli import main
 
 QUARTER = LayoutConfig(theta0=1.25 * math.pi, beta0=0.5 * math.pi, r0=20.5, h0=2.0)
 
@@ -161,18 +167,40 @@ GOLDEN = {
 }
 
 
+# tree source -> sha256 of the diagnostics.json that ``rit compare`` writes
+# for it at the default config.
+DIAGNOSTICS_GOLDEN = {
+    "demo": "f4f829d2caa46617b510e7ff4e4bcf9bc9e00a25a1c8a8c7ec4cece6a1229c39",
+    "random": "8ab7b80838ff0756d4f703a78c9009573c352c6291a1e06ec32f76884d7842bc",
+    "semi": "def0c4a37e24be797b7e83d40ae64f24549ac97a8a4d2a2a6f07bd3c4fe78812",
+    "wide": "8efb2517017756dd57a02a66c14c539000ef762b4a8ca6936b95479b0c03397e",
+}
+
+
+def _raw_tree(source: str):
+    return demo_tree() if source == "demo" else generate_tree(SPECS[source])
+
+
 def _digests(case: str) -> tuple[str, str]:
     source, style, cfg, render_style = CASES[case]
-    raw = demo_tree() if source == "demo" else generate_tree(SPECS[source])
-    layout = compute_layout(assign_colors(normalize(raw, "strict")), style, cfg)
+    layout = compute_layout(assign_colors(normalize(_raw_tree(source), "strict")), style, cfg)
     return (
         hashlib.sha256(layout_to_json(layout).encode("utf-8")).hexdigest(),
         hashlib.sha256(render_svg(layout, render_style)).hexdigest(),
     )
 
 
+def _diagnostics_digest(source: str, workdir: Path) -> str:
+    tree_file = workdir / f"{source}.json"
+    tree_file.write_text(serialize_tree(_raw_tree(source), "json-tree"), encoding="utf-8")
+    outdir = workdir / f"{source}-cmp"
+    assert main(["compare", "--input", str(tree_file), "--outdir", str(outdir)]) == 0
+    return hashlib.sha256((outdir / "diagnostics.json").read_bytes()).hexdigest()
+
+
 def test_every_case_is_pinned():
     assert set(GOLDEN) == set(CASES)
+    assert set(DIAGNOSTICS_GOLDEN) == {"demo", *SPECS}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -182,8 +210,20 @@ def test_output_bytes_unchanged(case):
     assert svg_digest == GOLDEN[case][1], "SVG bytes changed"
 
 
+@pytest.mark.parametrize("source", sorted(DIAGNOSTICS_GOLDEN))
+def test_diagnostics_bytes_unchanged(source, tmp_path):
+    assert _diagnostics_digest(source, tmp_path) == DIAGNOSTICS_GOLDEN[source], (
+        "diagnostics.json bytes changed"
+    )
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name in sorted(CASES):
         print(f"    {name!r}: {_digests(name)!r},")
+    print("}")
+    print("DIAGNOSTICS_GOLDEN = {")
+    with tempfile.TemporaryDirectory() as workdir:
+        for source in ("demo", *sorted(SPECS)):
+            print(f"    {source!r}: {_diagnostics_digest(source, Path(workdir))!r},")
     print("}")

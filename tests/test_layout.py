@@ -20,9 +20,11 @@ from rit_layout import (
     layout_sunburst,
     layout_to_json,
     normalize,
+    parse_tree,
     path_area,
     render_svg,
     sector_area,
+    serialize_tree,
 )
 from rit_layout.geometry import (
     BandGeometry,
@@ -31,11 +33,12 @@ from rit_layout.geometry import (
     build_node_path,
     rect_path,
 )
-from rit_layout.layout import Layout, PlacedNode
+from rit_layout.cli import main
+from rit_layout.layout import STYLES, Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
-from oracles import single, wedge_bound_satisfied
+from oracles import node_by_id, single, wedge_bound_satisfied
 from test_golden import QUARTER
 
 
@@ -52,10 +55,10 @@ class TestRitDemoTree:
             assert area == pytest.approx(node.data * layout.a_std, rel=1e-6)
 
     def test_equal_values_get_equal_areas(self, layout):
-        a = path_area(layout.node("green-10-a").path)
-        b = path_area(layout.node("green-10-b").path)
+        a = path_area(node_by_id(layout, "green-10-a").path)
+        b = path_area(node_by_id(layout, "green-10-b").path)
         assert a == pytest.approx(b, rel=1e-6)
-        assert layout.node("green-10-a").depth != layout.node("green-10-b").depth
+        assert node_by_id(layout, "green-10-a").depth != node_by_id(layout, "green-10-b").depth
 
     def test_sibling_separation(self, layout):
         for group in layout.sibling_groups():
@@ -70,7 +73,7 @@ class TestRitDemoTree:
         for node in layout.nodes:
             if node.parent is None:
                 continue
-            frame = layout.node(node.parent).sector
+            frame = node_by_id(layout, node.parent).sector
             assert node.sector.theta >= frame.cut_start - 1e-9
             assert node.sector.theta + node.sector.beta <= frame.cut_end + 1e-9
 
@@ -139,7 +142,7 @@ class TestRitSpecialShapes:
         tree = TreeNode("r", "r", 10, children=[
             TreeNode("a", "a", 10), TreeNode("z", "z", 0)])
         layout = layout_rit(normalize(tree, "strict"), LayoutConfig(r0=1, h0=1))
-        z = layout.node("z")
+        z = node_by_id(layout, "z")
         assert z.sector.beta == 0.0 and z.sector.alpha == 0.0
         assert path_area(z.path) == 0.0
 
@@ -295,7 +298,7 @@ class TestIcicle:
     def test_child_widths_proportional_and_abutting(self, demo, default_cfg):
         layout = layout_icicle(demo, default_cfg)
         root = layout.nodes[0]
-        red, blue = (layout.node("red"), layout.node("blue"))
+        red, blue = (node_by_id(layout, "red"), node_by_id(layout, "blue"))
         assert red.sector.beta / blue.sector.beta == pytest.approx(3.0, rel=1e-12)
         assert red.sector.theta == root.sector.theta
         assert blue.sector.theta == pytest.approx(
@@ -762,14 +765,23 @@ def test_bytes_equal_json_dumps_for_hand_made_layouts(drawn):
             layout_to_json(layout)
 
 
-def test_diagnostics_aggregates(demo, default_cfg):
-    report = diagnostics(layout_rit(demo, default_cfg))
-    assert report.min_area_ratio <= report.mean_area_ratio <= report.max_area_ratio
-    assert report.min_gap <= report.mean_gap
-    doc = report.to_dict()
-    assert doc["style"] == "rit"
-    assert len(doc["nodes"]) == demo_tree().count()
-    assert doc["visits"] == report.visits
+def test_diagnostics_aggregates(tmp_path):
+    """Each style's ``summary()`` is that style's entry of ``rit compare``'s
+    diagnostics.json, key order included."""
+    tree_file = tmp_path / "demo.json"
+    tree_file.write_text(serialize_tree(demo_tree(), "json-tree"), encoding="utf-8")
+    assert main(["compare", "--input", str(tree_file), "--outdir", str(tmp_path / "cmp")]) == 0
+    written = json.loads((tmp_path / "cmp" / "diagnostics.json").read_text(encoding="utf-8"))
+    assert list(written) == list(STYLES)
+    tree = assign_colors(normalize(parse_tree(tree_file.read_bytes(), "json-tree")))
+    keys = ["a_std", "max_area_error", "min_gap", "containment_violations", "area_ratios"]
+    for style in STYLES:
+        report = diagnostics(compute_layout(tree, style, LayoutConfig()))
+        summary = report.summary()
+        assert list(summary) == keys
+        assert list(written[style]) == keys
+        assert json.loads(json.dumps(summary)) == written[style]
+        assert report.min_area_ratio <= report.max_area_ratio
 
 
 class TestGeneratedCorpusSmoke:

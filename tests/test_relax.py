@@ -23,6 +23,8 @@ from rit_layout.diagnostics import diagnostics
 from rit_layout.layout import MODES
 from rit_layout.tree import NormalizedNode, TreeNode
 
+from oracles import node_by_id
+
 
 def flanked_thin_run(thin_values, left=400.0, right=None):
     """Parent with a run of thin children between two large siblings."""
@@ -54,11 +56,11 @@ class TestRelaxation:
         )
 
     def test_equal_gaps_across_span(self):
-        left = self.after.node("left").sector
-        right = self.after.node("right").sector
+        left = node_by_id(self.after, "left").sector
+        right = node_by_id(self.after, "right").sector
         edges = [left.cut_end]
         for i in range(3):
-            sec = self.after.node(f"t{i}").sector
+            sec = node_by_id(self.after, f"t{i}").sector
             edges.extend([sec.cut_start, sec.cut_end])
         edges.append(right.cut_start)
         gaps = [edges[i + 1] - edges[i] for i in range(0, len(edges) - 1, 2)]
@@ -82,7 +84,7 @@ class TestRelaxation:
 
     def test_non_thin_geometry_untouched(self):
         for node_id in ("root", "left", "right"):
-            assert self.after.node(node_id) == self.before.node(node_id)
+            assert node_by_id(self.after, node_id) == node_by_id(self.before, node_id)
 
     def test_node_ids_preserved(self):
         assert [n.id for n in self.after.nodes] == [n.id for n in self.before.nodes]
@@ -96,9 +98,9 @@ def test_no_op_without_thin_nodes():
 
 def test_single_thin_child_centered():
     _, after = relaxed_pair(flanked_thin_run([4.0]), r0=4.0, h0=2.0, relax_threshold=0.01)
-    sec = after.node("t0").sector
-    lo = after.node("left").sector.cut_end
-    hi = after.node("right").sector.cut_start
+    sec = node_by_id(after, "t0").sector
+    lo = node_by_id(after, "left").sector.cut_end
+    hi = node_by_id(after, "right").sector.cut_start
     assert sec.cut_start - lo == pytest.approx(hi - sec.cut_end, abs=1e-12)
 
 
@@ -113,11 +115,11 @@ def test_boundary_run_uses_parent_half_wedge():
         TreeNode("q", "q", 500.0),
     ])
     _, after = relaxed_pair(tree, r0=4.0, h0=2.0, relax_threshold=0.01)
-    parent = after.node("p")
-    thin = after.node("thin")
+    parent = node_by_id(after, "p")
+    thin = node_by_id(after, "thin")
     assert thin.relaxed
     span_hi = parent.sector.cut_end + 0.5 * parent.sector.alpha
-    lo = after.node("big").sector.cut_end
+    lo = node_by_id(after, "big").sector.cut_end
     first_gap = thin.sector.cut_start - lo
     last_gap = span_hi - thin.sector.cut_end
     assert first_gap == pytest.approx(last_gap, abs=1e-12)
@@ -133,11 +135,11 @@ def _moved_subtree_tree():
 
 def test_descendants_move_and_flag():
     before, after = relaxed_pair(_moved_subtree_tree(), r0=4.0, h0=2.0, relax_threshold=0.01)
-    shift = after.node("thin").sector.theta - before.node("thin").sector.theta
+    shift = node_by_id(after, "thin").sector.theta - node_by_id(before, "thin").sector.theta
     assert shift != 0.0
-    kid_shift = after.node("kid").sector.theta - before.node("kid").sector.theta
+    kid_shift = node_by_id(after, "kid").sector.theta - node_by_id(before, "kid").sector.theta
     assert kid_shift == pytest.approx(shift, abs=1e-15)
-    assert after.node("kid").relaxed
+    assert node_by_id(after, "kid").relaxed
 
 
 @pytest.mark.parametrize("mode, kid_excess", [
@@ -151,7 +153,7 @@ def test_moved_subtree_containment_excess(mode, kid_excess):
     _, after = relaxed_pair(
         _moved_subtree_tree(), r0=4.0, h0=2.0, relax_threshold=0.01, mode=mode
     )
-    assert after.node("kid").relaxed
+    assert node_by_id(after, "kid").relaxed
     excess = {r.id: r.containment_excess for r in diagnostics(after).nodes}
     assert excess == {"root": 0.0, "left": 0.0, "thin": 0.0, "right": 0.0, "kid": kid_excess}
 
@@ -163,8 +165,8 @@ def test_whole_group_thin_spreads_into_parent_wedge_gap():
         TreeNode("q", "q", 500.0),
     ])
     _, after = relaxed_pair(tree, r0=4.0, h0=2.0, relax_threshold=0.01)
-    parent = after.node("p")
-    thins = [after.node(f"t{i}") for i in range(4)]
+    parent = node_by_id(after, "p")
+    thins = [node_by_id(after, f"t{i}") for i in range(4)]
     assert all(t.relaxed for t in thins)
     span_lo = parent.sector.cut_start - 0.5 * parent.sector.alpha
     span_hi = parent.sector.cut_end + 0.5 * parent.sector.alpha

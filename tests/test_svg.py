@@ -225,13 +225,15 @@ class TestRendering:
         assert el.get("stroke") == (odd if relaxed else "none")
 
     def test_label_text_keeps_tab_and_newline(self):
-        tree = TreeNode("r", "a\tb\nc", 1.0)
+        # Tab and newline stay raw; a raw carriage return would read back
+        # as a newline, so it is written as a reference.
+        tree = TreeNode("r", "a\tb\nc\rd\r\ne", 1.0)
         layout = layout_rit(normalize(tree, "strict"))
         svg = render_svg(layout, RenderStyle(draw_labels=True))
-        assert b">a\tb\nc</text>" in svg
-        assert next(ET.fromstring(svg).iter(f"{SVG_NS}text")).text == "a\tb\nc"
+        assert b">a\tb\nc&#13;d&#13;\ne</text>" in svg
+        assert next(ET.fromstring(svg).iter(f"{SVG_NS}text")).text == "a\tb\nc\rd\r\ne"
 
-    @pytest.mark.parametrize("field", ["id", "label"])
+    @pytest.mark.parametrize("field", ["id", "label", "color"])
     @pytest.mark.parametrize("char", ["\x01", "\ud800", "\uffff"])
     def test_text_xml_cannot_hold_is_a_value_error(self, demo_layout, field, char):
         nodes = list(demo_layout.nodes)
@@ -245,6 +247,15 @@ class TestRendering:
         if field == "label":
             # A label that is not drawn is not written.
             ET.fromstring(render_svg(layout))
+
+    def test_non_str_color_is_a_value_error(self, demo_layout):
+        nodes = list(demo_layout.nodes)
+        node = nodes[3] = dataclasses.replace(nodes[3], color=["#112233"])
+        layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
+        with pytest.raises(ValueError) as info:
+            render_svg(layout)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"node {node.id!r}: color ['#112233'] is not str"
 
     def test_background_and_canvas(self, demo_layout):
         svg = render_svg(demo_layout, RenderStyle(canvas=500))
