@@ -14,6 +14,10 @@ origin, counter-clockwise from ``start`` to ``end`` (clockwise when
 ``(x0, y0)`` to ``(x1, y1)``.  Every reader tells them apart by
 ``len(seg) == 4``.
 
+The builders hand each shared corner to both segments that meet there,
+so every join but a full turn's close matches exactly; ``Path`` checks
+nothing, and ``measure.path_area`` checks the joins as it measures.
+
 Everything here is plain ``math``.  Point sampling, vectorized
 containment and the explicit wedge outlines, which only the tests need,
 live in the tests' ``oracles`` module.
@@ -31,9 +35,6 @@ ANGLE_EPS = 1e-6
 
 # Angular widths within this of a full turn are treated as full annuli.
 FULL_TURN_TOL = 1e-12
-
-# Maximum endpoint mismatch tolerated between consecutive path segments.
-PATH_JOIN_TOL = 1e-9
 
 
 def normalize_angle(theta: float) -> float:
@@ -154,80 +155,10 @@ Segment = tuple[float, float, float] | tuple[float, float, float, float]
 class Path:
     """One or more closed loops of arc/line segments (outer boundary + holes).
 
-    Construction raises ``ValueError`` unless each loop's segments join
-    end to start and its last segment ends where its first begins (see
-    ``_check_loop``); every outline the package builds passes through it.
+    A plain record: ``measure.path_area`` checks that the loops close.
     """
 
     loops: tuple[tuple[Segment, ...], ...]
-
-    def __post_init__(self) -> None:
-        for loop in self.loops:
-            _check_loop(loop)
-
-    @property
-    def segments(self) -> tuple[Segment, ...]:
-        return tuple(seg for loop in self.loops for seg in loop)
-
-
-def _check_loop(loop: tuple[Segment, ...]) -> None:
-    """Reject an empty loop, a gap between segments, or an open end.
-
-    A join passes when its endpoints lie within ``PATH_JOIN_TOL`` times the
-    loop's largest coordinate (at least 1) of each other.  One walk
-    computes each segment's endpoints and compares its start with the
-    previous end exactly, building no lists.  When every join and the close
-    match exactly, which is how the package builds all but full-turn arcs,
-    the loop passes without the distance test: an exact match is within any
-    positive tolerance.  Any other loop, such as a full turn, goes to
-    ``_check_loop_tolerance``.
-    """
-    if not loop:
-        raise ValueError("empty loop")
-    cos, sin = math.cos, math.sin
-    segs = iter(loop)
-    seg = next(segs)
-    if len(seg) == 4:
-        first_x, first_y, x, y = seg
-    else:
-        r, a0, a1 = seg
-        first_x, first_y, x, y = r * cos(a0), r * sin(a0), r * cos(a1), r * sin(a1)
-    for seg in segs:
-        if len(seg) == 4:
-            x0, y0, x1, y1 = seg
-            if x0 != x or y0 != y:
-                return _check_loop_tolerance(loop)
-            x, y = x1, y1
-        else:
-            r, a0, a1 = seg
-            if r * cos(a0) != x or r * sin(a0) != y:
-                return _check_loop_tolerance(loop)
-            x, y = r * cos(a1), r * sin(a1)
-    if x != first_x or y != first_y:
-        _check_loop_tolerance(loop)
-
-
-def _check_loop_tolerance(loop: tuple[Segment, ...]) -> None:
-    """``_check_loop``'s distance test over every join and the close, in order."""
-    starts = []
-    ends = []
-    cos, sin = math.cos, math.sin
-    for seg in loop:
-        if len(seg) == 4:
-            x0, y0, x1, y1 = seg
-            starts.append((x0, y0))
-            ends.append((x1, y1))
-        else:
-            r, a0, a1 = seg
-            starts.append((r * cos(a0), r * sin(a0)))
-            ends.append((r * cos(a1), r * sin(a1)))
-    scale = max(1.0, max(abs(c) for s, e in zip(starts, ends) for c in (*s, *e)))
-    tol = PATH_JOIN_TOL * scale
-    for end, start in zip(ends, starts[1:]):
-        if math.dist(end, start) > tol:
-            raise ValueError(f"segments do not join: {end} -> {start}")
-    if math.dist(ends[-1], starts[0]) > tol:
-        raise ValueError("loop does not close")
 
 
 def _polar(radius: float, angle: float) -> tuple[float, float]:

@@ -161,9 +161,12 @@ class Layout:
     visits: int
 
     def __post_init__(self) -> None:
-        ids = [n.id for n in self.nodes]
-        if len(set(ids)) != len(ids):
+        ids = {n.id for n in self.nodes}
+        if len(ids) != len(self.nodes):
             raise ValueError("duplicate node ids in layout")
+        for n in self.nodes:
+            if n.parent not in ids and n.parent is not None:
+                raise ValueError(f"node {n.id!r}: parent {n.parent!r} is not a node of the layout")
 
     def sibling_groups(self) -> list[list[PlacedNode]]:
         """Children grouped by parent, in placement order."""
@@ -400,10 +403,10 @@ def _require_json(where: str, values: dict) -> None:
 
 
 def _path_json(
-    node_id: str, segments: tuple[geo.Segment, ...],
+    node_id: str, loops: tuple[tuple[geo.Segment, ...], ...],
     r_in: float, r_in_text: str, theta: float, theta_text: str,
 ) -> str:
-    """A node's segments as the items of its ``"path"`` list (indent 4).
+    """A node's segments, loop by loop, as the items of its ``"path"`` list (indent 4).
 
     A segment that is not an exact ``tuple`` of finite exact ``float``s
     raises ``ValueError`` naming the node.  A line's ``x0``/``y0`` equal to
@@ -414,33 +417,34 @@ def _path_json(
     # The end of the last line written, and its text.
     x = y = None
     x_text = y_text = ""
-    for seg in segments:
-        if type(seg) is not tuple:
-            raise ValueError(f"node {node_id!r}: path segment {seg!r} is not a tuple")
-        if len(seg) == 4:
-            x0, y0, x1, y1 = seg
-            if not (type(x0) is type(y0) is type(x1) is type(y1) is float
-                    and math.isfinite(x0 + y0 + x1 + y1)):
-                _require_json(f"node {node_id!r}: path line", dict(zip(("x0", "y0", "x1", "y1"), seg)))
-            x0_text = x_text if x0 == x and x0 else repr(x0)
-            y0_text = y_text if y0 == y and y0 else repr(y0)
-            x, y, x_text, y_text = x1, y1, repr(x1), repr(y1)
-            items.append(
-                '    {\n     "type": "line",\n'
-                f'     "x0": {x0_text},\n     "y0": {y0_text},\n'
-                f'     "x1": {x_text},\n     "y1": {y_text}\n    }}'
-            )
-        else:
-            radius, start, end = seg
-            if not (type(radius) is type(start) is type(end) is float
-                    and math.isfinite(radius + start + end)):
-                _require_json(f"node {node_id!r}: path arc", dict(zip(("radius", "start", "end"), seg)))
-            items.append(
-                '    {\n     "type": "arc",\n'
-                f'     "radius": {r_in_text if radius == r_in and radius else repr(radius)},\n'
-                f'     "start": {theta_text if start == theta and start else repr(start)},\n'
-                f'     "end": {end!r}\n    }}'
-            )
+    for loop in loops:
+        for seg in loop:
+            if type(seg) is not tuple:
+                raise ValueError(f"node {node_id!r}: path segment {seg!r} is not a tuple")
+            if len(seg) == 4:
+                x0, y0, x1, y1 = seg
+                if not (type(x0) is type(y0) is type(x1) is type(y1) is float
+                        and math.isfinite(x0 + y0 + x1 + y1)):
+                    _require_json(f"node {node_id!r}: path line", dict(zip(("x0", "y0", "x1", "y1"), seg)))
+                x0_text = x_text if x0 == x and x0 else repr(x0)
+                y0_text = y_text if y0 == y and y0 else repr(y0)
+                x, y, x_text, y_text = x1, y1, repr(x1), repr(y1)
+                items.append(
+                    '    {\n     "type": "line",\n'
+                    f'     "x0": {x0_text},\n     "y0": {y0_text},\n'
+                    f'     "x1": {x_text},\n     "y1": {y_text}\n    }}'
+                )
+            else:
+                radius, start, end = seg
+                if not (type(radius) is type(start) is type(end) is float
+                        and math.isfinite(radius + start + end)):
+                    _require_json(f"node {node_id!r}: path arc", dict(zip(("radius", "start", "end"), seg)))
+                items.append(
+                    '    {\n     "type": "arc",\n'
+                    f'     "radius": {r_in_text if radius == r_in and radius else repr(radius)},\n'
+                    f'     "start": {theta_text if start == theta and start else repr(start)},\n'
+                    f'     "end": {end!r}\n    }}'
+                )
     return ",\n".join(items)
 
 
@@ -480,7 +484,7 @@ def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str]:
         theta_text = repr(theta)
         r_in_text = last_r_in_text if r_in == last_r_in and r_in else repr(r_in)
         height_text = last_height_text if height == last_height and height else repr(height)
-        body = _path_json(node_id, n.path.segments, r_in, r_in_text, theta, theta_text)
+        body = _path_json(node_id, n.path.loops, r_in, r_in_text, theta, theta_text)
         items.append(
             f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
             f'   "theta": {theta_text},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'

@@ -223,8 +223,8 @@ def _escape_attr(text: str) -> str:
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes.
 
-    An id, colour or drawn label that XML 1.0 cannot hold, or a colour that
-    is not a ``str``, raises ``ValueError`` naming the node."""
+    An id, colour or drawn label that is not a ``str``, or that XML 1.0
+    cannot hold, raises ``ValueError`` naming the node."""
     tf = _Transform(layout, style)
     size = style.canvas
     lines = [
@@ -242,8 +242,6 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     for node in ordered:
         _require_xml_text(node.id, "id", node.id, ValueError)
         fill = node.color or FALLBACK_FILL
-        if not isinstance(fill, str):
-            raise ValueError(f"node {node.id!r}: color {fill!r} is not str")
         _require_xml_text(node.id, "color", fill, ValueError)
         fill = _escape_attr(fill)
         d = _path_d(node.path, tf)

@@ -97,6 +97,8 @@ def _check_color(color, where: str) -> str | None:
 
 
 def _require_xml_text(node_id: str, field: str, text: str, error=TreeInputError) -> None:
+    if not isinstance(text, str):
+        raise error(f"node {node_id!r}: {field} {text!r} is not str")
     bad = _NON_XML_CHAR.search(text)
     if bad is not None:
         raise error(f"node {node_id!r}: {field} holds {bad.group()!r}, a character XML 1.0 cannot hold")

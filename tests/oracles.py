@@ -6,8 +6,8 @@ independent view of the same shapes: polygonized loops for a shoelace
 cross-check, points spread along a boundary, a vectorized interior test
 straight from a sector's closed-form description, the two wedges a
 sector's cuts remove, the outline builder spelled a second way, and
-``single`` plus the ``seg_*`` endpoint helpers for the package's
-plain-tuple segments, and ``node_by_id``, a layout's node by id.  They
+``single``, ``path_segments`` and the ``seg_*`` endpoint helpers for the
+package's plain-tuple segments, and ``node_by_id``, a layout's node by id.  They
 also hold the reference checks the package does not run itself: the
 deficient half top-up solve, the wedge-angle
 bound with its ``ANGLE_EPS`` margin, and the normalized-tree invariants.
@@ -37,6 +37,11 @@ from rit_layout.tree import SUM_TOL, NormalizedNode
 def single(segments) -> Path:
     """A one-loop ``Path`` of ``segments``."""
     return Path(loops=(tuple(segments),))
+
+
+def path_segments(path: Path) -> list[Segment]:
+    """Every segment of ``path``, loop after loop."""
+    return [seg for loop in path.loops for seg in loop]
 
 
 def node_by_id(layout: Layout, node_id: str) -> PlacedNode:
@@ -101,7 +106,7 @@ def _segment_length(seg: Segment) -> float:
 
 def path_boundary_points(path: Path, n: int) -> np.ndarray:
     """About ``n`` points distributed along the path boundary by arc length."""
-    segments = path.segments
+    segments = path_segments(path)
     lengths = [_segment_length(seg) for seg in segments]
     total = sum(lengths)
     if total == 0.0:

@@ -21,21 +21,21 @@ from rit_layout import (
 from rit_layout.geometry import (
     ANGLE_EPS,
     FULL_TURN_TOL,
-    PATH_JOIN_TOL,
     BandGeometry,
     Path,
     SectorGeometry,
-    _check_loop,
     _polar,
     is_full_turn,
     max_wedge_angle,
     normalize_angle,
     rect_path,
 )
+from rit_layout.measure import PATH_JOIN_TOL
 
 from oracles import (
     half_topup_height,
     path_boundary_points,
+    path_segments,
     reference_node_path,
     sector_contains_points,
     seg_end,
@@ -255,21 +255,22 @@ class TestBuildNodePath:
         path = build_node_path(g)
         assert len(path.loops) == 2
         assert all(len(loop) == 1 for loop in path.loops)
-        radii = sorted(seg[0] for seg in path.segments)
+        radii = sorted(seg[0] for seg in path_segments(path))
         assert radii == [8.0, 10.0]
 
     def test_circle_single_loop(self):
         g = SectorGeometry(theta=0.0, beta=TAU, alpha=0.0, r_in=0.0, height=2.0)
         path = build_node_path(g)
         assert len(path.loops) == 1
-        assert len(path.segments) == 1
+        assert len(path_segments(path)) == 1
 
     def test_plain_sector_four_segments(self):
         g = SectorGeometry(theta=0.2, beta=1.0, alpha=0.0, r_in=1.0, height=1.0)
         path = build_node_path(g)
-        assert len(path.segments) == 4
-        arcs = [s for s in path.segments if len(s) == 3]
-        lines = [s for s in path.segments if len(s) == 4]
+        segments = path_segments(path)
+        assert len(segments) == 4
+        arcs = [s for s in segments if len(s) == 3]
+        lines = [s for s in segments if len(s) == 4]
         assert len(arcs) == 2 and len(lines) == 2
 
     def test_cut_sector_six_segments_and_area(self):
@@ -279,7 +280,7 @@ class TestBuildNodePath:
         g = SectorGeometry(theta=0.0, beta=1.0, alpha=alpha, r_in=1.0, height=1.0,
                            topup_height=h_t)
         path = build_node_path(g)
-        assert len(path.segments) == 6
+        assert len(path_segments(path)) == 6
         assert path_area(path) == pytest.approx(sector_area(1.0, 1.0, 1.0), rel=1e-6)
 
     def test_degenerate_height_rejected(self):
@@ -311,13 +312,15 @@ class TestContainment:
 
 
 class TestPathInvariants:
+    """``path_area`` refuses an outline whose loops do not join and close."""
+
     def test_disconnected_segments_rejected(self):
-        with pytest.raises(ValueError):
-            single([(0, 0, 1, 0), (2, 0, 2, 1)])
+        with pytest.raises(ValueError, match="segments do not join"):
+            path_area(single([(0, 0, 1, 0), (2, 0, 2, 1)]))
 
     def test_open_loop_rejected(self):
-        with pytest.raises(ValueError):
-            single([(0, 0, 1, 0), (1, 0, 1, 1)])
+        with pytest.raises(ValueError, match="loop does not close"):
+            path_area(single([(0, 0, 1, 0), (1, 0, 1, 1)]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_join_tolerance_scales_with_coordinates(self, scale):
@@ -326,11 +329,11 @@ class TestPathInvariants:
         tol = PATH_JOIN_TOL * scale
 
         def triangle(join_gap, close_gap):
-            return single([
+            return path_area(single([
                 (0.0, 0.0, scale, 0.0),
                 (scale, join_gap, 0.0, scale),
                 (0.0, scale, 0.0, close_gap),
-            ])
+            ]))
 
         triangle(0.99 * tol, 0.99 * tol)
         with pytest.raises(ValueError, match="segments do not join"):
@@ -340,14 +343,14 @@ class TestPathInvariants:
 
     def test_empty_loop_rejected(self):
         with pytest.raises(ValueError, match="empty loop"):
-            single([])
+            path_area(single([]))
         with pytest.raises(ValueError, match="empty loop"):
-            Path(loops=(((1.0, 0.0, TAU),), ()))
+            path_area(Path(loops=(((1.0, 0.0, TAU),), ())))
 
     def test_full_turn_arc_with_inexact_close_accepted(self):
         arc = (10.0, 0.3, 0.3 + TAU)
         assert seg_end(arc) != seg_start(arc)
-        assert single([arc]).loops == ((arc,),)
+        assert path_area(single([arc])) == pytest.approx(100.0 * math.pi, rel=1e-15)
 
     @pytest.mark.parametrize("geometry", [
         SectorGeometry(theta=0.4, beta=TAU, alpha=0.0, r_in=8.0, height=2.0),
@@ -371,9 +374,9 @@ class TestPathInvariants:
                              ids=["2-tuple", "5-tuple"])
     def test_segment_of_other_length_rejected(self, bad):
         with pytest.raises(ValueError):
-            single([bad])
+            path_area(single([bad]))
         with pytest.raises(ValueError):
-            single([(0.0, 0.0, 1.0, 0.0), bad])
+            path_area(single([(0.0, 0.0, 1.0, 0.0), bad]))
 
     def test_outlines_are_untracked_by_the_gc(self):
         # A collection untracks every plain tuple of floats it sees, and a
@@ -452,7 +455,7 @@ def _moved_end(seg, dx):
 
 
 def reference_check_loop(loop):
-    """``_check_loop``'s rule read through the oracle endpoint helpers only."""
+    """``path_area``'s join rule read through the oracle endpoint helpers only."""
     if not loop:
         raise ValueError("empty loop")
     starts = [seg_start(seg) for seg in loop]
@@ -487,7 +490,7 @@ class TestSegmentFastPaths:
         return loops
 
     def test_check_loop_matches_property_reference(self):
-        verdicts = [_verdict(_check_loop, loop) for loop in self._loops()]
+        verdicts = [_verdict(lambda loop: path_area(Path((loop,))), loop) for loop in self._loops()]
         assert verdicts == [_verdict(reference_check_loop, loop) for loop in self._loops()]
         # The cases cover acceptance and both rejections.
         assert None in verdicts and "empty loop" in verdicts and "loop does not close" in verdicts

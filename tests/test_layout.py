@@ -38,7 +38,7 @@ from rit_layout.layout import STYLES, Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
-from oracles import node_by_id, single, wedge_bound_satisfied
+from oracles import node_by_id, path_segments, single, wedge_bound_satisfied
 from test_golden import QUARTER
 
 
@@ -355,7 +355,7 @@ def _json_oracle(layout) -> dict:
                 "relaxed": n.relaxed,
                 "color": n.color,
                 "label": n.label,
-                "path": [segment(s) for s in n.path.segments],
+                "path": [segment(s) for s in path_segments(n.path)],
             }
             for n in layout.nodes
         ],
@@ -429,7 +429,7 @@ def _guard_layout(case: str):
     elif case == "tuple-subclass-segment":
         node = dataclasses.replace(node, sector=_DrawnSector(**{
             f.name: getattr(s, f.name) for f in dataclasses.fields(s)},
-            drawn=(_SubSeg(s.outline().segments[0]),)))
+            drawn=(_SubSeg(s.outline().loops[0][0]),)))
     return dataclasses.replace(base, nodes=(first, node, *rest))
 
 
@@ -616,10 +616,7 @@ class _DrawnSector(SectorGeometry):
     drawn: tuple = ()
 
     def outline(self) -> Path:
-        # The writer reads only the segments, so the join check is skipped.
-        path = object.__new__(Path)
-        object.__setattr__(path, "loops", (self.drawn,))
-        return path
+        return Path((self.drawn,))
 
 
 class _SubSeg(tuple):
@@ -782,6 +779,43 @@ def test_diagnostics_aggregates(tmp_path):
         assert list(written[style]) == keys
         assert json.loads(json.dumps(summary)) == written[style]
         assert report.min_area_ratio <= report.max_area_ratio
+
+
+def _demo_with_orange(change) -> Layout:
+    """The demo rit layout with its 'orange' node replaced by ``change(node)``."""
+    base = layout_rit(normalize(demo_tree(), "strict"))
+    nodes = tuple(change(n) if n.id == "orange" else n for n in base.nodes)
+    return dataclasses.replace(base, nodes=nodes)
+
+
+@pytest.mark.parametrize("field, value", [("theta", math.nan), ("r_in", math.inf)])
+def test_diagnostics_certifies_no_non_finite_area(field, value):
+    """A NaN area is an infinite error, and the ratio extremes do not hang
+    on where the NaN stands in node order."""
+    layout = _demo_with_orange(lambda n: dataclasses.replace(
+        n, sector=dataclasses.replace(n.sector, **{field: value})))
+    flipped = dataclasses.replace(layout, nodes=layout.nodes[::-1])
+    reports = [diagnostics(layout), diagnostics(flipped)]
+    assert [r.max_area_error for r in reports] == [math.inf, math.inf]
+    assert {repr((r.min_area_ratio, r.max_area_ratio)) for r in reports} == {"(nan, nan)"}
+
+
+def test_diagnostics_names_the_node_of_an_open_outline():
+    drawn = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0))
+    layout = _demo_with_orange(lambda n: dataclasses.replace(n, sector=_DrawnSector(**{
+        f.name: getattr(n.sector, f.name) for f in dataclasses.fields(n.sector)}, drawn=drawn)))
+    with pytest.raises(ValueError, match="^node 'orange': loop does not close$"):
+        diagnostics(layout)
+
+
+@pytest.mark.parametrize("changes, orphan, parent", [
+    ({"parent": "nope"}, "orange", "nope"),
+    ({"id": 5}, "yellow", "orange"),
+], ids=["unknown-parent", "renamed-parent"])
+def test_layout_refuses_a_parent_that_is_not_a_node(changes, orphan, parent):
+    with pytest.raises(ValueError, match=(
+            f"^node '{orphan}': parent '{parent}' is not a node of the layout$")):
+        _demo_with_orange(lambda n: dataclasses.replace(n, **changes))
 
 
 class TestGeneratedCorpusSmoke:

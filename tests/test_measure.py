@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from rit_layout import (
+    GeneratorSpec,
     LayoutConfig,
+    compute_layout,
     demo_tree,
+    generate_tree,
     layout_icicle,
     layout_rit,
     normalize,
@@ -20,17 +23,21 @@ from rit_layout.geometry import (
     build_node_path,
     clamp_wedge_angle,
 )
+from rit_layout.layout import STYLES
+from rit_layout.tree import TreeNode
 
 from conftest import full_chain
 from oracles import (
     DEFAULT_ARC_STEP,
     loop_vertices,
     path_boundary_points,
+    path_segments,
     seg_span,
     single,
     wedge_paths,
 )
 from test_geometry import hand_loops
+from test_golden import QUARTER
 
 TAU = 2.0 * math.pi
 
@@ -98,7 +105,7 @@ def test_zero_width_sliver_exactly_zero():
 
 def test_open_path_rejected():
     with pytest.raises(ValueError, match="loop does not close"):
-        single([(0, 0, 1, 0)])
+        path_area(single([(0, 0, 1, 0)]))
 
 
 def test_matches_sector_area():
@@ -129,6 +136,24 @@ def test_layout_areas_proportional_to_data(maker, tree):
         assert abs(path_area(node.path) - target) <= 1e-10 * target
 
 
+@pytest.mark.parametrize("cfg", [
+    LayoutConfig(),
+    LayoutConfig(mode="literal"),
+    LayoutConfig(relax_enabled=True, relax_threshold=0.05),
+    QUARTER,
+], ids=["contained", "literal", "relaxed-0.05", "quarter"])
+@pytest.mark.parametrize("style", STYLES)
+def test_path_area_accepts_every_package_outline(style, cfg):
+    """Building an outline checks nothing, so the verifier must pass every
+    outline the layouts draw: full turns, cut sectors, slivers and bands."""
+    zero = TreeNode("r", "r", 2.0, children=[TreeNode("a", "a", 2.0), TreeNode("z", "z", 0.0)])
+    trees = [demo_tree(), full_chain(12), zero, generate_tree(GeneratorSpec("random", 4, 6, seed=1))]
+    for raw in trees:
+        layout = compute_layout(normalize(raw, "strict"), style, cfg)
+        for node in layout.nodes:
+            assert math.isfinite(path_area(node.path)), node.id
+
+
 def _polygon_area(path: Path, step: float = DEFAULT_ARC_STEP) -> float:
     """Shoelace area of the outline with arcs polygonized at ``step``."""
     total = 0.0
@@ -144,7 +169,7 @@ def _polygon_error_bound(path: Path) -> float:
     # Each inscribed chord of angle d <= step drops r^2 (d - sin d) / 2 <= r^2 d^3 / 12.
     return sum(
         seg[0] ** 2 * abs(seg_span(seg)) * DEFAULT_ARC_STEP ** 2 / 12.0
-        for seg in path.segments
+        for seg in path_segments(path)
         if len(seg) == 3
     )
 
@@ -193,7 +218,7 @@ def test_path_area_terms_match_property_reference(name):
     # and indexed coordinates, whether a segment is a tuple or a subclass.
     path = Path(loops=hand_loops()[name])
     total = 0.0
-    for seg in path.segments:
+    for seg in path_segments(path):
         if len(seg) == 4:
             total += seg[0] * seg[3] - seg[2] * seg[1]
         else:

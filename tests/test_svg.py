@@ -25,7 +25,7 @@ from rit_layout.layout import Layout, PlacedNode
 from rit_layout.svg import HALF_PI, _extent, _loop_to_d, _split_arc, _Transform
 from rit_layout.tree import TreeNode
 
-from oracles import path_boundary_points, seg_end, seg_span, seg_start
+from oracles import path_boundary_points, path_segments, seg_end, seg_span, seg_start
 from test_geometry import BELOW_PI, SubSeg, hand_loops
 from test_golden import QUARTER
 from test_relax import flanked_thin_run
@@ -218,7 +218,8 @@ class TestRendering:
         # return, which a parser would read back, raw, as spaces.
         odd = '/><x"\'&\t\n\r'
         nodes = list(demo_layout.nodes)
-        nodes[3] = dataclasses.replace(nodes[3], id=f"id{odd}", color=odd, relaxed=relaxed)
+        # A leaf, so no child's parent names the old id.
+        nodes[5] = dataclasses.replace(nodes[5], id=f"id{odd}", color=odd, relaxed=relaxed)
         layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
         el = next(el for el in svg_paths(render_svg(layout)) if el.get("id") == f"id{odd}")
         assert el.get("fill") == odd
@@ -237,7 +238,7 @@ class TestRendering:
     @pytest.mark.parametrize("char", ["\x01", "\ud800", "\uffff"])
     def test_text_xml_cannot_hold_is_a_value_error(self, demo_layout, field, char):
         nodes = list(demo_layout.nodes)
-        node = nodes[3] = dataclasses.replace(nodes[3], **{field: f"x{char}"})
+        node = nodes[5] = dataclasses.replace(nodes[5], **{field: f"x{char}"})
         layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
         with pytest.raises(ValueError) as info:
             render_svg(layout, RenderStyle(draw_labels=True))
@@ -256,6 +257,16 @@ class TestRendering:
             render_svg(layout)
         assert type(info.value) is ValueError
         assert str(info.value) == f"node {node.id!r}: color ['#112233'] is not str"
+
+    @pytest.mark.parametrize("field, value", [("id", 5), ("label", ["a"])])
+    def test_non_str_id_or_label_is_a_value_error(self, demo_layout, field, value):
+        nodes = list(demo_layout.nodes)
+        node = nodes[5] = dataclasses.replace(nodes[5], **{field: value})
+        layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
+        with pytest.raises(ValueError) as info:
+            render_svg(layout, RenderStyle(draw_labels=True))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"node {node.id!r}: {field} {value!r} is not str"
 
     def test_background_and_canvas(self, demo_layout):
         svg = render_svg(demo_layout, RenderStyle(canvas=500))
@@ -353,7 +364,7 @@ def _reference_extent(layout: Layout) -> tuple[float, float, float, float]:
     axis points (+-r, 0) / (0, +-r) at the multiples of pi/2 an arc sweeps."""
     xs, ys = [], []
     for node in layout.nodes:
-        for seg in node.path.segments:
+        for seg in path_segments(node.path):
             for x, y in (seg_start(seg), seg_end(seg)):
                 xs.append(x)
                 ys.append(y)
