@@ -21,7 +21,7 @@ ZERO_AREA_TOL = 1e-12
 CONTAINMENT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeReport:
     id: str
     area: float

@@ -151,7 +151,7 @@ def clamp_wedge_angle(ar: float, beta: float, r: float, outer_radius: float) -> 
 Segment = tuple[float, float, float] | tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Path:
     """One or more closed loops of arc/line segments (outer boundary + holes).
 
@@ -165,7 +165,7 @@ def _polar(radius: float, angle: float) -> tuple[float, float]:
     return (radius * math.cos(angle), radius * math.sin(angle))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SectorGeometry:
     """Placed geometry of one node.
 
@@ -212,7 +212,7 @@ class SectorGeometry:
         return build_node_path(self)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BandGeometry(SectorGeometry):
     """Placed geometry of one icicle band, in the sector fields.
 

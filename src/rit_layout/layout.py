@@ -117,14 +117,15 @@ class LayoutConfig:
             raise ValueError(f"relax threshold must be >= 0, got {self.relax_threshold}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlacedNode:
     """One laid-out node: identity, geometry, and parent.
 
-    The outline ``path`` is not stored: it is derived from ``sector`` on
-    first use and kept in ``_path``.  A node built by the constructor or by
-    ``dataclasses.replace`` starts without one, so a node given a new
-    sector gets that sector's outline.  ``relaxed`` flags a node that
+    A slotted record, not hashable, that the library never changes once
+    built.  Change one with ``dataclasses.replace``, never by assigning to a
+    field: ``path`` is derived from ``sector`` on first use and kept in
+    ``_path``, and a replaced node starts without one, where an assigned
+    ``sector`` would keep the stale outline.  ``relaxed`` flags a node that
     relaxation turned, directly or with a moved ancestor.  For the icicle
     style ``sector`` is a ``BandGeometry``: theta is the x offset, beta the
     width, r_in the distance of the row's top from the root's top edge.
@@ -138,8 +139,6 @@ class PlacedNode:
     parent: str | None
     sector: SectorGeometry
     relaxed: bool = False
-    # A declared field, not a cached_property: a memo written to the
-    # instance __dict__ after __init__ makes CPython allocate a dict per node.
     _path: Path | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -147,8 +146,7 @@ class PlacedNode:
         """The drawn outline, built from ``sector`` once and kept."""
         path = self._path
         if path is None:
-            path = self.sector.outline()
-            object.__setattr__(self, "_path", path)
+            path = self._path = self.sector.outline()
         return path
 
 
@@ -196,7 +194,7 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     a_std = sector_area(cfg.r0, cfg.h0, cfg.beta0)
     relax = cfg.relax_enabled
     # Records are built with positional arguments, in field order: keyword
-    # matching adds about a third to a frozen record's __init__.
+    # matching adds half or more to a record's __init__.
     nodes: list[PlacedNode] = [
         PlacedNode(
             tree.id, tree.label, tree.color, tree.data, 0, None,

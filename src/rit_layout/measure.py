@@ -14,11 +14,9 @@ import math
 
 from .geometry import Path, Segment
 
-# Angle step for polygonized arcs; the inscribed polygon's relative area
-# error is O(step^2), about 1.7e-9 at this step.  Only the test oracles
-# polygonize.  perfbench's measure.arc_vertices counter imports it too, but
-# it counts only segments with a ``radius`` attribute, which no plain-tuple
-# segment has, so it reads 0.
+# Angle step for polygonized arcs (relative area error O(step^2), about
+# 1.7e-9).  Only the test oracles polygonize; perfbench's arc_vertices
+# counter imports it but reads 0, as no plain-tuple segment has a radius.
 DEFAULT_ARC_STEP = 1e-4
 
 # Maximum endpoint mismatch tolerated between consecutive path segments.
@@ -32,8 +30,8 @@ def path_area(path: Path) -> float:
     that does not close, or a segment that is neither an arc nor a line.  A
     join passes when its endpoints lie within ``PATH_JOIN_TOL`` times the
     loop's largest coordinate (at least 1) of each other.  The area walk
-    compares each join exactly; a loop whose joins all match, as all the
-    package builds but full turns do, skips ``_check_loop_tolerance``.
+    compares each join exactly: a loop whose joins all match skips the
+    distance test, and a one-segment loop (a full turn) tests only its close.
     """
     cos, sin = math.cos, math.sin
     total = 0.0
@@ -64,7 +62,11 @@ def path_area(path: Path) -> float:
                     exact = False
                 x, y = r * cos(end), r * sin(end)
         if not exact or x != first_x or y != first_y:
-            _check_loop_tolerance(loop)
+            if len(loop) > 1:
+                _check_loop_tolerance(loop)
+            elif math.dist((x, y), (first_x, first_y)) > PATH_JOIN_TOL * max(
+                    1.0, max(abs(first_x), abs(first_y), abs(x), abs(y))):
+                raise ValueError("loop does not close")
     return abs(0.5 * total)
 
 

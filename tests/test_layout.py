@@ -497,6 +497,23 @@ class TestDerivedOutline:
             assert node.path == _rebuilt_outline(style, node.sector), node.id
             assert node.path is node.path
 
+    def test_per_node_records_are_slotted_and_replace_derives_a_new_path(self):
+        """The five per-node records hold no instance ``__dict__``, and a node
+        replaced after its path was read gets its new sector's outline."""
+        tree = normalize(demo_tree(), "strict")
+        rit = layout_rit(tree)
+        node = rit.nodes[3]
+        records = [node, node.sector, node.path, layout_icicle(tree).nodes[3].sector,
+                   diagnostics(rit).nodes[3]]
+        assert [type(r).__name__ for r in records] == [
+            "PlacedNode", "SectorGeometry", "Path", "BandGeometry", "NodeReport"]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+        sector = rit.nodes[5].sector
+        moved = dataclasses.replace(node, sector=sector)
+        assert moved.path == sector.outline()
+        assert moved.path != node.path
+
     @pytest.mark.parametrize("place", [layout_sunburst, layout_icicle])
     def test_deep_chain_places_without_recursion(self, place):
         nodes = [NormalizedNode(f"n{i}", f"n{i}", 1.0) for i in range(3001)]
@@ -609,7 +626,7 @@ class TestLayoutJson:
         assert a == b
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class _DrawnSector(SectorGeometry):
     """Sector fields with hand-drawn segments, joined or not, as the outline."""
 

@@ -17,6 +17,7 @@ from rit_layout import (
     sector_area,
     wedge_pair_area,
 )
+from rit_layout import measure
 from rit_layout.geometry import (
     Path,
     SectorGeometry,
@@ -106,6 +107,44 @@ def test_zero_width_sliver_exactly_zero():
 def test_open_path_rejected():
     with pytest.raises(ValueError, match="loop does not close"):
         path_area(single([(0, 0, 1, 0)]))
+
+
+def _one_segment_loops():
+    """One-segment loops over the full-turn spans, short arcs, lines and
+    non-finite radii and angles; each start angle ``t0`` gives
+    ``t0 + span`` as the end, as ``build_node_path`` does."""
+    spans = [TAU, -TAU, 2 * TAU, TAU - 1e-6, 0.5, -1e-9, 0.0, math.inf, math.nan]
+    radii = [0.0, 1e-3, 1.0, 8.0, 1e6, math.inf, math.nan]
+    starts = [0.0, 0.3, -2.0, 1e3, math.inf, math.nan]
+    loops = [((r, t0, t0 + span),) for r in radii for t0 in starts for span in spans]
+    loops += [((r, t0 + TAU, t0),) for r in radii for t0 in starts]
+    loops += [((0.0, 0.0, 1.0, 0.0),), ((1.0, 1.0, 1.0, 1.0),), ((0.0, 0.0, 1e-10, 0.0),),
+              ((math.nan, 0.0, 1.0, 0.0),), ((math.inf, 0.0, math.inf, 0.0),),
+              ((math.nan, 0.0, 1.0, math.inf),)]
+    return loops
+
+
+def test_one_segment_close_matches_the_tolerance_rule(monkeypatch):
+    """``path_area`` tests a one-segment loop's close inline, without
+    ``_check_loop_tolerance``, and reaches the same verdict and message."""
+
+    def verdict(check, loop):
+        try:
+            check(loop)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    loops = _one_segment_loops()
+    expected = [verdict(measure._check_loop_tolerance, loop) for loop in loops]
+    assert None in expected and "loop does not close" in expected
+
+    def not_called(loop):
+        raise AssertionError(f"tolerance pass run for {loop}")
+
+    monkeypatch.setattr(measure, "_check_loop_tolerance", not_called)
+    got = [verdict(lambda loop: path_area(Path((loop,))), loop) for loop in loops]
+    assert [(loop, v) for loop, v, w in zip(loops, got, expected) if v != w] == []
 
 
 def test_matches_sector_area():

@@ -339,7 +339,7 @@ def test_path_data_formats_each_number_without_negative_zero(style, cfg):
         assert "-0.000000" not in d.split()
 
 
-@dataclass(frozen=True)
+@dataclass
 class _GivenOutline(SectorGeometry):
     """Sector fields with an outline given by hand instead of derived."""
 
