@@ -12,16 +12,7 @@ from .bench import BenchRecord, FitResult, fit_linear, run_bench
 from .colors import assign_colors
 from .diagnostics import DiagnosticsReport, diagnostics
 from .generate import GeneratorSpec, demo_tree, generate_tree
-from .geometry import (
-    Path,
-    SectorGeometry,
-    build_node_path,
-    clamp_wedge_angle,
-    height_for_scale,
-    sector_area,
-    topup_height,
-    wedge_pair_area,
-)
+from .geometry import Path, SectorGeometry, build_node_path, sector_area
 from .layout import (
     Layout,
     LayoutConfig,
@@ -62,13 +53,11 @@ __all__ = [
     "TreeNode",
     "assign_colors",
     "build_node_path",
-    "clamp_wedge_angle",
     "compute_layout",
     "demo_tree",
     "diagnostics",
     "fit_linear",
     "generate_tree",
-    "height_for_scale",
     "layout_icicle",
     "layout_rit",
     "layout_sunburst",
@@ -80,7 +69,5 @@ __all__ = [
     "run_bench",
     "sector_area",
     "serialize_tree",
-    "topup_height",
     "validate",
-    "wedge_pair_area",
 ]

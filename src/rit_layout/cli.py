@@ -226,9 +226,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for name in STYLES:
         layout = compute_layout(tree, name, cfg)
         (outdir / f"{name}.svg").write_bytes(render_svg(layout, style))
-        report[name] = diagnostics(layout).summary()
+        report[name] = _require_finite_summary(name, diagnostics(layout).summary())
     (outdir / "diagnostics.json").write_text(json.dumps(report, indent=1), encoding="utf-8")
     return EXIT_OK
+
+
+def _require_finite_summary(style: str, summary: dict) -> dict:
+    """``summary``, once every number in it is finite; else ``ValueError``
+    naming ``style`` and the first field JSON has no number for."""
+    for name, value in summary.items():
+        values = value.items() if name == "area_ratios" else ((None, value),)
+        for node, number in values:
+            if isinstance(number, float) and not math.isfinite(number):
+                where = name if node is None else f"{name} of node {node!r}"
+                raise ValueError(f"{style}: {where} is {number!r}, which diagnostics.json cannot hold")
+    return summary
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

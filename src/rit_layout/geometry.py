@@ -55,96 +55,68 @@ def sector_area(r: float, h: float, beta: float) -> float:
     return 0.5 * beta * ((r + h) ** 2 - r * r)
 
 
-def height_for_scale(r: float, angle_scale: float, area_std: float) -> float:
+def _height_for_scale(r: float, angle_scale: float, area_std: float) -> float:
     """Radial height giving a sector of angle ``angle_scale * d`` area ``d * area_std``.
 
     Solves 0.5 * s * ((r+h)^2 - r^2) = area_std for h.  With s = 2*pi this
     is the full-annulus height that keeps every ring's area equal to the
     standard area; smaller scales (compressed subtree frames) thicken the
-    ring by exactly the inverse factor.
+    ring by exactly the inverse factor.  Needs r >= 0, s > 0 and
+    area_std > 0; an overflow gives a NaN, or a 0 that ``r + h`` loses.
     """
-    if r < 0.0:
-        raise ValueError(f"inner radius must be >= 0, got {r}")
-    if angle_scale <= 0.0 or area_std <= 0.0:
-        raise ValueError(
-            f"angle scale and standard area must be > 0, got s={angle_scale}, area={area_std}"
-        )
     q = 2.0 * area_std / angle_scale
     # Algebraically -r + sqrt(r^2 + q); this form avoids cancellation for r >> h.
     return q / (r + math.sqrt(r * r + q))
 
 
-def max_wedge_angle(r: float, outer_radius: float) -> float:
-    """Hard geometric bound on the double-wedge angle: 2*acos(r/R).
+def _max_wedge_angle(r: float, outer_radius: float) -> float:
+    """Hard geometric bound on the double-wedge angle: 2*acos(r/R), for 0 <= r < R.
 
     Beyond it the straight cut from the inner corner to the outer arc dips
     below the sector's inner radius.
     """
-    if not 0.0 <= r < outer_radius:
-        raise ValueError(f"need 0 <= r < R, got r={r}, R={outer_radius}")
     return 2.0 * math.acos(r / outer_radius)
 
 
-def wedge_pair_area(r: float, h: float, alpha: float) -> float:
-    """Combined area of the two wedges cut from the ends of a sector.
-
-    The pair, mirrored together, forms a triangle capped by a circular
-    segment of angle ``alpha`` at the outer radius; the sum collapses to
-    0.5*R^2*alpha - r*R*sin(alpha/2) with R = r + h.
-    """
-    if r < 0.0 or h <= 0.0:
-        raise ValueError(f"wedge_pair_area requires r >= 0 and h > 0, got r={r}, h={h}")
-    if alpha == 0.0:
-        return 0.0
-    if not 0.0 < alpha < max_wedge_angle(r, r + h):
-        raise ValueError(
-            f"double-wedge angle {alpha} is at or beyond the geometric bound "
-            f"{max_wedge_angle(r, r + h)}"
-        )
-    big_r = r + h
-    return 0.5 * big_r * big_r * alpha - r * big_r * math.sin(0.5 * alpha)
-
-
-def topup_height(
-    outer_radius: float,
-    beta: float,
-    alpha: float,
-    wedge_area: float,
-) -> float:
-    """Height of the top-up sector (angle ``beta - alpha``) replacing ``wedge_area``.
-
-    Solves 0.5*(beta-alpha)*((R+h)^2 - R^2) = wedge_area, so the added area
-    equals the cut area.
-    """
-    if outer_radius <= 0.0:
-        raise ValueError(f"outer radius must be > 0, got {outer_radius}")
-    if wedge_area < 0.0:
-        raise ValueError(f"wedge area must be >= 0, got {wedge_area}")
-    if beta - alpha <= 0.0 or alpha < 0.0:
-        raise ValueError(f"need 0 <= alpha < beta, got alpha={alpha}, beta={beta}")
-    if wedge_area == 0.0:
-        return 0.0
-    q = 2.0 * wedge_area / (beta - alpha)
-    return q / (outer_radius + math.sqrt(outer_radius * outer_radius + q))
-
-
-def clamp_wedge_angle(ar: float, beta: float, r: float, outer_radius: float) -> float:
+def _clamp_wedge_angle(ar: float, beta: float, r: float, outer_radius: float) -> float:
     """Double-wedge angle ``ar * beta`` clamped strictly inside both bounds.
 
     The caps are half the sector angle and the geometric bound
     2*acos(r/R), each shrunk by ANGLE_EPS so the top-up sector never
-    degenerates and the cut line never leaves the sector.
+    degenerates and the cut line never leaves the sector.  Needs ar >= 0,
+    0 < beta <= 2*pi and 0 <= r < R; a ratio of 0 gives 0, no wedge.
     """
-    if ar <= 0.0:
-        raise ValueError(f"angle ratio must be > 0, got {ar}")
-    if not 0.0 < beta <= TAU + FULL_TURN_TOL:
-        raise ValueError(f"sector angle must be in (0, 2*pi], got {beta}")
     margin = 1.0 - ANGLE_EPS
     return min(
         ar * beta,
         margin * 0.5 * beta,
-        margin * max_wedge_angle(r, outer_radius),
+        margin * _max_wedge_angle(r, outer_radius),
     )
+
+
+def _wedge_pair_area(r: float, h: float, alpha: float) -> float:
+    """Combined area of the two wedges cut from the ends of a sector.
+
+    The pair, mirrored together, forms a triangle capped by a circular
+    segment of angle ``alpha`` at the outer radius; the sum collapses to
+    0.5*R^2*alpha - r*R*sin(alpha/2) with R = r + h.  Needs r >= 0, h > 0
+    and an ``alpha`` from ``_clamp_wedge_angle``; the result can round to
+    0 or below for a wedge far thinner than the ring, and overflows for R
+    near the square root of the float range.
+    """
+    big_r = r + h
+    return 0.5 * big_r * big_r * alpha - r * big_r * math.sin(0.5 * alpha)
+
+
+def _topup_height(outer_radius: float, beta: float, alpha: float, wedge_area: float) -> float:
+    """Height of the top-up sector (angle ``beta - alpha``) replacing ``wedge_area``.
+
+    Solves 0.5*(beta-alpha)*((R+h)^2 - R^2) = wedge_area, so the added area
+    equals the cut area.  Needs R > 0, 0 <= alpha < beta and
+    wedge_area >= 0; an overflow gives a NaN, or a 0 that drops the area.
+    """
+    q = 2.0 * wedge_area / (beta - alpha)
+    return q / (outer_radius + math.sqrt(outer_radius * outer_radius + q))
 
 
 # An arc ``(radius, start, end)`` or a line ``(x0, y0, x1, y1)``.

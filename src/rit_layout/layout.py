@@ -34,12 +34,12 @@ from .geometry import (
     BandGeometry,
     Path,
     SectorGeometry,
-    clamp_wedge_angle,
-    height_for_scale,
+    _clamp_wedge_angle,
+    _height_for_scale,
+    _topup_height,
+    _wedge_pair_area,
     is_full_turn,
     sector_area,
-    topup_height,
-    wedge_pair_area,
 )
 from .tree import NormalizedNode, _require_valid_value
 
@@ -187,7 +187,9 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
 
     With ``cfg.relax_enabled`` each frame also re-spaces its runs of thin
     children (see ``_relax_thin_runs``); a moved child turns its subtree
-    with it, and every node so turned is flagged ``relaxed``.
+    with it, and every node so turned is flagged ``relaxed``.  A ring or
+    top-up that floats cannot represent raises ``ValueError`` naming the
+    node and the rule.
     """
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
@@ -214,20 +216,26 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         if not children:
             continue
         total = math.fsum(c.data for c in children)
-        if cfg.mode == "contained" and total > 0.0 and f_beta > 0.0:
-            k = min(1.0, f_beta / (scale_in * total))
+        # Children whose angles already fit, even at a sum that underflows
+        # to 0, keep the incoming scale.
+        if cfg.mode == "contained" and 0.0 < f_beta < scale_in * total:
+            scale = scale_in * (f_beta / (scale_in * total))
         else:
-            k = 1.0
-        scale = scale_in * k
-        h = height_for_scale(r, scale, a_std)
-        if not math.isfinite(h):
-            # Children whose data dwarfs a subnormal parent's compress the
-            # scale below what a ring height can make up for.
-            raise ValueError(
-                f"node {parent.id!r}: non-finite-ring-height: children of data sum "
-                f"{total!r} in a frame of angle {f_beta!r} give ring height {h}"
-            )
+            scale = scale_in
+        # A scale compressed to 0 would need an infinite ring.
+        h = _height_for_scale(r, scale, a_std) if scale > 0.0 else math.inf
         big_r = r + h
+        # The one check of the frame: past it 0 <= r < big_r < inf, which
+        # every wedge and top-up solve below needs.  Children whose data
+        # dwarfs a subnormal parent's leave no finite height; a ring far
+        # thinner than its radius, or a solve that overflows, one that
+        # r + h loses.
+        if not r < big_r < math.inf:
+            rule = "non-finite-ring-height" if not math.isfinite(h) else "unrepresentable-ring-height"
+            raise ValueError(
+                f"node {parent.id!r}: {rule}: children of data sum {total!r} in a frame of "
+                f"angle {f_beta!r} give ring height {h!r} at radius {r!r}, outer radius {big_r!r}"
+            )
 
         # Pass 1: place every child sector, packed from the frame start.
         # Each entry is [child, theta, beta, wedge angle, rotation].  A
@@ -246,7 +254,7 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         for entry in placed:
             beta_c = entry[2]
             if beta_c > 0.0 and not is_full_turn(beta_c):
-                entry[3] = clamp_wedge_angle(ar, beta_c, r, big_r)
+                entry[3] = _clamp_wedge_angle(ar, beta_c, r, big_r)
             visits += 1
 
         if relax:
@@ -255,11 +263,20 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         # Pass 3: top-ups, node records, and child frames.
         recurse: list[tuple] = []
         for child, theta_child, beta_c, alpha, child_rot in placed:
+            h_top = 0.0
             if alpha > 0.0:
-                lost = wedge_pair_area(r, h, alpha)
-                h_top = topup_height(big_r, beta_c, alpha, lost)
-            else:
-                h_top = 0.0
+                # A wedge pair whose area rounds to 0 or below needs no
+                # top-up.  One whose area overflows, which takes a child
+                # dwarfing its parent at radii near 1e154, can get none.
+                lost = _wedge_pair_area(r, h, alpha)
+                if not lost <= 0.0:
+                    h_top = _topup_height(big_r, beta_c, alpha, lost)
+                if not (-math.inf < lost and h_top < math.inf):
+                    raise ValueError(
+                        f"node {child.id!r}: non-finite-topup-height: wedges of angle "
+                        f"{alpha!r} cut from a ring of radius {r!r} and height {h!r} "
+                        f"have area {lost!r} and give top-up height {h_top!r}"
+                    )
             theta = theta_child if child_rot is None else theta_child + child_rot
             sector = SectorGeometry(theta, beta_c, alpha, r, h, h_top)
             nodes.append(

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .geometry import Path
-from .layout import Layout, require_finite
+from .layout import STYLES, Layout, require_finite
 from .tree import _require_xml_text
 
 FALLBACK_FILL = "#cccccc"
@@ -224,7 +224,12 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes.
 
     An id, colour or drawn label that is not a ``str``, or that XML 1.0
-    cannot hold, raises ``ValueError`` naming the node."""
+    cannot hold, raises ``ValueError`` naming the node; a style outside
+    ``STYLES``, or a layout without nodes, raises it naming the layout."""
+    if layout.style not in STYLES:
+        raise ValueError(f"layout: style {layout.style!r} is not one of {STYLES}")
+    if not layout.nodes:
+        raise ValueError("layout: no nodes to write")
     tf = _Transform(layout, style)
     size = style.canvas
     lines = [

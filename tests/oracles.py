@@ -25,9 +25,9 @@ from rit_layout.geometry import (
     Path,
     SectorGeometry,
     Segment,
+    _max_wedge_angle as max_wedge_angle,
     _polar,
     is_full_turn,
-    max_wedge_angle,
 )
 from rit_layout.layout import Layout, PlacedNode
 from rit_layout.measure import DEFAULT_ARC_STEP

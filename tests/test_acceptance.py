@@ -28,9 +28,9 @@ from rit_layout import (
     run_bench,
     sector_area,
     serialize_tree,
-    wedge_pair_area,
 )
 from rit_layout.cli import main
+from rit_layout.geometry import _wedge_pair_area as wedge_pair_area
 from rit_layout.diagnostics import diagnostics
 
 from conftest import TAU, full_chain

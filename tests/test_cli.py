@@ -546,6 +546,47 @@ class TestCompare:
         assert not outdir.exists()
 
 
+    def test_wedge_ratio_underflow_certifies(self, demo_file, tmp_path):
+        # ar0 * acr**2 underflows to 0, so depth 3 draws no wedge.
+        outdir = tmp_path / "cmp"
+        assert main(["compare", "--input", demo_file, "--outdir", str(outdir),
+                     "--acr", "1e-200"]) == 0
+        rit = json.loads((outdir / "diagnostics.json").read_text())["rit"]
+        assert rit["max_area_error"] <= 1e-6
+        assert rit["containment_violations"] == 0
+
+    def test_overflowing_area_exit_1_names_style_and_field(self, demo_file, tmp_path, capsys):
+        # path_area's r*r*(end - start) overflows at radii near 1.33e154.
+        outdir = tmp_path / "cmp"
+        rc = main(["compare", "--input", demo_file, "--outdir", str(outdir),
+                   "--r0", "1.33e154", "--h0", "1e151"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: rit: max_area_error is inf, ")
+        assert "Traceback" not in err
+        assert not (outdir / "diagnostics.json").exists()
+
+
+class TestRingRepresentation:
+    def test_wedge_ratio_underflow_draws_no_wedge(self, demo_file, tmp_path, capsys):
+        assert main(["render", "--input", demo_file, "--output", str(tmp_path / "x.svg"),
+                     "--acr", "1e-200"]) == 0
+        assert main(["layout", "--input", demo_file, "--output", "-", "--acr", "1e-200"]) == 0
+        nodes = json.loads(capsys.readouterr().out)["nodes"]
+        deep = [n for n in nodes if n["depth"] == 3]
+        assert deep and all(n["alpha"] == 0.0 and n["topup_height"] == 0.0 for n in deep)
+        assert all(n["alpha"] > 0.0 for n in nodes if n["depth"] == 2)
+
+    def test_ring_height_lost_against_radius_exit_1(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        rc = main(["render", "--input", demo_file, "--output", str(out),
+                   "--r0", "1.2e154", "--h0", "1e153"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: node '0': unrepresentable-ring-height: ")
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_clean_exit_0(self, demo_file, capsys):
         assert main(["validate", "--input", demo_file]) == 0

@@ -5,7 +5,7 @@ import re
 
 import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rit_layout import (
     GeneratorSpec,
@@ -34,7 +34,8 @@ from rit_layout.geometry import (
     rect_path,
 )
 from rit_layout.cli import main
-from rit_layout.layout import STYLES, Layout, PlacedNode
+from rit_layout.generate import KINDS
+from rit_layout.layout import MODES, STYLES, Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain
@@ -476,6 +477,62 @@ def test_child_dwarfing_subnormal_parent_names_node_and_rule(b_data):
     for layout in (layout_rit(tree, LayoutConfig(mode="literal")),
                    layout_sunburst(tree), layout_icicle(tree)):
         assert [n.id for n in layout.nodes] == ["r", "a", "b"]
+
+
+def test_topup_of_overflowing_wedge_area_names_node_and_rule():
+    # Child data dwarfing its parent's makes a ring far thicker than its
+    # radius, so the wedges are wide; at an outer radius near 1.1e154 their
+    # area overflows and no finite top-up can replace it.
+    tree = NormalizedNode("r", "r", 1.0, children=[
+        NormalizedNode("a", "a", 0.95, children=[NormalizedNode("b", "b", 1e300)])])
+    with pytest.raises(ValueError, match="^node 'b': non-finite-topup-height: "):
+        layout_rit(tree, LayoutConfig(r0=0.0, h0=9000.0, ar0=0.49))
+
+
+def _log_uniform(lo: int, hi: int):
+    """Positive floats spread evenly over the exponents ``lo`` to ``hi``."""
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(lo, hi))
+
+
+@st.composite
+def _extreme_configs(draw):
+    """A valid ``LayoutConfig`` whose radii, heights and wedge ratios reach
+    the ends of the float range, in both modes, relaxed or not."""
+    try:
+        return LayoutConfig(
+            theta0=draw(st.floats(-1e300, 1e300)),
+            beta0=draw(st.sampled_from([TAU, math.pi, 1e-3]) | _log_uniform(-300, 0)),
+            r0=draw(st.just(0.0) | _log_uniform(-300, 154) | st.floats(1.0e154, 1.34e154)),
+            h0=draw(_log_uniform(-300, 154)),
+            ar0=draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)),
+            acr=draw(st.just(1.0) | _log_uniform(-300, 300)),
+            mode=draw(st.sampled_from(MODES)),
+            relax_enabled=draw(st.booleans()),
+            relax_threshold=draw(st.sampled_from([0.0, 1e-300, 0.01, 0.5])),
+        )
+    except ValueError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cfg=_extreme_configs(),
+    spec=st.builds(GeneratorSpec, st.sampled_from(KINDS), st.integers(1, 4), st.integers(1, 4),
+                   seed=st.integers(0, 50)),
+)
+def test_extreme_configs_lay_out_or_name_node_and_rule(cfg, spec):
+    """A valid config either lays out with sound wedges and top-ups, or
+    fails naming the node and the rule; no helper message gets out."""
+    tree = normalize(generate_tree(spec), "strict")
+    try:
+        layout = layout_rit(tree, cfg)
+    except ValueError as exc:
+        assert re.match(r"^node '[^']*': [a-z-]+: ", str(exc)), str(exc)
+        return
+    for n in layout.nodes:
+        assert n.sector.alpha >= 0.0, n.id
+        assert 0.0 <= n.sector.topup_height < math.inf, n.id
+    assert wedge_bound_satisfied(layout)
 
 
 class TestDerivedOutline:

@@ -15,14 +15,14 @@ from rit_layout import (
     normalize,
     path_area,
     sector_area,
-    wedge_pair_area,
 )
 from rit_layout import measure
 from rit_layout.geometry import (
     Path,
     SectorGeometry,
+    _clamp_wedge_angle as clamp_wedge_angle,
+    _wedge_pair_area as wedge_pair_area,
     build_node_path,
-    clamp_wedge_angle,
 )
 from rit_layout.layout import STYLES
 from rit_layout.tree import TreeNode

@@ -268,6 +268,21 @@ class TestRendering:
         assert type(info.value) is ValueError
         assert str(info.value) == f"node {node.id!r}: {field} {value!r} is not str"
 
+    @pytest.mark.parametrize("style", ["a--b", "rit ", 5])
+    def test_style_outside_styles_is_a_value_error(self, demo_layout, style):
+        # A raw "--" in the leading comment would make the SVG ill-formed.
+        with pytest.raises(ValueError) as info:
+            render_svg(dataclasses.replace(demo_layout, style=style))
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"layout: style {style!r} is not one of ('rit', 'sunburst', 'icicle')")
+
+    def test_layout_without_nodes_is_a_value_error(self, demo_layout):
+        with pytest.raises(ValueError) as info:
+            render_svg(dataclasses.replace(demo_layout, nodes=()))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "layout: no nodes to write"
+
     def test_background_and_canvas(self, demo_layout):
         svg = render_svg(demo_layout, RenderStyle(canvas=500))
         root = ET.fromstring(svg.decode())
