@@ -57,9 +57,10 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
 
     A node's containment excess is how far its sector reaches past its
     frame: the parent's span between the parent's cut edges, or the
-    root's own sector.  An outline that ``path_area`` refuses raises
-    ``ValueError`` naming its node; a non-finite area, or any area on a
-    zero-data node, makes ``max_area_error`` infinite.
+    root's own sector.  An outline that cannot be built, or that
+    ``path_area`` refuses, raises ``ValueError`` naming its node, unless it
+    holds a non-finite value, whose area is NaN; a non-finite area, or any
+    area on a zero-data node, makes ``max_area_error`` infinite.
     """
     by_id = {n.id: n for n in layout.nodes}
     gaps_after: dict[str, tuple[float, float]] = {}
@@ -72,10 +73,16 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
     node_reports: list[NodeReport] = []
     max_area_error = 0.0
     for n in layout.nodes:
+        path = None
         try:
-            area = path_area(n.path)
+            path = n.path
+            area = path_area(path)
         except ValueError as exc:
-            raise ValueError(f"node {n.id!r}: {exc}") from exc
+            # A non-finite outline has no area; path_area may refuse its joins.
+            if path is None or all(
+                    math.isfinite(c) for loop in path.loops for seg in loop for c in seg):
+                raise ValueError(f"node {n.id!r}: {exc}") from exc
+            area = math.nan
         target = n.data * layout.a_std
         if target > 0.0:
             ratio = area / target

@@ -29,9 +29,10 @@ def path_area(path: Path) -> float:
     Raises ``ValueError`` for an empty loop, a gap between segments, a loop
     that does not close, or a segment that is neither an arc nor a line.  A
     join passes when its endpoints lie within ``PATH_JOIN_TOL`` times the
-    loop's largest coordinate (at least 1) of each other.  The area walk
-    compares each join exactly: a loop whose joins all match skips the
-    distance test, and a one-segment loop (a full turn) tests only its close.
+    loop's largest coordinate (at least 1) of each other, so a join at a NaN
+    coordinate fails.  The area walk compares each join exactly: a loop
+    whose joins all match skips the distance test, and a one-segment loop
+    (a full turn) tests only its close.
     """
     cos, sin = math.cos, math.sin
     total = 0.0
@@ -64,7 +65,7 @@ def path_area(path: Path) -> float:
         if not exact or x != first_x or y != first_y:
             if len(loop) > 1:
                 _check_loop_tolerance(loop)
-            elif math.dist((x, y), (first_x, first_y)) > PATH_JOIN_TOL * max(
+            elif not math.dist((x, y), (first_x, first_y)) <= PATH_JOIN_TOL * max(
                     1.0, max(abs(first_x), abs(first_y), abs(x), abs(y))):
                 raise ValueError("loop does not close")
     return abs(0.5 * total)
@@ -86,7 +87,13 @@ def _check_loop_tolerance(loop: tuple[Segment, ...]) -> None:
     scale = max(1.0, max(abs(c) for s, e in zip(starts, ends) for c in (*s, *e)))
     tol = PATH_JOIN_TOL * scale
     for end, start in zip(ends, starts[1:]):
-        if math.dist(end, start) > tol:
+        if not _joins(end, start, tol):
             raise ValueError(f"segments do not join: {end} -> {start}")
-    if math.dist(ends[-1], starts[0]) > tol:
+    if not _joins(ends[-1], starts[0], tol):
         raise ValueError("loop does not close")
+
+
+def _joins(p: tuple[float, float], q: tuple[float, float], tol: float) -> bool:
+    """Whether two points are equal, as the area walk's exact test takes
+    them, or within ``tol``; a point with a NaN joins nothing."""
+    return p[0] == q[0] and p[1] == q[1] or math.dist(p, q) <= tol

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 
 import pytest
@@ -23,6 +24,13 @@ def xml_text_ok(text: str) -> bool:
         c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
         for c in text
     )
+
+
+def strict_json(text: str):
+    """``json.loads``, refusing the ``NaN`` and ``Infinity`` that RFC 8259 JSON cannot hold."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not RFC 8259 JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def tree_equal_ignoring_ids(a, b) -> bool:

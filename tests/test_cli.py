@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rit_layout
 from rit_layout import GeneratorSpec, LayoutConfig, RenderStyle, demo_tree, generate_tree, serialize_tree
 from rit_layout import cli
 from rit_layout.bench import gc_paused
@@ -22,7 +23,7 @@ from rit_layout.generate import KINDS
 from rit_layout.layout import MODES
 from rit_layout.tree import TreeNode
 
-from conftest import xml_text_ok
+from conftest import strict_json, xml_text_ok
 
 DEMO_JSON = serialize_tree(demo_tree(), "json-tree")
 DEMO_CSV = serialize_tree(demo_tree(), "csv-edges")
@@ -65,6 +66,7 @@ class TestRender:
         rc = main(["render", "--input", demo_file, "--output", str(out),
                    "--relax", "--relax-threshold", "0.05"])
         assert rc == 0
+        ET.parse(out)
 
     def test_csv_input(self, tmp_path):
         src = tmp_path / "demo.csv"
@@ -461,9 +463,7 @@ def test_layout_of_zero_values_and_tiny_ratios_is_strict_json_or_names_the_node(
         text = out.read_text(encoding="utf-8") if out.exists() else None
     message = err.getvalue()
     if rc == 0:
-        def refuse(constant):
-            raise AssertionError(f"{constant} is not RFC 8259 JSON")
-        doc = json.loads(text, parse_constant=refuse)
+        doc = strict_json(text)
         assert sorted(n["id"] for n in doc["nodes"]) == sorted(n.id for n in nodes)
     else:
         assert rc == 2 and text is None, message
@@ -501,6 +501,23 @@ class TestLayoutCommand:
         assert main(["layout", "--input", demo_file, "--output", "-"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["a_std"] > 0
+        assert main(["layout", "--input", demo_file, "--output", "-",
+                     "--relax", "--relax-threshold", "0.05"]) == 0
+        assert any(n["relaxed"] for n in json.loads(capsys.readouterr().out)["nodes"])
+
+    def test_relaxed_file_is_json_dumps_bytes(self, tmp_path):
+        # Every finite float round-trips through repr, so re-encoding the
+        # parsed file with a one-space indent gives it back exactly.
+        src = tmp_path / "gen.json"
+        src.write_text(serialize_tree(generate_tree(GeneratorSpec("random", 4, 8, seed=3)),
+                                      "json-tree"))
+        out = tmp_path / "x.json"
+        assert main(["layout", "--input", str(src), "--output", str(out),
+                     "--relax", "--relax-threshold", "1e-3"]) == 0
+        text = out.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert any(n["relaxed"] for n in doc["nodes"])
+        assert text == json.dumps(doc, indent=1) + "\n"
 
     def test_icicle_band_coordinates(self, demo_file, tmp_path):
         out = tmp_path / "band.json"
@@ -819,6 +836,24 @@ class TestDeterminismAcrossProcesses:
         assert docs[0] == docs[1]
 
 
+def _run_with_tested_package(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter whose ``rit_layout`` is the one
+    this process imported, installed or in a checkout."""
+    path = Path(rit_layout.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(path)},
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_subprocess_imports_the_tested_package():
+    proc = _run_with_tested_package("import rit_layout\nprint(rit_layout.__file__)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()).resolve() == Path(rit_layout.__file__).resolve()
+
+
 def test_runtime_imports_no_numpy():
     """The library and the CLI run on the standard library alone.
 
@@ -826,35 +861,21 @@ def test_runtime_imports_no_numpy():
     not loaded at import either; ``test_bench_imports_no_pool_or_hashing``
     checks that a bench run loads none of them.
     """
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
+    proc = _run_with_tested_package(
         "import sys, rit_layout, rit_layout.cli\n"
         "for name in ('numpy', 'concurrent.futures', 'logging', 'hashlib'):\n"
         "    assert name not in sys.modules, name\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
     )
     assert proc.returncode == 0, proc.stderr
 
 
 def test_bench_imports_no_pool_or_hashing():
     """A ``rit bench`` run times serially and hashes nothing."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
+    proc = _run_with_tested_package(
         "import sys\n"
         "from rit_layout.cli import main\n"
         "assert main(['bench', '--depths', '1..3', '--repeats', '1']) == 0\n"
         "for name in ('concurrent.futures', 'logging', 'hashlib'):\n"
         "    assert name not in sys.modules, name\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
     )
     assert proc.returncode == 0, proc.stderr

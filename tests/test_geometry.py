@@ -302,10 +302,16 @@ class TestPathInvariants:
     def test_disconnected_segments_rejected(self):
         with pytest.raises(ValueError, match="segments do not join"):
             path_area(single([(0, 0, 1, 0), (2, 0, 2, 1)]))
+        # A NaN distance is no closer than the tolerance.
+        with pytest.raises(ValueError, match="segments do not join"):
+            path_area(single([(0.0, 0.0, 1.0, 0.0), (1.0, 0.0, math.nan, 0.0),
+                              (math.nan, 0.0, 0.0, 0.0)]))
 
     def test_open_loop_rejected(self):
         with pytest.raises(ValueError, match="loop does not close"):
             path_area(single([(0, 0, 1, 0), (1, 0, 1, 1)]))
+        with pytest.raises(ValueError, match="loop does not close"):
+            path_area(single([(math.nan, 0.0, TAU)]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
     def test_join_tolerance_scales_with_coordinates(self, scale):

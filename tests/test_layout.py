@@ -38,7 +38,7 @@ from rit_layout.generate import KINDS
 from rit_layout.layout import MODES, STYLES, Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
-from conftest import TAU, full_chain
+from conftest import TAU, full_chain, strict_json
 from oracles import node_by_id, path_segments, single, wedge_bound_satisfied
 from test_golden import QUARTER
 
@@ -842,7 +842,7 @@ def test_diagnostics_aggregates(tmp_path):
     tree_file = tmp_path / "demo.json"
     tree_file.write_text(serialize_tree(demo_tree(), "json-tree"), encoding="utf-8")
     assert main(["compare", "--input", str(tree_file), "--outdir", str(tmp_path / "cmp")]) == 0
-    written = json.loads((tmp_path / "cmp" / "diagnostics.json").read_text(encoding="utf-8"))
+    written = strict_json((tmp_path / "cmp" / "diagnostics.json").read_text(encoding="utf-8"))
     assert list(written) == list(STYLES)
     tree = assign_colors(normalize(parse_tree(tree_file.read_bytes(), "json-tree")))
     keys = ["a_std", "max_area_error", "min_gap", "containment_violations", "area_ratios"]
@@ -855,19 +855,24 @@ def test_diagnostics_aggregates(tmp_path):
         assert report.min_area_ratio <= report.max_area_ratio
 
 
-def _demo_with_orange(change) -> Layout:
-    """The demo rit layout with its 'orange' node replaced by ``change(node)``."""
+def _demo_with_node(change, node_id="orange") -> Layout:
+    """The demo rit layout with node ``node_id`` replaced by ``change(node)``."""
     base = layout_rit(normalize(demo_tree(), "strict"))
-    nodes = tuple(change(n) if n.id == "orange" else n for n in base.nodes)
+    nodes = tuple(change(n) if n.id == node_id else n for n in base.nodes)
     return dataclasses.replace(base, nodes=nodes)
 
 
-@pytest.mark.parametrize("field, value", [("theta", math.nan), ("r_in", math.inf)])
-def test_diagnostics_certifies_no_non_finite_area(field, value):
+@pytest.mark.parametrize("node_id, field, value", [
+    ("orange", "theta", math.nan),
+    ("orange", "r_in", math.inf),
+    ("root", "r_in", math.inf),
+], ids=["theta-nan", "r_in-inf", "root-r_in-inf"])
+def test_diagnostics_certifies_no_non_finite_area(node_id, field, value):
     """A NaN area is an infinite error, and the ratio extremes do not hang
-    on where the NaN stands in node order."""
-    layout = _demo_with_orange(lambda n: dataclasses.replace(
-        n, sector=dataclasses.replace(n.sector, **{field: value})))
+    on where the NaN stands in node order.  The root's infinite full turns
+    do not close (``inf * sin(0)`` is NaN), yet have an area, NaN."""
+    layout = _demo_with_node(lambda n: dataclasses.replace(
+        n, sector=dataclasses.replace(n.sector, **{field: value})), node_id)
     flipped = dataclasses.replace(layout, nodes=layout.nodes[::-1])
     reports = [diagnostics(layout), diagnostics(flipped)]
     assert [r.max_area_error for r in reports] == [math.inf, math.inf]
@@ -876,9 +881,16 @@ def test_diagnostics_certifies_no_non_finite_area(field, value):
 
 def test_diagnostics_names_the_node_of_an_open_outline():
     drawn = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0))
-    layout = _demo_with_orange(lambda n: dataclasses.replace(n, sector=_DrawnSector(**{
+    layout = _demo_with_node(lambda n: dataclasses.replace(n, sector=_DrawnSector(**{
         f.name: getattr(n.sector, f.name) for f in dataclasses.fields(n.sector)}, drawn=drawn)))
     with pytest.raises(ValueError, match="^node 'orange': loop does not close$"):
+        diagnostics(layout)
+
+
+def test_diagnostics_names_the_node_of_an_unbuildable_outline():
+    layout = _demo_with_node(lambda n: dataclasses.replace(
+        n, sector=dataclasses.replace(n.sector, theta=math.inf)))
+    with pytest.raises(ValueError, match="^node 'orange': math domain error$"):
         diagnostics(layout)
 
 
@@ -889,7 +901,7 @@ def test_diagnostics_names_the_node_of_an_open_outline():
 def test_layout_refuses_a_parent_that_is_not_a_node(changes, orphan, parent):
     with pytest.raises(ValueError, match=(
             f"^node '{orphan}': parent '{parent}' is not a node of the layout$")):
-        _demo_with_orange(lambda n: dataclasses.replace(n, **changes))
+        _demo_with_node(lambda n: dataclasses.replace(n, **changes))
 
 
 class TestGeneratedCorpusSmoke:

@@ -262,8 +262,9 @@ class TestRoundTrip:
 
     def test_chain_past_json_depth_bound_names_csv_edges(self):
         nodes = self._chain(MAX_JSON_TREE_DEPTH + 1)
-        with pytest.raises(TreeInputError, match="csv-edges"):
+        with pytest.raises(TreeInputError, match="csv-edges") as caught:
             serialize_tree(nodes[0], "json-tree")
+        assert caught.value.__context__ is None
 
     @settings(max_examples=200, deadline=None)
     @given(tree=_hostile_trees())
