@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 
-from .geometry import Path
 from .layout import STYLES, Layout, require_finite
 from .tree import _require_xml_text
 
@@ -59,28 +59,24 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
     inside [lo, hi]; Python's floor modulo maps any k, negative or past a
     full turn, to its axis point.
     """
-    xs: list[float] = []
-    ys: list[float] = []
+    points: list[float] = []  # x, y, x, y, ...: a line segment is two points
     cos, sin = math.cos, math.sin
     for node in layout.nodes:
         for loop in node.path.loops:
             for seg in loop:
                 if len(seg) == 4:
-                    x0, y0, x1, y1 = seg
-                    xs += (x0, x1)
-                    ys += (y0, y1)
+                    points += seg
                     continue
                 r, lo, hi = seg
                 if hi < lo:
                     lo, hi = hi, lo
-                xs += (r * cos(lo), r * cos(hi))
-                ys += (r * sin(lo), r * sin(hi))
+                points += (r * cos(lo), r * sin(lo), r * cos(hi), r * sin(hi))
                 k = math.ceil(lo / HALF_PI)
                 while k * HALF_PI <= hi:
                     ux, uy = _AXIS_POINTS[k % 4]
-                    xs.append(r * ux)
-                    ys.append(r * uy)
+                    points += (r * ux, r * uy)
                     k += 1
+    xs, ys = points[0::2], points[1::2]
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -88,11 +84,16 @@ class _Transform:
     """Uniform scale + translation from layout coordinates to the canvas (y flipped)."""
 
     def __init__(self, layout: Layout, style: RenderStyle):
-        x_lo, x_hi, y_lo, y_hi = _extent(layout)
+        try:
+            x_lo, x_hi, y_lo, y_hi = _extent(layout)
+        except ValueError as exc:  # from math.cos or math.ceil, or an unbuildable outline
+            raise _undrawable(layout) from exc
         span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
         self.scale = (style.canvas - 2.0 * style.margin) / span
         self.cx = 0.5 * style.canvas - self.scale * 0.5 * (x_lo + x_hi)
         self.cy = 0.5 * style.canvas + self.scale * 0.5 * (y_lo + y_hi)
+        if not (self.scale > 0.0 and math.isfinite(self.cx + self.cy)):
+            raise _undrawable(layout)
 
     def point(self, x: float, y: float) -> tuple[float, float]:
         return (self.cx + self.scale * x, self.cy - self.scale * y)
@@ -119,17 +120,29 @@ _LINE = " L %.6f %.6f"
 _ARC = (" A %.6f %.6f 0 0 1 %.6f %.6f", " A %.6f %.6f 0 0 0 %.6f %.6f")
 
 
-def _loop_to_d(loop, tf: _Transform) -> str:
+def _undrawable(layout: Layout) -> ValueError:
+    """The error naming the first node whose outline is unbuildable or not finite."""
+    for node in layout.nodes:
+        try:
+            bad = [c for loop in node.path.loops for seg in loop for c in seg if not math.isfinite(c)]
+        except ValueError as exc:
+            return ValueError(f"node {node.id!r}: {exc}")
+        if bad:
+            return ValueError(f"node {node.id!r}: outline holds {bad[0]!r}, which cannot be drawn")
+    return ValueError("layout: outlines cannot be scaled onto the canvas")
+
+
+def _loop_to_d(loop, scale: float, cx: float, cy: float) -> str:
     """One closed loop as ``M ... Z`` path data, each number as ``_fmt`` spells it.
 
     The loop's commands become one ``%`` template and one value list,
-    formatted by one ``%`` call with the transform inlined.  A
-    ``-0.000000`` token is then rewritten to ``0.000000`` once over the
+    formatted by one ``%`` call with the transform inlined.  An arc under
+    pi (or NaN) is ``_split_arc``'s one piece, ending at ``start + span``.
+    A ``-0.000000`` token is then rewritten to ``0.000000`` once over the
     finished string: every token is a whole 6-decimal number, so only such
     a token can contain that text.
     """
-    scale, cx, cy = tf.scale, tf.cx, tf.cy
-    cos, sin = math.cos, math.sin
+    cos, sin, pi = math.cos, math.sin, math.pi
     first = loop[0]
     if len(first) == 4:
         x0, y0 = first[0], first[1]
@@ -147,14 +160,15 @@ def _loop_to_d(loop, tf: _Transform) -> str:
         span = end - start
         radius = r * scale
         arc = _ARC[span > 0]
-        for _, a1 in _split_arc(start, span):
-            template += arc
-            values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
+        if span <= -pi or span >= pi:
+            for _, a1 in _split_arc(start, span):
+                template += arc
+                values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
+            continue
+        a1 = start + span
+        template += arc
+        values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
     return ((template + " Z") % tuple(values)).replace("-0.000000", "0.000000")
-
-
-def _path_d(path: Path, tf: _Transform) -> str:
-    return " ".join([_loop_to_d(loop, tf) for loop in path.loops])
 
 
 def _config_comment(layout: Layout, tf: _Transform) -> str:
@@ -197,34 +211,26 @@ def _label_element(node, tf: _Transform, is_icicle: bool) -> str | None:
         transform = f' transform="rotate({_fmt(deg)} {_fmt(px)} {_fmt(py)})"'
     return (
         f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-size="{_fmt(FONT_SIZE)}" '
-        f'text-anchor="middle" dominant-baseline="middle"{transform}>{_escape(label)}</text>'
+        f'text-anchor="middle" dominant-baseline="middle"{transform}>{label.translate(_ESCAPE)}</text>'
     )
 
 
-def _escape(text: str) -> str:
-    """Escape XML metacharacters, and the carriage return that a parser
-    would read back as a newline, for text content."""
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-        .replace("'", "&#39;")
-        .replace("\r", "&#13;")
-    )
-
-
-def _escape_attr(text: str) -> str:
-    """Escape text for a quoted attribute value, where a raw tab or newline
-    would read back as a space."""
-    return _escape(text).replace("\t", "&#9;").replace("\n", "&#10;")
+# Escapes of XML metacharacters and of the carriage return a parser reads as a
+# newline; an attribute value also escapes the tab and newline it reads as spaces.
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "'": "&#39;", "\r": "&#13;"}
+_ESCAPE = str.maketrans(_TEXT_ESCAPES)
+_ESCAPE_ATTR = str.maketrans({**_TEXT_ESCAPES, "\t": "&#9;", "\n": "&#10;"})
+# Every character that ``_require_xml_text`` refuses or ``_ESCAPE_ATTR``
+# rewrites: an id or colour without one is written as it is.
+_ATTR_SPECIAL = re.compile(r"[\x00-\x1f\"&'<>\ud800-\udfff\ufffe\uffff]")
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes.
 
     An id, colour or drawn label that is not a ``str``, or that XML 1.0
-    cannot hold, raises ``ValueError`` naming the node; a style outside
+    cannot hold, and an outline that cannot be built or holds a non-finite
+    number, raise ``ValueError`` naming the node; a style outside
     ``STYLES``, or a layout without nodes, raises it naming the layout."""
     if layout.style not in STYLES:
         raise ValueError(f"layout: style {layout.style!r} is not one of {STYLES}")
@@ -244,20 +250,29 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     ordered = sorted(layout.nodes, key=operator.attrgetter("depth"))
     is_icicle = layout.style == "icicle"
     labels: list[str] = []
+    scale, cx, cy = tf.scale, tf.cx, tf.cy
     for node in ordered:
-        _require_xml_text(node.id, "id", node.id, ValueError)
+        id_attr = node.id
+        if type(id_attr) is not str or _ATTR_SPECIAL.search(id_attr):
+            _require_xml_text(node.id, "id", id_attr, ValueError)
+            id_attr = id_attr.translate(_ESCAPE_ATTR)
         fill = node.color or FALLBACK_FILL
-        _require_xml_text(node.id, "color", fill, ValueError)
-        fill = _escape_attr(fill)
-        d = _path_d(node.path, tf)
-        if node.relaxed:
-            attrs = (
-                f'fill="{fill}" fill-opacity="0.7" fill-rule="evenodd" stroke="{fill}" '
-                f'stroke-width="1" stroke-dasharray="5 4"'
-            )
+        if type(fill) is not str or _ATTR_SPECIAL.search(fill):
+            _require_xml_text(node.id, "color", fill, ValueError)
+            fill = fill.translate(_ESCAPE_ATTR)
+        loops = node.path.loops
+        if len(loops) == 1:
+            d = _loop_to_d(loops[0], scale, cx, cy)
         else:
-            attrs = f'fill="{fill}" fill-rule="evenodd" stroke="none"'
-        lines.append(f'<path id="{_escape_attr(node.id)}" d="{d}" {attrs}/>')
+            d = " ".join([_loop_to_d(loop, scale, cx, cy) for loop in loops])
+        if "n" in d:  # nan or inf, as from a NaN that min() and max() passed over
+            raise _undrawable(layout)
+        if node.relaxed:
+            lines.append(
+                f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-opacity="0.7" fill-rule="evenodd" '
+                f'stroke="{fill}" stroke-width="1" stroke-dasharray="5 4"/>')
+        else:
+            lines.append(f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-rule="evenodd" stroke="none"/>')
         if style.draw_labels:
             _require_xml_text(node.id, "label", node.label, ValueError)
             el = _label_element(node, tf, is_icicle)

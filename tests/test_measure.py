@@ -109,6 +109,18 @@ def test_open_path_rejected():
         path_area(single([(0, 0, 1, 0)]))
 
 
+@pytest.mark.parametrize("arc", [(1.0, 0.0, math.inf), (1.0, -math.inf, 0.5), (0.0, math.inf, math.nan)])
+@pytest.mark.parametrize("before", [(), ((0.0, 0.0, 1.0, 0.0),)], ids=["alone", "after-line"])
+def test_infinite_arc_angle_named(arc, before):
+    # math.cos refuses an infinite angle with a bare "math domain error".
+    loop = (*before, arc)
+    for check in (lambda: path_area(Path((loop,))), lambda: measure._check_loop_tolerance(loop)):
+        with pytest.raises(ValueError) as info:
+            check()
+        assert str(info.value) == f"arc {arc!r} has an infinite angle"
+        assert info.value.__context__ is None or info.value.__suppress_context__
+
+
 def _one_segment_loops():
     """One-segment loops over the full-turn spans, short arcs, lines and
     non-finite radii and angles; each start angle ``t0`` gives

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rit_layout import (
+    GeneratorSpec,
     LayoutConfig,
     RenderStyle,
     compute_layout,
     demo_tree,
+    generate_tree,
     layout_icicle,
     layout_rit,
     layout_sunburst,
@@ -21,10 +23,12 @@ from rit_layout import (
     render_svg,
 )
 from rit_layout.geometry import Path, SectorGeometry
-from rit_layout.layout import Layout, PlacedNode
-from rit_layout.svg import HALF_PI, _extent, _loop_to_d, _split_arc, _Transform
-from rit_layout.tree import TreeNode
+from rit_layout.layout import STYLES, Layout, PlacedNode
+from rit_layout.svg import (
+    _ATTR_SPECIAL, _ESCAPE_ATTR, HALF_PI, _extent, _loop_to_d, _split_arc, _Transform)
+from rit_layout.tree import _NON_XML_CHAR, TreeNode
 
+from conftest import full_chain
 from oracles import path_boundary_points, path_segments, seg_end, seg_span, seg_start
 from test_geometry import BELOW_PI, SubSeg, hand_loops
 from test_golden import QUARTER
@@ -283,6 +287,15 @@ class TestRendering:
         assert type(info.value) is ValueError
         assert str(info.value) == "layout: no nodes to write"
 
+    def test_attribute_pattern_finds_every_refused_or_escaped_character(self):
+        # An id or colour without a hit is written unchecked and unescaped.
+        every = "".join(map(chr, range(0x110000)))
+        special = set(_ATTR_SPECIAL.findall(every))
+        refused = set(_NON_XML_CHAR.findall(every))
+        escaped = {c for c in every if c.translate(_ESCAPE_ATTR) != c}
+        assert special == refused | escaped
+        assert escaped == set("&<>\"'\r\t\n")
+
     def test_background_and_canvas(self, demo_layout):
         svg = render_svg(demo_layout, RenderStyle(canvas=500))
         root = ET.fromstring(svg.decode())
@@ -304,6 +317,67 @@ class TestRendering:
         # an int beyond float range has no float to test.
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             RenderStyle(**{field: value})
+
+
+def _sound_and_given(loop) -> Layout:
+    """Node ``a`` with a unit square, then node ``b`` outlined by ``loop``."""
+    square = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0))
+    nodes = tuple(PlacedNode(name, name, "#123456", 0.5, 1, None,
+                             _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path((drawn,))))
+                  for name, drawn in (("a", square), ("b", loop)))
+    return Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=2)
+
+
+class TestNonFiniteOutline:
+    """An outline holding inf or NaN raises naming its node, whichever
+    check meets it first: a math error in the extent, a transform that is
+    not finite, or a ``nan`` in the path data that ``min()`` and ``max()``
+    passed over.  Node ``a`` is sound and comes first."""
+
+    @pytest.mark.parametrize("loop, number", [
+        (((1.0, 0.0, math.inf),), "inf"),
+        (((1.0, -math.inf, 0.0),), "-inf"),
+        (((1.0, math.nan, 1.0),), "nan"),
+        (((1.0, 0.0, math.nan),), "nan"),
+        (((math.inf, 0.0, 1.0),), "inf"),
+        (((math.nan, 0.0, 1.0),), "nan"),
+        (((0.0, 0.0, math.nan, 1.0), (math.nan, 1.0, 0.0, 0.0)), "nan"),
+        (((0.0, 0.0, -math.inf, 1.0), (-math.inf, 1.0, 0.0, 0.0)), "-inf"),
+    ], ids=["angle-inf", "angle-neg-inf", "start-nan", "end-nan", "radius-inf",
+            "radius-nan", "line-nan", "line-neg-inf"])
+    def test_names_the_node(self, loop, number):
+        layout = _sound_and_given(loop)
+        message = f"node 'b': outline holds {number}, which cannot be drawn"
+        for ordered in (layout, dataclasses.replace(layout, nodes=layout.nodes[::-1])):
+            with pytest.raises(ValueError) as info:
+                render_svg(ordered)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("style, field, value, held", [
+        *[(style, "theta", math.nan, "nan") for style in STYLES],
+        ("rit", "r_in", math.inf, "inf"),
+        ("sunburst", "r_in", math.inf, "inf"),
+        ("icicle", "r_in", math.inf, "-inf"),
+        ("rit", "theta", math.inf, None),
+        ("sunburst", "theta", math.inf, None),
+        ("icicle", "theta", math.inf, "inf"),
+    ])
+    def test_names_the_node_of_a_laid_out_sector(self, style, field, value, held):
+        # A sector at an infinite angle has no outline: math.cos refuses it.
+        message = ("math domain error" if held is None
+                   else f"outline holds {held}, which cannot be drawn")
+        base = compute_layout(normalize(demo_tree(), "strict"), style)
+        nodes = tuple(dataclasses.replace(n, sector=dataclasses.replace(n.sector, **{field: value}))
+                      if n.id == "orange" else n for n in base.nodes)
+        with pytest.raises(ValueError) as info:
+            render_svg(dataclasses.replace(base, nodes=nodes))
+        assert str(info.value) == f"node 'orange': {message}"
+
+    def test_finite_outlines_too_wide_to_scale(self):
+        layout = _sound_and_given(((-1e308, 0.0, 1e308, 0.0), (1e308, 0.0, -1e308, 0.0)))
+        with pytest.raises(ValueError, match="^layout: outlines cannot be scaled onto the canvas$"):
+            render_svg(layout)
 
 
 def _fmt_each(x: float) -> str:
@@ -335,16 +409,27 @@ def _reference_d(path, scale: float, cx: float, cy: float) -> str:
     return " ".join(loops)
 
 
-@pytest.mark.parametrize("style, cfg", [
-    ("rit", LayoutConfig()),
-    ("sunburst", LayoutConfig()),
-    ("icicle", LayoutConfig()),
-    ("rit", QUARTER),
-], ids=["rit", "sunburst", "icicle", "quarter"])
-def test_path_data_formats_each_number_without_negative_zero(style, cfg):
+# Trees for the per-number oracles besides the demo: a generated tree of
+# wedge-cut sectors, and a 48-level chain of full annuli (two loops each).
+_ORACLE_TREES = {
+    "demo": demo_tree,
+    "random-4-6-3": lambda: generate_tree(GeneratorSpec("random", 4, 6, seed=3)),
+    "chain-48": lambda: full_chain(49),
+}
+_GENERATED = [(tree, style) for tree in ("random-4-6-3", "chain-48") for style in STYLES]
+
+
+@pytest.mark.parametrize("tree, style, cfg", [
+    ("demo", "rit", LayoutConfig()),
+    ("demo", "sunburst", LayoutConfig()),
+    ("demo", "icicle", LayoutConfig()),
+    ("demo", "rit", QUARTER),
+] + [(tree, style, LayoutConfig()) for tree, style in _GENERATED],
+    ids=["rit", "sunburst", "icicle", "quarter"] + [f"{t}-{s}" for t, s in _GENERATED])
+def test_path_data_formats_each_number_without_negative_zero(tree, style, cfg):
     # With no margin the outlines touch the canvas edge, where a coordinate
     # can round to -0.000000 (the quarter layout has one).
-    layout = compute_layout(normalize(demo_tree(), "strict"), style, cfg)
+    layout = compute_layout(normalize(_ORACLE_TREES[tree](), "strict"), style, cfg)
     svg = render_svg(layout, RenderStyle(margin=0))
     scale, cx, cy = parse_transform(svg)
     by_id = {n.id: n for n in layout.nodes}
@@ -452,6 +537,15 @@ class TestSegmentFastPaths:
             one = Layout("rit", layout.config, 1.0, (node,), 1)
             assert _extent(one) == _reference_extent(one), node.id
 
+    @pytest.mark.parametrize("tree", sorted(_ORACLE_TREES))
+    @pytest.mark.parametrize("style", STYLES)
+    def test_extent_equals_reference_on_laid_out_trees(self, tree, style):
+        layout = compute_layout(normalize(_ORACLE_TREES[tree](), "strict"), style)
+        assert _extent(layout) == _reference_extent(layout)
+        for node in layout.nodes:
+            one = Layout(style, layout.config, 1.0, (dataclasses.replace(node, parent=None),), 1)
+            assert _extent(one) == _reference_extent(one), node.id
+
     @pytest.mark.parametrize("margin", [0.0, 20.0])
     @settings(max_examples=200, deadline=None)
     @given(loops=st.lists(_closed_loops(), min_size=1, max_size=3))
@@ -462,7 +556,8 @@ class TestSegmentFastPaths:
         layout = Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=(node,), visits=1)
         tf = _Transform(layout, RenderStyle(margin=margin))
         for loop in path.loops:
-            assert _loop_to_d(loop, tf) == _reference_d(Path((loop,)), tf.scale, tf.cx, tf.cy)
+            assert (_loop_to_d(loop, tf.scale, tf.cx, tf.cy)
+                    == _reference_d(Path((loop,)), tf.scale, tf.cx, tf.cy))
 
     def test_split_arc_matches_piece_count_rule(self):
         # Below pi the early return gives bit for bit the one piece the
