@@ -222,11 +222,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
     outdir = FsPath(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # Every output is built and checked before the first is written, so a
+    # refusal writes none.
+    svgs: dict = {}
     report: dict = {}
     for name in STYLES:
         layout = compute_layout(tree, name, cfg)
-        (outdir / f"{name}.svg").write_bytes(render_svg(layout, style))
+        svgs[name] = render_svg(layout, style)
         report[name] = _require_finite_summary(name, diagnostics(layout).summary())
+    for name, svg in svgs.items():
+        (outdir / f"{name}.svg").write_bytes(svg)
     (outdir / "diagnostics.json").write_text(json.dumps(report, indent=1), encoding="utf-8")
     return EXIT_OK
 

@@ -48,8 +48,8 @@ def default_schedule(c_max: int, depth: int) -> tuple[int, ...]:
 def generate_tree(spec: GeneratorSpec, max_nodes: int | None = None) -> TreeNode | None:
     """Deterministic tree for the spec; same seed, same tree.
 
-    With ``max_nodes``, generation stops and returns None as soon as the
-    tree would have more nodes than that.
+    With ``max_nodes``, generation returns None before it stacks a fan-out
+    that would take the tree past that many nodes.
     """
     rng = random.Random(spec.seed)
     if spec.kind == "semi-random":
@@ -61,8 +61,6 @@ def generate_tree(spec: GeneratorSpec, max_nodes: int | None = None) -> TreeNode
     order: list[TreeNode] = []
     stack: list[tuple[TreeNode | None, int]] = [(None, 0)]
     while stack:
-        if max_nodes is not None and len(order) >= max_nodes:
-            return None
         parent, level = stack.pop()
         node = TreeNode(id=f"n{len(order)}", label=f"n{len(order)}", value=1.0)
         order.append(node)
@@ -71,6 +69,9 @@ def generate_tree(spec: GeneratorSpec, max_nodes: int | None = None) -> TreeNode
         if level < spec.depth:
             cap = schedule[level]
             n_children = cap if spec.kind == "fixed" else rng.randint(1, cap)
+            # Every stacked entry becomes a node.
+            if max_nodes is not None and len(order) + len(stack) + n_children > max_nodes:
+                return None
             stack.extend([(node, level + 1)] * n_children)
     # Children follow their parent in preorder: sum them bottom-up.
     for node in reversed(order):

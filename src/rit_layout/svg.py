@@ -1,13 +1,13 @@
 """Deterministic SVG rendering of layouts.
 
 Node outlines are emitted as filled path elements in depth-major order,
-with arcs as elliptical-arc commands (split so no single command spans
-more than pi; at exactly pi the sweep flag picks the side).  The drawing
-is uniformly scaled and centered so that the outlines' exact extent
-(line endpoints, arc endpoints and the axis extremes an arc sweeps past)
-fills the canvas less the margin; the applied transform and the layout
-configuration are echoed in a leading comment so the output is
-self-describing.  Identical inputs produce byte-identical output.
+with arcs as elliptical-arc commands: one under pi, two halves from pi to
+a full turn (the sweep flag picks the side of a half turn); a wider arc,
+which the even-odd fill rule cannot draw, is refused naming its node.  The
+drawing is scaled and centered so that the outlines' exact extent (line
+endpoints, arc endpoints and the axis extremes an arc sweeps past) fills
+the canvas less the margin; the transform and the layout configuration are
+echoed in a leading comment.  Identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import operator
 import re
 from dataclasses import dataclass
 
+from .geometry import FULL_TURN_TOL
 from .layout import STYLES, Layout, require_finite
 from .tree import _require_xml_text
 
@@ -25,6 +26,7 @@ BACKGROUND = "#ffffff"
 FONT_SIZE = 11.0
 
 HALF_PI = 0.5 * math.pi
+_MAX_SPAN = 2.0 * math.pi + FULL_TURN_TOL  # a full turn, as a sector may sweep
 
 # Unit point at angle k*pi/2, indexed by k % 4: where an origin-centred
 # arc reaches its x or y extremes.
@@ -57,10 +59,11 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
     A line reaches no further than its endpoints.  An origin-centred arc
     reaches its endpoints plus (+-r, 0) / (0, +-r) at every multiple k*pi/2
     inside [lo, hi]; Python's floor modulo maps any k, negative or past a
-    full turn, to its axis point.
+    full turn, to its axis point.  An arc wider than ``_MAX_SPAN`` raises
+    ``ValueError``; at most five k are tried, all that a narrower arc can hold.
     """
     points: list[float] = []  # x, y, x, y, ...: a line segment is two points
-    cos, sin = math.cos, math.sin
+    cos, sin, max_span = math.cos, math.sin, _MAX_SPAN
     for node in layout.nodes:
         for loop in node.path.loops:
             for seg in loop:
@@ -70,9 +73,11 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
                 r, lo, hi = seg
                 if hi < lo:
                     lo, hi = hi, lo
+                if hi - lo > max_span:
+                    raise ValueError("arc sweeps more than a full turn")
                 points += (r * cos(lo), r * sin(lo), r * cos(hi), r * sin(hi))
-                k = math.ceil(lo / HALF_PI)
-                while k * HALF_PI <= hi:
+                k = k0 = math.ceil(lo / HALF_PI)
+                while k * HALF_PI <= hi and k < k0 + 5:
                     ux, uy = _AXIS_POINTS[k % 4]
                     points += (r * ux, r * uy)
                     k += 1
@@ -80,37 +85,19 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-class _Transform:
-    """Uniform scale + translation from layout coordinates to the canvas (y flipped)."""
-
-    def __init__(self, layout: Layout, style: RenderStyle):
-        try:
-            x_lo, x_hi, y_lo, y_hi = _extent(layout)
-        except ValueError as exc:  # from math.cos or math.ceil, or an unbuildable outline
-            raise _undrawable(layout) from exc
-        span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
-        self.scale = (style.canvas - 2.0 * style.margin) / span
-        self.cx = 0.5 * style.canvas - self.scale * 0.5 * (x_lo + x_hi)
-        self.cy = 0.5 * style.canvas + self.scale * 0.5 * (y_lo + y_hi)
-        if not (self.scale > 0.0 and math.isfinite(self.cx + self.cy)):
-            raise _undrawable(layout)
-
-    def point(self, x: float, y: float) -> tuple[float, float]:
-        return (self.cx + self.scale * x, self.cy - self.scale * y)
-
-
-def _split_arc(start: float, span: float) -> list[tuple[float, float]]:
-    """(start, end) angle pairs, each spanning at most pi.
-
-    An arc spanning less than pi is one piece ending at ``start + span``.
-    A full turn gives two pieces of exactly pi; the sweep flag makes such
-    a command unambiguous.
-    """
-    if abs(span) < math.pi:
-        return [(start, start + span)]
-    pieces = max(2, math.ceil(abs(span) / math.pi - 1e-12))
-    step = span / pieces
-    return [(start + i * step, start + (i + 1) * step) for i in range(pieces)]
+def _transform(layout: Layout, style: RenderStyle) -> tuple[float, float, float]:
+    """(scale, cx, cy): layout (x, y) is drawn at (cx + scale*x, cy - scale*y)."""
+    try:
+        x_lo, x_hi, y_lo, y_hi = _extent(layout)
+    except ValueError as exc:  # from math.cos or math.ceil, a wide arc, or an unbuildable outline
+        raise _undrawable(layout) from exc
+    span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
+    scale = (style.canvas - 2.0 * style.margin) / span
+    cx = 0.5 * style.canvas - scale * 0.5 * (x_lo + x_hi)
+    cy = 0.5 * style.canvas + scale * 0.5 * (y_lo + y_hi)
+    if not (scale > 0.0 and math.isfinite(cx + cy)):
+        raise _undrawable(layout)
+    return scale, cx, cy
 
 
 # Path-data commands as ``%`` templates; ``"%.6f" % x`` spells what
@@ -121,14 +108,19 @@ _ARC = (" A %.6f %.6f 0 0 1 %.6f %.6f", " A %.6f %.6f 0 0 0 %.6f %.6f")
 
 
 def _undrawable(layout: Layout) -> ValueError:
-    """The error naming the first node whose outline is unbuildable or not finite."""
+    """The error naming the first node whose outline cannot be built or drawn."""
     for node in layout.nodes:
         try:
-            bad = [c for loop in node.path.loops for seg in loop for c in seg if not math.isfinite(c)]
+            segs = [seg for loop in node.path.loops for seg in loop]
         except ValueError as exc:
             return ValueError(f"node {node.id!r}: {exc}")
+        bad = [c for seg in segs for c in seg if not math.isfinite(c)]
         if bad:
             return ValueError(f"node {node.id!r}: outline holds {bad[0]!r}, which cannot be drawn")
+        for seg in segs:
+            if len(seg) == 3 and abs(seg[2] - seg[1]) > _MAX_SPAN:
+                return ValueError(f"node {node.id!r}: arc {seg!r} sweeps more than a full turn, "
+                                  "which cannot be drawn")
     return ValueError("layout: outlines cannot be scaled onto the canvas")
 
 
@@ -137,10 +129,12 @@ def _loop_to_d(loop, scale: float, cx: float, cy: float) -> str:
 
     The loop's commands become one ``%`` template and one value list,
     formatted by one ``%`` call with the transform inlined.  An arc under
-    pi (or NaN) is ``_split_arc``'s one piece, ending at ``start + span``.
-    A ``-0.000000`` token is then rewritten to ``0.000000`` once over the
-    finished string: every token is a whole 6-decimal number, so only such
-    a token can contain that text.
+    pi (or NaN) is one command ending at ``start + span``; one of pi up to
+    a full turn (``_extent`` has refused any wider) is two commands ending
+    at ``start + 0.5 * span`` and ``start + span``.  A ``-0.000000`` token
+    is then rewritten to ``0.000000`` once over the finished string: every
+    token is a whole 6-decimal number, so only such a token can contain
+    that text.
     """
     cos, sin, pi = math.cos, math.sin, math.pi
     first = loop[0]
@@ -161,50 +155,50 @@ def _loop_to_d(loop, scale: float, cx: float, cy: float) -> str:
         radius = r * scale
         arc = _ARC[span > 0]
         if span <= -pi or span >= pi:
-            for _, a1 in _split_arc(start, span):
-                template += arc
-                values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
-            continue
+            a1 = start + 0.5 * span
+            template += arc
+            values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
         a1 = start + span
         template += arc
         values += (radius, radius, cx + scale * (r * cos(a1)), cy - scale * (r * sin(a1)))
     return ((template + " Z") % tuple(values)).replace("-0.000000", "0.000000")
 
 
-def _config_comment(layout: Layout, tf: _Transform) -> str:
+def _config_comment(layout: Layout, scale: float, cx: float, cy: float) -> str:
     cfg = layout.config
     fields = (
         f"style={layout.style} theta0={cfg.theta0!r} beta0={cfg.beta0!r} "
         f"r0={cfg.r0!r} h0={cfg.h0!r} ar0={cfg.ar0!r} acr={cfg.acr!r} "
         f"mode={cfg.mode} relax={cfg.relax_enabled} "
         f"relax_threshold={cfg.relax_threshold!r} "
-        f"scale={tf.scale!r} cx={tf.cx!r} cy={tf.cy!r}"
+        f"scale={scale!r} cx={cx!r} cy={cy!r}"
     )
     return f"<!-- rit-config {fields} -->"
 
 
-def _label_element(node, tf: _Transform, is_icicle: bool) -> str | None:
+def _label_element(node, scale: float, cx: float, cy: float, is_icicle: bool) -> str | None:
     label = node.label
     if not label:
         return None
     sec = node.sector
     est_width = 0.6 * FONT_SIZE * len(label)
     if is_icicle:
-        if est_width > sec.beta * tf.scale:
+        if est_width > sec.beta * scale:
             return None
         x = sec.theta + 0.5 * sec.beta
         y = -(sec.r_in + 0.5 * sec.height)
-        px, py = tf.point(x, y)
+        px, py = cx + scale * x, cy - scale * y
         transform = ""
     else:
         if sec.beta <= 0.0:
             return None
         mid_angle = sec.theta + 0.5 * sec.beta
         mid_radius = sec.r_in + 0.5 * sec.height
-        span = 2.0 * mid_radius * math.sin(min(sec.beta, math.pi) * 0.5) * tf.scale
+        span = 2.0 * mid_radius * math.sin(min(sec.beta, math.pi) * 0.5) * scale
         if est_width > span:
             return None
-        px, py = tf.point(mid_radius * math.cos(mid_angle), mid_radius * math.sin(mid_angle))
+        px = cx + scale * (mid_radius * math.cos(mid_angle))
+        py = cy - scale * (mid_radius * math.sin(mid_angle))
         deg = math.degrees(math.atan2(-math.cos(mid_angle), -math.sin(mid_angle)))
         if 90.0 < deg % 360.0 < 270.0:
             deg += 180.0
@@ -236,13 +230,13 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
         raise ValueError(f"layout: style {layout.style!r} is not one of {STYLES}")
     if not layout.nodes:
         raise ValueError("layout: no nodes to write")
-    tf = _Transform(layout, style)
+    scale, cx, cy = _transform(layout, style)
     size = style.canvas
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        _config_comment(layout, tf),
+        _config_comment(layout, scale, cx, cy),
         f'<rect width="{size}" height="{size}" fill="{BACKGROUND}"/>',
     ]
 
@@ -250,7 +244,6 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     ordered = sorted(layout.nodes, key=operator.attrgetter("depth"))
     is_icicle = layout.style == "icicle"
     labels: list[str] = []
-    scale, cx, cy = tf.scale, tf.cx, tf.cy
     for node in ordered:
         id_attr = node.id
         if type(id_attr) is not str or _ATTR_SPECIAL.search(id_attr):
@@ -275,7 +268,7 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
             lines.append(f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-rule="evenodd" stroke="none"/>')
         if style.draw_labels:
             _require_xml_text(node.id, "label", node.label, ValueError)
-            el = _label_element(node, tf, is_icicle)
+            el = _label_element(node, scale, cx, cy, is_icicle)
             if el is not None:
                 labels.append(el)
     lines.extend(labels)

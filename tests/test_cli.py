@@ -581,7 +581,7 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("error: rit: max_area_error is inf, ")
         assert "Traceback" not in err
-        assert not (outdir / "diagnostics.json").exists()
+        assert list(outdir.iterdir()) == []  # no SVG of a style laid out before the refusal
 
 
 class TestRingRepresentation:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from rit_layout import (
 from rit_layout.geometry import Path, SectorGeometry
 from rit_layout.layout import STYLES, Layout, PlacedNode
 from rit_layout.svg import (
-    _ATTR_SPECIAL, _ESCAPE_ATTR, HALF_PI, _extent, _loop_to_d, _split_arc, _Transform)
+    _ATTR_SPECIAL, _ESCAPE_ATTR, _MAX_SPAN, HALF_PI, _extent, _loop_to_d, _transform)
 from rit_layout.tree import _NON_XML_CHAR, TreeNode
 
 from conftest import full_chain
@@ -386,6 +387,14 @@ def _fmt_each(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+def _arc_ends(start: float, span: float) -> list[float]:
+    """Where an arc's commands end: one command under pi, two halves from pi
+    up to a full turn."""
+    if abs(span) < math.pi:
+        return [start + span]
+    return [start + 0.5 * span, start + span]
+
+
 def _reference_d(path, scale: float, cx: float, cy: float) -> str:
     """Path data rebuilt from the outline, formatting each number on its own."""
     loops = []
@@ -400,7 +409,7 @@ def _reference_d(path, scale: float, cx: float, cy: float) -> str:
             r, start, _ = seg
             radius = _fmt_each(r * scale)
             sweep = 0 if seg_span(seg) > 0 else 1
-            for _, a1 in _split_arc(start, seg_span(seg)):
+            for a1 in _arc_ends(start, seg_span(seg)):
                 x = cx + scale * (r * math.cos(a1))
                 y = cy - scale * (r * math.sin(a1))
                 parts.append(f"A {radius} {radius} 0 0 {sweep} {_fmt_each(x)} {_fmt_each(y)}")
@@ -480,7 +489,7 @@ def _reference_extent(layout: Layout) -> tuple[float, float, float, float]:
     return min(xs), max(xs), min(ys), max(ys)
 
 
-# Arc spans at and around +-pi and full turns, besides any in (-3*pi, 3*pi).
+# Arc spans at and around +-pi and full turns, besides any within +-2*pi.
 _EDGE_SPANS = (0.0, BELOW_PI, math.pi, math.nextafter(math.pi, 4.0), 2.0 * math.pi)
 
 
@@ -493,8 +502,7 @@ def _closed_loops(draw):
     for _ in range(draw(st.integers(1, 5))):
         if draw(st.booleans()):
             span = draw(st.sampled_from(_EDGE_SPANS + tuple(-s for s in _EDGE_SPANS))
-                        | st.floats(-3.0 * math.pi, 3.0 * math.pi,
-                                    exclude_min=True, exclude_max=True))
+                        | st.floats(-2.0 * math.pi, 2.0 * math.pi))
             # Starting at 0 keeps a drawn span exact through end - start.
             start = draw(st.just(0.0) | st.floats(-10.0, 10.0))
             arc = draw(st.sampled_from([tuple, SubSeg]))(
@@ -554,27 +562,96 @@ class TestSegmentFastPaths:
         node = PlacedNode("n", "n", "#123456", 0.5, 1, None,
                           _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=path))
         layout = Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=(node,), visits=1)
-        tf = _Transform(layout, RenderStyle(margin=margin))
+        scale, cx, cy = _transform(layout, RenderStyle(margin=margin))
         for loop in path.loops:
-            assert (_loop_to_d(loop, tf.scale, tf.cx, tf.cy)
-                    == _reference_d(Path((loop,)), tf.scale, tf.cx, tf.cy))
+            assert _loop_to_d(loop, scale, cx, cy) == _reference_d(Path((loop,)), scale, cx, cy)
 
-    def test_split_arc_matches_piece_count_rule(self):
-        # Below pi the early return gives bit for bit the one piece the
-        # general rule gives; pi and above split into at least two pieces.
-        arcs = [seg for loops in hand_loops().values() for loop in loops for seg in loop
-                if len(seg) == 3]
-        spans = [seg_span(seg) for seg in arcs]
+    def test_arc_command_count_rule(self):
+        # One command below pi and two from pi to a full turn: the count the
+        # former general splitter, max(2, ceil(|span|/pi - 1e-12)) pieces
+        # from pi up, gives for every span up to a full turn.
+        layout = _hand_layout()
+        spans = [seg_span(seg) for n in layout.nodes for seg in path_segments(n.path)
+                 if len(seg) == 3]
         assert BELOW_PI in spans and math.pi in spans and -2 * math.pi in spans
         assert min(spans) < -math.pi and 0 < min(map(abs, spans)) < 1e-14
-        for seg in arcs:
-            start, span = seg[1], seg_span(seg)
-            pieces = max(1, math.ceil(abs(span) / math.pi - 1e-12))
-            if abs(span) >= math.pi:
-                pieces = max(pieces, 2)
-            step = span / pieces
-            expected = [(start + i * step, start + (i + 1) * step) for i in range(pieces)]
-            assert _split_arc(start, span) == expected, seg
+        by_id = {n.id: n for n in layout.nodes}
+        for el in svg_paths(render_svg(layout)):
+            for sub, loop in zip(parse_d(el.get("d")), by_id[el.get("id")].path.loops, strict=True):
+                counts = [1 if abs(seg_span(seg)) < math.pi
+                          else max(2, math.ceil(abs(seg_span(seg)) / math.pi - 1e-12))
+                          for seg in loop if len(seg) == 3]
+                assert max(counts, default=1) <= 2
+                assert sum(cmd == "A" for cmd, _ in sub) == sum(counts), el.get("id")
+
+
+class TestWideArc:
+    """An arc sweeping more than a full turn, which the even-odd fill rule
+    cannot draw, is refused naming its node, in time that does not grow
+    with the span; a full turn within ``FULL_TURN_TOL`` still draws."""
+
+    @staticmethod
+    def _assert_refused(span):
+        layout = _sound_and_given(((1.0, 0.0, span),))
+        message = (f"node 'b': arc {(1.0, 0.0, span)!r} sweeps more than a full turn, "
+                   "which cannot be drawn")
+        for ordered in (layout, dataclasses.replace(layout, nodes=layout.nodes[::-1])):
+            with pytest.raises(ValueError) as info:
+                render_svg(ordered)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
+
+    @settings(max_examples=100, deadline=None)
+    @given(magnitude=st.floats(_MAX_SPAN, 3.0 * math.pi, exclude_min=True),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_wider_than_a_full_turn_names_the_node(self, magnitude, sign):
+        self._assert_refused(sign * magnitude)
+
+    @pytest.mark.parametrize("span", [3.0 * math.pi, 1e6, 1e300, -1e300])
+    def test_huge_spans_refused_at_once(self, span):
+        t0 = time.perf_counter()
+        self._assert_refused(span)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_refusal_starts_just_past_the_tolerance(self):
+        self._assert_refused(math.nextafter(_MAX_SPAN, math.inf))
+        for span in (_MAX_SPAN, -_MAX_SPAN):
+            layout = _sound_and_given(((1.0, 0.0, span),))
+            svg = render_svg(layout)
+            scale, cx, cy = parse_transform(svg)
+            d = svg_paths(svg)[1].get("d")
+            assert d == _reference_d(layout.nodes[1].path, scale, cx, cy)
+            assert d.count(" A ") == 2
+
+    def test_huge_angle_of_a_narrow_arc_draws(self):
+        # Beyond about 1e16, k*pi/2 no longer grows with k; the axis points
+        # an arc sweeps are still at most five.
+        for angle in (1e20, 1e300, -1e300):
+            t0 = time.perf_counter()
+            render_svg(_sound_and_given(((1.0, angle, angle),)))
+            assert time.perf_counter() - t0 < 1.0
+
+
+_TRAFFIC_CONFIGS = {
+    "default": LayoutConfig(),
+    "literal": LayoutConfig(mode="literal"),
+    "relax-0.05": LayoutConfig(relax_enabled=True, relax_threshold=0.05),
+    "quarter": QUARTER,
+    "beta0-past-full-turn": LayoutConfig(beta0=2.0 * math.pi + 1e-12),
+}
+
+
+@pytest.mark.parametrize("cfg", _TRAFFIC_CONFIGS.values(), ids=_TRAFFIC_CONFIGS.keys())
+@pytest.mark.parametrize("tree", sorted(_ORACLE_TREES))
+@pytest.mark.parametrize("style", STYLES)
+def test_laid_out_arcs_span_at_most_a_full_turn(tree, style, cfg):
+    # The writer draws such arcs as one or two commands and refuses wider.
+    layout = compute_layout(normalize(_ORACLE_TREES[tree](), "strict"), style, cfg)
+    for node in layout.nodes:
+        for seg in path_segments(node.path):
+            if len(seg) == 3:
+                assert abs(seg_span(seg)) <= _MAX_SPAN, (node.id, seg)
+    render_svg(layout)
 
 
 def test_ids_keep_negative_zero_text():

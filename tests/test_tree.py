@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -525,6 +526,17 @@ class TestGenerate:
         n = tree.count()
         assert generate_tree(spec, max_nodes=n) == tree
         assert generate_tree(spec, max_nodes=n - 1) is None
+
+    @pytest.mark.parametrize("kind", ["fixed", "random"])
+    def test_max_nodes_refuses_a_fan_out_before_building_it(self, kind):
+        # Stacking the million children before checking the cap takes ~16 MB.
+        tracemalloc.start()
+        try:
+            assert generate_tree(GeneratorSpec(kind, 10**6, 1, seed=3), max_nodes=10) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_values_sum_exactly(self):
         tree = generate_tree(GeneratorSpec("random", 5, 5, seed=3))
