@@ -78,20 +78,21 @@ def _max_wedge_angle(r: float, outer_radius: float) -> float:
     return 2.0 * math.acos(r / outer_radius)
 
 
-def _clamp_wedge_angle(ar: float, beta: float, r: float, outer_radius: float) -> float:
+def _wedge_cap(r: float, outer_radius: float) -> float:
+    """The geometric bound 2*acos(r/R) shrunk by ANGLE_EPS, so the cut line
+    never leaves the sector.  It depends only on the frame's radii, so a
+    frame computes it once for all its children; needs 0 <= r < R."""
+    return (1.0 - ANGLE_EPS) * _max_wedge_angle(r, outer_radius)
+
+
+def _clamp_wedge_angle(ar: float, beta: float, cap: float) -> float:
     """Double-wedge angle ``ar * beta`` clamped strictly inside both bounds.
 
-    The caps are half the sector angle and the geometric bound
-    2*acos(r/R), each shrunk by ANGLE_EPS so the top-up sector never
-    degenerates and the cut line never leaves the sector.  Needs ar >= 0,
-    0 < beta <= 2*pi and 0 <= r < R; a ratio of 0 gives 0, no wedge.
+    The bounds are half the sector angle, shrunk by ANGLE_EPS so the top-up
+    sector never degenerates, and the frame's ``cap`` from ``_wedge_cap``.
+    Needs ar >= 0 and 0 < beta <= 2*pi; a ratio of 0 gives 0, no wedge.
     """
-    margin = 1.0 - ANGLE_EPS
-    return min(
-        ar * beta,
-        margin * 0.5 * beta,
-        margin * _max_wedge_angle(r, outer_radius),
-    )
+    return min(ar * beta, (1.0 - ANGLE_EPS) * 0.5 * beta, cap)
 
 
 def _wedge_pair_area(r: float, h: float, alpha: float) -> float:
@@ -209,14 +210,17 @@ def build_node_path(g: SectorGeometry) -> Path:
     outline of sector-minus-wedges plus top-up.  The inner arc always spans
     the full [theta, theta+beta]: cuts shorten the shape only above it.
     """
-    if g.height <= 0.0:
-        raise ValueError(f"degenerate sector height {g.height}")
-    if g.beta < 0.0:
-        raise ValueError(f"negative sector angle {g.beta}")
-    t0, t1 = g.theta, g.theta + g.beta
-    r, big_r = g.r_in, g.outer_radius
+    # Each field is read once; the radii and cut angles are the properties'
+    # expressions, so they are the same floats.
+    theta, beta, alpha, r, height = g.theta, g.beta, g.alpha, g.r_in, g.height
+    if height <= 0.0:
+        raise ValueError(f"degenerate sector height {height}")
+    if beta < 0.0:
+        raise ValueError(f"negative sector angle {beta}")
+    t0, t1 = theta, theta + beta
+    big_r = r + height
 
-    if is_full_turn(g.beta):
+    if is_full_turn(beta):
         outer = (big_r, t0, t0 + TAU)
         if r == 0.0:
             return Path(((outer,),))
@@ -228,16 +232,16 @@ def build_node_path(g: SectorGeometry) -> Path:
     c0, s0, c1, s1 = math.cos(t0), math.sin(t0), math.cos(t1), math.sin(t1)
     ix0, iy0, ix1, iy1 = r * c0, r * s0, r * c1, r * s1
     inner = ((r, t0, t1),) if r > 0.0 else ()
-    if g.alpha == 0.0:
+    if alpha == 0.0:
         return Path((inner + (
             (ix1, iy1, big_r * c1, big_r * s1),
             (big_r, t1, t0),
             (big_r * c0, big_r * s0, ix0, iy0),
         ),))
 
-    top_r = g.total_radius
-    a0 = g.cut_start
-    a1 = g.cut_end
+    top_r = big_r + g.topup_height
+    a0 = theta + 0.5 * alpha
+    a1 = t1 - 0.5 * alpha
     ca0, sa0, ca1, sa1 = math.cos(a0), math.sin(a0), math.cos(a1), math.sin(a1)
     bx1, by1, bx0, by0 = big_r * ca1, big_r * sa1, big_r * ca0, big_r * sa0
     tx1, ty1 = top_r * ca1, top_r * sa1

@@ -37,6 +37,7 @@ from .geometry import (
     _clamp_wedge_angle,
     _height_for_scale,
     _topup_height,
+    _wedge_cap,
     _wedge_pair_area,
     is_full_turn,
     sector_area,
@@ -251,10 +252,12 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
             visits += 1
 
         # Pass 2: fix wedge angles (full annuli and zero-width nodes exempt).
+        # The geometric cap depends only on the frame's radii.
+        cap = _wedge_cap(r, big_r)
         for entry in placed:
             beta_c = entry[2]
             if beta_c > 0.0 and not is_full_turn(beta_c):
-                entry[3] = _clamp_wedge_angle(ar, beta_c, r, big_r)
+                entry[3] = _clamp_wedge_angle(ar, beta_c, cap)
             visits += 1
 
         if relax:

@@ -104,6 +104,27 @@ def _require_xml_text(node_id: str, field: str, text: str, error=TreeInputError)
         raise error(f"node {node_id!r}: {field} holds {bad.group()!r}, a character XML 1.0 cannot hold")
 
 
+def _checked_fields(obj, node_id: str) -> tuple:
+    """The label, value, colour and children of a json-tree node, checked in
+    that order, so a node with several faults is named for its first."""
+    if not isinstance(obj, dict):
+        raise TreeInputError(f"node {node_id}: expected an object, got {type(obj).__name__}")
+    if "label" not in obj or not isinstance(obj["label"], str):
+        raise TreeInputError(f"node {node_id}: missing or non-string label")
+    _require_xml_text(node_id, "label", obj["label"])
+    if "value" not in obj or not isinstance(obj["value"], (int, float)) or isinstance(obj["value"], bool):
+        raise TreeInputError(f"node {node_id} ({obj.get('label')}): missing or non-numeric value")
+    color = _check_color(obj.get("color"), f"node {node_id}")
+    children_obj = obj.get("children", [])
+    if not isinstance(children_obj, list):
+        raise TreeInputError(f"node {node_id}: children must be an array")
+    return obj["label"], obj["value"], color, children_obj
+
+
+# What a json-tree node without "children" has; never written to.
+_NO_CHILDREN: list = []
+
+
 def _node_from_json(obj, node_id: str) -> TreeNode:
     """Build the tree under ``obj``, checking its nodes in preorder.
 
@@ -113,24 +134,26 @@ def _node_from_json(obj, node_id: str) -> TreeNode:
     stack = [(obj, node_id, built)]
     while stack:
         obj, node_id, siblings = stack.pop()
-        if not isinstance(obj, dict):
-            raise TreeInputError(f"node {node_id}: expected an object, got {type(obj).__name__}")
-        if "label" not in obj or not isinstance(obj["label"], str):
-            raise TreeInputError(f"node {node_id}: missing or non-string label")
-        _require_xml_text(node_id, "label", obj["label"])
-        if "value" not in obj or not isinstance(obj["value"], (int, float)) or isinstance(obj["value"], bool):
-            raise TreeInputError(f"node {node_id} ({obj.get('label')}): missing or non-numeric value")
-        color = _check_color(obj.get("color"), f"node {node_id}")
-        children_obj = obj.get("children", [])
-        if not isinstance(children_obj, list):
-            raise TreeInputError(f"node {node_id}: children must be an array")
-        try:
-            value = float(obj["value"])
-        except OverflowError:
-            raise TreeInputError(
-                f"node {node_id} ({obj['label']}): value is too large for a float"
-            ) from None
-        node = TreeNode(node_id, obj["label"], value, color)
+        # The common node takes one exact-type test per field: an object, a
+        # str label XML can hold, a float or int value, no colour, and
+        # children absent or an array.  Any other node takes every check.
+        if (type(obj) is dict
+                and type(label := obj.get("label")) is str
+                and ((kind := type(value := obj.get("value"))) is float or kind is int)
+                and "color" not in obj
+                and type(children_obj := obj.get("children", _NO_CHILDREN)) is list
+                and _NON_XML_CHAR.search(label) is None):
+            color = None
+        else:
+            label, value, color, children_obj = _checked_fields(obj, node_id)
+        if type(value) is not float:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise TreeInputError(
+                    f"node {node_id} ({label}): value is too large for a float"
+                ) from None
+        node = TreeNode(node_id, label, value, color)
         siblings.append(node)
         # Pushed last child first, so the first child's subtree is built next.
         for i in range(len(children_obj) - 1, -1, -1):
@@ -213,10 +236,14 @@ def _parse_csv_edges(text: str) -> TreeNode:
 
 
 def parse_tree(data: bytes | str, fmt: str) -> TreeNode:
-    """Parse a byte stream or string in the given format ("json-tree"/"csv-edges")."""
+    """Parse a byte stream or string in the given format ("json-tree"/"csv-edges").
+
+    Bytes are read as UTF-8; a leading byte-order mark, which spreadsheet
+    exports write, is dropped.
+    """
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise TreeInputError(f"input is not valid UTF-8: {exc}") from None
     if fmt == "json-tree":

@@ -222,6 +222,20 @@ def test_non_utf8_input_exit_2(tmp_path, capsys, command, suffix):
     assert "input is not valid UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [DEMO_JSON, DEMO_CSV], ids=["json", "csv"])
+def test_byte_order_mark_input_renders_as_without_it(tmp_path, text):
+    """Excel's "CSV UTF-8" export and some JSON writers start with a BOM."""
+    suffix = "json" if text is DEMO_JSON else "csv"
+    svgs = []
+    for name, data in (("plain", text.encode("utf-8")), ("bom", text.encode("utf-8-sig"))):
+        src = tmp_path / f"{name}.{suffix}"
+        src.write_bytes(data)
+        out = tmp_path / f"{name}.svg"
+        assert main(["render", "--input", str(src), "--output", str(out)]) == 0
+        svgs.append(out.read_bytes())
+    assert svgs[0] == svgs[1]
+
+
 @pytest.mark.parametrize("command", ["render", "layout", "compare", "bench"])
 def test_write_failure_exit_1(tmp_path, capsys, demo_file, command):
     (tmp_path / "a_file").write_text("")
@@ -834,6 +848,28 @@ class TestDeterminismAcrossProcesses:
             assert code == 0
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
+
+
+    @pytest.mark.parametrize("command", ["render", "layout", "compare"])
+    def test_outputs_identical_under_different_hash_seeds(self, demo_file, tmp_path, command):
+        """Set and dict orders of str keys change with the hash seed; no output byte may."""
+        path = Path(rit_layout.__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("0", "1"):
+            out = tmp_path / f"seed-{seed}"
+            where = ["--outdir", str(out)] if command == "compare" else ["--output", str(out)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "rit_layout.cli", command, "--input", demo_file, *where],
+                env={**os.environ, "PYTHONPATH": str(path), "PYTHONHASHSEED": seed},
+                capture_output=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = sorted(out.iterdir()) if command == "compare" else [out]
+            outputs.append([(f.name, f.read_bytes()) for f in files])
+        assert [name for name, _ in outputs[0]] == (
+            ["diagnostics.json", "icicle.svg", "rit.svg", "sunburst.svg"]
+            if command == "compare" else ["seed-0"])
+        assert [data for _, data in outputs[0]] == [data for _, data in outputs[1]]
 
 
 def _run_with_tested_package(code: str) -> subprocess.CompletedProcess:

@@ -1,9 +1,11 @@
 import colorsys
+import math
+import random
 
 import pytest
 
 from rit_layout import assign_colors, demo_tree, normalize
-from rit_layout.colors import FIXED_PALETTE, ROOT_GREY
+from rit_layout.colors import _SATURATIONS, _VALUES, FIXED_PALETTE, ROOT_GREY, _hsv_hex
 from rit_layout.tree import NormalizedNode, TreeNode
 
 
@@ -11,6 +13,40 @@ def hex_hue(color: str) -> float:
     """Hue of an #RRGGBB color in degrees."""
     r, g, b = (v / 255.0 for v in bytes.fromhex(color[1:]))
     return colorsys.rgb_to_hsv(r, g, b)[0] * 360.0
+
+
+def colorsys_hex(hue_deg: float, sat: float, val: float) -> str:
+    """The hue-partition colour rule spelled with ``colorsys``."""
+    r, g, b = colorsys.hsv_to_rgb((hue_deg % 360.0) / 360.0, sat, val)
+    return "#{:02x}{:02x}{:02x}".format(round(r * 255), round(g * 255), round(b * 255))
+
+
+def oracle_hues() -> list[float]:
+    """Sector edges and their float neighbours, negative hues, hues of a
+    turn and more, and a seeded sweep."""
+    hues = []
+    for k in range(-12, 19):
+        edge = 60.0 * k
+        hues += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    # -5e-324 % 360.0 rounds up to 360.0, a seventh sector.
+    hues += [-5e-324, -1e-300, -1e-13, math.nextafter(360.0, 0.0), 1e6 + 0.25, -1e6, 1e17]
+    rng = random.Random(20261020)
+    hues += [rng.uniform(-1080.0, 1080.0) for _ in range(3000)]
+    return hues
+
+
+@pytest.mark.parametrize("sat", _SATURATIONS)
+@pytest.mark.parametrize("val", _VALUES)
+def test_hsv_rule_matches_colorsys(sat, val):
+    for hue in oracle_hues():
+        assert _hsv_hex(hue, sat, val) == colorsys_hex(hue, sat, val), hue
+
+
+def test_hsv_rule_matches_colorsys_at_the_domain_edges():
+    for hue in oracle_hues()[:200]:
+        for sat in (0.0, 1.0, 0.5):
+            for val in (0.0, 1.0, 0.5):
+                assert _hsv_hex(hue, sat, val) == colorsys_hex(hue, sat, val), (hue, sat, val)
 
 
 def bare_tree(n_children, grandchildren=0):

@@ -25,6 +25,7 @@ from rit_layout.geometry import (
     _max_wedge_angle as max_wedge_angle,
     _polar,
     _topup_height as topup_height,
+    _wedge_cap as wedge_cap,
     _wedge_pair_area as wedge_pair_area,
     is_full_turn,
     normalize_angle,
@@ -154,7 +155,7 @@ class TestWedgePairArea:
             r = rng.uniform(0.0, 10.0)
             h = rng.uniform(0.05, 3.0)
             beta = rng.uniform(0.05, TAU - 0.01)
-            alpha = clamp_wedge_angle(rng.uniform(0.01, 0.45), beta, r, r + h)
+            alpha = clamp_wedge_angle(rng.uniform(0.01, 0.45), beta, wedge_cap(r, r + h))
             g = SectorGeometry(theta=rng.uniform(0, TAU), beta=beta, alpha=alpha,
                                r_in=r, height=h)
             start, end = wedge_paths(g)
@@ -189,7 +190,7 @@ class TestTopupHeight:
         ar=st.floats(0.01, 0.49),
     )
     def test_exactness_property(self, r, h, beta, ar):
-        alpha = clamp_wedge_angle(ar, beta, r, r + h)
+        alpha = clamp_wedge_angle(ar, beta, wedge_cap(r, r + h))
         w = wedge_pair_area(r, h, alpha)
         h_t = topup_height(r + h, beta, alpha, w)
         added = 0.5 * (beta - alpha) * ((r + h + h_t) ** 2 - (r + h) ** 2)
@@ -198,14 +199,14 @@ class TestTopupHeight:
 
 class TestClampWedgeAngle:
     def test_ratio_dominates(self):
-        assert clamp_wedge_angle(0.1, 1.0, 1.0, 100.0) == pytest.approx(0.1, rel=1e-15)
+        assert clamp_wedge_angle(0.1, 1.0, wedge_cap(1.0, 100.0)) == pytest.approx(0.1, rel=1e-15)
 
     def test_geometric_bound_binds(self):
-        got = clamp_wedge_angle(0.45, 1.0, 0.999, 1.0)
+        got = clamp_wedge_angle(0.45, 1.0, wedge_cap(0.999, 1.0))
         assert got == pytest.approx((1 - ANGLE_EPS) * 2.0 * math.acos(0.999), rel=1e-12)
 
     def test_half_beta_cap_binds(self):
-        assert clamp_wedge_angle(0.9, 1.0, 0.0, 1.0) == pytest.approx(
+        assert clamp_wedge_angle(0.9, 1.0, wedge_cap(0.0, 1.0)) == pytest.approx(
             (1 - ANGLE_EPS) * 0.5, rel=1e-15
         )
 
@@ -213,7 +214,7 @@ class TestClampWedgeAngle:
         # With the geometric bound active, the straight cut must never dip
         # below the inner radius.
         r, big_r = 0.999, 1.0
-        alpha = clamp_wedge_angle(0.45, 1.0, r, big_r)
+        alpha = clamp_wedge_angle(0.45, 1.0, wedge_cap(r, big_r))
         ax, ay = r, 0.0
         bx, by = big_r * math.cos(alpha / 2), big_r * math.sin(alpha / 2)
         for i in range(1001):
@@ -229,7 +230,7 @@ class TestClampWedgeAngle:
         h=st.floats(0.01, 5.0),
     )
     def test_always_strictly_inside_bounds(self, ar, beta, r, h):
-        alpha = clamp_wedge_angle(ar, beta, r, r + h)
+        alpha = clamp_wedge_angle(ar, beta, wedge_cap(r, r + h))
         assert 0.0 < alpha < 0.5 * beta
         assert alpha < max_wedge_angle(r, r + h)
 

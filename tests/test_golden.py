@@ -3,9 +3,12 @@
 Each case lays out a fixed input and compares the sha256 of
 ``layout_to_json`` and of ``render_svg`` with a recorded digest; each
 tree is also run through ``rit compare`` and the sha256 of the
-``diagnostics.json`` it writes is compared.  So a refactor that changes
-any output byte fails here.  A change that alters output on purpose
-regenerates both tables with
+``diagnostics.json`` it writes is compared.  The demo and ``wide`` trees,
+written as json-tree and as csv-edges, are also run through ``rit
+render``, ``rit layout`` and ``rit compare`` by ``cli.main``, so the
+parse and colour stages of the command line are pinned too.  So a
+refactor that changes any output byte fails here.  A change that alters
+output on purpose regenerates the tables with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -177,6 +180,45 @@ DIAGNOSTICS_GOLDEN = {
 }
 
 
+# The ``rit`` arguments of each pinned command line, before its input and output.
+CLI_COMMANDS = {
+    "render": ("render",),
+    "render-fixed-list": ("render", "--palette", "fixed-list"),
+    "layout": ("layout",),
+    "compare": ("compare",),
+}
+CLI_FORMATS = {"json": "json-tree", "csv": "csv-edges"}
+
+# "<tree source>.<format>" -> command -> sha256 of what the command writes;
+# for ``compare``, of its four files joined in name order.
+CLI_GOLDEN = {
+    "demo.json": {
+        "compare": "ccd64a1f39ab37232f64ecda722475bf6a086614af18e04e67e454e1c6a25d5a",
+        "layout": "87d5eed8da6fe2c1d112dfaa51a2f99494ea3baf3675364e54d1a1a38cab45fd",
+        "render": "57339f0ff0b332c03124d5725e29849c8423e92867389466513ba76c7cafc899",
+        "render-fixed-list": "57339f0ff0b332c03124d5725e29849c8423e92867389466513ba76c7cafc899",
+    },
+    "demo.csv": {
+        "compare": "b40852a24c9591c99c1b5ad499ddbfe5403ad2188c30beaf3da11fd8fd1b4ae8",
+        "layout": "10d8e15649db6aecd9c27cb8e169b45a5d58f46156d4f0965038635d7becc83b",
+        "render": "d1122ace22d72678d0caecbdf1ef9662791f1f160465f52cc9dc88a7c1098f8e",
+        "render-fixed-list": "d1122ace22d72678d0caecbdf1ef9662791f1f160465f52cc9dc88a7c1098f8e",
+    },
+    "wide.json": {
+        "compare": "db7a2192f89f9ac7d34f321f9f9df3f59b342c97ac68720d70538cef8f9ab63f",
+        "layout": "82219fe6ccd1d5f5f78f923791fa99b49f2eccc803d798132f61df298f8ea8b8",
+        "render": "dc70f0806fb87c7267759e23116060aaba8fd21c63d86c791ca187257efd6faf",
+        "render-fixed-list": "c13a17270f0b9b8ed3f6b81c5a2dc2837fcbe2def77e0a7f380fbd1e8bf05e0e",
+    },
+    "wide.csv": {
+        "compare": "97afc8f13627d832e78567d8961f528bc79a0ff33d2a8246d85926449b2d2bd2",
+        "layout": "7122c5b95b19ec0328ae52fd15a9b9eeaaec9fc571ba7d679f836d22c386ee8a",
+        "render": "bfdf056bdcd12dbb3f6258f55850aaf36a2126f4ad29dd82dee14720ad516f1a",
+        "render-fixed-list": "8bbb52cea5de6c81a94e6ddd8021f93798db9a76cfeb66d87d1cb57ac81665fa",
+    },
+}
+
+
 def _raw_tree(source: str):
     return demo_tree() if source == "demo" else generate_tree(SPECS[source])
 
@@ -198,9 +240,28 @@ def _diagnostics_digest(source: str, workdir: Path) -> str:
     return hashlib.sha256((outdir / "diagnostics.json").read_bytes()).hexdigest()
 
 
+def _cli_digest(tree_file: str, command: str, workdir: Path) -> str:
+    source, ext = tree_file.split(".")
+    path = workdir / tree_file
+    path.write_text(serialize_tree(_raw_tree(source), CLI_FORMATS[ext]), encoding="utf-8")
+    out = workdir / f"{tree_file}-{command}"
+    argv = [*CLI_COMMANDS[command], "--input", str(path)]
+    argv += ["--outdir" if command == "compare" else "--output", str(out)]
+    assert main(argv) == 0
+    if command == "compare":
+        files = sorted(out.iterdir())
+        assert [f.name for f in files] == ["diagnostics.json", "icicle.svg", "rit.svg", "sunburst.svg"]
+        data = b"".join(f.read_bytes() for f in files)
+    else:
+        data = out.read_bytes()
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_every_case_is_pinned():
     assert set(GOLDEN) == set(CASES)
     assert set(DIAGNOSTICS_GOLDEN) == {"demo", *SPECS}
+    assert set(CLI_GOLDEN) == {f"{s}.{ext}" for s in ("demo", "wide") for ext in CLI_FORMATS}
+    assert all(set(pins) == set(CLI_COMMANDS) for pins in CLI_GOLDEN.values())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -217,6 +278,14 @@ def test_diagnostics_bytes_unchanged(source, tmp_path):
     )
 
 
+@pytest.mark.parametrize("tree_file", sorted(CLI_GOLDEN))
+@pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
+def test_cli_output_bytes_unchanged(tree_file, command, tmp_path):
+    assert _cli_digest(tree_file, command, tmp_path) == CLI_GOLDEN[tree_file][command], (
+        f"rit {command} output bytes changed"
+    )
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for name in sorted(CASES):
@@ -226,4 +295,12 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         for source in ("demo", *sorted(SPECS)):
             print(f"    {source!r}: {_diagnostics_digest(source, Path(workdir))!r},")
+    print("}")
+    print("CLI_GOLDEN = {")
+    with tempfile.TemporaryDirectory() as workdir:
+        for tree_file in (f"{s}.{ext}" for s in ("demo", "wide") for ext in CLI_FORMATS):
+            print(f"    {tree_file!r}: {{")
+            for command in sorted(CLI_COMMANDS):
+                print(f"        {command!r}: {_cli_digest(tree_file, command, Path(workdir))!r},")
+            print("    },")
     print("}")

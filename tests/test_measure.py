@@ -21,6 +21,7 @@ from rit_layout.geometry import (
     Path,
     SectorGeometry,
     _clamp_wedge_angle as clamp_wedge_angle,
+    _wedge_cap as wedge_cap,
     _wedge_pair_area as wedge_pair_area,
     build_node_path,
 )
@@ -68,7 +69,7 @@ def random_sectors(seed: int, count: int):
         r = rng.uniform(0.0, 10.0)
         h = rng.uniform(0.05, 3.0)
         beta = rng.uniform(0.05, TAU - 0.01)
-        alpha = clamp_wedge_angle(rng.uniform(0.01, 0.45), beta, r, r + h)
+        alpha = clamp_wedge_angle(rng.uniform(0.01, 0.45), beta, wedge_cap(r, r + h))
         yield SectorGeometry(theta=rng.uniform(0, TAU), beta=beta, alpha=alpha,
                              r_in=r, height=h)
 

@@ -157,6 +157,58 @@ class TestParse:
         with pytest.raises(TreeInputError, match=r"^node 0\.1 \(b\): missing or non-numeric value$"):
             _node_from_json(obj, "0")
 
+    @pytest.mark.parametrize("text, message", [
+        # label + value
+        ('{"label": 5, "value": "x"}', "node 0: missing or non-string label"),
+        ('{"value": true, "color": "red"}', "node 0: missing or non-string label"),
+        ('{"label": "a\\u0001", "value": "x"}',
+         "node '0': label holds '\\x01', a character XML 1.0 cannot hold"),
+        # colour + an int too large for a float
+        ('{"label": "a", "value": 1%s, "color": "red"}' % ("0" * 400),
+         "node 0: color must look like #RRGGBB, got 'red'"),
+        ('{"label": "a", "value": 1%s, "children": {}}' % ("0" * 400),
+         "node 0: children must be an array"),
+        ('{"label": "a", "value": 1%s, "children": [], "color": null}' % ("0" * 400),
+         "node 0 (a): value is too large for a float"),
+        # a bool value
+        ('{"label": "a", "value": true}', "node 0 (a): missing or non-numeric value"),
+        ('{"label": "a", "value": false, "color": "#zzzzzz"}',
+         "node 0 (a): missing or non-numeric value"),
+        # children not an array + a bad colour
+        ('{"label": "a", "value": 1, "color": "red", "children": {}}',
+         "node 0: color must look like #RRGGBB, got 'red'"),
+        ('{"label": "a", "value": 1, "color": null, "children": null}',
+         "node 0: children must be an array"),
+        # a child that is not an object
+        ('{"label": "a", "value": 1, "color": "", "children": [{"label": "b", "value": 1}, 3]}',
+         "node 0.1: expected an object, got int"),
+        ('{"label": "r", "value": 2, "children": [[], {"label": 1}]}',
+         "node 0.0: expected an object, got list"),
+        ('{"label": "r", "value": 2, "children": [{"label": "b", "value": 1.5, "color": 7}]}',
+         "node 0.0: color must look like #RRGGBB, got 7"),
+    ])
+    def test_json_node_with_several_faults_names_the_first(self, text, message):
+        with pytest.raises(TreeInputError) as info:
+            parse_tree(text.encode(), "json-tree")
+        assert str(info.value) == message
+
+    def test_json_int_values_become_exact_floats(self):
+        text = '{"label": "r", "value": %d, "children": [{"label": "a", "value": 3}, ' \
+               '{"label": "b", "value": 2.5, "color": "#00ff00"}]}' % (2 ** 53 + 1)
+        tree = parse_tree(text, "json-tree")
+        assert [type(n.value) for n in tree.walk()] == [float, float, float]
+        assert [n.value for n in tree.walk()] == [float(2 ** 53 + 1), 3.0, 2.5]
+
+    @pytest.mark.parametrize("fmt", ["json-tree", "csv-edges"])
+    def test_leading_byte_order_mark_is_dropped(self, fmt):
+        text = FIG_JSON.decode() if fmt == "json-tree" else FIG_CSV
+        plain = parse_tree(text.encode("utf-8"), fmt)
+        assert parse_tree(b"\xef\xbb\xbf" + text.encode("utf-8"), fmt) == plain
+        assert parse_tree(text.encode("utf-8-sig"), fmt) == plain
+        # Only the leading mark goes: a second one is text, and fails as before.
+        with pytest.raises(TreeInputError):
+            parse_tree(b"\xef\xbb\xbf" + text.encode("utf-8-sig"), fmt)
+
     def test_json_chain_deeper_than_recursion_limit(self):
         depth = sys.getrecursionlimit() + 500
         obj = {"label": "leaf", "value": 1}
