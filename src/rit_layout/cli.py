@@ -31,7 +31,7 @@ from .bench import (
 from .colors import PALETTES, assign_colors
 from .diagnostics import diagnostics
 from .generate import KINDS
-from .layout import MODES, STYLES, LayoutConfig, compute_layout, layout_to_json
+from .layout import MODES, STYLES, Layout, LayoutConfig, compute_layout, layout_to_json
 from .svg import RenderStyle, render_svg
 from .tree import (
     NormalizationError,
@@ -197,20 +197,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _layout_of_input(args: argparse.Namespace, cfg: LayoutConfig, palette: str) -> Layout:
+    """The ``args.style`` layout of the input tree coloured from ``palette``.
+
+    The tree is freed when this returns, as a layout keeps no reference to
+    it; the callers pass the layout on unnamed, so it is freed in turn once
+    its document is built.
+    """
+    tree = assign_colors(normalize(_read_tree(args.input)), palette)
+    return compute_layout(tree, args.style, cfg)
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     cfg = _from_args(LayoutConfig, args)
     style = _from_args(RenderStyle, args)
     with _output_file(args.output, "wb") as out:
-        tree = assign_colors(normalize(_read_tree(args.input)), args.palette)
-        out.write(render_svg(compute_layout(tree, args.style, cfg), style))
+        out.write(render_svg(_layout_of_input(args, cfg, args.palette), style))
     return EXIT_OK
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
     cfg = _from_args(LayoutConfig, args)
     with _output_file(args.output, "w", encoding="utf-8") as out:
-        tree = assign_colors(normalize(_read_tree(args.input)))
-        text = layout_to_json(compute_layout(tree, args.style, cfg))
+        text = layout_to_json(_layout_of_input(args, cfg, PALETTES[0]))
         # The text and its newline are written apart, so the document is not copied.
         out.writelines((text, "\n"))
     return EXIT_OK

@@ -177,8 +177,16 @@ class Layout:
 
 
 def _check_tree(tree: NormalizedNode) -> None:
-    for node in tree.walk():
-        _require_valid_value(node.id, node.data, ValueError)
+    # Preorder, as ``walk`` gives it, so the first bad node is named.  The
+    # helper makes the same comparison and is called only to raise.
+    inf = math.inf
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not 0.0 <= node.data < inf:
+            _require_valid_value(node.id, node.data, ValueError)
+        if node.children:
+            stack.extend(reversed(node.children))
     if tree.data != 1.0:
         raise ValueError(f"root data must be exactly 1, got {tree.data}")
 

@@ -12,6 +12,7 @@ echoed in a leading comment.  Identical inputs give byte-identical output.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import re
@@ -27,6 +28,7 @@ FONT_SIZE = 11.0
 
 HALF_PI = 0.5 * math.pi
 _MAX_SPAN = 2.0 * math.pi + FULL_TURN_TOL  # a full turn, as a sector may sweep
+_CHUNK = 4096  # ``_extent`` folds its points into the box once it holds more numbers
 
 # Unit point at angle k*pi/2, indexed by k % 4: where an origin-centred
 # arc reaches its x or y extremes.
@@ -56,40 +58,76 @@ def _fmt(x: float) -> str:
 def _extent(layout: Layout) -> tuple[float, float, float, float]:
     """Exact (x_lo, x_hi, y_lo, y_hi) of every node's drawn outline.
 
-    A line reaches no further than its endpoints.  An origin-centred arc
-    reaches its endpoints plus (+-r, 0) / (0, +-r) at every multiple k*pi/2
-    inside [lo, hi]; Python's floor modulo maps any k, negative or past a
-    full turn, to its axis point.  An arc wider than ``_MAX_SPAN`` raises
-    ``ValueError``; at most five k are tried, all that a narrower arc can hold.
+    A line reaches no further than its endpoints, which are read first.  An
+    origin-centred arc reaches its endpoints plus (+-r, 0) / (0, +-r) at
+    every multiple k*pi/2 inside [lo, hi]; Python's floor modulo maps any k,
+    negative or past a full turn, to its axis point.  An arc with
+    ``0 <= r <= min(-x_lo, x_hi, -y_lo, y_hi)`` of the box so far adds
+    nothing and is skipped: each of its points is ``fl(r * c)`` with
+    ``|c| <= 1``, so at most ``r`` from either axis.  An arc wider than
+    ``_MAX_SPAN``, or with a NaN or infinite angle, raises ``ValueError``
+    before that test; at most five k are tried, all that a narrower arc can
+    hold.  Points are folded into the box ``_CHUNK`` numbers at a time, and
+    a NaN among them raises ``ValueError``.
     """
+    box = (math.inf, -math.inf, math.inf, -math.inf)
     points: list[float] = []  # x, y, x, y, ...: a line segment is two points
-    cos, sin, max_span = math.cos, math.sin, _MAX_SPAN
+    arcs = []
     for node in layout.nodes:
         for loop in node.path.loops:
             for seg in loop:
                 if len(seg) == 4:
                     points += seg
-                    continue
-                r, lo, hi = seg
-                if hi < lo:
-                    lo, hi = hi, lo
-                if hi - lo > max_span:
-                    raise ValueError("arc sweeps more than a full turn")
-                points += (r * cos(lo), r * sin(lo), r * cos(hi), r * sin(hi))
-                k = k0 = math.ceil(lo / HALF_PI)
-                while k * HALF_PI <= hi and k < k0 + 5:
-                    ux, uy = _AXIS_POINTS[k % 4]
-                    points += (r * ux, r * uy)
-                    k += 1
+                else:
+                    arcs.append(seg)
+        if len(points) > _CHUNK:
+            box = _fold(box, points)
+            points = []
+    box = _fold(box, points)
+    points = []
+    cover = min(-box[0], box[1], -box[2], box[3])
+    cos, sin, max_span = math.cos, math.sin, _MAX_SPAN
+    for r, lo, hi in arcs:
+        if hi < lo:
+            lo, hi = hi, lo
+        if not hi - lo <= max_span:
+            raise ValueError("arc sweeps more than a full turn")
+        if 0.0 <= r <= cover:
+            continue
+        points += (r * cos(lo), r * sin(lo), r * cos(hi), r * sin(hi))
+        k = k0 = math.ceil(lo / HALF_PI)
+        while k * HALF_PI <= hi and k < k0 + 5:
+            ux, uy = _AXIS_POINTS[k % 4]
+            points += (r * ux, r * uy)
+            k += 1
+        if len(points) > _CHUNK:
+            box = _fold(box, points)
+            points = []
+            cover = min(-box[0], box[1], -box[2], box[3])
+    return _fold(box, points)
+
+
+def _fold(box: tuple[float, float, float, float], points: list[float]) -> tuple[float, float, float, float]:
+    """``box`` widened to the x, y pairs of ``points``; a NaN raises ``ValueError``.
+
+    ``min`` and ``max`` pass over a NaN, so ``math.hypot`` looks for one: it
+    is NaN when its numbers hold a NaN and no infinity, and a box that
+    reaches an infinity cannot be drawn either.
+    """
+    if not points:
+        return box
+    if math.isnan(math.hypot(*points)):
+        raise ValueError("outline holds nan")
     xs, ys = points[0::2], points[1::2]
-    return min(xs), max(xs), min(ys), max(ys)
+    x_lo, x_hi, y_lo, y_hi = box
+    return min(x_lo, min(xs)), max(x_hi, max(xs)), min(y_lo, min(ys)), max(y_hi, max(ys))
 
 
 def _transform(layout: Layout, style: RenderStyle) -> tuple[float, float, float]:
     """(scale, cx, cy): layout (x, y) is drawn at (cx + scale*x, cy - scale*y)."""
     try:
         x_lo, x_hi, y_lo, y_hi = _extent(layout)
-    except ValueError as exc:  # from math.cos or math.ceil, a wide arc, or an unbuildable outline
+    except ValueError as exc:  # a wide or non-finite arc, a NaN, or an unbuildable outline
         raise _undrawable(layout) from exc
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
     scale = (style.canvas - 2.0 * style.margin) / span
@@ -232,13 +270,18 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
         raise ValueError("layout: no nodes to write")
     scale, cx, cy = _transform(layout, style)
     size = style.canvas
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    # One buffer holds the document: ``getvalue`` hands over its bytes
+    # without a copy, where a list of lines, their join and its encoding
+    # would hold it three times.
+    buf = io.BytesIO()
+    write = buf.write
+    write((
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
-        _config_comment(layout, scale, cx, cy),
-        f'<rect width="{size}" height="{size}" fill="{BACKGROUND}"/>',
-    ]
+        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">\n'
+        f'{_config_comment(layout, scale, cx, cy)}\n'
+        f'<rect width="{size}" height="{size}" fill="{BACKGROUND}"/>\n'
+    ).encode())
 
     # A stable sort on depth keeps equal depths in node order.
     ordered = sorted(layout.nodes, key=operator.attrgetter("depth"))
@@ -258,20 +301,20 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
             d = _loop_to_d(loops[0], scale, cx, cy)
         else:
             d = " ".join([_loop_to_d(loop, scale, cx, cy) for loop in loops])
-        if "n" in d:  # nan or inf, as from a NaN that min() and max() passed over
+        if "n" in d:  # nan or inf that the extent's checks let through
             raise _undrawable(layout)
         if node.relaxed:
-            lines.append(
+            write(
                 f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-opacity="0.7" fill-rule="evenodd" '
-                f'stroke="{fill}" stroke-width="1" stroke-dasharray="5 4"/>')
+                f'stroke="{fill}" stroke-width="1" stroke-dasharray="5 4"/>\n'.encode())
         else:
-            lines.append(f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-rule="evenodd" stroke="none"/>')
+            write(f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-rule="evenodd" stroke="none"/>\n'.encode())
         if style.draw_labels:
             _require_xml_text(node.id, "label", node.label, ValueError)
             el = _label_element(node, scale, cx, cy, is_icicle)
             if el is not None:
                 labels.append(el)
-    lines.extend(labels)
-    # The trailing empty item gives the closing newline in the one join.
-    lines += ("</svg>", "")
-    return "\n".join(lines).encode("utf-8")
+    for el in labels:
+        write(f"{el}\n".encode())
+    write(b"</svg>\n")
+    return buf.getvalue()

@@ -238,14 +238,16 @@ def _parse_csv_edges(text: str) -> TreeNode:
 def parse_tree(data: bytes | str, fmt: str) -> TreeNode:
     """Parse a byte stream or string in the given format ("json-tree"/"csv-edges").
 
-    Bytes are read as UTF-8; a leading byte-order mark, which spreadsheet
-    exports write, is dropped.
+    Bytes are read as UTF-8.  A leading byte-order mark, which spreadsheet
+    exports write, is dropped from bytes and from a string alike.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise TreeInputError(f"input is not valid UTF-8: {exc}") from None
+    elif isinstance(data, str):
+        data = data.removeprefix("\ufeff")
     if fmt == "json-tree":
         return _parse_json_tree(data)
     if fmt == "csv-edges":

@@ -466,6 +466,17 @@ def test_bad_hand_built_data_names_node_and_rule(place, data, rule):
         place(tree)
 
 
+@pytest.mark.parametrize("place", [layout_rit, layout_sunburst, layout_icicle])
+def test_first_bad_node_in_preorder_is_named(place):
+    # 'a1' comes before 'b' in preorder, and after it level by level or
+    # with the children taken last first.
+    tree = NormalizedNode("r", "r", 1.0, children=[
+        NormalizedNode("a", "a", 0.5, children=[NormalizedNode("a1", "a1", -0.5)]),
+        NormalizedNode("b", "b", math.nan)])
+    with pytest.raises(ValueError, match="^node 'a1': negative-value: "):
+        place(tree)
+
+
 @pytest.mark.parametrize("b_data", [0.5, 1e-13])
 def test_child_dwarfing_subnormal_parent_names_node_and_rule(b_data):
     # 1e-13 over a parent of 5e-324 is within the overfull-parent tolerance,

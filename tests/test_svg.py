@@ -2,8 +2,10 @@ import dataclasses
 import math
 import re
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from rit_layout import (
     path_area,
     render_svg,
 )
+from rit_layout import svg as svg_module
 from rit_layout.geometry import Path, SectorGeometry
 from rit_layout.layout import STYLES, Layout, PlacedNode
 from rit_layout.svg import (
@@ -30,7 +33,8 @@ from rit_layout.svg import (
 from rit_layout.tree import _NON_XML_CHAR, TreeNode
 
 from conftest import full_chain
-from oracles import path_boundary_points, path_segments, seg_end, seg_span, seg_start
+from oracles import (
+    all_points_extent, path_boundary_points, path_segments, seg_end, seg_span, seg_start)
 from test_geometry import BELOW_PI, SubSeg, hand_loops
 from test_golden import QUARTER
 from test_relax import flanked_thin_run
@@ -320,20 +324,23 @@ class TestRendering:
             RenderStyle(**{field: value})
 
 
-def _sound_and_given(loop) -> Layout:
-    """Node ``a`` with a unit square, then node ``b`` outlined by ``loop``."""
-    square = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0))
+_UNIT_TRIANGLE = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0))
+
+
+def _sound_and_given(loop, sound=_UNIT_TRIANGLE) -> Layout:
+    """Node ``a`` outlined by ``sound``, then node ``b`` outlined by ``loop``."""
     nodes = tuple(PlacedNode(name, name, "#123456", 0.5, 1, None,
                              _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path((drawn,))))
-                  for name, drawn in (("a", square), ("b", loop)))
+                  for name, drawn in (("a", sound), ("b", loop)))
     return Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=2)
 
 
 class TestNonFiniteOutline:
     """An outline holding inf or NaN raises naming its node, whichever
-    check meets it first: a math error in the extent, a transform that is
-    not finite, or a ``nan`` in the path data that ``min()`` and ``max()``
-    passed over.  Node ``a`` is sound and comes first."""
+    check meets it first: a NaN or a math error in the extent, or a
+    transform that is not finite.  A NaN the path data never spells, such
+    as a line's start point, is refused too.  Node ``a`` is sound and comes
+    first."""
 
     @pytest.mark.parametrize("loop, number", [
         (((1.0, 0.0, math.inf),), "inf"),
@@ -344,8 +351,9 @@ class TestNonFiniteOutline:
         (((math.nan, 0.0, 1.0),), "nan"),
         (((0.0, 0.0, math.nan, 1.0), (math.nan, 1.0, 0.0, 0.0)), "nan"),
         (((0.0, 0.0, -math.inf, 1.0), (-math.inf, 1.0, 0.0, 0.0)), "-inf"),
+        (((0.0, 0.0, 1.0, 0.0), (math.nan, 0.0, 0.0, 0.0)), "nan"),
     ], ids=["angle-inf", "angle-neg-inf", "start-nan", "end-nan", "radius-inf",
-            "radius-nan", "line-nan", "line-neg-inf"])
+            "radius-nan", "line-nan", "line-neg-inf", "line-start-nan"])
     def test_names_the_node(self, loop, number):
         layout = _sound_and_given(loop)
         message = f"node 'b': outline holds {number}, which cannot be drawn"
@@ -374,6 +382,27 @@ class TestNonFiniteOutline:
         with pytest.raises(ValueError) as info:
             render_svg(dataclasses.replace(base, nodes=nodes))
         assert str(info.value) == f"node 'orange': {message}"
+
+    @pytest.mark.parametrize("coord", range(4))
+    def test_nan_in_any_line_number_of_a_laid_out_node(self, coord):
+        # Node 'green-10-b' of the demo is wedge cut: an arc, four lines
+        # and an arc.  A line's start is never drawn, since it repeats the
+        # previous end, so only the extent can see a NaN there.
+        base = compute_layout(normalize(demo_tree()), "rit")
+        node = next(n for n in base.nodes if n.id == "green-10-b")
+        (loop,) = node.path.loops
+        lines = [i for i, seg in enumerate(loop) if len(seg) == 4]
+        assert len(lines) == 4
+        for i in lines:
+            seg = list(loop[i])
+            seg[coord] = math.nan
+            given = Path(((*loop[:i], tuple(seg), *loop[i + 1:]),))
+            sector = _GivenOutline(*dataclasses.astuple(node.sector), given=given)
+            nodes = tuple(dataclasses.replace(n, sector=sector) if n is node else n
+                          for n in base.nodes)
+            with pytest.raises(ValueError) as info:
+                render_svg(dataclasses.replace(base, nodes=nodes))
+            assert str(info.value) == "node 'green-10-b': outline holds nan, which cannot be drawn"
 
     def test_finite_outlines_too_wide_to_scale(self):
         layout = _sound_and_given(((-1e308, 0.0, 1e308, 0.0), (1e308, 0.0, -1e308, 0.0)))
@@ -522,6 +551,23 @@ def _closed_loops(draw):
     return tuple(segs)
 
 
+# Line coordinates, and arc radii that reach past them or stay inside the
+# box of their endpoints, negative or not; each may be 0.0 or -0.0.
+_ZEROS = st.sampled_from([0.0, -0.0])
+_LINE = st.tuples(*[_ZEROS | st.floats(-100.0, 100.0)] * 4)
+_ARC = st.builds(lambda r, start, span: (r, start, start + span),
+                 _ZEROS | st.floats(-150.0, 150.0), _ZEROS | st.floats(-10.0, 10.0),
+                 st.sampled_from(_EDGE_SPANS + tuple(-s for s in _EDGE_SPANS))
+                 | st.floats(-2.0 * math.pi, 2.0 * math.pi))
+
+
+def _extent_loop():
+    """A hand-made loop of lines and arcs, or of arcs alone; open or closed
+    alike, since the extent reads each segment on its own."""
+    return st.lists(_LINE | _ARC, min_size=1, max_size=6).map(tuple) | st.lists(
+        _ARC, min_size=1, max_size=3).map(tuple)
+
+
 class TestSegmentFastPaths:
     """Hand-made arcs on either side of pi, full and clockwise turns, a 1e-15
     sliver and subclass segments: the renderer's length-dispatched loops
@@ -540,19 +586,32 @@ class TestSegmentFastPaths:
 
     def test_extent_equals_reference(self):
         layout = _hand_layout()
-        assert _extent(layout) == _reference_extent(layout)
+        assert _extent(layout) == _reference_extent(layout) == all_points_extent(layout)
         for node in layout.nodes:
             one = Layout("rit", layout.config, 1.0, (node,), 1)
-            assert _extent(one) == _reference_extent(one), node.id
+            assert _extent(one) == _reference_extent(one) == all_points_extent(one), node.id
 
     @pytest.mark.parametrize("tree", sorted(_ORACLE_TREES))
     @pytest.mark.parametrize("style", STYLES)
     def test_extent_equals_reference_on_laid_out_trees(self, tree, style):
         layout = compute_layout(normalize(_ORACLE_TREES[tree](), "strict"), style)
-        assert _extent(layout) == _reference_extent(layout)
+        assert _extent(layout) == _reference_extent(layout) == all_points_extent(layout)
         for node in layout.nodes:
             one = Layout(style, layout.config, 1.0, (dataclasses.replace(node, parent=None),), 1)
-            assert _extent(one) == _reference_extent(one), node.id
+            assert _extent(one) == _reference_extent(one) == all_points_extent(one), node.id
+
+    @settings(max_examples=300, deadline=None)
+    @given(outlines=st.lists(st.lists(_extent_loop(), min_size=1, max_size=3), min_size=1, max_size=4),
+           chunk=st.sampled_from([1, 7, svg_module._CHUNK]))
+    def test_extent_equals_all_points_on_hand_loops(self, outlines, chunk):
+        # Any chunk size folds to the same box, as each fold is exact.
+        nodes = tuple(
+            PlacedNode(str(i), "n", "#123456", 0.5, 1, None,
+                       _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path(loops=tuple(loops))))
+            for i, loops in enumerate(outlines))
+        layout = Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=len(nodes))
+        with mock.patch.object(svg_module, "_CHUNK", chunk):
+            assert _extent(layout) == all_points_extent(layout)
 
     @pytest.mark.parametrize("margin", [0.0, 20.0])
     @settings(max_examples=200, deadline=None)
@@ -630,6 +689,28 @@ class TestWideArc:
             t0 = time.perf_counter()
             render_svg(_sound_and_given(((1.0, angle, angle),)))
             assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("arc, held", [
+        ((1.0, 0.0, 3.0 * math.pi), None),
+        ((1.0, 0.0, -1e300), None),
+        ((1.0, math.nan, 1.0), "nan"),
+        ((1.0, 0.0, math.nan), "nan"),
+        ((1.0, -math.inf, 0.0), "-inf"),
+        ((1.0, math.inf, math.inf), "inf"),
+    ])
+    def test_arc_inside_the_box_is_checked_before_it_is_skipped(self, arc, held):
+        # Node 'a' spans +-10 on both axes, so an arc of radius 1 adds nothing
+        # to the extent; it is refused all the same.
+        square = ((-10.0, -10.0, 10.0, -10.0), (10.0, -10.0, 10.0, 10.0),
+                  (10.0, 10.0, -10.0, 10.0), (-10.0, 10.0, -10.0, -10.0))
+        layout = _sound_and_given((arc,), sound=square)
+        if held is None:
+            message = f"node 'b': arc {arc!r} sweeps more than a full turn, which cannot be drawn"
+        else:
+            message = f"node 'b': outline holds {held}, which cannot be drawn"
+        with pytest.raises(ValueError) as info:
+            render_svg(layout)
+        assert str(info.value) == message
 
 
 _TRAFFIC_CONFIGS = {
@@ -756,3 +837,19 @@ def test_icicle_root_renders_on_top():
         sub = parse_d(el.get("d"))[0]
         ys[el.get("id")] = min(args[1] for cmd, args in sub if cmd in ("M", "L"))
     assert ys["r"] < ys["a"]
+
+
+def test_render_holds_the_document_once():
+    # With every outline built first, the writer's own peak is the
+    # document, held once in one buffer, and little else.
+    layout = layout_rit(normalize(generate_tree(GeneratorSpec("fixed", 2, 11)), "strict"))
+    assert len(layout.nodes) == 4095
+    for node in layout.nodes:
+        node.path
+    tracemalloc.start()
+    try:
+        svg = render_svg(layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(svg)

@@ -205,9 +205,12 @@ class TestParse:
         plain = parse_tree(text.encode("utf-8"), fmt)
         assert parse_tree(b"\xef\xbb\xbf" + text.encode("utf-8"), fmt) == plain
         assert parse_tree(text.encode("utf-8-sig"), fmt) == plain
+        assert parse_tree("\ufeff" + text, fmt) == plain
         # Only the leading mark goes: a second one is text, and fails as before.
         with pytest.raises(TreeInputError):
             parse_tree(b"\xef\xbb\xbf" + text.encode("utf-8-sig"), fmt)
+        with pytest.raises(TreeInputError):
+            parse_tree("\ufeff\ufeff" + text, fmt)
 
     def test_json_chain_deeper_than_recursion_limit(self):
         depth = sys.getrecursionlimit() + 500
