@@ -153,6 +153,22 @@ class PlacedNode:
 
 @dataclass(frozen=True)
 class Layout:
+    """A laid-out tree, checked against one contract once, when it is built.
+
+    ``style`` is one of ``STYLES``, ``config`` a ``LayoutConfig``, ``a_std``
+    a finite exact ``float``, and there is at least one node.  Ids are
+    unique, and each ``parent`` is None or a node's id.  A node's ``id`` and
+    ``label`` are ``str``, its ``color`` None or a ``str``, its ``depth`` an
+    ``int`` (not a bool) and ``relaxed`` a ``bool``.  Its ``sector`` is
+    exactly a ``SectorGeometry`` (a ``BandGeometry`` for the icicle) of
+    finite exact ``float`` fields with ``0 <= alpha <= beta``, ``r_in >=
+    0``, ``height > 0``, ``topup_height >= 0`` and finite ``theta + beta``
+    and ``r_in + height + topup_height``.  A broken rule raises
+    ``ValueError`` naming the node and the field, or ``layout``.  So every
+    outline holds finite exact floats in plain tuples and no empty loop,
+    and the writers check none of it.
+    """
+
     style: str
     config: LayoutConfig
     a_std: float
@@ -160,10 +176,38 @@ class Layout:
     visits: int
 
     def __post_init__(self) -> None:
-        ids = {n.id for n in self.nodes}
-        if len(ids) != len(self.nodes):
+        style, config, a_std, nodes = self.style, self.config, self.a_std, self.nodes
+        for name, value, holds, what in (
+            ("style", style, style in STYLES, f"one of {STYLES}"),
+            ("config", config, isinstance(config, LayoutConfig), "a LayoutConfig"),
+            ("a_std", a_std, type(a_std) is float and math.isfinite(a_std), "a finite float"),
+        ):
+            if not holds:
+                raise ValueError(f"layout: {name} {value!r} is not {what}")
+        if not nodes:
+            raise ValueError("layout: no nodes to write")
+        kind = BandGeometry if style == "icicle" else SectorGeometry
+        inf = math.inf
+        # A NaN fails the comparisons, and with them the two sums bound
+        # every field; ``_rules`` names the first rule a node breaks.
+        for n in nodes:
+            s = n.sector
+            if not (
+                type(s) is kind
+                and type(s.theta) is type(s.beta) is type(s.alpha) is type(s.r_in)
+                is type(s.height) is type(s.topup_height) is float
+                and 0.0 <= s.alpha <= s.beta and s.r_in >= 0.0 and s.height > 0.0
+                and s.topup_height >= 0.0 and -inf < s.theta + s.beta < inf
+                and s.r_in + s.height + s.topup_height < inf
+                and type(n.id) is type(n.label) is str and (n.color is None or type(n.color) is str)
+                and type(n.depth) is int and type(n.relaxed) is bool
+            ):
+                name, value, _, what = next(rule for rule in _rules(n, kind) if not rule[2])
+                raise ValueError(f"node {n.id!r}: {name} {value!r} is not {what}")
+        ids = {n.id for n in nodes}
+        if len(ids) != len(nodes):
             raise ValueError("duplicate node ids in layout")
-        for n in self.nodes:
+        for n in nodes:
             if n.parent not in ids and n.parent is not None:
                 raise ValueError(f"node {n.id!r}: parent {n.parent!r} is not a node of the layout")
 
@@ -174,6 +218,28 @@ class Layout:
             if n.parent is not None:
                 groups.setdefault(n.parent, []).append(n)
         return list(groups.values())
+
+
+def _rules(n: PlacedNode, kind: type[SectorGeometry]):
+    """(field, value, holds, what it must be) for each rule of the
+    ``Layout`` contract on node ``n``, in order, each once the last holds."""
+    yield "id", n.id, type(n.id) is str, "str"
+    yield "depth", n.depth, type(n.depth) is int, "int"
+    s = n.sector
+    yield "sector", s, type(s) is kind, kind.__name__
+    for name in ("theta", "beta", "alpha", "r_in", "height", "topup_height"):
+        value = getattr(s, name)
+        yield name, value, type(value) is float and math.isfinite(value), "a finite float"
+    yield "alpha", s.alpha, 0.0 <= s.alpha <= s.beta, "in [0, beta]"
+    yield "r_in", s.r_in, s.r_in >= 0.0, ">= 0"
+    yield "height", s.height, s.height > 0.0, "> 0"
+    yield "topup_height", s.topup_height, s.topup_height >= 0.0, ">= 0"
+    for name, value in (("theta + beta", s.theta + s.beta),
+                        ("r_in + height + topup_height", s.r_in + s.height + s.topup_height)):
+        yield name, value, math.isfinite(value), "finite"
+    yield "relaxed", n.relaxed, type(n.relaxed) is bool, "bool"
+    yield "color", n.color, n.color is None or type(n.color) is str, "str"
+    yield "label", n.label, type(n.label) is str, "str"
 
 
 def _check_tree(tree: NormalizedNode) -> None:
@@ -411,33 +477,15 @@ def compute_layout(tree: NormalizedNode, style: str, cfg: LayoutConfig = LayoutC
     raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
-# The exact type of each field of the geometry document that is not a
-# number; ``color`` may also be None.  A number must be a finite exact
-# ``float``, which ``repr`` spells as JSON does.
-_JSON_TYPES = {"style": str, "id": str, "depth": int, "relaxed": bool, "color": str, "label": str}
-
-
-def _require_json(where: str, values: dict) -> None:
-    """Raise ValueError naming ``where`` and the first of ``values`` that the
-    writer cannot spell exactly.  Finite floats whose sum overflows pass."""
-    for name, value in values.items():
-        wanted = _JSON_TYPES.get(name, float)
-        if type(value) is not wanted and not (name == "color" and value is None) or (
-                wanted is float and not math.isfinite(value)):
-            finite = "a finite " if wanted is float else ""
-            raise ValueError(f"{where}: {name} {value!r} is not {finite}{wanted.__name__}")
-
-
 def _path_json(
-    node_id: str, loops: tuple[tuple[geo.Segment, ...], ...],
+    loops: tuple[tuple[geo.Segment, ...], ...],
     r_in: float, r_in_text: str, theta: float, theta_text: str,
 ) -> str:
     """A node's segments, loop by loop, as the items of its ``"path"`` list (indent 4).
 
-    A segment that is not an exact ``tuple`` of finite exact ``float``s
-    raises ``ValueError`` naming the node.  A line's ``x0``/``y0`` equal to
-    the last line's end, and an arc's ``radius``/``start`` equal to the
-    node's ``r_in``/``theta``, reuse that number's text (see ``_nodes_json``).
+    A line's ``x0``/``y0`` equal to the last line's end, and an arc's
+    ``radius``/``start`` equal to the node's ``r_in``/``theta``, reuse that
+    number's text (see ``_nodes_json``).
     """
     items = []
     # The end of the last line written, and its text.
@@ -445,13 +493,8 @@ def _path_json(
     x_text = y_text = ""
     for loop in loops:
         for seg in loop:
-            if type(seg) is not tuple:
-                raise ValueError(f"node {node_id!r}: path segment {seg!r} is not a tuple")
             if len(seg) == 4:
                 x0, y0, x1, y1 = seg
-                if not (type(x0) is type(y0) is type(x1) is type(y1) is float
-                        and math.isfinite(x0 + y0 + x1 + y1)):
-                    _require_json(f"node {node_id!r}: path line", dict(zip(("x0", "y0", "x1", "y1"), seg)))
                 x0_text = x_text if x0 == x and x0 else repr(x0)
                 y0_text = y_text if y0 == y and y0 else repr(y0)
                 x, y, x_text, y_text = x1, y1, repr(x1), repr(y1)
@@ -462,9 +505,6 @@ def _path_json(
                 )
             else:
                 radius, start, end = seg
-                if not (type(radius) is type(start) is type(end) is float
-                        and math.isfinite(radius + start + end)):
-                    _require_json(f"node {node_id!r}: path arc", dict(zip(("radius", "start", "end"), seg)))
                 items.append(
                     '    {\n     "type": "arc",\n'
                     f'     "radius": {r_in_text if radius == r_in and radius else repr(radius)},\n'
@@ -477,12 +517,10 @@ def _path_json(
 def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str]:
     """Each node as an item of the ``"nodes"`` list (indent 2).
 
-    A field the writer cannot spell exactly raises ``ValueError`` naming the
-    node (see ``_JSON_TYPES``).  Siblings share ``r_in`` and ``height``, and
-    outline segments share corners, so a number equal to the one just
-    written in its matching slot reuses that text instead of spelling it
-    again: two equal finite floats other than zero have the same bits, so
-    the same ``repr``.  Zero is spelled each time, because ``0.0 == -0.0``
+    Siblings share ``r_in`` and ``height``, and outline segments share
+    corners, so a number equal to the one just written in its matching slot
+    reuses that text instead of spelling it again: two equal finite floats
+    other than zero have the same bits, so the same ``repr``.  Zero is spelled each time, because ``0.0 == -0.0``
     but the two spell differently.
     """
     items = []
@@ -494,23 +532,10 @@ def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str]:
         theta, beta, alpha, r_in = s.theta, s.beta, s.alpha, s.r_in
         height, topup = s.height, s.topup_height
         node_id, label, color, depth, relaxed = n.id, n.label, n.color, n.depth, n.relaxed
-        if not (
-            type(theta) is type(beta) is type(alpha) is type(r_in) is type(height)
-            is type(topup) is float
-            and math.isfinite(theta + beta + alpha + r_in + height + topup)
-            and type(node_id) is type(label) is str
-            and (color is None or type(color) is str)
-            and type(depth) is int
-            and type(relaxed) is bool
-        ):
-            _require_json(f"node {node_id!r}", {
-                "id": node_id, "depth": depth, "theta": theta, "beta": beta, "alpha": alpha,
-                "r_in": r_in, "height": height, "topup_height": topup, "relaxed": relaxed,
-                "color": color, "label": label})
         theta_text = repr(theta)
         r_in_text = last_r_in_text if r_in == last_r_in and r_in else repr(r_in)
         height_text = last_height_text if height == last_height and height else repr(height)
-        body = _path_json(node_id, n.path.loops, r_in, r_in_text, theta, theta_text)
+        body = _path_json(n.path.loops, r_in, r_in_text, theta, theta_text)
         items.append(
             f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
             f'   "theta": {theta_text},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
@@ -538,16 +563,9 @@ def layout_to_json(layout: Layout) -> str:
     because any indent sends ``json.dumps`` to its pure-Python encoder; the
     head rides on the first node's string and the tail on the last.
 
-    Every layout the package builds holds plain floats, as ``LayoutConfig``
-    and ``normalize`` store them.  A layout without nodes, or one holding a
-    value the writer cannot spell exactly (a non-finite or non-``float``
-    number, a bool ``depth``, an int ``relaxed``, a non-``str`` id, label or
-    colour, a segment that is not a ``tuple``), raises ``ValueError`` naming
-    the node or ``a_std``/``style``, so the text is always strict JSON.
+    The ``Layout`` contract makes every number a finite exact ``float``,
+    whose ``repr`` is its JSON text, so the text is always strict JSON.
     """
-    _require_json("layout", {"a_std": layout.a_std, "style": layout.style})
-    if not layout.nodes:
-        raise ValueError("layout: no nodes to write")
     items = _nodes_json(layout.nodes)
     items[0] = (
         f'{{\n "a_std": {layout.a_std!r},\n "style": {encode_basestring_ascii(layout.style)},\n'

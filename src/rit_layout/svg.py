@@ -16,10 +16,11 @@ import io
 import math
 import operator
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .geometry import FULL_TURN_TOL
-from .layout import STYLES, Layout, require_finite
+from .geometry import FULL_TURN_TOL, Path
+from .layout import Layout, require_finite
 from .tree import _require_xml_text
 
 FALLBACK_FILL = "#cccccc"
@@ -29,6 +30,7 @@ FONT_SIZE = 11.0
 HALF_PI = 0.5 * math.pi
 _MAX_SPAN = 2.0 * math.pi + FULL_TURN_TOL  # a full turn, as a sector may sweep
 _CHUNK = 4096  # ``_extent`` folds its points into the box once it holds more numbers
+_UNSCALABLE = "layout: outlines cannot be scaled onto the canvas"
 
 # Unit point at angle k*pi/2, indexed by k % 4: where an origin-centred
 # arc reaches its x or y extremes.
@@ -55,8 +57,8 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def _extent(layout: Layout) -> tuple[float, float, float, float]:
-    """Exact (x_lo, x_hi, y_lo, y_hi) of every node's drawn outline.
+def _extent(paths: Iterable[Path]) -> tuple[float, float, float, float]:
+    """Exact (x_lo, x_hi, y_lo, y_hi) of the given outlines.
 
     A line reaches no further than its endpoints, which are read first.  An
     origin-centred arc reaches its endpoints plus (+-r, 0) / (0, +-r) at
@@ -65,16 +67,15 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
     ``0 <= r <= min(-x_lo, x_hi, -y_lo, y_hi)`` of the box so far adds
     nothing and is skipped: each of its points is ``fl(r * c)`` with
     ``|c| <= 1``, so at most ``r`` from either axis.  An arc wider than
-    ``_MAX_SPAN``, or with a NaN or infinite angle, raises ``ValueError``
-    before that test; at most five k are tried, all that a narrower arc can
-    hold.  Points are folded into the box ``_CHUNK`` numbers at a time, and
-    a NaN among them raises ``ValueError``.
+    ``_MAX_SPAN`` raises ``ValueError`` before that test; at most five k
+    are tried, all that a narrower arc can hold.  Points are folded into
+    the box ``_CHUNK`` numbers at a time.
     """
     box = (math.inf, -math.inf, math.inf, -math.inf)
     points: list[float] = []  # x, y, x, y, ...: a line segment is two points
     arcs = []
-    for node in layout.nodes:
-        for loop in node.path.loops:
+    for path in paths:
+        for loop in path.loops:
             for seg in loop:
                 if len(seg) == 4:
                     points += seg
@@ -108,33 +109,24 @@ def _extent(layout: Layout) -> tuple[float, float, float, float]:
 
 
 def _fold(box: tuple[float, float, float, float], points: list[float]) -> tuple[float, float, float, float]:
-    """``box`` widened to the x, y pairs of ``points``; a NaN raises ``ValueError``.
-
-    ``min`` and ``max`` pass over a NaN, so ``math.hypot`` looks for one: it
-    is NaN when its numbers hold a NaN and no infinity, and a box that
-    reaches an infinity cannot be drawn either.
-    """
+    """``box`` widened to the x, y pairs of ``points``."""
     if not points:
         return box
-    if math.isnan(math.hypot(*points)):
-        raise ValueError("outline holds nan")
     xs, ys = points[0::2], points[1::2]
     x_lo, x_hi, y_lo, y_hi = box
     return min(x_lo, min(xs)), max(x_hi, max(xs)), min(y_lo, min(ys)), max(y_hi, max(ys))
 
 
-def _transform(layout: Layout, style: RenderStyle) -> tuple[float, float, float]:
-    """(scale, cx, cy): layout (x, y) is drawn at (cx + scale*x, cy - scale*y)."""
-    try:
-        x_lo, x_hi, y_lo, y_hi = _extent(layout)
-    except ValueError as exc:  # a wide or non-finite arc, a NaN, or an unbuildable outline
-        raise _undrawable(layout) from exc
+def _transform(box: tuple[float, float, float, float], style: RenderStyle) -> tuple[float, float, float]:
+    """(scale, cx, cy) fitting the extent ``box`` to the canvas: layout
+    (x, y) is drawn at (cx + scale*x, cy - scale*y)."""
+    x_lo, x_hi, y_lo, y_hi = box
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
     scale = (style.canvas - 2.0 * style.margin) / span
     cx = 0.5 * style.canvas - scale * 0.5 * (x_lo + x_hi)
     cy = 0.5 * style.canvas + scale * 0.5 * (y_lo + y_hi)
     if not (scale > 0.0 and math.isfinite(cx + cy)):
-        raise _undrawable(layout)
+        raise ValueError(_UNSCALABLE)
     return scale, cx, cy
 
 
@@ -145,29 +137,12 @@ _LINE = " L %.6f %.6f"
 _ARC = (" A %.6f %.6f 0 0 1 %.6f %.6f", " A %.6f %.6f 0 0 0 %.6f %.6f")
 
 
-def _undrawable(layout: Layout) -> ValueError:
-    """The error naming the first node whose outline cannot be built or drawn."""
-    for node in layout.nodes:
-        try:
-            segs = [seg for loop in node.path.loops for seg in loop]
-        except ValueError as exc:
-            return ValueError(f"node {node.id!r}: {exc}")
-        bad = [c for seg in segs for c in seg if not math.isfinite(c)]
-        if bad:
-            return ValueError(f"node {node.id!r}: outline holds {bad[0]!r}, which cannot be drawn")
-        for seg in segs:
-            if len(seg) == 3 and abs(seg[2] - seg[1]) > _MAX_SPAN:
-                return ValueError(f"node {node.id!r}: arc {seg!r} sweeps more than a full turn, "
-                                  "which cannot be drawn")
-    return ValueError("layout: outlines cannot be scaled onto the canvas")
-
-
 def _loop_to_d(loop, scale: float, cx: float, cy: float) -> str:
     """One closed loop as ``M ... Z`` path data, each number as ``_fmt`` spells it.
 
     The loop's commands become one ``%`` template and one value list,
     formatted by one ``%`` call with the transform inlined.  An arc under
-    pi (or NaN) is one command ending at ``start + span``; one of pi up to
+    pi is one command ending at ``start + span``; one of pi up to
     a full turn (``_extent`` has refused any wider) is two commands ending
     at ``start + 0.5 * span`` and ``start + span``.  A ``-0.000000`` token
     is then rewritten to ``0.000000`` once over the finished string: every
@@ -260,15 +235,20 @@ _ATTR_SPECIAL = re.compile(r"[\x00-\x1f\"&'<>\ud800-\udfff\ufffe\uffff]")
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes.
 
-    An id, colour or drawn label that is not a ``str``, or that XML 1.0
-    cannot hold, and an outline that cannot be built or holds a non-finite
-    number, raise ``ValueError`` naming the node; a style outside
-    ``STYLES``, or a layout without nodes, raises it naming the layout."""
-    if layout.style not in STYLES:
-        raise ValueError(f"layout: style {layout.style!r} is not one of {STYLES}")
-    if not layout.nodes:
-        raise ValueError("layout: no nodes to write")
-    scale, cx, cy = _transform(layout, style)
+    An id, colour or drawn label that XML 1.0 cannot hold, and an arc wider
+    than a full turn, raise ``ValueError`` naming the node; outlines too
+    wide for floats to scale onto the canvas raise it naming the layout."""
+    try:
+        box = _extent(n.path for n in layout.nodes)
+    except ValueError as exc:
+        # The one outline the Layout contract lets through that cannot be
+        # drawn: a full turn at an angle past about 1e4 rad, its span rounded
+        # up.  The test is the extent's, so it finds the arc that failed it.
+        node, arc = next((n, seg) for n in layout.nodes for loop in n.path.loops for seg in loop
+                         if len(seg) == 3 and not abs(seg[2] - seg[1]) <= _MAX_SPAN)
+        raise ValueError(f"node {node.id!r}: arc {arc!r} sweeps more than a full turn, "
+                         "which cannot be drawn") from exc
+    scale, cx, cy = _transform(box, style)
     size = style.canvas
     # One buffer holds the document: ``getvalue`` hands over its bytes
     # without a copy, where a list of lines, their join and its encoding
@@ -289,11 +269,11 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     labels: list[str] = []
     for node in ordered:
         id_attr = node.id
-        if type(id_attr) is not str or _ATTR_SPECIAL.search(id_attr):
+        if _ATTR_SPECIAL.search(id_attr):
             _require_xml_text(node.id, "id", id_attr, ValueError)
             id_attr = id_attr.translate(_ESCAPE_ATTR)
         fill = node.color or FALLBACK_FILL
-        if type(fill) is not str or _ATTR_SPECIAL.search(fill):
+        if _ATTR_SPECIAL.search(fill):
             _require_xml_text(node.id, "color", fill, ValueError)
             fill = fill.translate(_ESCAPE_ATTR)
         loops = node.path.loops
@@ -301,8 +281,8 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
             d = _loop_to_d(loops[0], scale, cx, cy)
         else:
             d = " ".join([_loop_to_d(loop, scale, cx, cy) for loop in loops])
-        if "n" in d:  # nan or inf that the extent's checks let through
-            raise _undrawable(layout)
+        if "n" in d:  # an inf from a box too narrow for its radii to scale
+            raise ValueError(_UNSCALABLE)
         if node.relaxed:
             write(
                 f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-opacity="0.7" fill-rule="evenodd" '

@@ -269,8 +269,8 @@ def half_topup_height(outer_radius: float, beta: float, alpha: float, wedge_area
     return q / (outer_radius + math.sqrt(outer_radius * outer_radius + q))
 
 
-def all_points_extent(layout: Layout) -> tuple[float, float, float, float]:
-    """(x_lo, x_hi, y_lo, y_hi) of every node's outline, from one list of all its points.
+def all_points_extent(paths) -> tuple[float, float, float, float]:
+    """(x_lo, x_hi, y_lo, y_hi) of the outlines ``paths``, from one list of all their points.
 
     Every line endpoint, every arc endpoint, and the axis points (+-r, 0) /
     (0, +-r) at each multiple k*pi/2 an arc sweeps (at most five k), with
@@ -281,8 +281,8 @@ def all_points_extent(layout: Layout) -> tuple[float, float, float, float]:
     """
     points: list[float] = []  # x, y, x, y, ...: a line segment is two points
     cos, sin, max_span, half_pi = math.cos, math.sin, _MAX_SPAN, 0.5 * math.pi
-    for node in layout.nodes:
-        for loop in node.path.loops:
+    for path in paths:
+        for loop in path.loops:
             for seg in loop:
                 if len(seg) == 4:
                     points += seg

@@ -5,7 +5,7 @@ import re
 
 import numpy
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rit_layout import (
     GeneratorSpec,
@@ -35,7 +35,7 @@ from rit_layout.geometry import (
 )
 from rit_layout.cli import main
 from rit_layout.generate import KINDS
-from rit_layout.layout import MODES, STYLES, Layout, PlacedNode
+from rit_layout.layout import MODES, STYLES, Layout, PlacedNode, _path_json
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain, strict_json
@@ -335,16 +335,23 @@ class TestIcicle:
 _SECTOR_KEYS = ("theta", "beta", "alpha", "r_in", "height", "topup_height")
 
 
+def _segment_doc(seg) -> dict:
+    if len(seg) == 3:
+        radius, start, end = seg
+        return {"type": "arc", "radius": radius, "start": start, "end": end}
+    x0, y0, x1, y1 = seg
+    return {"type": "line", "x0": x0, "y0": y0, "x1": x1, "y1": y1}
+
+
+def _path_oracle(loops) -> str:
+    """The items of a node's ``"path"`` list as ``json.dumps(doc, indent=1)``
+    writes them, four levels deep."""
+    text = json.dumps([[[[_segment_doc(seg) for loop in loops for seg in loop]]]], indent=1)
+    return text[len("[\n [\n  [\n   [\n"):-len("\n   ]\n  ]\n ]\n]")]
+
+
 def _json_oracle(layout) -> dict:
     """The geometry document as a dict, for ``json.dumps(doc, indent=1)``."""
-
-    def segment(seg):
-        if len(seg) == 3:
-            radius, start, end = seg
-            return {"type": "arc", "radius": radius, "start": start, "end": end}
-        x0, y0, x1, y1 = seg
-        return {"type": "line", "x0": x0, "y0": y0, "x1": x1, "y1": y1}
-
     return {
         "a_std": layout.a_std,
         "style": layout.style,
@@ -356,7 +363,7 @@ def _json_oracle(layout) -> dict:
                 "relaxed": n.relaxed,
                 "color": n.color,
                 "label": n.label,
-                "path": [segment(s) for s in path_segments(n.path)],
+                "path": [_segment_doc(s) for s in path_segments(n.path)],
             }
             for n in layout.nodes
         ],
@@ -399,26 +406,39 @@ class _OddSegmentSector(SectorGeometry):
         return single(segments)
 
 
+@dataclasses.dataclass
+class _DrawnSector(SectorGeometry):
+    """Sector fields with hand-drawn segments, or an empty loop, as the outline."""
+
+    drawn: tuple = ()
+
+    def outline(self) -> Path:
+        return Path((self.drawn,))
+
+
+class _SubSeg(tuple):
+    """A tuple subclass segment, which only a sector subclass can draw."""
+
+    __slots__ = ()
+
+
 def _guard_layout(case: str):
-    """A demo rit layout whose second node, 'red', holds a value that the
-    writer's one-sum type and finiteness test sends to the slow check."""
-    base = layout_rit(normalize(demo_tree(), "strict"))
+    """A demo layout, rit but for "non-finite-band", whose second node,
+    'red', holds a value the writer's former one-sum guard checked."""
+    base = compute_layout(normalize(demo_tree(), "strict"),
+                          "icicle" if case == "non-finite-band" else "rit")
     first, node, *rest = base.nodes
     s = node.sector
     if case == "float-subclass-sector":
         node = dataclasses.replace(node, sector=dataclasses.replace(s, **{
             k: _ReprFloat(getattr(s, k)) for k in _SECTOR_KEYS}))
     elif case == "float-subclass-segment":
-        node = dataclasses.replace(node, sector=_OddSegmentSector(**{
-            f.name: getattr(s, f.name) for f in dataclasses.fields(s)}))
+        node = dataclasses.replace(node, sector=_OddSegmentSector(*dataclasses.astuple(s)))
     elif case == "sum-overflows":
         node = dataclasses.replace(node, sector=dataclasses.replace(
             s, theta=1e308, topup_height=1e308))
-        band = BandGeometry(theta=1e308, beta=1.0, alpha=0.0, r_in=2.0, height=2.0)
-        rest[0] = dataclasses.replace(rest[0], sector=band)
     elif case == "non-finite-band":
-        band = BandGeometry(theta=math.inf, beta=1.0, alpha=0.0, r_in=2.0, height=2.0)
-        node = dataclasses.replace(node, sector=band)
+        node = dataclasses.replace(node, sector=dataclasses.replace(s, theta=math.inf))
     elif case == "negative-zero":
         node = dataclasses.replace(node, sector=dataclasses.replace(s, theta=-0.0))
     elif case == "bool-depth":
@@ -428,9 +448,8 @@ def _guard_layout(case: str):
     elif case == "list-color":
         node = dataclasses.replace(node, color=["#112233"])
     elif case == "tuple-subclass-segment":
-        node = dataclasses.replace(node, sector=_DrawnSector(**{
-            f.name: getattr(s, f.name) for f in dataclasses.fields(s)},
-            drawn=(_SubSeg(s.outline().loops[0][0]),)))
+        node = dataclasses.replace(node, sector=_DrawnSector(
+            *dataclasses.astuple(s), drawn=(_SubSeg(s.outline().loops[0][0]),)))
     return dataclasses.replace(base, nodes=(first, node, *rest))
 
 
@@ -623,9 +642,10 @@ class TestLayoutJson:
         pytest.param(lambda case=case: _guard_layout(case), None, id=case)
         for case in ("sum-overflows", "negative-zero")
     ] + [
-        # A value the writer cannot spell exactly, where json.dumps would
-        # write NaN, Infinity or a float subclass's float text: the writer
-        # raises, naming the node or layout field, so no such text exists.
+        # A value the writer could not spell exactly, where json.dumps would
+        # write NaN, Infinity or a float subclass's float text, and a sector
+        # with its own outline: the Layout refuses each when it is built,
+        # naming the node or layout field, so no layout to write exists.
         pytest.param(_non_finite_layout, "layout: a_std inf is not a finite float",
                      id="hand-built-non-finite"),
         pytest.param(lambda: dataclasses.replace(
@@ -635,23 +655,23 @@ class TestLayoutJson:
         pytest.param(lambda case=case: _guard_layout(case), f"node 'red': {message}", id=case)
         for case, message in (
             ("float-subclass-sector", "theta _ReprFloat("),
-            ("float-subclass-segment", "path line: y1 _ReprFloat("),
+            ("float-subclass-segment", "sector _OddSegmentSector(theta="),
             ("non-finite-band", "theta inf is not a finite float"),
             ("bool-depth", "depth True is not int"),
             ("int-relaxed", "relaxed 1 is not bool"),
             ("list-color", "color ['#112233'] is not str"),
-            ("tuple-subclass-segment", "path segment "),
+            ("tuple-subclass-segment", "sector _DrawnSector(theta="),
         )
     ])
     def test_bytes_equal_json_dumps(self, make, error):
-        """Every layout the writer takes gives ``json.dumps``'s bytes; one it
+        """Every layout gives ``json.dumps``'s bytes; one the contract
         refuses (``error`` set) raises ``ValueError`` naming the bad value."""
-        layout = make()
         if error is None:
+            layout = make()
             assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
         else:
             with pytest.raises(ValueError, match="^" + re.escape(error)):
-                layout_to_json(layout)
+                make()
 
     @pytest.mark.parametrize("style", ["rit", "sunburst", "icicle"])
     def test_int_config_gives_the_float_config_bytes(self, style):
@@ -694,38 +714,26 @@ class TestLayoutJson:
         assert a == b
 
 
-@dataclasses.dataclass
-class _DrawnSector(SectorGeometry):
-    """Sector fields with hand-drawn segments, joined or not, as the outline."""
-
-    drawn: tuple = ()
-
-    def outline(self) -> Path:
-        return Path((self.drawn,))
-
-
-class _SubSeg(tuple):
-    """A tuple subclass segment, which the direct writer must refuse."""
-
-    __slots__ = ()
-
-
-# Values the writer can spell, and ones it must refuse: 1e308 sums
-# overflow but are written, and a float subclass has its own repr.  Zeros
-# are drawn often, because 0.0 == -0.0 spell differently.  A segment is a
-# plain tuple; the wild one is a tuple subclass.
+# Values the writer spells: 1e308 and subnormals, and zeros drawn often,
+# because 0.0 == -0.0 spell differently.  Sector fields keep to the
+# contract: 0 <= alpha <= beta (swapped if drawn the other way), r_in and
+# topup_height >= 0, height > 0, and sums that stay finite.
+_ZERO = st.sampled_from([0.0, -0.0])
 _CLEAN_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([0.0, -0.0]),
+    _ZERO,
     st.sampled_from([5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
 )
+_ANGLES = st.floats(-8e307, 8e307) | _ZERO | st.sampled_from([5e-324, 8e307, -8e307])
+_SIZES = st.floats(0.0, 5e307) | _ZERO | st.sampled_from([5e-324, 2.2250738585072014e-308, 5e307])
+_HEIGHTS = st.floats(5e-324, 5e307) | st.sampled_from([5e-324, 5e307])
 _WILD_FLOATS = st.sampled_from(
     [math.nan, math.inf, -math.inf, _ReprFloat(-0.0), _ReprFloat(1e-310), 7])
 
 
-# Per kind of value: a clean strategy, then a wild one.  A "join" is a
-# line's x0 or y0 after another line; its wild value is a _ReprFloat of the
-# last line's end.
+# Per kind of value: a clean strategy, then a wild one that the layout
+# refuses.  Segment values ("line", "join", "arc") are only clean: a join
+# is a line's x0 or y0 after another line.
 _VALUES = {
     "a_std": (_CLEAN_FLOATS, _WILD_FLOATS),
     "style": (st.sampled_from(["rit", "sunburst", "icicle"]), st.none()),
@@ -733,12 +741,14 @@ _VALUES = {
     "color": (st.one_of(st.text(), st.none()), st.lists(st.text(), max_size=1)),
     "depth": (st.integers(0, 3), st.booleans()),
     "relaxed": (st.booleans(), st.integers(0, 1)),
-    "sector": (_CLEAN_FLOATS, _WILD_FLOATS),
-    "segment": (st.just(tuple), st.just(_SubSeg)),
-    "line": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "theta": (_ANGLES, _WILD_FLOATS),
+    "size": (_SIZES, _WILD_FLOATS),
+    "height": (_HEIGHTS, _WILD_FLOATS),
+    "line": (_CLEAN_FLOATS, None),
     "join": (_CLEAN_FLOATS, None),
-    "arc": (_CLEAN_FLOATS, _WILD_FLOATS),
+    "arc": (_CLEAN_FLOATS, None),
 }
+_WILD_KINDS = ["id"] + [kind for kind, (_, wild) in _VALUES.items() if wild is not None]
 
 # How a slot that may repeat an earlier value is filled: by its own draw,
 # by that value itself, or by an equal plain float (the other zero for a
@@ -753,24 +763,22 @@ def _equal_float(value):
 def _slots(outlines) -> list[tuple[str, int | None]]:
     """Each value's kind, and the index of the earlier value it may repeat.
 
-    Each segment's values follow its tuple type, and ``outlines`` holds
-    each segment's length.  The repeats are the JSON writer's: a node's
-    ``r_in`` and ``height`` repeat the previous node's, an arc's ``radius``
-    and ``start`` the node's ``r_in`` and ``theta``, and a line's ``x0`` and
-    ``y0`` the last line's ``x1`` and ``y1``.
+    ``outlines`` holds each node's hand-made segment lengths.  The repeats
+    are the JSON writer's: a node's ``r_in`` and ``height`` repeat the
+    previous node's, an arc's ``radius`` and ``start`` the node's ``r_in``
+    and ``theta``, and a line's ``x0`` and ``y0`` the last line's ``x1``
+    and ``y1``.
     """
     slots: list[tuple[str, int | None]] = [("a_std", None), ("style", None)]
     sector = None
     for outline in outlines:
         slots += [(kind, None) for kind in ("id", "label", "color", "depth", "relaxed")]
         previous, sector = sector, len(slots)
-        slots += [("sector", None)] * 6
-        if previous is not None:
-            slots[sector + 3] = ("sector", previous + 3)
-            slots[sector + 4] = ("sector", previous + 4)
+        slots += [("theta", None), ("size", None), ("size", None),
+                  ("size", None if previous is None else previous + 3),
+                  ("height", None if previous is None else previous + 4), ("size", None)]
         line_end = None
         for arity in outline:
-            slots.append(("segment", None))
             if arity == 3:
                 slots += [("arc", sector + 3), ("arc", sector), ("arc", None)]
                 continue
@@ -787,16 +795,17 @@ def _slots(outlines) -> list[tuple[str, int | None]]:
 def _hand_made_layouts(draw):
     # Every value is clean but at most one, which is wild: NaN, an infinity,
     # a float subclass or an int for a number, None for a string, a list
-    # colour, a bool depth, an int flag or a tuple-subclass segment.  Half
-    # the layouts are all clean; otherwise the wild value's kind is drawn
-    # first, so each kind is drawn as often as the others.  A clean value in
-    # a slot whose text the writer may reuse is drawn by a _SHARES rule.
-    # Returns the layout and the start of the error the writer must raise
-    # for it, None when it must write the layout.
+    # colour, a bool depth or an int flag.  Half the layouts are all clean;
+    # otherwise the wild value's kind is drawn first, so each kind is drawn
+    # as often as the others.  A clean value in a slot whose text the
+    # writer may reuse is drawn by a _SHARES rule.  Returns a function
+    # building the layout, the start of the error building it must raise
+    # (None when it must build), and each node's r_in, theta and hand-made
+    # loop for ``_path_json``.
     ids = draw(st.lists(st.text(), max_size=3, unique=True))
     outlines = [draw(st.lists(st.sampled_from([4, 3]), min_size=1, max_size=5)) for _ in ids]
     slots = _slots(outlines)
-    kind = draw(st.one_of(st.none(), st.sampled_from(["id", *_VALUES])))
+    kind = draw(st.one_of(st.none(), st.sampled_from(_WILD_KINDS)))
     spots = [i for i, (slot, _) in enumerate(slots) if slot == kind]
     wild = draw(st.sampled_from(spots)) if spots else None
     node_ids = iter(ids)
@@ -807,10 +816,8 @@ def _hand_made_layouts(draw):
             node_id = next(node_ids)
             values.append(None if i == wild else node_id)
             owner = f"node {values[-1]!r}: "
-        elif i == wild and slot == "join":
-            values.append(_ReprFloat(values[ref]))
         else:
-            share = "own" if ref is None or i == wild else draw(_SHARES)
+            share = "own" if ref is None or wild in (i, ref) else draw(_SHARES)
             if share == "same":
                 values.append(values[ref])
             elif share == "equal":
@@ -823,28 +830,36 @@ def _hand_made_layouts(draw):
     values = iter(values)
 
     a_std, style = next(values), next(values)
-    nodes = []
+    kind = BandGeometry if style == "icicle" else SectorGeometry
+    nodes, loops = [], []
     for outline in outlines:
         node_id, label, color, depth, relaxed = (next(values) for _ in range(5))
-        fields = [next(values) for _ in range(6)]
-        # Each segment is its drawn tuple type called on its next values.
-        drawn = tuple(next(values)(next(values) for _ in range(arity)) for arity in outline)
+        theta, beta, alpha, r_in, height, topup = (next(values) for _ in range(6))
+        if alpha > beta:
+            alpha, beta = beta, alpha
         nodes.append(PlacedNode(node_id, label, color, 1.0, depth, None,
-                                _DrawnSector(*fields, drawn=drawn), relaxed))
-    return Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes)), error
+                                kind(theta, beta, alpha, r_in, height, topup), relaxed))
+        drawn = tuple(tuple(next(values) for _ in range(arity)) for arity in outline)
+        loops.append((float(r_in), float(theta), (drawn,)))
+    return lambda: Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes)), error, loops
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=_hand_made_layouts())
 def test_bytes_equal_json_dumps_for_hand_made_layouts(drawn):
-    """A clean layout gives ``json.dumps``'s bytes; a wild value, or no
-    nodes, raises ``ValueError`` naming the node or the layout field."""
-    layout, error = drawn
+    """A clean layout gives ``json.dumps``'s bytes, and a wild value, or no
+    nodes, is refused when the layout is built, naming the node or the
+    layout field.  Each node's hand-made segments, written on their own,
+    give ``json.dumps``'s items."""
+    build, error, loops = drawn
     if error is None:
+        layout = build()
         assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
     else:
         with pytest.raises(ValueError, match="^" + re.escape(error)):
-            layout_to_json(layout)
+            build()
+    for r_in, theta, node_loops in loops:
+        assert _path_json(node_loops, r_in, repr(r_in), theta, repr(theta)) == _path_oracle(node_loops)
 
 
 def test_diagnostics_aggregates(tmp_path):
@@ -866,10 +881,12 @@ def test_diagnostics_aggregates(tmp_path):
         assert report.min_area_ratio <= report.max_area_ratio
 
 
-def _demo_with_node(change, node_id="orange") -> Layout:
-    """The demo rit layout with node ``node_id`` replaced by ``change(node)``."""
-    base = layout_rit(normalize(demo_tree(), "strict"))
-    nodes = tuple(change(n) if n.id == node_id else n for n in base.nodes)
+def _replaced(node_id="orange", sector=None, style="rit", **changes) -> Layout:
+    """The demo layout in ``style`` with node ``node_id`` given ``changes``
+    and its sector given the fields of ``sector``."""
+    base = compute_layout(normalize(demo_tree(), "strict"), style)
+    nodes = tuple(dataclasses.replace(n, **changes, sector=dataclasses.replace(n.sector, **(sector or {})))
+                  if n.id == node_id else n for n in base.nodes)
     return dataclasses.replace(base, nodes=nodes)
 
 
@@ -879,11 +896,18 @@ def _demo_with_node(change, node_id="orange") -> Layout:
     ("root", "r_in", math.inf),
 ], ids=["theta-nan", "r_in-inf", "root-r_in-inf"])
 def test_diagnostics_certifies_no_non_finite_area(node_id, field, value):
-    """A NaN area is an infinite error, and the ratio extremes do not hang
-    on where the NaN stands in node order.  The root's infinite full turns
-    do not close (``inf * sin(0)`` is NaN), yet have an area, NaN."""
-    layout = _demo_with_node(lambda n: dataclasses.replace(
-        n, sector=dataclasses.replace(n.sector, **{field: value})), node_id)
+    """A non-finite sector field never reaches diagnostics: the layout
+    refuses it."""
+    with pytest.raises(ValueError, match=f"^node '{node_id}': {field} {value} is not a finite float$"):
+        _replaced(node_id, sector={field: value})
+
+
+def test_diagnostics_certifies_no_overflowing_area():
+    """The finite radii of a root at r_in = height = 1e200 give full turns
+    whose areas overflow, inf less inf: a NaN area is an infinite error,
+    and the ratio extremes do not hang on where the NaN stands in node order."""
+    layout = _replaced("root", sector={"r_in": 1e200, "height": 1e200})
+    assert math.isnan(path_area(layout.nodes[0].path))
     flipped = dataclasses.replace(layout, nodes=layout.nodes[::-1])
     reports = [diagnostics(layout), diagnostics(flipped)]
     assert [r.max_area_error for r in reports] == [math.inf, math.inf]
@@ -891,28 +915,196 @@ def test_diagnostics_certifies_no_non_finite_area(node_id, field, value):
 
 
 def test_diagnostics_names_the_node_of_an_open_outline():
-    drawn = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0))
-    layout = _demo_with_node(lambda n: dataclasses.replace(n, sector=_DrawnSector(**{
-        f.name: getattr(n.sector, f.name) for f in dataclasses.fields(n.sector)}, drawn=drawn)))
-    with pytest.raises(ValueError, match="^node 'orange': loop does not close$"):
+    # A full turn at 4e16 rad ends 8.0 rad on, where x and y are not those
+    # of its start.
+    layout = _replaced("root", sector={"theta": 4e16})
+    with pytest.raises(ValueError, match="^node 'root': loop does not close$"):
         diagnostics(layout)
 
 
 def test_diagnostics_names_the_node_of_an_unbuildable_outline():
-    layout = _demo_with_node(lambda n: dataclasses.replace(
-        n, sector=dataclasses.replace(n.sector, theta=math.inf)))
-    with pytest.raises(ValueError, match="^node 'orange': math domain error$"):
-        diagnostics(layout)
+    # An infinite angle, whose outline math.cos refuses, is refused when
+    # the layout is built, so diagnostics never meets it.
+    with pytest.raises(ValueError, match="^math domain error$"):
+        dataclasses.replace(node_by_id(_replaced(), "orange").sector, theta=math.inf).outline()
+    with pytest.raises(ValueError, match="^node 'orange': theta inf is not a finite float$"):
+        _replaced(sector={"theta": math.inf})
 
 
 @pytest.mark.parametrize("changes, orphan, parent", [
     ({"parent": "nope"}, "orange", "nope"),
-    ({"id": 5}, "yellow", "orange"),
+    ({"id": "orange-renamed"}, "yellow", "orange"),
 ], ids=["unknown-parent", "renamed-parent"])
 def test_layout_refuses_a_parent_that_is_not_a_node(changes, orphan, parent):
     with pytest.raises(ValueError, match=(
             f"^node '{orphan}': parent '{parent}' is not a node of the layout$")):
-        _demo_with_node(lambda n: dataclasses.replace(n, **changes))
+        _replaced(**changes)
+
+
+_SECTOR_FIELDS = [f.name for f in dataclasses.fields(SectorGeometry)]
+# A full turn, the tolerance on either side of one, and zero widths.
+_WIDTHS = st.sampled_from([0.0, -0.0, TAU, TAU - 1e-12, math.nextafter(TAU - 1e-12, 0.0),
+                           TAU + 1e-12, math.nextafter(TAU, 0.0), math.pi, 1e-300])
+_MAGNITUDES = st.floats(0.0, 1.7e308) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e16, 4e16, 1e154, 1e300, 1.7e308])
+
+
+@st.composite
+def _sector_fields(draw):
+    """Sector fields reaching 1.7e308, most of them within the contract;
+    those outside it break one of its range or sum rules."""
+    theta = draw(st.sampled_from([1.0, -1.0])) * draw(_MAGNITUDES)
+    beta = draw(_WIDTHS | _MAGNITUDES)
+    alpha = draw(_ZERO | st.floats(0.0, 1.25).map(lambda f: f * beta))
+    r_in, height, topup = (draw(_MAGNITUDES) for _ in range(3))
+    return theta, beta, alpha, r_in, height, topup
+
+
+def _meets_contract(theta, beta, alpha, r_in, height, topup) -> bool:
+    """The contract's range and sum rules, spelled apart from ``Layout``."""
+    return (0.0 <= alpha <= beta and r_in >= 0.0 and height > 0.0 and topup >= 0.0
+            and math.isfinite(theta + beta) and math.isfinite(r_in + height + topup))
+
+
+class TestLayoutContract:
+    """``Layout`` refuses each broken rule of its contract when it is built,
+    naming the node and the field, or ``layout``; what it accepts, every
+    writer can draw."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(fields=_sector_fields(), style=st.sampled_from(STYLES))
+    # Sums at the edge of the float range, each rule's own, drawn every run.
+    @example(fields=(1.7e308, 1e308, 0.0, 0.0, 1.0, 0.0), style="icicle")
+    @example(fields=(0.0, 1.0, 0.0, 1e308, 1e308, 0.0), style="sunburst")
+    @example(fields=(0.0, 1.0, 0.5, 1e308, 6e307, 6e307), style="rit")
+    @example(fields=(4e16, TAU, 0.0, 1.0, 1.0, 0.0), style="rit")
+    def test_contract_implies_drawable_outlines(self, fields, style):
+        """A sector meets the contract exactly when the layout takes it, and
+        then every loop of its outline is non-empty and every coordinate a
+        finite exact float: full turns, near-full turns and zero widths,
+        at any angle and radius up to 1.7e308."""
+        kind = BandGeometry if style == "icicle" else SectorGeometry
+        node = PlacedNode("n", "n", None, 1.0, 0, None, kind(*fields))
+        try:
+            layout = Layout(style, LayoutConfig(), 1.0, (node,), 1)
+        except ValueError as exc:
+            assert not _meets_contract(*fields), exc
+            assert str(exc).startswith("node 'n': "), exc
+            return
+        assert _meets_contract(*fields)
+        loops = layout.nodes[0].path.loops
+        assert type(loops) is tuple and loops
+        for loop in loops:
+            assert type(loop) is tuple and loop
+            for seg in loop:
+                assert type(seg) is tuple and len(seg) in (3, 4)
+                for c in seg:
+                    assert type(c) is float and math.isfinite(c), (fields, seg)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"style": "a--b"}, "style 'a--b' is not one of ('rit', 'sunburst', 'icicle')"),
+        ({"style": None}, "style None is not one of ('rit', 'sunburst', 'icicle')"),
+        ({"config": None}, "config None is not a LayoutConfig"),
+        ({"config": {"r0": 8.0}}, "config {'r0': 8.0} is not a LayoutConfig"),
+        ({"a_std": math.inf}, "a_std inf is not a finite float"),
+        ({"a_std": math.nan}, "a_std nan is not a finite float"),
+        ({"a_std": 1}, "a_std 1 is not a finite float"),
+        ({"a_std": _ReprFloat(1.0)}, "a_std _ReprFloat(1.0) is not a finite float"),
+        ({"nodes": ()}, "no nodes to write"),
+    ], ids=["style-dashes", "style-none", "config-none", "config-dict", "a_std-inf",
+            "a_std-nan", "a_std-int", "a_std-float-subclass", "no-nodes"])
+    def test_layout_fields(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(layout_rit(normalize(demo_tree(), "strict")), **changes)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"layout: {message}"
+
+    @pytest.mark.parametrize("style, sector, name", [
+        ("rit", lambda s: BandGeometry(*dataclasses.astuple(s)), "BandGeometry"),
+        ("sunburst", lambda s: BandGeometry(*dataclasses.astuple(s)), "BandGeometry"),
+        ("icicle", lambda s: SectorGeometry(*dataclasses.astuple(s)), "SectorGeometry"),
+        ("rit", lambda s: _DrawnSector(*dataclasses.astuple(s), drawn=()), "_DrawnSector"),
+        ("rit", lambda s: None, "None"),
+    ], ids=["band-in-rit", "band-in-sunburst", "sector-in-icicle", "empty-loop-outline", "none"])
+    def test_sector_type(self, style, sector, name):
+        # A sector subclass gives its own outline, here one empty loop,
+        # which the writers no longer look for.
+        base = compute_layout(normalize(demo_tree(), "strict"), style)
+        nodes = tuple(dataclasses.replace(n, sector=sector(n.sector)) if n.id == "orange" else n
+                      for n in base.nodes)
+        wanted = "BandGeometry" if style == "icicle" else "SectorGeometry"
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(base, nodes=nodes)
+        message = str(info.value)
+        assert message.startswith(f"node 'orange': sector {name}"), message
+        assert message.endswith(f" is not {wanted}"), message
+
+    @pytest.mark.parametrize("field", _SECTOR_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1, _ReprFloat(0.5)],
+                             ids=["nan", "inf", "-inf", "int", "float-subclass"])
+    def test_sector_field_is_a_finite_float(self, field, value):
+        with pytest.raises(ValueError) as info:
+            _replaced(sector={field: value})
+        assert str(info.value) == f"node 'orange': {field} {value!r} is not a finite float"
+
+    @pytest.mark.parametrize("sector, message", [
+        ({"alpha": -0.1}, "alpha -0.1 is not in [0, beta]"),
+        ({"alpha": 2.0, "beta": 1.0}, "alpha 2.0 is not in [0, beta]"),
+        ({"alpha": 0.0, "beta": -1.0}, "alpha 0.0 is not in [0, beta]"),
+        ({"r_in": -1.0}, "r_in -1.0 is not >= 0"),
+        ({"height": 0.0}, "height 0.0 is not > 0"),
+        ({"height": -0.0}, "height -0.0 is not > 0"),
+        ({"height": -2.0}, "height -2.0 is not > 0"),
+        ({"topup_height": -5e-324}, "topup_height -5e-324 is not >= 0"),
+    ], ids=["alpha-negative", "alpha-past-beta", "beta-negative", "r_in-negative",
+            "height-zero", "height-negative-zero", "height-negative", "topup-negative"])
+    def test_sector_ranges(self, sector, message):
+        with pytest.raises(ValueError) as info:
+            _replaced(sector=sector)
+        assert str(info.value) == f"node 'orange': {message}"
+
+    @pytest.mark.parametrize("sector, message", [
+        ({"theta": 1.7e308, "beta": 1e308}, "theta + beta inf is not finite"),
+        ({"theta": -1.7e308, "beta": 0.0, "alpha": 0.0}, None),
+        ({"r_in": 1e308, "height": 1e308}, "r_in + height + topup_height inf is not finite"),
+        ({"r_in": 1e308, "height": 6e307, "topup_height": 6e307},
+         "r_in + height + topup_height inf is not finite"),
+        ({"r_in": 1e308, "height": 7e307, "topup_height": 0.0}, None),
+    ], ids=["theta-beta", "theta-beta-finite", "radii", "radii-with-topup", "radii-finite"])
+    def test_sums_are_finite(self, sector, message):
+        if message is None:
+            _replaced(sector=sector)
+            return
+        with pytest.raises(ValueError) as info:
+            _replaced(sector=sector)
+        assert str(info.value) == f"node 'orange': {message}"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"id": 5}, "node 5: id 5 is not str"),
+        ({"id": None}, "node None: id None is not str"),
+        ({"label": None}, "node 'yellow': label None is not str"),
+        ({"label": b"yellow"}, "node 'yellow': label b'yellow' is not str"),
+        ({"color": ["#112233"]}, "node 'yellow': color ['#112233'] is not str"),
+        ({"color": 0x112233}, "node 'yellow': color 1122867 is not str"),
+    ], ids=["id-int", "id-none", "label-none", "label-bytes", "color-list", "color-int"])
+    def test_text_fields_are_str(self, changes, message):
+        # A leaf, so no child's parent names the old id; a None colour is fine.
+        _replaced("yellow", color=None)
+        with pytest.raises(ValueError) as info:
+            _replaced("yellow", **changes)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"depth": True}, "depth True is not int"),
+        ({"depth": "1"}, "depth '1' is not int"),
+        ({"depth": 1.0}, "depth 1.0 is not int"),
+        ({"relaxed": 1}, "relaxed 1 is not bool"),
+        ({"relaxed": None}, "relaxed None is not bool"),
+    ], ids=["depth-bool", "depth-str", "depth-float", "relaxed-int", "relaxed-none"])
+    def test_depth_is_int_and_relaxed_is_bool(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            _replaced(**changes)
+        assert str(info.value) == f"node 'orange': {message}"
 
 
 class TestGeneratedCorpusSmoke:

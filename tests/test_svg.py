@@ -4,7 +4,6 @@ import re
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -34,9 +33,11 @@ from rit_layout.tree import _NON_XML_CHAR, TreeNode
 
 from conftest import full_chain
 from oracles import (
-    all_points_extent, path_boundary_points, path_segments, seg_end, seg_span, seg_start)
+    all_points_extent, node_by_id, path_boundary_points, path_segments, seg_end, seg_span,
+    seg_start)
 from test_geometry import BELOW_PI, SubSeg, hand_loops
 from test_golden import QUARTER
+from test_layout import _replaced
 from test_relax import flanked_thin_run
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -258,12 +259,14 @@ class TestRendering:
             # A label that is not drawn is not written.
             ET.fromstring(render_svg(layout))
 
+    # The layout refuses the next four when it is built (see
+    # TestLayoutContract in test_layout), so render_svg never meets them.
+
     def test_non_str_color_is_a_value_error(self, demo_layout):
         nodes = list(demo_layout.nodes)
         node = nodes[3] = dataclasses.replace(nodes[3], color=["#112233"])
-        layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
         with pytest.raises(ValueError) as info:
-            render_svg(layout)
+            dataclasses.replace(demo_layout, nodes=tuple(nodes))
         assert type(info.value) is ValueError
         assert str(info.value) == f"node {node.id!r}: color ['#112233'] is not str"
 
@@ -271,9 +274,8 @@ class TestRendering:
     def test_non_str_id_or_label_is_a_value_error(self, demo_layout, field, value):
         nodes = list(demo_layout.nodes)
         node = nodes[5] = dataclasses.replace(nodes[5], **{field: value})
-        layout = dataclasses.replace(demo_layout, nodes=tuple(nodes))
         with pytest.raises(ValueError) as info:
-            render_svg(layout, RenderStyle(draw_labels=True))
+            dataclasses.replace(demo_layout, nodes=tuple(nodes))
         assert type(info.value) is ValueError
         assert str(info.value) == f"node {node.id!r}: {field} {value!r} is not str"
 
@@ -281,14 +283,14 @@ class TestRendering:
     def test_style_outside_styles_is_a_value_error(self, demo_layout, style):
         # A raw "--" in the leading comment would make the SVG ill-formed.
         with pytest.raises(ValueError) as info:
-            render_svg(dataclasses.replace(demo_layout, style=style))
+            dataclasses.replace(demo_layout, style=style)
         assert type(info.value) is ValueError
         assert str(info.value) == (
             f"layout: style {style!r} is not one of ('rit', 'sunburst', 'icicle')")
 
     def test_layout_without_nodes_is_a_value_error(self, demo_layout):
         with pytest.raises(ValueError) as info:
-            render_svg(dataclasses.replace(demo_layout, nodes=()))
+            dataclasses.replace(demo_layout, nodes=())
         assert type(info.value) is ValueError
         assert str(info.value) == "layout: no nodes to write"
 
@@ -324,44 +326,32 @@ class TestRendering:
             RenderStyle(**{field: value})
 
 
-_UNIT_TRIANGLE = ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 1.0), (1.0, 1.0, 0.0, 0.0))
+def _one_sector(*fields: float) -> Layout:
+    """A rit layout of one node, ``root``, whose sector has ``fields``."""
+    node = PlacedNode("root", "root", "#123456", 1.0, 0, None, SectorGeometry(*fields))
+    return Layout("rit", LayoutConfig(), 1.0, (node,), 1)
 
 
-def _sound_and_given(loop, sound=_UNIT_TRIANGLE) -> Layout:
-    """Node ``a`` outlined by ``sound``, then node ``b`` outlined by ``loop``."""
-    nodes = tuple(PlacedNode(name, name, "#123456", 0.5, 1, None,
-                             _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path((drawn,))))
-                  for name, drawn in (("a", sound), ("b", loop)))
-    return Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=2)
+def _path_numbers(path: Path) -> list[float]:
+    return [c for loop in path.loops for seg in loop for c in seg]
 
 
 class TestNonFiniteOutline:
-    """An outline holding inf or NaN raises naming its node, whichever
-    check meets it first: a NaN or a math error in the extent, or a
-    transform that is not finite.  A NaN the path data never spells, such
-    as a line's start point, is refused too.  Node ``a`` is sound and comes
-    first."""
+    """An outline holding inf or NaN never reaches the writer: the sector
+    field that would put it there is refused, naming the node and the
+    field, when the layout is built.  Outlines too wide for floats to
+    scale onto the canvas are refused naming the layout."""
 
-    @pytest.mark.parametrize("loop, number", [
-        (((1.0, 0.0, math.inf),), "inf"),
-        (((1.0, -math.inf, 0.0),), "-inf"),
-        (((1.0, math.nan, 1.0),), "nan"),
-        (((1.0, 0.0, math.nan),), "nan"),
-        (((math.inf, 0.0, 1.0),), "inf"),
-        (((math.nan, 0.0, 1.0),), "nan"),
-        (((0.0, 0.0, math.nan, 1.0), (math.nan, 1.0, 0.0, 0.0)), "nan"),
-        (((0.0, 0.0, -math.inf, 1.0), (-math.inf, 1.0, 0.0, 0.0)), "-inf"),
-        (((0.0, 0.0, 1.0, 0.0), (math.nan, 0.0, 0.0, 0.0)), "nan"),
+    @pytest.mark.parametrize("field, value", [
+        ("theta", math.inf), ("theta", -math.inf), ("theta", math.nan), ("beta", math.nan),
+        ("r_in", math.inf), ("height", math.nan), ("alpha", math.nan),
+        ("topup_height", -math.inf), ("topup_height", math.nan),
     ], ids=["angle-inf", "angle-neg-inf", "start-nan", "end-nan", "radius-inf",
             "radius-nan", "line-nan", "line-neg-inf", "line-start-nan"])
-    def test_names_the_node(self, loop, number):
-        layout = _sound_and_given(loop)
-        message = f"node 'b': outline holds {number}, which cannot be drawn"
-        for ordered in (layout, dataclasses.replace(layout, nodes=layout.nodes[::-1])):
-            with pytest.raises(ValueError) as info:
-                render_svg(ordered)
-            assert type(info.value) is ValueError
-            assert str(info.value) == message
+    def test_names_the_node(self, field, value):
+        with pytest.raises(ValueError) as info:
+            _replaced(sector={field: value})
+        assert str(info.value) == f"node 'orange': {field} {value!r} is not a finite float"
 
     @pytest.mark.parametrize("style, field, value, held", [
         *[(style, "theta", math.nan, "nan") for style in STYLES],
@@ -373,39 +363,30 @@ class TestNonFiniteOutline:
         ("icicle", "theta", math.inf, "inf"),
     ])
     def test_names_the_node_of_a_laid_out_sector(self, style, field, value, held):
-        # A sector at an infinite angle has no outline: math.cos refuses it.
-        message = ("math domain error" if held is None
-                   else f"outline holds {held}, which cannot be drawn")
+        # Built on its own, the sector's outline holds ``held``, or, at an
+        # infinite angle, cannot be built: math.cos refuses it.
         base = compute_layout(normalize(demo_tree(), "strict"), style)
-        nodes = tuple(dataclasses.replace(n, sector=dataclasses.replace(n.sector, **{field: value}))
-                      if n.id == "orange" else n for n in base.nodes)
+        sector = dataclasses.replace(node_by_id(base, "orange").sector, **{field: value})
+        if held is None:
+            with pytest.raises(ValueError, match="^math domain error$"):
+                sector.outline()
+        else:
+            assert held in map(repr, _path_numbers(sector.outline()))
         with pytest.raises(ValueError) as info:
-            render_svg(dataclasses.replace(base, nodes=nodes))
-        assert str(info.value) == f"node 'orange': {message}"
-
-    @pytest.mark.parametrize("coord", range(4))
-    def test_nan_in_any_line_number_of_a_laid_out_node(self, coord):
-        # Node 'green-10-b' of the demo is wedge cut: an arc, four lines
-        # and an arc.  A line's start is never drawn, since it repeats the
-        # previous end, so only the extent can see a NaN there.
-        base = compute_layout(normalize(demo_tree()), "rit")
-        node = next(n for n in base.nodes if n.id == "green-10-b")
-        (loop,) = node.path.loops
-        lines = [i for i, seg in enumerate(loop) if len(seg) == 4]
-        assert len(lines) == 4
-        for i in lines:
-            seg = list(loop[i])
-            seg[coord] = math.nan
-            given = Path(((*loop[:i], tuple(seg), *loop[i + 1:]),))
-            sector = _GivenOutline(*dataclasses.astuple(node.sector), given=given)
-            nodes = tuple(dataclasses.replace(n, sector=sector) if n is node else n
-                          for n in base.nodes)
-            with pytest.raises(ValueError) as info:
-                render_svg(dataclasses.replace(base, nodes=nodes))
-            assert str(info.value) == "node 'green-10-b': outline holds nan, which cannot be drawn"
+            _replaced(sector={field: value}, style=style)
+        assert str(info.value) == f"node 'orange': {field} {value!r} is not a finite float"
 
     def test_finite_outlines_too_wide_to_scale(self):
-        layout = _sound_and_given(((-1e308, 0.0, 1e308, 0.0), (1e308, 0.0, -1e308, 0.0)))
+        layout = _replaced("root", sector={"r_in": 1e308, "height": 7e307})
+        with pytest.raises(ValueError, match="^layout: outlines cannot be scaled onto the canvas$"):
+            render_svg(layout)
+
+    def test_radius_too_large_to_scale_in_a_narrow_box(self):
+        # One point at 45 degrees, with a 1e-12 wide box: the transform is
+        # finite, yet the arc radius overflows to inf in the path data.
+        layout = _one_sector(0.25 * math.pi, 5e-324, 0.0, 2.5e293, 1.0)
+        assert math.isfinite(math.fsum(_transform(
+            _extent([layout.nodes[0].path]), RenderStyle())))
         with pytest.raises(ValueError, match="^layout: outlines cannot be scaled onto the canvas$"):
             render_svg(layout)
 
@@ -477,32 +458,25 @@ def test_path_data_formats_each_number_without_negative_zero(tree, style, cfg):
         assert "-0.000000" not in d.split()
 
 
-@dataclass
-class _GivenOutline(SectorGeometry):
-    """Sector fields with an outline given by hand instead of derived."""
-
-    given: Path | None = None
-
-    def outline(self) -> Path:
-        return self.given
+def _hand_paths() -> dict[str, Path]:
+    """Each hand-made outline of ``test_geometry.hand_loops`` as a ``Path``."""
+    return {name: Path(loops=loops) for name, loops in hand_loops().items()}
 
 
-def _hand_layout() -> Layout:
-    """One node per hand-made outline of ``test_geometry.hand_loops``."""
-    nodes = tuple(
-        PlacedNode(name, name, "#123456", 0.5, 1, None,
-                   _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path(loops=loops)))
-        for name, loops in hand_loops().items()
-    )
-    return Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=len(nodes))
+def _drawn(paths: dict[str, Path], style: RenderStyle = RenderStyle()):
+    """Each outline's path data as ``render_svg`` writes it, on the canvas
+    that the outlines fill together, and that canvas's (scale, cx, cy)."""
+    scale, cx, cy = _transform(_extent(paths.values()), style)
+    return {name: " ".join(_loop_to_d(loop, scale, cx, cy) for loop in path.loops)
+            for name, path in paths.items()}, (scale, cx, cy)
 
 
-def _reference_extent(layout: Layout) -> tuple[float, float, float, float]:
+def _reference_extent(paths) -> tuple[float, float, float, float]:
     """Bounding box from each segment's ``seg_start`` and ``seg_end``, plus the
     axis points (+-r, 0) / (0, +-r) at the multiples of pi/2 an arc sweeps."""
     xs, ys = [], []
-    for node in layout.nodes:
-        for seg in path_segments(node.path):
+    for path in paths:
+        for seg in path_segments(path):
             for x, y in (seg_start(seg), seg_end(seg)):
                 xs.append(x)
                 ys.append(y)
@@ -575,53 +549,41 @@ class TestSegmentFastPaths:
 
     @pytest.mark.parametrize("margin", [0.0, 20.0])
     def test_path_data_equals_reference(self, margin):
-        layout = _hand_layout()
-        svg = render_svg(layout, RenderStyle(margin=margin))
-        scale, cx, cy = parse_transform(svg)
-        by_id = {n.id: n for n in layout.nodes}
-        elements = svg_paths(svg)
-        assert len(elements) == len(by_id)
-        for el in elements:
-            assert el.get("d") == _reference_d(by_id[el.get("id")].path, scale, cx, cy)
+        paths = _hand_paths()
+        drawn, transform = _drawn(paths, RenderStyle(margin=margin))
+        for name, path in paths.items():
+            assert drawn[name] == _reference_d(path, *transform), name
 
     def test_extent_equals_reference(self):
-        layout = _hand_layout()
-        assert _extent(layout) == _reference_extent(layout) == all_points_extent(layout)
-        for node in layout.nodes:
-            one = Layout("rit", layout.config, 1.0, (node,), 1)
-            assert _extent(one) == _reference_extent(one) == all_points_extent(one), node.id
+        paths = list(_hand_paths().values())
+        assert _extent(paths) == _reference_extent(paths) == all_points_extent(paths)
+        for path in paths:
+            assert _extent([path]) == _reference_extent([path]) == all_points_extent([path]), path
 
     @pytest.mark.parametrize("tree", sorted(_ORACLE_TREES))
     @pytest.mark.parametrize("style", STYLES)
     def test_extent_equals_reference_on_laid_out_trees(self, tree, style):
         layout = compute_layout(normalize(_ORACLE_TREES[tree](), "strict"), style)
-        assert _extent(layout) == _reference_extent(layout) == all_points_extent(layout)
-        for node in layout.nodes:
-            one = Layout(style, layout.config, 1.0, (dataclasses.replace(node, parent=None),), 1)
-            assert _extent(one) == _reference_extent(one) == all_points_extent(one), node.id
+        paths = [node.path for node in layout.nodes]
+        assert _extent(paths) == _reference_extent(paths) == all_points_extent(paths)
+        for path in paths:
+            assert _extent([path]) == _reference_extent([path]) == all_points_extent([path]), path
 
     @settings(max_examples=300, deadline=None)
     @given(outlines=st.lists(st.lists(_extent_loop(), min_size=1, max_size=3), min_size=1, max_size=4),
            chunk=st.sampled_from([1, 7, svg_module._CHUNK]))
     def test_extent_equals_all_points_on_hand_loops(self, outlines, chunk):
         # Any chunk size folds to the same box, as each fold is exact.
-        nodes = tuple(
-            PlacedNode(str(i), "n", "#123456", 0.5, 1, None,
-                       _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=Path(loops=tuple(loops))))
-            for i, loops in enumerate(outlines))
-        layout = Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=nodes, visits=len(nodes))
+        paths = [Path(loops=tuple(loops)) for loops in outlines]
         with mock.patch.object(svg_module, "_CHUNK", chunk):
-            assert _extent(layout) == all_points_extent(layout)
+            assert _extent(iter(paths)) == all_points_extent(paths)
 
     @pytest.mark.parametrize("margin", [0.0, 20.0])
     @settings(max_examples=200, deadline=None)
     @given(loops=st.lists(_closed_loops(), min_size=1, max_size=3))
     def test_loop_to_d_equals_reference_on_drawn_loops(self, margin, loops):
         path = Path(loops=tuple(loops))
-        node = PlacedNode("n", "n", "#123456", 0.5, 1, None,
-                          _GivenOutline(0.0, 1.0, 0.0, 1.0, 1.0, given=path))
-        layout = Layout(style="rit", config=LayoutConfig(), a_std=1.0, nodes=(node,), visits=1)
-        scale, cx, cy = _transform(layout, RenderStyle(margin=margin))
+        scale, cx, cy = _transform(_extent([path]), RenderStyle(margin=margin))
         for loop in path.loops:
             assert _loop_to_d(loop, scale, cx, cy) == _reference_d(Path((loop,)), scale, cx, cy)
 
@@ -629,88 +591,102 @@ class TestSegmentFastPaths:
         # One command below pi and two from pi to a full turn: the count the
         # former general splitter, max(2, ceil(|span|/pi - 1e-12)) pieces
         # from pi up, gives for every span up to a full turn.
-        layout = _hand_layout()
-        spans = [seg_span(seg) for n in layout.nodes for seg in path_segments(n.path)
+        paths = _hand_paths()
+        spans = [seg_span(seg) for path in paths.values() for seg in path_segments(path)
                  if len(seg) == 3]
         assert BELOW_PI in spans and math.pi in spans and -2 * math.pi in spans
         assert min(spans) < -math.pi and 0 < min(map(abs, spans)) < 1e-14
-        by_id = {n.id: n for n in layout.nodes}
-        for el in svg_paths(render_svg(layout)):
-            for sub, loop in zip(parse_d(el.get("d")), by_id[el.get("id")].path.loops, strict=True):
+        drawn, _ = _drawn(paths)
+        for name, path in paths.items():
+            for sub, loop in zip(parse_d(drawn[name]), path.loops, strict=True):
                 counts = [1 if abs(seg_span(seg)) < math.pi
                           else max(2, math.ceil(abs(seg_span(seg)) / math.pi - 1e-12))
                           for seg in loop if len(seg) == 3]
                 assert max(counts, default=1) <= 2
-                assert sum(cmd == "A" for cmd, _ in sub) == sum(counts), el.get("id")
+                assert sum(cmd == "A" for cmd, _ in sub) == sum(counts), name
+
+
+def _arc_path(arc) -> Path:
+    return Path(((arc,),))
 
 
 class TestWideArc:
     """An arc sweeping more than a full turn, which the even-odd fill rule
-    cannot draw, is refused naming its node, in time that does not grow
-    with the span; a full turn within ``FULL_TURN_TOL`` still draws."""
+    cannot draw, is refused, in time that does not grow with the span; a
+    full turn within ``FULL_TURN_TOL`` still draws.  The extent refuses it,
+    and ``render_svg`` then names the node: a laid-out full turn at an angle
+    past about 1e4 rad can span more than ``2*pi`` once rounded."""
 
     @staticmethod
-    def _assert_refused(span):
-        layout = _sound_and_given(((1.0, 0.0, span),))
-        message = (f"node 'b': arc {(1.0, 0.0, span)!r} sweeps more than a full turn, "
-                   "which cannot be drawn")
+    def _assert_refused(*paths):
+        with pytest.raises(ValueError, match="^arc sweeps more than a full turn$"):
+            _extent(paths)
+
+    @settings(max_examples=100, deadline=None)
+    @given(magnitude=st.floats(_MAX_SPAN, 3.0 * math.pi, exclude_min=True),
+           sign=st.sampled_from([1.0, -1.0]),
+           theta=st.floats(1e4, 1e17) | st.floats(-1e17, -1e4) | st.sampled_from([4e16, 3e15]))
+    def test_wider_than_a_full_turn_names_the_node(self, magnitude, sign, theta):
+        self._assert_refused(_arc_path((1.0, 0.0, sign * magnitude)))
+        layout = _replaced("root", sector={"theta": theta})
+        root = layout.nodes[0]
+        arc = root.path.loops[0][0]
+        if abs(arc[2] - arc[1]) <= _MAX_SPAN:
+            render_svg(layout)
+            return
+        with pytest.raises(ValueError) as info:
+            render_svg(layout)
+        assert str(info.value) == (
+            f"node 'root': arc {arc!r} sweeps more than a full turn, which cannot be drawn")
+
+    def test_rounded_full_turn_names_the_node(self):
+        layout = _replaced("root", sector={"theta": 4e16})
+        arc = (10.0, 4e16, 4e16 + 8.0)
+        assert layout.nodes[0].path.loops[0] == (arc,)
         for ordered in (layout, dataclasses.replace(layout, nodes=layout.nodes[::-1])):
             with pytest.raises(ValueError) as info:
                 render_svg(ordered)
             assert type(info.value) is ValueError
-            assert str(info.value) == message
-
-    @settings(max_examples=100, deadline=None)
-    @given(magnitude=st.floats(_MAX_SPAN, 3.0 * math.pi, exclude_min=True),
-           sign=st.sampled_from([1.0, -1.0]))
-    def test_wider_than_a_full_turn_names_the_node(self, magnitude, sign):
-        self._assert_refused(sign * magnitude)
+            assert str(info.value) == (
+                f"node 'root': arc {arc!r} sweeps more than a full turn, which cannot be drawn")
 
     @pytest.mark.parametrize("span", [3.0 * math.pi, 1e6, 1e300, -1e300])
     def test_huge_spans_refused_at_once(self, span):
         t0 = time.perf_counter()
-        self._assert_refused(span)
+        self._assert_refused(_arc_path((1.0, 0.0, span)))
         assert time.perf_counter() - t0 < 1.0
 
     def test_refusal_starts_just_past_the_tolerance(self):
-        self._assert_refused(math.nextafter(_MAX_SPAN, math.inf))
+        self._assert_refused(_arc_path((1.0, 0.0, math.nextafter(_MAX_SPAN, math.inf))))
         for span in (_MAX_SPAN, -_MAX_SPAN):
-            layout = _sound_and_given(((1.0, 0.0, span),))
-            svg = render_svg(layout)
-            scale, cx, cy = parse_transform(svg)
-            d = svg_paths(svg)[1].get("d")
-            assert d == _reference_d(layout.nodes[1].path, scale, cx, cy)
-            assert d.count(" A ") == 2
+            paths = {"arc": _arc_path((1.0, 0.0, span))}
+            drawn, transform = _drawn(paths)
+            assert drawn["arc"] == _reference_d(paths["arc"], *transform)
+            assert drawn["arc"].count(" A ") == 2
 
     def test_huge_angle_of_a_narrow_arc_draws(self):
         # Beyond about 1e16, k*pi/2 no longer grows with k; the axis points
         # an arc sweeps are still at most five.
         for angle in (1e20, 1e300, -1e300):
             t0 = time.perf_counter()
-            render_svg(_sound_and_given(((1.0, angle, angle),)))
+            render_svg(_replaced(sector={"theta": angle}))
             assert time.perf_counter() - t0 < 1.0
 
-    @pytest.mark.parametrize("arc, held", [
-        ((1.0, 0.0, 3.0 * math.pi), None),
-        ((1.0, 0.0, -1e300), None),
-        ((1.0, math.nan, 1.0), "nan"),
-        ((1.0, 0.0, math.nan), "nan"),
-        ((1.0, -math.inf, 0.0), "-inf"),
-        ((1.0, math.inf, math.inf), "inf"),
-    ])
-    def test_arc_inside_the_box_is_checked_before_it_is_skipped(self, arc, held):
-        # Node 'a' spans +-10 on both axes, so an arc of radius 1 adds nothing
-        # to the extent; it is refused all the same.
+    @pytest.mark.parametrize("arc", [
+        (1.0, 0.0, 3.0 * math.pi),
+        (1.0, 0.0, -1e300),
+        (1.0, math.nan, 1.0),
+        (1.0, 0.0, math.nan),
+        (1.0, -math.inf, 0.0),
+        (1.0, math.inf, math.inf),
+    ], ids=["arc0-None", "arc1-None", "arc2-nan", "arc3-nan", "arc4--inf", "arc5-inf"])
+    def test_arc_inside_the_box_is_checked_before_it_is_skipped(self, arc):
+        # The square spans +-10 on both axes, so an arc of radius 1 adds
+        # nothing to the extent; it is refused all the same, and so is one
+        # with a NaN or infinite angle, which no layout can hold.
         square = ((-10.0, -10.0, 10.0, -10.0), (10.0, -10.0, 10.0, 10.0),
                   (10.0, 10.0, -10.0, 10.0), (-10.0, 10.0, -10.0, -10.0))
-        layout = _sound_and_given((arc,), sound=square)
-        if held is None:
-            message = f"node 'b': arc {arc!r} sweeps more than a full turn, which cannot be drawn"
-        else:
-            message = f"node 'b': outline holds {held}, which cannot be drawn"
-        with pytest.raises(ValueError) as info:
-            render_svg(layout)
-        assert str(info.value) == message
+        self._assert_refused(Path((square,)), _arc_path(arc))
 
 
 _TRAFFIC_CONFIGS = {
