@@ -57,10 +57,9 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
 
     A node's containment excess is how far its sector reaches past its
     frame: the parent's span between the parent's cut edges, or the
-    root's own sector.  An outline that ``path_area`` refuses raises
-    ``ValueError`` naming its node.  A non-finite area, which finite radii
-    near 1e154 and above can give, or any area on a zero-data node, makes
-    ``max_area_error`` infinite.
+    root's own sector.  The layout contract bounds every angle and radius,
+    so every outline closes and every area is finite: nothing is refused.
+    Any area on a zero-data node makes ``max_area_error`` infinite.
     """
     by_id = {n.id: n for n in layout.nodes}
     gaps_after: dict[str, tuple[float, float]] = {}
@@ -73,18 +72,14 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
     node_reports: list[NodeReport] = []
     max_area_error = 0.0
     for n in layout.nodes:
-        try:
-            area = path_area(n.path)
-        except ValueError as exc:
-            raise ValueError(f"node {n.id!r}: {exc}") from exc
+        area = path_area(n.path)
         target = n.data * layout.a_std
         if target > 0.0:
             ratio = area / target
             max_area_error = max(max_area_error, abs(ratio - 1.0))
         else:
             ratio = None
-        # A NaN area gives a NaN error, which max() drops.
-        if not math.isfinite(area) or ratio is None and area > ZERO_AREA_TOL * layout.a_std:
+        if ratio is None and area > ZERO_AREA_TOL * layout.a_std:
             max_area_error = math.inf
         sec = n.sector
         frame = sec if n.parent is None else by_id[n.parent].sector
@@ -96,8 +91,6 @@ def diagnostics(layout: Layout) -> DiagnosticsReport:
 
     gaps = [r.gap_after for r in node_reports if r.gap_after is not None]
     ratios = [r.area_ratio for r in node_reports if r.area_ratio is not None]
-    if any(map(math.isnan, ratios)):
-        ratios = [math.nan]  # min() and max() would answer by where a NaN stands.
     return DiagnosticsReport(
         a_std=layout.a_std,
         nodes=node_reports,

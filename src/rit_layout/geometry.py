@@ -36,6 +36,9 @@ ANGLE_EPS = 1e-6
 # Angular widths within this of a full turn are treated as full annuli.
 FULL_TURN_TOL = 1e-12
 
+# The widest angle a sector may sweep: a full turn and its tolerance.
+MAX_SWEEP = TAU + FULL_TURN_TOL
+
 
 def normalize_angle(theta: float) -> float:
     """Map an angle into [0, 2*pi)."""
@@ -50,7 +53,7 @@ def sector_area(r: float, h: float, beta: float) -> float:
     """
     if r < 0.0 or h < 0.0:
         raise ValueError(f"sector_area requires r >= 0 and h >= 0, got r={r}, h={h}")
-    if not 0.0 < beta <= TAU + FULL_TURN_TOL:
+    if not 0.0 < beta <= MAX_SWEEP:
         raise ValueError(f"sector angle must be in (0, 2*pi], got {beta}")
     return 0.5 * beta * ((r + h) ** 2 - r * r)
 

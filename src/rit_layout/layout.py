@@ -47,6 +47,10 @@ from .tree import NormalizedNode, _require_valid_value
 MODES = ("contained", "literal")
 STYLES = ("rit", "sunburst", "icicle")
 MIN_NORMAL = 2.0 ** -1022  # sys.float_info.min, the smallest normal float
+# The ``Layout`` contract's bounds: an angle within MAX_ANGLE rounds by under
+# FULL_TURN_TOL, and a coordinate within MAX_RADIUS squares to a finite float.
+MAX_ANGLE = 2.0 ** 12
+MAX_RADIUS = 2.0 ** 500
 
 
 def require_finite(config, names: tuple[str, ...]) -> None:
@@ -91,7 +95,7 @@ class LayoutConfig:
         require_finite(self, _FLOAT_FIELDS)
         for name in _FLOAT_FIELDS:
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not 0.0 < self.beta0 <= TAU + geo.FULL_TURN_TOL:
+        if not 0.0 < self.beta0 <= geo.MAX_SWEEP:
             raise ValueError(f"beta0 must be in (0, 2*pi], got {self.beta0}")
         if self.r0 < 0.0:
             raise ValueError(f"r0 must be >= 0, got {self.r0}")
@@ -124,9 +128,9 @@ class PlacedNode:
 
     A slotted record, not hashable, that the library never changes once
     built.  Change one with ``dataclasses.replace``, never by assigning to a
-    field: ``path`` is derived from ``sector`` on first use and kept in
-    ``_path``, and a replaced node starts without one, where an assigned
-    ``sector`` would keep the stale outline.  ``relaxed`` flags a node that
+    field: an assigned value reaches the writers unchecked by ``Layout``,
+    and an assigned ``sector`` keeps the stale outline that ``path`` derived
+    and kept in ``_path``, where a replaced node starts without one.  ``relaxed`` flags a node that
     relaxation turned, directly or with a moved ancestor.  For the icicle
     style ``sector`` is a ``BandGeometry``: theta is the x offset, beta the
     width, r_in the distance of the row's top from the root's top edge.
@@ -162,11 +166,15 @@ class Layout:
     ``int`` (not a bool) and ``relaxed`` a ``bool``.  Its ``sector`` is
     exactly a ``SectorGeometry`` (a ``BandGeometry`` for the icicle) of
     finite exact ``float`` fields with ``0 <= alpha <= beta``, ``r_in >=
-    0``, ``height > 0``, ``topup_height >= 0`` and finite ``theta + beta``
-    and ``r_in + height + topup_height``.  A broken rule raises
-    ``ValueError`` naming the node and the field, or ``layout``.  So every
-    outline holds finite exact floats in plain tuples and no empty loop,
-    and the writers check none of it.
+    0``, ``height > 0``, ``topup_height >= 0`` and ``r_in + height +
+    topup_height <= MAX_RADIUS``.  A sector has ``beta <= MAX_SWEEP`` and
+    ``theta`` and ``theta + beta`` within ``MAX_ANGLE`` of 0; a band has
+    them within ``MAX_RADIUS``.  A broken rule raises ``ValueError`` naming
+    the node and the field, or ``layout``.  So every outline holds finite
+    exact floats in plain tuples and no empty loop, no arc sweeps past
+    ``MAX_SWEEP``, and every area and scaled coordinate is finite: the
+    writers check none of it.  A value assigned to a record after the build
+    goes unchecked; ``dataclasses.replace`` is the checked way to change one.
     """
 
     style: str
@@ -186,23 +194,24 @@ class Layout:
                 raise ValueError(f"layout: {name} {value!r} is not {what}")
         if not nodes:
             raise ValueError("layout: no nodes to write")
-        kind = BandGeometry if style == "icicle" else SectorGeometry
-        inf = math.inf
-        # A NaN fails the comparisons, and with them the two sums bound
-        # every field; ``_rules`` names the first rule a node breaks.
+        kind, turn, limit = bounds = ((BandGeometry, math.inf, MAX_RADIUS) if style == "icicle"
+                                      else (SectorGeometry, geo.MAX_SWEEP, MAX_ANGLE))
+        # A NaN fails the comparisons, and with them the bounds hold every
+        # field finite; ``_rules`` names the first rule a node breaks.
         for n in nodes:
             s = n.sector
             if not (
                 type(s) is kind
                 and type(s.theta) is type(s.beta) is type(s.alpha) is type(s.r_in)
                 is type(s.height) is type(s.topup_height) is float
-                and 0.0 <= s.alpha <= s.beta and s.r_in >= 0.0 and s.height > 0.0
-                and s.topup_height >= 0.0 and -inf < s.theta + s.beta < inf
-                and s.r_in + s.height + s.topup_height < inf
+                and 0.0 <= s.alpha <= s.beta <= turn and s.r_in >= 0.0 and s.height > 0.0
+                and s.topup_height >= 0.0 and -limit <= s.theta <= limit
+                and -limit <= s.theta + s.beta <= limit
+                and s.r_in + s.height + s.topup_height <= MAX_RADIUS
                 and type(n.id) is type(n.label) is str and (n.color is None or type(n.color) is str)
                 and type(n.depth) is int and type(n.relaxed) is bool
             ):
-                name, value, _, what = next(rule for rule in _rules(n, kind) if not rule[2])
+                name, value, _, what = next(rule for rule in _rules(n, *bounds) if not rule[2])
                 raise ValueError(f"node {n.id!r}: {name} {value!r} is not {what}")
         ids = {n.id for n in nodes}
         if len(ids) != len(nodes):
@@ -220,9 +229,11 @@ class Layout:
         return list(groups.values())
 
 
-def _rules(n: PlacedNode, kind: type[SectorGeometry]):
+def _rules(n: PlacedNode, kind: type[SectorGeometry], turn: float, limit: float):
     """(field, value, holds, what it must be) for each rule of the
-    ``Layout`` contract on node ``n``, in order, each once the last holds."""
+    ``Layout`` contract on node ``n``, in order, each once the last holds:
+    ``n.sector`` is a ``kind`` whose ``beta`` is at most ``turn`` and whose
+    ``theta`` and ``theta + beta`` are within ``limit`` of 0."""
     yield "id", n.id, type(n.id) is str, "str"
     yield "depth", n.depth, type(n.depth) is int, "int"
     s = n.sector
@@ -234,9 +245,11 @@ def _rules(n: PlacedNode, kind: type[SectorGeometry]):
     yield "r_in", s.r_in, s.r_in >= 0.0, ">= 0"
     yield "height", s.height, s.height > 0.0, "> 0"
     yield "topup_height", s.topup_height, s.topup_height >= 0.0, ">= 0"
-    for name, value in (("theta + beta", s.theta + s.beta),
-                        ("r_in + height + topup_height", s.r_in + s.height + s.topup_height)):
-        yield name, value, math.isfinite(value), "finite"
+    yield "beta", s.beta, s.beta <= turn, "<= MAX_SWEEP"
+    for name, value in (("theta", s.theta), ("theta + beta", s.theta + s.beta)):
+        yield name, value, -limit <= value <= limit, f"within {limit!r} of 0"
+    radius = s.r_in + s.height + s.topup_height
+    yield "r_in + height + topup_height", radius, radius <= MAX_RADIUS, "<= MAX_RADIUS"
     yield "relaxed", n.relaxed, type(n.relaxed) is bool, "bool"
     yield "color", n.color, n.color is None or type(n.color) is str, "str"
     yield "label", n.label, type(n.label) is str, "str"
@@ -263,8 +276,8 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
     With ``cfg.relax_enabled`` each frame also re-spaces its runs of thin
     children (see ``_relax_thin_runs``); a moved child turns its subtree
     with it, and every node so turned is flagged ``relaxed``.  A ring or
-    top-up that floats cannot represent raises ``ValueError`` naming the
-    node and the rule.
+    top-up that floats cannot represent, or that reaches past
+    ``MAX_RADIUS``, raises ``ValueError`` naming the node and the rule.
     """
     _check_tree(tree)
     theta0 = geo.normalize_angle(cfg.theta0)
@@ -300,13 +313,14 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
         # A scale compressed to 0 would need an infinite ring.
         h = _height_for_scale(r, scale, a_std) if scale > 0.0 else math.inf
         big_r = r + h
-        # The one check of the frame: past it 0 <= r < big_r < inf, which
-        # every wedge and top-up solve below needs.  Children whose data
-        # dwarfs a subnormal parent's leave no finite height; a ring far
-        # thinner than its radius, or a solve that overflows, one that
-        # r + h loses.
-        if not r < big_r < math.inf:
-            rule = "non-finite-ring-height" if not math.isfinite(h) else "unrepresentable-ring-height"
+        # The one check of the frame: past it 0 <= r < big_r <= MAX_RADIUS,
+        # which keeps every wedge area and top-up solve below finite.
+        # Children whose data dwarfs a subnormal parent's leave no finite
+        # height; a ring far thinner than its radius, or a solve that
+        # overflows, one that r + h loses.
+        if not r < big_r <= MAX_RADIUS:
+            rule = ("non-finite-ring-height" if not math.isfinite(h) else
+                    "unrepresentable-ring-height" if not r < big_r else "ring-past-radius-bound")
             raise ValueError(
                 f"node {parent.id!r}: {rule}: children of data sum {total!r} in a frame of "
                 f"angle {f_beta!r} give ring height {h!r} at radius {r!r}, outer radius {big_r!r}"
@@ -343,14 +357,14 @@ def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layo
             h_top = 0.0
             if alpha > 0.0:
                 # A wedge pair whose area rounds to 0 or below needs no
-                # top-up.  One whose area overflows, which takes a child
-                # dwarfing its parent at radii near 1e154, can get none.
+                # top-up.  Within MAX_RADIUS both are finite, but a child
+                # dwarfing its parent can push the top-up past it.
                 lost = _wedge_pair_area(r, h, alpha)
-                if not lost <= 0.0:
+                if lost > 0.0:
                     h_top = _topup_height(big_r, beta_c, alpha, lost)
-                if not (-math.inf < lost and h_top < math.inf):
+                if not big_r + h_top <= MAX_RADIUS:
                     raise ValueError(
-                        f"node {child.id!r}: non-finite-topup-height: wedges of angle "
+                        f"node {child.id!r}: topup-past-radius-bound: wedges of angle "
                         f"{alpha!r} cut from a ring of radius {r!r} and height {h!r} "
                         f"have area {lost!r} and give top-up height {h_top!r}"
                     )

@@ -2,8 +2,8 @@
 
 Node outlines are emitted as filled path elements in depth-major order,
 with arcs as elliptical-arc commands: one under pi, two halves from pi to
-a full turn (the sweep flag picks the side of a half turn); a wider arc,
-which the even-odd fill rule cannot draw, is refused naming its node.  The
+a full turn (the sweep flag picks the side of a half turn); the layout
+contract admits no wider arc, which the even-odd fill rule cannot draw.  The
 drawing is scaled and centered so that the outlines' exact extent (line
 endpoints, arc endpoints and the axis extremes an arc sweeps past) fills
 the canvas less the margin; the transform and the layout configuration are
@@ -19,7 +19,7 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .geometry import FULL_TURN_TOL, Path
+from .geometry import Path
 from .layout import Layout, require_finite
 from .tree import _require_xml_text
 
@@ -28,9 +28,7 @@ BACKGROUND = "#ffffff"
 FONT_SIZE = 11.0
 
 HALF_PI = 0.5 * math.pi
-_MAX_SPAN = 2.0 * math.pi + FULL_TURN_TOL  # a full turn, as a sector may sweep
 _CHUNK = 4096  # ``_extent`` folds its points into the box once it holds more numbers
-_UNSCALABLE = "layout: outlines cannot be scaled onto the canvas"
 
 # Unit point at angle k*pi/2, indexed by k % 4: where an origin-centred
 # arc reaches its x or y extremes.
@@ -45,8 +43,10 @@ class RenderStyle:
 
     def __post_init__(self) -> None:
         require_finite(self, ("canvas", "margin"))
-        if self.canvas <= 0:
-            raise ValueError(f"canvas size must be > 0, got {self.canvas}")
+        # Within 2**53, scale times any coordinate the layout contract
+        # admits stays finite.
+        if not 0 < self.canvas <= 2 ** 53:
+            raise ValueError(f"canvas size must be in (0, 2**53], got {self.canvas}")
         if self.margin < 0 or 2 * self.margin >= self.canvas:
             raise ValueError(f"margin {self.margin} leaves no drawable canvas")
 
@@ -66,10 +66,9 @@ def _extent(paths: Iterable[Path]) -> tuple[float, float, float, float]:
     negative or past a full turn, to its axis point.  An arc with
     ``0 <= r <= min(-x_lo, x_hi, -y_lo, y_hi)`` of the box so far adds
     nothing and is skipped: each of its points is ``fl(r * c)`` with
-    ``|c| <= 1``, so at most ``r`` from either axis.  An arc wider than
-    ``_MAX_SPAN`` raises ``ValueError`` before that test; at most five k
-    are tried, all that a narrower arc can hold.  Points are folded into
-    the box ``_CHUNK`` numbers at a time.
+    ``|c| <= 1``, so at most ``r`` from either axis.  An arc of the layout
+    contract, up to ``MAX_SWEEP`` wide, holds at most five k.  Points are
+    folded into the box ``_CHUNK`` numbers at a time.
     """
     box = (math.inf, -math.inf, math.inf, -math.inf)
     points: list[float] = []  # x, y, x, y, ...: a line segment is two points
@@ -87,17 +86,15 @@ def _extent(paths: Iterable[Path]) -> tuple[float, float, float, float]:
     box = _fold(box, points)
     points = []
     cover = min(-box[0], box[1], -box[2], box[3])
-    cos, sin, max_span = math.cos, math.sin, _MAX_SPAN
+    cos, sin = math.cos, math.sin
     for r, lo, hi in arcs:
         if hi < lo:
             lo, hi = hi, lo
-        if not hi - lo <= max_span:
-            raise ValueError("arc sweeps more than a full turn")
         if 0.0 <= r <= cover:
             continue
         points += (r * cos(lo), r * sin(lo), r * cos(hi), r * sin(hi))
-        k = k0 = math.ceil(lo / HALF_PI)
-        while k * HALF_PI <= hi and k < k0 + 5:
+        k = math.ceil(lo / HALF_PI)
+        while k * HALF_PI <= hi:
             ux, uy = _AXIS_POINTS[k % 4]
             points += (r * ux, r * uy)
             k += 1
@@ -119,14 +116,14 @@ def _fold(box: tuple[float, float, float, float], points: list[float]) -> tuple[
 
 def _transform(box: tuple[float, float, float, float], style: RenderStyle) -> tuple[float, float, float]:
     """(scale, cx, cy) fitting the extent ``box`` to the canvas: layout
-    (x, y) is drawn at (cx + scale*x, cy - scale*y)."""
+    (x, y) is drawn at (cx + scale*x, cy - scale*y).  The scale is at most
+    the canvas over 1e-12, so with coordinates within ``MAX_RADIUS`` every
+    drawn number is finite."""
     x_lo, x_hi, y_lo, y_hi = box
     span = max(x_hi - x_lo, y_hi - y_lo, 1e-12)
     scale = (style.canvas - 2.0 * style.margin) / span
     cx = 0.5 * style.canvas - scale * 0.5 * (x_lo + x_hi)
     cy = 0.5 * style.canvas + scale * 0.5 * (y_lo + y_hi)
-    if not (scale > 0.0 and math.isfinite(cx + cy)):
-        raise ValueError(_UNSCALABLE)
     return scale, cx, cy
 
 
@@ -142,9 +139,9 @@ def _loop_to_d(loop, scale: float, cx: float, cy: float) -> str:
 
     The loop's commands become one ``%`` template and one value list,
     formatted by one ``%`` call with the transform inlined.  An arc under
-    pi is one command ending at ``start + span``; one of pi up to
-    a full turn (``_extent`` has refused any wider) is two commands ending
-    at ``start + 0.5 * span`` and ``start + span``.  A ``-0.000000`` token
+    pi is one command ending at ``start + span``; one of pi up to a full
+    turn (the layout contract admits none wider) is two commands ending at
+    ``start + 0.5 * span`` and ``start + span``.  A ``-0.000000`` token
     is then rewritten to ``0.000000`` once over the finished string: every
     token is a whole 6-decimal number, so only such a token can contain
     that text.
@@ -235,20 +232,10 @@ _ATTR_SPECIAL = re.compile(r"[\x00-\x1f\"&'<>\ud800-\udfff\ufffe\uffff]")
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
     """Render a layout to SVG 1.1 bytes; identical inputs give identical bytes.
 
-    An id, colour or drawn label that XML 1.0 cannot hold, and an arc wider
-    than a full turn, raise ``ValueError`` naming the node; outlines too
-    wide for floats to scale onto the canvas raise it naming the layout."""
-    try:
-        box = _extent(n.path for n in layout.nodes)
-    except ValueError as exc:
-        # The one outline the Layout contract lets through that cannot be
-        # drawn: a full turn at an angle past about 1e4 rad, its span rounded
-        # up.  The test is the extent's, so it finds the arc that failed it.
-        node, arc = next((n, seg) for n in layout.nodes for loop in n.path.loops for seg in loop
-                         if len(seg) == 3 and not abs(seg[2] - seg[1]) <= _MAX_SPAN)
-        raise ValueError(f"node {node.id!r}: arc {arc!r} sweeps more than a full turn, "
-                         "which cannot be drawn") from exc
-    scale, cx, cy = _transform(box, style)
+    The layout contract bounds every angle and radius, so any layout can be
+    drawn: only an id, colour or drawn label that XML 1.0 cannot hold
+    raises ``ValueError``, naming the node."""
+    scale, cx, cy = _transform(_extent(n.path for n in layout.nodes), style)
     size = style.canvas
     # One buffer holds the document: ``getvalue`` hands over its bytes
     # without a copy, where a list of lines, their join and its encoding
@@ -281,8 +268,6 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle()) -> bytes:
             d = _loop_to_d(loops[0], scale, cx, cy)
         else:
             d = " ".join([_loop_to_d(loop, scale, cx, cy) for loop in loops])
-        if "n" in d:  # an inf from a box too narrow for its radii to scale
-            raise ValueError(_UNSCALABLE)
         if node.relaxed:
             write(
                 f'<path id="{id_attr}" d="{d}" fill="{fill}" fill-opacity="0.7" fill-rule="evenodd" '

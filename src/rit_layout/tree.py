@@ -47,6 +47,8 @@ class NormalizationError(ValueError):
 class _Tree:
     """The walk and count that raw and normalized nodes share."""
 
+    __slots__ = ()
+
     def walk(self):
         """Nodes in preorder, with an explicit stack so depth has no limit."""
         stack = [self]
@@ -59,7 +61,7 @@ class _Tree:
         return sum(1 for _ in self.walk())
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode(_Tree):
     """Raw input node; ``value`` is in application units."""
 
@@ -70,7 +72,7 @@ class TreeNode(_Tree):
     children: list["TreeNode"] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class NormalizedNode(_Tree):
     """Node with ``data`` = value / root value, in [0, 1]; root data = 1."""
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from rit_layout.geometry import (
     ANGLE_EPS,
+    MAX_SWEEP,
     TAU,
     Path,
     SectorGeometry,
@@ -32,7 +33,6 @@ from rit_layout.geometry import (
 )
 from rit_layout.layout import Layout, PlacedNode
 from rit_layout.measure import DEFAULT_ARC_STEP
-from rit_layout.svg import _MAX_SPAN
 from rit_layout.tree import SUM_TOL, NormalizedNode
 
 
@@ -275,12 +275,12 @@ def all_points_extent(paths) -> tuple[float, float, float, float]:
     Every line endpoint, every arc endpoint, and the axis points (+-r, 0) /
     (0, +-r) at each multiple k*pi/2 an arc sweeps (at most five k), with
     ``min`` and ``max`` taken once over all of them; an arc wider than
-    ``_MAX_SPAN`` raises ``ValueError``.  The renderer's ``_extent``, which
+    ``MAX_SWEEP``, which no layout holds, raises ``ValueError``.  The renderer's ``_extent``, which
     reads line endpoints first, folds in chunks and skips covered arcs, must
     give the same box.
     """
     points: list[float] = []  # x, y, x, y, ...: a line segment is two points
-    cos, sin, max_span, half_pi = math.cos, math.sin, _MAX_SPAN, 0.5 * math.pi
+    cos, sin, max_span, half_pi = math.cos, math.sin, MAX_SWEEP, 0.5 * math.pi
     for path in paths:
         for loop in path.loops:
             for seg in loop:

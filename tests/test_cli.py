@@ -145,6 +145,17 @@ class TestRender:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_canvas_past_2_53_exit_1(self, demo_file, tmp_path, capsys):
+        out = tmp_path / "x.svg"
+        rc = main(["render", "--input", demo_file, "--output", str(out),
+                   "--canvas", str(2 ** 53 + 1)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: canvas size must be in (0, 2**53], got 9007199254740993\n")
+        assert not out.exists()
+        assert main(["render", "--input", demo_file, "--output", str(out),
+                     "--canvas", str(2 ** 53)]) == 0
+
     def test_too_deep_json_nesting_exit_2(self, tmp_path, capsys):
         # Deeper than json.loads nests on 3.10-3.13; the tree walk after it
         # has no depth limit of its own.  Built by hand: json.dumps would
@@ -586,18 +597,6 @@ class TestCompare:
         assert rit["max_area_error"] <= 1e-6
         assert rit["containment_violations"] == 0
 
-    def test_overflowing_area_exit_1_names_style_and_field(self, demo_file, tmp_path, capsys):
-        # path_area's r*r*(end - start) overflows at radii near 1.33e154.
-        outdir = tmp_path / "cmp"
-        rc = main(["compare", "--input", demo_file, "--outdir", str(outdir),
-                   "--r0", "1.33e154", "--h0", "1e151"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: rit: max_area_error is inf, ")
-        assert "Traceback" not in err
-        assert list(outdir.iterdir()) == []  # no SVG of a style laid out before the refusal
-
-
 class TestRingRepresentation:
     def test_wedge_ratio_underflow_draws_no_wedge(self, demo_file, tmp_path, capsys):
         assert main(["render", "--input", demo_file, "--output", str(tmp_path / "x.svg"),
@@ -607,6 +606,18 @@ class TestRingRepresentation:
         deep = [n for n in nodes if n["depth"] == 3]
         assert deep and all(n["alpha"] == 0.0 and n["topup_height"] == 0.0 for n in deep)
         assert all(n["alpha"] > 0.0 for n in nodes if n["depth"] == 2)
+
+    @pytest.mark.parametrize("command", ["render", "layout", "compare"])
+    def test_radius_past_bound_exit_1_writes_nothing(self, demo_file, tmp_path, capsys, command):
+        # Radii near 1.33e154 give areas that overflow; the solve refuses
+        # the root's children's ring past 2**500 before anything is written.
+        out = tmp_path / "out"
+        where = ["--outdir", str(out)] if command == "compare" else ["--output", str(out)]
+        rc = main([command, "--input", demo_file, *where, "--r0", "1.33e154", "--h0", "1e151"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: node '0': ring-past-radius-bound: "), err
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_ring_height_lost_against_radius_exit_1(self, demo_file, tmp_path, capsys):
         out = tmp_path / "x.svg"

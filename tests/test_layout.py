@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rit_layout import (
     GeneratorSpec,
     LayoutConfig,
+    RenderStyle,
     assign_colors,
     compute_layout,
     demo_tree,
@@ -27,6 +29,8 @@ from rit_layout import (
     serialize_tree,
 )
 from rit_layout.geometry import (
+    FULL_TURN_TOL,
+    MAX_SWEEP,
     BandGeometry,
     Path,
     SectorGeometry,
@@ -35,7 +39,7 @@ from rit_layout.geometry import (
 )
 from rit_layout.cli import main
 from rit_layout.generate import KINDS
-from rit_layout.layout import MODES, STYLES, Layout, PlacedNode, _path_json
+from rit_layout.layout import MAX_ANGLE, MAX_RADIUS, MODES, STYLES, Layout, PlacedNode, _path_json
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain, strict_json
@@ -434,7 +438,7 @@ def _guard_layout(case: str):
             k: _ReprFloat(getattr(s, k)) for k in _SECTOR_KEYS}))
     elif case == "float-subclass-segment":
         node = dataclasses.replace(node, sector=_OddSegmentSector(*dataclasses.astuple(s)))
-    elif case == "sum-overflows":
+    elif case == "sum-overflows":  # and theta passes MAX_ANGLE
         node = dataclasses.replace(node, sector=dataclasses.replace(
             s, theta=1e308, topup_height=1e308))
     elif case == "non-finite-band":
@@ -509,13 +513,18 @@ def test_child_dwarfing_subnormal_parent_names_node_and_rule(b_data):
         assert [n.id for n in layout.nodes] == ["r", "a", "b"]
 
 
-def test_topup_of_overflowing_wedge_area_names_node_and_rule():
+@pytest.mark.parametrize("b_data, message", [
+    (6e292, "^node 'b': topup-past-radius-bound: "),
+    (1e293, "^node 'a': ring-past-radius-bound: "),
+], ids=["topup", "ring"])
+def test_topup_past_the_radius_bound_names_node_and_rule(b_data, message):
     # Child data dwarfing its parent's makes a ring far thicker than its
-    # radius, so the wedges are wide; at an outer radius near 1.1e154 their
-    # area overflows and no finite top-up can replace it.
+    # radius, so the wedges are wide.  At 6e292 the ring's outer radius is
+    # 0.8 of MAX_RADIUS, and the top-up that replaces the wedges' area
+    # reaches past it; at 1e293 the ring itself does.
     tree = NormalizedNode("r", "r", 1.0, children=[
-        NormalizedNode("a", "a", 0.95, children=[NormalizedNode("b", "b", 1e300)])])
-    with pytest.raises(ValueError, match="^node 'b': non-finite-topup-height: "):
+        NormalizedNode("a", "a", 0.95, children=[NormalizedNode("b", "b", b_data)])])
+    with pytest.raises(ValueError, match=message):
         layout_rit(tree, LayoutConfig(r0=0.0, h0=9000.0, ar0=0.49))
 
 
@@ -585,15 +594,17 @@ class TestDerivedOutline:
             assert node.path is node.path
 
     def test_per_node_records_are_slotted_and_replace_derives_a_new_path(self):
-        """The five per-node records hold no instance ``__dict__``, and a node
+        """The seven per-node records hold no instance ``__dict__``, and a node
         replaced after its path was read gets its new sector's outline."""
-        tree = normalize(demo_tree(), "strict")
+        raw = demo_tree()
+        tree = normalize(raw, "strict")
         rit = layout_rit(tree)
         node = rit.nodes[3]
-        records = [node, node.sector, node.path, layout_icicle(tree).nodes[3].sector,
+        records = [raw, tree, node, node.sector, node.path, layout_icicle(tree).nodes[3].sector,
                    diagnostics(rit).nodes[3]]
         assert [type(r).__name__ for r in records] == [
-            "PlacedNode", "SectorGeometry", "Path", "BandGeometry", "NodeReport"]
+            "TreeNode", "NormalizedNode", "PlacedNode", "SectorGeometry", "Path", "BandGeometry",
+            "NodeReport"]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
         sector = rit.nodes[5].sector
@@ -638,9 +649,7 @@ class TestLayoutJson:
                      id="hostile-strings"),
         pytest.param(lambda: layout_rit(normalize(demo_tree(), "strict"),
                                         LayoutConfig(r0=8, h0=2)), None, id="int-config"),
-    ] + [
-        pytest.param(lambda case=case: _guard_layout(case), None, id=case)
-        for case in ("sum-overflows", "negative-zero")
+        pytest.param(lambda: _guard_layout("negative-zero"), None, id="negative-zero"),
     ] + [
         # A value the writer could not spell exactly, where json.dumps would
         # write NaN, Infinity or a float subclass's float text, and a sector
@@ -657,6 +666,7 @@ class TestLayoutJson:
             ("float-subclass-sector", "theta _ReprFloat("),
             ("float-subclass-segment", "sector _OddSegmentSector(theta="),
             ("non-finite-band", "theta inf is not a finite float"),
+            ("sum-overflows", "theta 1e+308 is not within 4096.0 of 0"),
             ("bool-depth", "depth True is not int"),
             ("int-relaxed", "relaxed 1 is not bool"),
             ("list-color", "color ['#112233'] is not str"),
@@ -714,19 +724,21 @@ class TestLayoutJson:
         assert a == b
 
 
-# Values the writer spells: 1e308 and subnormals, and zeros drawn often,
-# because 0.0 == -0.0 spell differently.  Sector fields keep to the
-# contract: 0 <= alpha <= beta (swapped if drawn the other way), r_in and
-# topup_height >= 0, height > 0, and sums that stay finite.
+# Values the writer spells: 1e308, the contract's bounds and subnormals,
+# and zeros drawn often, because 0.0 == -0.0 spell differently.  Sector
+# fields keep to the contract: 0 <= alpha <= beta <= 2*pi (swapped if drawn
+# the other way), angles within 2**11, r_in and topup_height >= 0,
+# height > 0, and three radii of at most 2**498.
 _ZERO = st.sampled_from([0.0, -0.0])
 _CLEAN_FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     _ZERO,
     st.sampled_from([5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
 )
-_ANGLES = st.floats(-8e307, 8e307) | _ZERO | st.sampled_from([5e-324, 8e307, -8e307])
-_SIZES = st.floats(0.0, 5e307) | _ZERO | st.sampled_from([5e-324, 2.2250738585072014e-308, 5e307])
-_HEIGHTS = st.floats(5e-324, 5e307) | st.sampled_from([5e-324, 5e307])
+_ANGLES = st.floats(-2048.0, 2048.0) | _ZERO | st.sampled_from([5e-324, 2048.0, -2048.0])
+_SIZES = st.floats(0.0, TAU) | _ZERO | st.sampled_from([5e-324, 2.2250738585072014e-308, TAU])
+_RADII = st.floats(0.0, 2.0 ** 498) | _ZERO | st.sampled_from([5e-324, 2.0 ** 498])
+_HEIGHTS = st.floats(5e-324, 2.0 ** 498) | st.sampled_from([5e-324, 2.0 ** 498])
 _WILD_FLOATS = st.sampled_from(
     [math.nan, math.inf, -math.inf, _ReprFloat(-0.0), _ReprFloat(1e-310), 7])
 
@@ -743,6 +755,7 @@ _VALUES = {
     "relaxed": (st.booleans(), st.integers(0, 1)),
     "theta": (_ANGLES, _WILD_FLOATS),
     "size": (_SIZES, _WILD_FLOATS),
+    "radius": (_RADII, _WILD_FLOATS),
     "height": (_HEIGHTS, _WILD_FLOATS),
     "line": (_CLEAN_FLOATS, None),
     "join": (_CLEAN_FLOATS, None),
@@ -775,8 +788,8 @@ def _slots(outlines) -> list[tuple[str, int | None]]:
         slots += [(kind, None) for kind in ("id", "label", "color", "depth", "relaxed")]
         previous, sector = sector, len(slots)
         slots += [("theta", None), ("size", None), ("size", None),
-                  ("size", None if previous is None else previous + 3),
-                  ("height", None if previous is None else previous + 4), ("size", None)]
+                  ("radius", None if previous is None else previous + 3),
+                  ("height", None if previous is None else previous + 4), ("radius", None)]
         line_end = None
         for arity in outline:
             if arity == 3:
@@ -903,23 +916,27 @@ def test_diagnostics_certifies_no_non_finite_area(node_id, field, value):
 
 
 def test_diagnostics_certifies_no_overflowing_area():
-    """The finite radii of a root at r_in = height = 1e200 give full turns
-    whose areas overflow, inf less inf: a NaN area is an infinite error,
-    and the ratio extremes do not hang on where the NaN stands in node order."""
-    layout = _replaced("root", sector={"r_in": 1e200, "height": 1e200})
-    assert math.isnan(path_area(layout.nodes[0].path))
-    flipped = dataclasses.replace(layout, nodes=layout.nodes[::-1])
-    reports = [diagnostics(layout), diagnostics(flipped)]
-    assert [r.max_area_error for r in reports] == [math.inf, math.inf]
-    assert {repr((r.min_area_ratio, r.max_area_ratio)) for r in reports} == {"(nan, nan)"}
+    """A root at r_in = height = 1e200, whose full turns' areas would
+    overflow, inf less inf, is refused when the layout is built; at
+    MAX_RADIUS every measured area and ratio is finite."""
+    with pytest.raises(ValueError, match=(
+            r"^node 'root': r_in \+ height \+ topup_height 2e\+200 is not <= MAX_RADIUS$")):
+        _replaced("root", sector={"r_in": 1e200, "height": 1e200})
+    report = diagnostics(_replaced("root", sector={"r_in": 0.5 * MAX_RADIUS, "height": 0.5 * MAX_RADIUS}))
+    assert 1e301 < report.nodes[0].area < math.inf
+    assert math.isfinite(report.max_area_error)
+    assert all(map(math.isfinite, (report.min_area_ratio, report.max_area_ratio)))
 
 
 def test_diagnostics_names_the_node_of_an_open_outline():
-    # A full turn at 4e16 rad ends 8.0 rad on, where x and y are not those
-    # of its start.
-    layout = _replaced("root", sector={"theta": 4e16})
-    with pytest.raises(ValueError, match="^node 'root': loop does not close$"):
-        diagnostics(layout)
+    # A full turn at 4e16 rad would end 8.0 rad on, where x and y are not
+    # those of its start; the layout refuses the angle.  Within MAX_ANGLE
+    # the rounded end is off by less than FULL_TURN_TOL, and the loop closes.
+    with pytest.raises(ValueError, match=r"^node 'root': theta 4e\+16 is not within 4096.0 of 0$"):
+        _replaced("root", sector={"theta": 4e16})
+    for theta in (-MAX_ANGLE, MAX_ANGLE - TAU):
+        report = diagnostics(_replaced("root", sector={"theta": theta}))
+        assert report.nodes[0].area_ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_diagnostics_names_the_node_of_an_unbuildable_outline():
@@ -944,15 +961,19 @@ def test_layout_refuses_a_parent_that_is_not_a_node(changes, orphan, parent):
 _SECTOR_FIELDS = [f.name for f in dataclasses.fields(SectorGeometry)]
 # A full turn, the tolerance on either side of one, and zero widths.
 _WIDTHS = st.sampled_from([0.0, -0.0, TAU, TAU - 1e-12, math.nextafter(TAU - 1e-12, 0.0),
-                           TAU + 1e-12, math.nextafter(TAU, 0.0), math.pi, 1e-300])
-_MAGNITUDES = st.floats(0.0, 1.7e308) | st.sampled_from(
-    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 1e16, 4e16, 1e154, 1e300, 1.7e308])
+                           MAX_SWEEP, math.nextafter(MAX_SWEEP, 4.0), math.nextafter(TAU, 0.0),
+                           math.pi, 1e-300])
+# Magnitudes up to the float range, thickest at and just past the bounds.
+_BOUNDS = [MAX_ANGLE, 0.5 * MAX_RADIUS, MAX_RADIUS]
+_MAGNITUDES = (st.floats(0.0, 1.7e308) | st.floats(0.0, MAX_ANGLE) | st.floats(0.0, MAX_RADIUS)
+               | st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 4e16, 1e300,
+                                  1.7e308, *_BOUNDS, *(math.nextafter(b, math.inf) for b in _BOUNDS)]))
 
 
 @st.composite
 def _sector_fields(draw):
     """Sector fields reaching 1.7e308, most of them within the contract;
-    those outside it break one of its range or sum rules."""
+    those outside it break one of its range rules or bounds."""
     theta = draw(st.sampled_from([1.0, -1.0])) * draw(_MAGNITUDES)
     beta = draw(_WIDTHS | _MAGNITUDES)
     alpha = draw(_ZERO | st.floats(0.0, 1.25).map(lambda f: f * beta))
@@ -960,38 +981,60 @@ def _sector_fields(draw):
     return theta, beta, alpha, r_in, height, topup
 
 
-def _meets_contract(theta, beta, alpha, r_in, height, topup) -> bool:
-    """The contract's range and sum rules, spelled apart from ``Layout``."""
+def _meets_contract(style, theta, beta, alpha, r_in, height, topup) -> bool:
+    """The contract's range rules and bounds, spelled apart from ``Layout``."""
+    icicle = style == "icicle"
+    limit = MAX_RADIUS if icicle else MAX_ANGLE
     return (0.0 <= alpha <= beta and r_in >= 0.0 and height > 0.0 and topup >= 0.0
-            and math.isfinite(theta + beta) and math.isfinite(r_in + height + topup))
+            and (icicle or beta <= MAX_SWEEP)
+            and -limit <= theta <= limit and -limit <= theta + beta <= limit
+            and r_in + height + topup <= MAX_RADIUS)
 
 
 class TestLayoutContract:
     """``Layout`` refuses each broken rule of its contract when it is built,
     naming the node and the field, or ``layout``; what it accepts, every
-    writer can draw."""
+    writer can draw and measure."""
 
     @settings(max_examples=1000, deadline=None)
-    @given(fields=_sector_fields(), style=st.sampled_from(STYLES))
-    # Sums at the edge of the float range, each rule's own, drawn every run.
-    @example(fields=(1.7e308, 1e308, 0.0, 0.0, 1.0, 0.0), style="icicle")
-    @example(fields=(0.0, 1.0, 0.0, 1e308, 1e308, 0.0), style="sunburst")
-    @example(fields=(0.0, 1.0, 0.5, 1e308, 6e307, 6e307), style="rit")
-    @example(fields=(4e16, TAU, 0.0, 1.0, 1.0, 0.0), style="rit")
-    def test_contract_implies_drawable_outlines(self, fields, style):
-        """A sector meets the contract exactly when the layout takes it, and
-        then every loop of its outline is non-empty and every coordinate a
-        finite exact float: full turns, near-full turns and zero widths,
-        at any angle and radius up to 1.7e308."""
+    @given(fields=_sector_fields(), style=st.sampled_from(STYLES),
+           canvas=st.integers(41, 2 ** 53) | st.sampled_from([840, 2 ** 53]))
+    # Each bound, at it and one ulp past it, drawn every run.
+    @example(fields=(MAX_ANGLE - TAU, TAU, 0.0, 1.0, 1.0, 0.0), style="rit", canvas=840)
+    @example(fields=(-MAX_ANGLE, 1.0, 0.5, 1.0, 1.0, 0.25), style="sunburst", canvas=840)
+    @example(fields=(math.nextafter(MAX_ANGLE, 5e3), 0.0, 0.0, 1.0, 1.0, 0.0), style="rit",
+             canvas=840)
+    @example(fields=(0.0, TAU + FULL_TURN_TOL, 0.0, 1.0, 1.0, 0.0), style="rit", canvas=840)
+    @example(fields=(0.0, TAU - FULL_TURN_TOL, 0.0, 1.0, 1.0, 0.0), style="sunburst", canvas=840)
+    @example(fields=(0.0, TAU, 0.0, 0.0, 1.0, 0.0), style="rit", canvas=840)
+    @example(fields=(1.0, math.nextafter(MAX_SWEEP, 7.0), 0.0, 1.0, 1.0, 0.0), style="rit",
+             canvas=840)
+    @example(fields=(0.0, TAU, 0.0, 0.0, MAX_RADIUS, 0.0), style="rit", canvas=2 ** 53)
+    @example(fields=(0.25 * math.pi, 5e-324, 0.0, MAX_RADIUS, 1.0, 0.0), style="rit",
+             canvas=2 ** 53)
+    @example(fields=(0.0, 1.0, 0.5, 0.5 * MAX_RADIUS, 0.25 * MAX_RADIUS, 0.25 * MAX_RADIUS),
+             style="rit", canvas=2 ** 53)
+    @example(fields=(-MAX_RADIUS, 2.0 * MAX_RADIUS, 0.0, 0.0, MAX_RADIUS, 0.0), style="icicle",
+             canvas=2 ** 53)
+    @example(fields=(0.0, 1.0, 0.0, 0.0, math.nextafter(MAX_RADIUS, math.inf), 0.0),
+             style="icicle", canvas=840)
+    @example(fields=(math.nextafter(-MAX_RADIUS, -math.inf), 1.0, 0.0, 0.0, 1.0, 0.0),
+             style="icicle", canvas=840)
+    def test_contract_implies_drawable_outlines(self, fields, style, canvas):
+        """A sector meets the contract exactly when the layout takes it.  Then
+        every loop of its outline is non-empty, every coordinate a finite
+        exact float, every arc spans at most ``MAX_SWEEP``, the SVG parses
+        with one path, and the measured area is finite: at any angle and
+        radius up to the bounds, full and near-full turns and zero widths."""
         kind = BandGeometry if style == "icicle" else SectorGeometry
         node = PlacedNode("n", "n", None, 1.0, 0, None, kind(*fields))
         try:
             layout = Layout(style, LayoutConfig(), 1.0, (node,), 1)
         except ValueError as exc:
-            assert not _meets_contract(*fields), exc
+            assert not _meets_contract(style, *fields), exc
             assert str(exc).startswith("node 'n': "), exc
             return
-        assert _meets_contract(*fields)
+        assert _meets_contract(style, *fields)
         loops = layout.nodes[0].path.loops
         assert type(loops) is tuple and loops
         for loop in loops:
@@ -1000,6 +1043,11 @@ class TestLayoutContract:
                 assert type(seg) is tuple and len(seg) in (3, 4)
                 for c in seg:
                     assert type(c) is float and math.isfinite(c), (fields, seg)
+                if len(seg) == 3:
+                    assert abs(seg[2] - seg[1]) <= MAX_SWEEP, (fields, seg)
+        svg = ET.fromstring(render_svg(layout, RenderStyle(canvas=canvas)))
+        assert [p.get("id") for p in svg.iter("{http://www.w3.org/2000/svg}path")] == ["n"]
+        assert math.isfinite(diagnostics(layout).nodes[0].area)
 
     @pytest.mark.parametrize("changes, message", [
         ({"style": "a--b"}, "style 'a--b' is not one of ('rit', 'sunburst', 'icicle')"),
@@ -1063,21 +1111,37 @@ class TestLayoutContract:
             _replaced(sector=sector)
         assert str(info.value) == f"node 'orange': {message}"
 
-    @pytest.mark.parametrize("sector, message", [
-        ({"theta": 1.7e308, "beta": 1e308}, "theta + beta inf is not finite"),
-        ({"theta": -1.7e308, "beta": 0.0, "alpha": 0.0}, None),
-        ({"r_in": 1e308, "height": 1e308}, "r_in + height + topup_height inf is not finite"),
-        ({"r_in": 1e308, "height": 6e307, "topup_height": 6e307},
-         "r_in + height + topup_height inf is not finite"),
-        ({"r_in": 1e308, "height": 7e307, "topup_height": 0.0}, None),
-    ], ids=["theta-beta", "theta-beta-finite", "radii", "radii-with-topup", "radii-finite"])
-    def test_sums_are_finite(self, sector, message):
-        if message is None:
-            _replaced(sector=sector)
+    @pytest.mark.parametrize("style, sector, field", [
+        ("rit", {"theta": MAX_ANGLE}, "theta + beta"),
+        ("rit", {"theta": -MAX_ANGLE}, None),
+        ("rit", {"theta": math.nextafter(-MAX_ANGLE, -math.inf)}, "theta"),
+        ("rit", {"beta": MAX_SWEEP, "alpha": 0.0}, None),
+        ("rit", {"beta": math.nextafter(MAX_SWEEP, math.inf), "alpha": 0.0}, "beta"),
+        ("icicle", {"theta": MAX_RADIUS, "beta": math.ulp(MAX_RADIUS)}, "theta + beta"),
+        ("icicle", {"theta": -MAX_RADIUS}, None),
+        ("icicle", {"theta": math.nextafter(-MAX_RADIUS, -math.inf)}, "theta"),
+        ("rit", {"r_in": 0.0, "height": math.nextafter(MAX_RADIUS, math.inf)},
+         "r_in + height + topup_height"),
+        ("rit", {"r_in": 0.0, "height": MAX_RADIUS, "topup_height": math.ulp(MAX_RADIUS)},
+         "r_in + height + topup_height"),
+        ("sunburst", {"r_in": 0.0, "height": MAX_RADIUS, "topup_height": 0.0}, None),
+    ], ids=["theta-beta", "theta-beta-finite", "theta", "beta-full-turn", "beta",
+            "band-theta-beta", "band-at-bound", "band-theta", "radii", "radii-with-topup",
+            "radii-finite"])
+    def test_sums_are_finite(self, style, sector, field):
+        """The bounds, which keep the sums, their squares and every area and
+        scaled coordinate finite: a node moved one ulp past one, by
+        ``dataclasses.replace`` of the layout, is refused naming the field."""
+        if field is None:
+            _replaced(sector=sector, style=style)
             return
         with pytest.raises(ValueError) as info:
-            _replaced(sector=sector)
-        assert str(info.value) == f"node 'orange': {message}"
+            _replaced(sector=sector, style=style)
+        what = {"beta": "<= MAX_SWEEP", "r_in + height + topup_height": "<= MAX_RADIUS"}.get(
+            field, f"within {MAX_RADIUS if style == 'icicle' else MAX_ANGLE!r} of 0")
+        message = str(info.value)
+        assert message.startswith(f"node 'orange': {field} "), message
+        assert message.endswith(f" is not {what}"), message
 
     @pytest.mark.parametrize("changes, message", [
         ({"id": 5}, "node 5: id 5 is not str"),

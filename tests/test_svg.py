@@ -25,10 +25,9 @@ from rit_layout import (
     render_svg,
 )
 from rit_layout import svg as svg_module
-from rit_layout.geometry import Path, SectorGeometry
-from rit_layout.layout import STYLES, Layout, PlacedNode
-from rit_layout.svg import (
-    _ATTR_SPECIAL, _ESCAPE_ATTR, _MAX_SPAN, HALF_PI, _extent, _loop_to_d, _transform)
+from rit_layout.geometry import MAX_SWEEP, Path, SectorGeometry
+from rit_layout.layout import MAX_ANGLE, MAX_RADIUS, STYLES, Layout, PlacedNode
+from rit_layout.svg import _ATTR_SPECIAL, _ESCAPE_ATTR, HALF_PI, _extent, _loop_to_d, _transform
 from rit_layout.tree import _NON_XML_CHAR, TreeNode
 
 from conftest import full_chain
@@ -339,8 +338,9 @@ def _path_numbers(path: Path) -> list[float]:
 class TestNonFiniteOutline:
     """An outline holding inf or NaN never reaches the writer: the sector
     field that would put it there is refused, naming the node and the
-    field, when the layout is built.  Outlines too wide for floats to
-    scale onto the canvas are refused naming the layout."""
+    field, when the layout is built.  So are radii past ``MAX_RADIUS``,
+    which could scale to inf on the canvas; within it every drawn number
+    is finite."""
 
     @pytest.mark.parametrize("field, value", [
         ("theta", math.inf), ("theta", -math.inf), ("theta", math.nan), ("beta", math.nan),
@@ -377,18 +377,25 @@ class TestNonFiniteOutline:
         assert str(info.value) == f"node 'orange': {field} {value!r} is not a finite float"
 
     def test_finite_outlines_too_wide_to_scale(self):
-        layout = _replaced("root", sector={"r_in": 1e308, "height": 7e307})
-        with pytest.raises(ValueError, match="^layout: outlines cannot be scaled onto the canvas$"):
-            render_svg(layout)
+        with pytest.raises(ValueError) as info:
+            _replaced("root", sector={"r_in": 1e308, "height": 7e307})
+        assert str(info.value) == (
+            "node 'root': r_in + height + topup_height 1.7e+308 is not <= MAX_RADIUS")
+        at_bound = _replaced("root", sector={"r_in": 0.5 * MAX_RADIUS, "height": 0.5 * MAX_RADIUS})
+        svg = render_svg(at_bound, RenderStyle(canvas=2 ** 53))
+        assert len(svg_paths(svg)) == len(at_bound.nodes)
+        assert b"inf" not in svg and b"nan" not in svg
 
     def test_radius_too_large_to_scale_in_a_narrow_box(self):
-        # One point at 45 degrees, with a 1e-12 wide box: the transform is
-        # finite, yet the arc radius overflows to inf in the path data.
-        layout = _one_sector(0.25 * math.pi, 5e-324, 0.0, 2.5e293, 1.0)
-        assert math.isfinite(math.fsum(_transform(
-            _extent([layout.nodes[0].path]), RenderStyle())))
-        with pytest.raises(ValueError, match="^layout: outlines cannot be scaled onto the canvas$"):
-            render_svg(layout)
+        # One point at 45 degrees, with a 1e-12 wide box: at 2.5e293 the
+        # arc radius would overflow to inf once scaled; at MAX_RADIUS it
+        # is a finite number of 166 digits.
+        with pytest.raises(ValueError, match="^node 'root': r_in [+] height [+] topup_height "):
+            _one_sector(0.25 * math.pi, 5e-324, 0.0, 2.5e293, 1.0)
+        svg = render_svg(_one_sector(0.25 * math.pi, 5e-324, 0.0, MAX_RADIUS, 1.0))
+        d = svg_paths(svg)[0].get("d")
+        assert "inf" not in d and "nan" not in d
+        assert max(len(number) for number in re.findall(r"[0-9.]+", d)) == 166 + 7
 
 
 def _fmt_each(x: float) -> str:
@@ -612,65 +619,62 @@ def _arc_path(arc) -> Path:
 
 class TestWideArc:
     """An arc sweeping more than a full turn, which the even-odd fill rule
-    cannot draw, is refused, in time that does not grow with the span; a
-    full turn within ``FULL_TURN_TOL`` still draws.  The extent refuses it,
-    and ``render_svg`` then names the node: a laid-out full turn at an angle
-    past about 1e4 rad can span more than ``2*pi`` once rounded."""
-
-    @staticmethod
-    def _assert_refused(*paths):
-        with pytest.raises(ValueError, match="^arc sweeps more than a full turn$"):
-            _extent(paths)
+    cannot draw, never reaches the writer.  The layout refuses, naming the
+    node, a ``beta`` past ``MAX_SWEEP`` and an angle past ``MAX_ANGLE``,
+    where a full turn's rounded end could sweep past it; within the
+    bounds every arc draws."""
 
     @settings(max_examples=100, deadline=None)
-    @given(magnitude=st.floats(_MAX_SPAN, 3.0 * math.pi, exclude_min=True),
+    @given(magnitude=st.floats(MAX_SWEEP, 3.0 * math.pi, exclude_min=True),
            sign=st.sampled_from([1.0, -1.0]),
            theta=st.floats(1e4, 1e17) | st.floats(-1e17, -1e4) | st.sampled_from([4e16, 3e15]))
     def test_wider_than_a_full_turn_names_the_node(self, magnitude, sign, theta):
-        self._assert_refused(_arc_path((1.0, 0.0, sign * magnitude)))
-        layout = _replaced("root", sector={"theta": theta})
-        root = layout.nodes[0]
-        arc = root.path.loops[0][0]
-        if abs(arc[2] - arc[1]) <= _MAX_SPAN:
-            render_svg(layout)
-            return
         with pytest.raises(ValueError) as info:
-            render_svg(layout)
-        assert str(info.value) == (
-            f"node 'root': arc {arc!r} sweeps more than a full turn, which cannot be drawn")
+            _replaced("root", sector={"beta": magnitude})
+        assert str(info.value) == f"node 'root': beta {magnitude!r} is not <= MAX_SWEEP"
+        with pytest.raises(ValueError) as info:
+            _replaced("root", sector={"theta": sign * theta})
+        assert str(info.value) == f"node 'root': theta {sign * theta!r} is not within 4096.0 of 0"
 
     def test_rounded_full_turn_names_the_node(self):
-        layout = _replaced("root", sector={"theta": 4e16})
-        arc = (10.0, 4e16, 4e16 + 8.0)
-        assert layout.nodes[0].path.loops[0] == (arc,)
-        for ordered in (layout, dataclasses.replace(layout, nodes=layout.nodes[::-1])):
-            with pytest.raises(ValueError) as info:
-                render_svg(ordered)
-            assert type(info.value) is ValueError
-            assert str(info.value) == (
-                f"node 'root': arc {arc!r} sweeps more than a full turn, which cannot be drawn")
+        # At 4e16 rad a full turn ends 8.0 rad on, once rounded.
+        with pytest.raises(ValueError) as info:
+            _replaced("root", sector={"theta": 4e16})
+        assert type(info.value) is ValueError
+        assert str(info.value) == "node 'root': theta 4e+16 is not within 4096.0 of 0"
+        for theta in (-MAX_ANGLE, MAX_ANGLE - 2.0 * math.pi):
+            layout = _replaced("root", sector={"theta": theta})
+            arc = layout.nodes[0].path.loops[0][0]
+            assert abs(seg_span(arc)) <= MAX_SWEEP
+            assert len(svg_paths(render_svg(layout))) == len(layout.nodes)
 
     @pytest.mark.parametrize("span", [3.0 * math.pi, 1e6, 1e300, -1e300])
     def test_huge_spans_refused_at_once(self, span):
         t0 = time.perf_counter()
-        self._assert_refused(_arc_path((1.0, 0.0, span)))
+        with pytest.raises(ValueError, match="^node 'root': (beta|alpha) "):
+            _replaced("root", sector={"beta": span})
         assert time.perf_counter() - t0 < 1.0
 
     def test_refusal_starts_just_past_the_tolerance(self):
-        self._assert_refused(_arc_path((1.0, 0.0, math.nextafter(_MAX_SPAN, math.inf))))
-        for span in (_MAX_SPAN, -_MAX_SPAN):
+        past = math.nextafter(MAX_SWEEP, math.inf)
+        with pytest.raises(ValueError, match=f"^node 'root': beta {past!r} is not <= MAX_SWEEP$"):
+            _replaced("root", sector={"beta": past})
+        assert _replaced("root", sector={"beta": MAX_SWEEP}).nodes[0].path.loops[0][0] == (
+            10.0, 0.0, 2.0 * math.pi)
+        for span in (MAX_SWEEP, -MAX_SWEEP):
             paths = {"arc": _arc_path((1.0, 0.0, span))}
             drawn, transform = _drawn(paths)
             assert drawn["arc"] == _reference_d(paths["arc"], *transform)
             assert drawn["arc"].count(" A ") == 2
 
     def test_huge_angle_of_a_narrow_arc_draws(self):
-        # Beyond about 1e16, k*pi/2 no longer grows with k; the axis points
-        # an arc sweeps are still at most five.
-        for angle in (1e20, 1e300, -1e300):
-            t0 = time.perf_counter()
+        # Up to MAX_ANGLE either way; past it, refused.
+        beta = node_by_id(_replaced(), "orange").sector.beta
+        for angle in (-MAX_ANGLE, MAX_ANGLE - beta):
             render_svg(_replaced(sector={"theta": angle}))
-            assert time.perf_counter() - t0 < 1.0
+        for angle in (math.nextafter(-MAX_ANGLE, -math.inf), 1e20, 1e300, -1e300):
+            with pytest.raises(ValueError, match="^node 'orange': theta "):
+                _replaced(sector={"theta": angle})
 
     @pytest.mark.parametrize("arc", [
         (1.0, 0.0, 3.0 * math.pi),
@@ -681,12 +685,12 @@ class TestWideArc:
         (1.0, math.inf, math.inf),
     ], ids=["arc0-None", "arc1-None", "arc2-nan", "arc3-nan", "arc4--inf", "arc5-inf"])
     def test_arc_inside_the_box_is_checked_before_it_is_skipped(self, arc):
-        # The square spans +-10 on both axes, so an arc of radius 1 adds
-        # nothing to the extent; it is refused all the same, and so is one
-        # with a NaN or infinite angle, which no layout can hold.
-        square = ((-10.0, -10.0, 10.0, -10.0), (10.0, -10.0, 10.0, 10.0),
-                  (10.0, 10.0, -10.0, 10.0), (-10.0, 10.0, -10.0, -10.0))
-        self._assert_refused(Path((square,)), _arc_path(arc))
+        # ``_extent`` skips an arc its box already covers, without looking
+        # at its angles; the sector that would draw one too wide, or at a
+        # NaN or infinite angle, is refused when the layout is built.
+        r, start, end = arc
+        with pytest.raises(ValueError, match="^node 'root': (theta|beta|alpha) "):
+            _one_sector(start, end - start, 0.0, r, 1.0)
 
 
 _TRAFFIC_CONFIGS = {
@@ -702,12 +706,12 @@ _TRAFFIC_CONFIGS = {
 @pytest.mark.parametrize("tree", sorted(_ORACLE_TREES))
 @pytest.mark.parametrize("style", STYLES)
 def test_laid_out_arcs_span_at_most_a_full_turn(tree, style, cfg):
-    # The writer draws such arcs as one or two commands and refuses wider.
+    # The writer draws such arcs as one or two commands.
     layout = compute_layout(normalize(_ORACLE_TREES[tree](), "strict"), style, cfg)
     for node in layout.nodes:
         for seg in path_segments(node.path):
             if len(seg) == 3:
-                assert abs(seg_span(seg)) <= _MAX_SPAN, (node.id, seg)
+                assert abs(seg_span(seg)) <= MAX_SWEEP, (node.id, seg)
     render_svg(layout)
 
 
