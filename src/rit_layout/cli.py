@@ -258,14 +258,19 @@ def _require_finite_summary(style: str, summary: dict) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    # A bad spec or repeat count fails before the CSV is opened, and an
-    # unwritable CSV before any tree is timed.
+    # A bad spec, repeat count, node cap or depth range fails before the CSV
+    # is opened, and an unwritable CSV before any tree is timed.
     specs = [
         GeneratorSpec(args.generator, args.cmax, depth, seed=args.seed + depth)
         for depth in args.depths
     ]
     if args.repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    # The smallest tree a spec generates, at depth 1, has two nodes.
+    if args.node_cap < 2:
+        raise ValueError(f"--node-cap must be at least 2, got {args.node_cap}")
+    if not specs:
+        raise ValueError("--depths must name at least one depth")
     csv_out = _output_file(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext()
     with csv_out as out:
         result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap)
@@ -289,15 +294,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     violations = validate(_read_tree(args.input))
-    print(
-        json.dumps(
-            [
-                {"node": v.node_id, "rule": v.rule, "message": v.message}
-                for v in violations
-            ],
-            indent=1,
-        )
-    )
+    print(json.dumps([{"node": v.node_id, "rule": v.rule, "message": v.message}
+                      for v in violations], indent=1))
     return EXIT_VALIDATION if violations else EXIT_OK
 
 

@@ -42,7 +42,7 @@ from .geometry import (
     is_full_turn,
     sector_area,
 )
-from .tree import NormalizedNode, _require_valid_value
+from .tree import NormalizedNode, _refusal, _value_violation
 
 MODES = ("contained", "literal")
 STYLES = ("rit", "sunburst", "icicle")
@@ -257,17 +257,17 @@ def _rules(n: PlacedNode, kind: type[SectorGeometry], turn: float, limit: float)
 
 def _check_tree(tree: NormalizedNode) -> None:
     # Preorder, as ``walk`` gives it, so the first bad node is named.  The
-    # helper makes the same comparison and is called only to raise.
+    # comparison is false exactly when a value rule is broken.
     inf = math.inf
     stack = [tree]
     while stack:
         node = stack.pop()
         if not 0.0 <= node.data < inf:
-            _require_valid_value(node.id, node.data, ValueError)
+            raise ValueError(_refusal(_value_violation(node.id, node.data)))
         if node.children:
             stack.extend(reversed(node.children))
     if tree.data != 1.0:
-        raise ValueError(f"root data must be exactly 1, got {tree.data}")
+        raise ValueError(f"node {tree.id!r}: root-data-not-one: data {tree.data} is not exactly 1")
 
 
 def layout_rit(tree: NormalizedNode, cfg: LayoutConfig = LayoutConfig()) -> Layout:

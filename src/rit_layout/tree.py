@@ -319,7 +319,7 @@ def serialize_tree(tree: TreeNode, fmt: str) -> str:
 
 
 def _value_violation(node_id: str, value: float) -> Violation | None:
-    """The per-node value rules that ``validate``, ``normalize`` and the layouts share."""
+    """The rules of one value, which the layouts also apply to ``data``."""
     if not math.isfinite(value):
         return Violation(node_id, "non-finite-value", f"value {value} is not finite")
     if value < 0.0:
@@ -327,63 +327,55 @@ def _value_violation(node_id: str, value: float) -> Violation | None:
     return None
 
 
-def _child_sum(children: list[TreeNode]) -> float:
-    """The correctly rounded sum of the children's values, so child order
-    never changes it.  A sum past the float range is ``inf``, as a running
-    sum would give, where ``math.fsum`` raises."""
+def _fsum(values) -> float:
+    """The correctly rounded sum, so order never changes it; where ``math.fsum``
+    raises, a running sum's ``inf`` past the float range or NaN for inf - inf."""
     try:
-        return math.fsum(c.value for c in children)
+        return math.fsum(values)
     except OverflowError:
         return math.inf
+    except ValueError:
+        return math.nan
 
 
-def _overfull_violation(node_id: str, value: float, child_sum: float) -> Violation | None:
-    """The overfull-parent rule that ``validate`` and ``normalize`` share.
+def _violations(node: TreeNode, is_root: bool, strict: bool):
+    """The value rules ``node`` breaks, in the one order ``validate`` lists
+    and ``normalize`` refuses by: ``non-finite-value``, which ends the list,
+    or ``negative-value``; ``zero-root`` for a root of 0; then, under
+    ``strict`` and with every child finite, ``overfull-parent`` for children
+    summing past the value by more than ``SUM_TOL`` times the larger of 1
+    and the value, which allows for rounding in the input."""
+    value = node.value
+    bad = _value_violation(node.id, value)
+    if bad is not None:
+        yield bad
+        if bad.rule == "non-finite-value":
+            return
+    elif is_root and value == 0.0:
+        yield Violation(node.id, "zero-root", f"root value {value} is not > 0")
+    if strict and node.children and all(math.isfinite(c.value) for c in node.children):
+        child_sum = _fsum(c.value for c in node.children)
+        excess = child_sum - value
+        if excess > SUM_TOL * max(1.0, abs(value)):
+            yield Violation(node.id, "overfull-parent",
+                            f"children sum {child_sum} exceeds parent value {value} by {excess}")
 
-    Children may sum past their parent's value by ``SUM_TOL`` times the
-    larger of 1 and that value, to allow for rounding in the input.
-    """
-    excess = child_sum - value
-    if excess > SUM_TOL * max(1.0, abs(value)):
-        return Violation(
-            node_id,
-            "overfull-parent",
-            f"children sum {child_sum} exceeds parent value {value} by {excess}",
-        )
-    return None
 
-
-def _require_valid_value(
-    node_id: str, value: float, error: type[ValueError] = NormalizationError
-) -> None:
-    # The chained comparison is false exactly when a value rule is broken.
-    if not 0.0 <= value < math.inf:
-        bad = _value_violation(node_id, value)
-        raise error(f"node {node_id!r}: {bad.rule}: {bad.message}")
+def _refusal(bad: Violation) -> str:
+    return f"node {bad.node_id!r}: {bad.rule}: {bad.message}"
 
 
 def validate(tree: TreeNode) -> list[Violation]:
-    """Check every node's value rules; violations are data, not errors."""
-    violations: list[Violation] = []
-    for node in tree.walk():
-        bad = _value_violation(node.id, node.value)
-        if bad is not None:
-            violations.append(bad)
-            if bad.rule == "non-finite-value":
-                continue
-        # A non-finite child is reported on its own; it gives no child sum.
-        if node.children and all(math.isfinite(c.value) for c in node.children):
-            bad = _overfull_violation(node.id, node.value, _child_sum(node.children))
-            if bad is not None:
-                violations.append(bad)
-    return violations
+    """Every node's ``_violations`` in preorder, as data rather than errors;
+    the first is the one ``normalize`` refuses with."""
+    return [bad for node in tree.walk() for bad in _violations(node, node is tree, True)]
 
 
 def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     """Divide every value by the root value so the root maps to exactly 1.
 
-    Under either strategy a non-finite or negative value is rejected with
-    the rule name ``validate`` reports for it.
+    A tree that breaks a value rule raises ``NormalizationError`` for the
+    first violation ``validate`` lists, but ``renormalize`` skips ``overfull-parent``.
 
     strict: raise if any parent's children sum past its own value.
     renormalize: scale the children of an overfull parent (and, implicitly,
@@ -391,10 +383,13 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     """
     if strategy not in ("strict", "renormalize"):
         raise ValueError(f"unknown normalization strategy {strategy!r}")
-    _require_valid_value(tree.id, tree.value)
+    strict = strategy == "strict"
     root_value = tree.value
-    if not root_value > 0.0:
-        raise NormalizationError(f"node {tree.id!r}: root value must be > 0, got {root_value}")
+    inf = math.inf
+    # Each chained comparison is false exactly when a node breaks a rule of
+    # its own value; only then are its violations made, to raise the first.
+    if not 0.0 < root_value < inf:
+        raise NormalizationError(_refusal(next(_violations(tree, True, strict))))
 
     # Preorder with an explicit stack: an error names the first bad node in
     # preorder, at any depth.
@@ -402,26 +397,27 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
     stack = [(tree, 1.0, copies)]
     while stack:
         node, scale, siblings = stack.pop()
+        value = node.value
+        if not 0.0 <= value < inf:
+            raise NormalizationError(_refusal(next(_violations(node, False, strict))))
         # A plain float, whatever number type the value has.
-        data = float(scale * node.value / root_value)
+        data = float(scale * value / root_value)
         out = NormalizedNode(node.id, node.label, data, node.color)
         siblings.append(out)
         if not node.children:
             continue
-        for child in node.children:
-            _require_valid_value(child.id, child.value)
         child_scale = scale
-        child_sum = _child_sum(node.children)
-        if child_sum > node.value:
-            if strategy == "strict":
-                bad = _overfull_violation(node.id, node.value, child_sum)
+        child_sum = _fsum(c.value for c in node.children)
+        if child_sum > value:
+            if strict:
+                bad = next(_violations(node, node is tree, True), None)
                 if bad is not None:
-                    raise NormalizationError(f"node {node.id!r}: {bad.rule}: {bad.message}")
+                    raise NormalizationError(_refusal(bad))
             # Children summing past the float range sum in range once scaled by
             # 2**e, which keeps the ratio: ldexp is exact but for values far
             # too small to move the sum.  Otherwise e = 0 changes nothing.
-            e = 0 if child_sum < math.inf else -1 - len(node.children).bit_length()
-            child_sum = math.fsum(math.ldexp(c.value, e) for c in node.children)
-            child_scale = scale * math.ldexp(node.value, e) / child_sum
+            e = 0 if child_sum < inf else -1 - len(node.children).bit_length()
+            child_sum = _fsum(math.ldexp(c.value, e) for c in node.children)
+            child_scale = scale * math.ldexp(value, e) / child_sum
         stack.extend(zip(reversed(node.children), repeat(child_scale), repeat(out.children)))
     return copies[0]

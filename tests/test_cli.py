@@ -629,6 +629,34 @@ class TestRingRepresentation:
         assert not out.exists()
 
 
+_TABLE_DOCS = {
+    "zero-root": ({"label": "r", "value": 0.0}, "0", "zero-root"),
+    "negative-zero-root": ({"label": "r", "value": -0.0}, "0", "zero-root"),
+    "nested": ({"label": "r", "value": 10, "children": [
+        {"label": "A", "value": 5, "children": [{"label": "A1", "value": -1}]},
+        {"label": "B", "value": math.nan}]}, "0.0.0", "negative-value"),
+    "overfull": ({"label": "p", "value": 1, "children": [
+        {"label": "a", "value": 2}, {"label": "b", "value": -0.5}]}, "0", "overfull-parent"),
+}
+
+
+@pytest.mark.parametrize("doc, node, rule", _TABLE_DOCS.values(), ids=_TABLE_DOCS)
+def test_commands_refuse_with_the_first_violation_validate_lists(tmp_path, capsys, doc, node, rule):
+    """``rit validate`` exits 3, and render, layout and compare exit 2 on
+    its first entry, naming the same node and rule, and write nothing."""
+    src = tmp_path / "t.json"
+    src.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", "--input", str(src)]) == 3
+    first = json.loads(capsys.readouterr().out)[0]
+    assert (first["node"], first["rule"]) == (node, rule)
+    out = tmp_path / "out"
+    for target in (["render", "--output"], ["layout", "--output"], ["compare", "--outdir"]):
+        assert main([target[0], "--input", str(src), target[1], str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"input error: node {node!r}: {rule}: {first['message']}\n"
+        assert not out.exists()
+
+
 class TestValidateCommand:
     def test_clean_exit_0(self, demo_file, capsys):
         assert main(["validate", "--input", demo_file]) == 0
@@ -748,19 +776,35 @@ class TestBenchCommand:
         assert lines[-1].startswith("fit over 3 runs: ")
         assert not (tmp_path / "-").exists()
 
-    @pytest.mark.parametrize("repeats", ["0", "-1"])
-    def test_repeats_below_one_keeps_existing_csv(self, tmp_path, capsys, monkeypatch, repeats):
+    @pytest.mark.parametrize("flag, given, message", [
+        ("--repeats", "0", "--repeats must be at least 1, got 0"),
+        ("--repeats", "-1", "--repeats must be at least 1, got -1"),
+        ("--node-cap", "0", "--node-cap must be at least 2, got 0"),
+        ("--node-cap", "-1", "--node-cap must be at least 2, got -1"),
+        ("--node-cap", "1", "--node-cap must be at least 2, got 1"),
+        ("--depths", "3..1", "--depths must name at least one depth"),
+        ("--depths", ",", "--depths must name at least one depth"),
+    ], ids=["0", "-1", "node-cap-0", "node-cap--1", "node-cap-1", "depths-3..1", "depths-none"])
+    def test_repeats_below_one_keeps_existing_csv(self, tmp_path, capsys, monkeypatch,
+                                                  flag, given, message):
+        """A repeat count, node cap or depth range that can time nothing
+        exits 1 by name before the CSV is opened."""
         def never(*args, **kwargs):
             raise AssertionError("run_bench was called")
 
         monkeypatch.setattr(cli, "run_bench", never)
         out = tmp_path / "bench.csv"
         out.write_text("earlier run\n")
-        rc = main(["bench", "--depths", "1..4", "--repeats", repeats, "--csv", str(out)])
+        argv = {"--depths": "1..4", "--repeats": "1", flag: given}
+        rc = main(["bench", *(f"{k}={v}" for k, v in argv.items()), "--csv", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err == f"error: --repeats must be at least 1, got {repeats}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert out.read_text() == "earlier run\n"
+
+    def test_node_cap_of_two_times_the_smallest_tree(self, capsys):
+        assert main(["bench", "--cmax", "1", "--depths", "1", "--repeats", "1",
+                     "--node-cap", "2"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("case, code", [

@@ -490,6 +490,14 @@ def test_bad_hand_built_data_names_node_and_rule(place, data, rule):
 
 
 @pytest.mark.parametrize("place", [layout_rit, layout_sunburst, layout_icicle])
+@pytest.mark.parametrize("data", [0.5, 2.0, 0.0])
+def test_root_data_not_one_names_node_and_rule(place, data):
+    tree = NormalizedNode("r", "r", data, children=[NormalizedNode("a", "a", 0.0)])
+    with pytest.raises(ValueError, match=f"^node 'r': root-data-not-one: data {data} is not exactly 1$"):
+        place(tree)
+
+
+@pytest.mark.parametrize("place", [layout_rit, layout_sunburst, layout_icicle])
 def test_first_bad_node_in_preorder_is_named(place):
     # 'a1' comes before 'b' in preorder, and after it level by level or
     # with the children taken last first.

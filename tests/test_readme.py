@@ -1,8 +1,11 @@
-"""README's Python API example runs as written, against the imported package."""
+"""README runs and reads as the imported package does: its Python API example
+runs as written, and its list of value rules names every rule."""
 
+import inspect
+import re
 from pathlib import Path
 
-from rit_layout import demo_tree, layout_to_json, serialize_tree
+from rit_layout import demo_tree, layout_to_json, serialize_tree, tree
 
 from conftest import strict_json
 
@@ -27,3 +30,16 @@ def test_python_api_block_runs(tmp_path, monkeypatch):
     for made in (names["layout"], names["relaxed"]):
         doc = strict_json(layout_to_json(made))
         assert len(doc["nodes"]) == len(made.nodes) == demo_tree().count()
+
+
+def test_every_value_rule_is_named_where_exit_codes_are_listed():
+    """Every rule name ``_violations`` can yield, its own or through
+    ``_value_violation``, is in the sentence that lists the rules."""
+    source = inspect.getsource(tree._violations) + inspect.getsource(tree._value_violation)
+    rules = set(re.findall(r'Violation\(\s*node(?:_id|\.id), "([a-z-]+)"', source))
+    assert rules >= {"non-finite-value", "negative-value", "zero-root", "overfull-parent"}
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    start = text.index("A bad value's message names the node and the rule")
+    sentence = text[start:text.index(" refuse with.", start)]
+    for rule in rules:
+        assert f"`{rule}`" in sentence, rule

@@ -5,7 +5,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rit_layout import GeneratorSpec, demo_tree, generate_tree, normalize, parse_tree, serialize_tree, validate
 from rit_layout.generate import default_schedule
@@ -499,9 +499,23 @@ class TestNormalize:
         with pytest.raises(NormalizationError, match="overfull-parent"):
             normalize(tree, "strict")
 
+    @pytest.mark.parametrize("strategy", ["strict", "renormalize"])
+    @pytest.mark.parametrize("values", [
+        [1.0, math.inf, -math.inf],
+        [1e308, 1e308, math.inf, -math.inf],
+    ], ids=["inf-pair", "overflow-then-inf-pair"])
+    def test_children_of_both_infinities_are_named_not_raised(self, strategy, values):
+        # The parent sums its children before their own values are checked.
+        tree = TreeNode("p", "p", 1.0, children=[
+            TreeNode(f"c{i}", f"c{i}", v) for i, v in enumerate(values)])
+        first = values.index(math.inf)
+        with pytest.raises(NormalizationError, match=f"^node 'c{first}': non-finite-value: "):
+            normalize(tree, strategy)
+
     def test_zero_root_rejected(self):
-        with pytest.raises(NormalizationError):
-            normalize(TreeNode("x", "x", 0.0), "strict")
+        for value in (0.0, -0.0):
+            with pytest.raises(NormalizationError, match=f"^node 'x': zero-root: root value {value} "):
+                normalize(TreeNode("x", "x", value), "strict")
 
     def test_float_dust_overfull_tolerated_in_strict(self):
         tree = TreeNode("p", "p", 0.3, children=[
@@ -548,6 +562,66 @@ class TestNormalize:
 
     def test_normalized_invariants_clean(self):
         assert normalized_violations(normalize(demo_tree(), "strict")) == []
+
+
+# Values past every rule and bound: zeros of both signs, a negative, the
+# non-finite ones, the largest finite float and the smallest subnormal.
+_EDGE_VALUES = [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e308, 5e-324]
+
+
+@st.composite
+def _trees_at_the_value_rules(draw):
+    """1-12 nodes, each below an earlier one.  Some parents are set to their
+    children's sum times 1, 1 + 1e-13, 1.5 or 0.9: exactly full, within the
+    overfull tolerance, overfull, or short, and past the float range for
+    large children."""
+    n = draw(st.integers(1, 12))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    values = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(0.0, 10.0))
+    nodes = [TreeNode(f"n{i}", f"n{i}", draw(values)) for i in range(n)]
+    for i in range(n - 1, 0, -1):
+        nodes[parents[i - 1]].children.insert(0, nodes[i])
+    for node in reversed(nodes):
+        factor = draw(st.sampled_from([None, 1.0, 1.0 + 1e-13, 1.5, 0.9]))
+        if node.children and factor is not None:
+            try:
+                total = math.fsum(c.value for c in node.children)
+            except (OverflowError, ValueError):
+                # inf, -inf or NaN, as a running sum gives.
+                total = sum(c.value for c in node.children)
+            node.value = total * factor
+    return nodes[0]
+
+
+# Trees on which validate and normalize once named different violations
+# first: normalize checked children at their parent, before A1's subtree.
+_NESTED = TreeNode("r", "r", 10.0, children=[
+    TreeNode("A", "A", 5.0, children=[TreeNode("A1", "A1", -1.0)]), TreeNode("B", "B", math.nan)])
+_OVERFULL = TreeNode("p", "p", 1.0, children=[TreeNode("a", "a", 2.0), TreeNode("b", "b", -0.5)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_trees_at_the_value_rules(), strategy=st.sampled_from(["strict", "renormalize"]))
+@example(tree=TreeNode("n0", "n0", 0.0), strategy="strict")
+@example(tree=TreeNode("p", "p", 1.0, children=[
+    TreeNode("a", "a", math.inf), TreeNode("b", "b", -math.inf)]), strategy="renormalize")
+@example(tree=TreeNode("r", "r", -0.0), strategy="renormalize")
+@example(tree=_NESTED, strategy="strict")
+@example(tree=_NESTED, strategy="renormalize")
+@example(tree=_OVERFULL, strategy="strict")
+@example(tree=_OVERFULL, strategy="renormalize")
+def test_normalize_refuses_with_the_first_violation_validate_lists(tree, strategy):
+    """``normalize`` succeeds exactly when ``validate`` lists no violation
+    that applies under the strategy; otherwise it names the first."""
+    applies = [v for v in validate(tree)
+               if strategy == "strict" or v.rule != "overfull-parent"]
+    if not applies:
+        assert normalize(tree, strategy).data == 1.0
+        return
+    bad = applies[0]
+    with pytest.raises(NormalizationError) as info:
+        normalize(tree, strategy)
+    assert str(info.value) == f"node {bad.node_id!r}: {bad.rule}: {bad.message}"
 
 
 class TestGenerate:
