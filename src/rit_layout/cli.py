@@ -274,14 +274,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     csv_out = _output_file(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext()
     with csv_out as out:
         result = run_bench(specs, repeats=args.repeats, node_cap=args.node_cap)
+        for spec in result.skipped:
+            print(
+                f"warning: skipped {spec.kind} cmax={spec.c_max} depth={spec.depth}: "
+                f"more than {args.node_cap} nodes",
+                file=sys.stderr,
+            )
+        if not result.records:
+            raise ValueError(f"nothing was timed: every tree has more than {args.node_cap} nodes")
         if out is not None:
             out.write(records_to_csv(result.records))
-    for spec in result.skipped:
-        print(
-            f"warning: skipped {spec.kind} cmax={spec.c_max} depth={spec.depth}: "
-            f"more than {args.node_cap} nodes",
-            file=sys.stderr,
-        )
     if result.fit.defined:
         print(
             f"fit over {len(result.records)} runs: time = {result.fit.slope:.3e}*N "

@@ -491,77 +491,68 @@ def compute_layout(tree: NormalizedNode, style: str, cfg: LayoutConfig = LayoutC
     raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
-def _path_json(
-    loops: tuple[tuple[geo.Segment, ...], ...],
-    r_in: float, r_in_text: str, theta: float, theta_text: str,
-) -> str:
-    """A node's segments, loop by loop, as the items of its ``"path"`` list (indent 4).
+def _json_chunks(layout: Layout):
+    """The geometry JSON in pieces: the head, each node's item with the
+    ``",\\n"`` before it, and the tail.
 
-    A line's ``x0``/``y0`` equal to the last line's end, and an arc's
-    ``radius``/``start`` equal to the node's ``r_in``/``theta``, reuse that
-    number's text (see ``_nodes_json``).
+    A number slot that holds the very float object written last in its
+    matching slot reuses that text: a node's ``r_in`` and ``height`` against
+    the previous node's, an arc's ``radius`` and ``start`` against its
+    node's ``r_in`` and ``theta``, and a line's ``x0`` and ``y0`` against
+    the last line's ``x1`` and ``y1``.  One object has one ``repr``, so the
+    reuse changes no byte; the builders hand over each shared value as one
+    object.
     """
-    items = []
-    # The end of the last line written, and its text.
-    x = y = None
-    x_text = y_text = ""
-    for loop in loops:
-        for seg in loop:
-            if len(seg) == 4:
-                x0, y0, x1, y1 = seg
-                x0_text = x_text if x0 == x and x0 else repr(x0)
-                y0_text = y_text if y0 == y and y0 else repr(y0)
-                x, y, x_text, y_text = x1, y1, repr(x1), repr(y1)
-                items.append(
-                    '    {\n     "type": "line",\n'
-                    f'     "x0": {x0_text},\n     "y0": {y0_text},\n'
-                    f'     "x1": {x_text},\n     "y1": {y_text}\n    }}'
-                )
-            else:
-                radius, start, end = seg
-                items.append(
-                    '    {\n     "type": "arc",\n'
-                    f'     "radius": {r_in_text if radius == r_in and radius else repr(radius)},\n'
-                    f'     "start": {theta_text if start == theta and start else repr(start)},\n'
-                    f'     "end": {end!r}\n    }}'
-                )
-    return ",\n".join(items)
-
-
-def _nodes_json(nodes: tuple[PlacedNode, ...]) -> list[str]:
-    """Each node as an item of the ``"nodes"`` list (indent 2).
-
-    Siblings share ``r_in`` and ``height``, and outline segments share
-    corners, so a number equal to the one just written in its matching slot
-    reuses that text instead of spelling it again: two equal finite floats
-    other than zero have the same bits, so the same ``repr``.  Zero is spelled each time, because ``0.0 == -0.0``
-    but the two spell differently.
-    """
-    items = []
-    # The previous node's r_in and height, and their texts.
-    last_r_in = last_height = None
-    last_r_in_text = last_height_text = ""
-    for n in nodes:
+    yield (f'{{\n "a_std": {layout.a_std!r},\n "style": {encode_basestring_ascii(layout.style)},\n'
+           ' "nodes": [\n')
+    sep = ""
+    # The last node's r_in and height, and their texts.
+    r_in = height = None
+    r_in_text = height_text = ""
+    for n in layout.nodes:
         s = n.sector
-        theta, beta, alpha, r_in = s.theta, s.beta, s.alpha, s.r_in
-        height, topup = s.height, s.topup_height
-        node_id, label, color, depth, relaxed = n.id, n.label, n.color, n.depth, n.relaxed
+        theta = s.theta
         theta_text = repr(theta)
-        r_in_text = last_r_in_text if r_in == last_r_in and r_in else repr(r_in)
-        height_text = last_height_text if height == last_height and height else repr(height)
-        body = _path_json(n.path.loops, r_in, r_in_text, theta, theta_text)
-        items.append(
-            f'  {{\n   "id": {encode_basestring_ascii(node_id)},\n   "depth": {depth!r},\n'
-            f'   "theta": {theta_text},\n   "beta": {beta!r},\n   "alpha": {alpha!r},\n'
-            f'   "r_in": {r_in_text},\n   "height": {height_text},\n   "topup_height": {topup!r},\n'
-            f'   "relaxed": {"true" if relaxed else "false"},\n'
-            f'   "color": {"null" if color is None else encode_basestring_ascii(color)},\n'
-            f'   "label": {encode_basestring_ascii(label)},\n'
+        if s.r_in is not r_in:
+            r_in, r_in_text = s.r_in, repr(s.r_in)
+        if s.height is not height:
+            height, height_text = s.height, repr(s.height)
+        items = []
+        # The end of the last line written, and its text.
+        x = y = None
+        x_text = y_text = ""
+        for loop in n.path.loops:
+            for seg in loop:
+                if len(seg) == 4:
+                    x0, y0, x1, y1 = seg
+                    x0_text = x_text if x0 is x else repr(x0)
+                    y0_text = y_text if y0 is y else repr(y0)
+                    x, y, x_text, y_text = x1, y1, repr(x1), repr(y1)
+                    items.append(
+                        '    {\n     "type": "line",\n'
+                        f'     "x0": {x0_text},\n     "y0": {y0_text},\n'
+                        f'     "x1": {x_text},\n     "y1": {y_text}\n    }}'
+                    )
+                else:
+                    radius, start, end = seg
+                    items.append(
+                        '    {\n     "type": "arc",\n'
+                        f'     "radius": {r_in_text if radius is r_in else repr(radius)},\n'
+                        f'     "start": {theta_text if start is theta else repr(start)},\n'
+                        f'     "end": {end!r}\n    }}'
+                    )
+        body = ",\n".join(items)
+        yield (
+            f'{sep}  {{\n   "id": {encode_basestring_ascii(n.id)},\n   "depth": {n.depth!r},\n'
+            f'   "theta": {theta_text},\n   "beta": {s.beta!r},\n   "alpha": {s.alpha!r},\n'
+            f'   "r_in": {r_in_text},\n   "height": {height_text},\n   "topup_height": {s.topup_height!r},\n'
+            f'   "relaxed": {"true" if n.relaxed else "false"},\n'
+            f'   "color": {"null" if n.color is None else encode_basestring_ascii(n.color)},\n'
+            f'   "label": {encode_basestring_ascii(n.label)},\n'
             f'   "path": [\n{body}\n   ]\n  }}'
         )
-        last_r_in, last_r_in_text, last_height, last_height_text = (
-            r_in, r_in_text, height, height_text)
-    return items
+        sep = ",\n"
+    yield "\n ]\n}"
 
 
 def layout_to_json(layout: Layout) -> str:
@@ -573,17 +564,11 @@ def layout_to_json(layout: Layout) -> str:
     "color", "label", "path": [segment, ...]}, ...]}``, where an arc
     ``(radius, start, end)`` is ``{"type": "arc", "radius", "start", "end"}``
     and a line ``(x0, y0, x1, y1)`` is ``{"type": "line", "x0", "y0", "x1",
-    "y1"}``.  It is written directly, one string per node and per segment,
-    because any indent sends ``json.dumps`` to its pure-Python encoder; the
-    head rides on the first node's string and the tail on the last.
+    "y1"}``.  It is the join of ``_json_chunks``, which writes the text
+    directly, because any indent sends ``json.dumps`` to its pure-Python
+    encoder.
 
     The ``Layout`` contract makes every number a finite exact ``float``,
     whose ``repr`` is its JSON text, so the text is always strict JSON.
     """
-    items = _nodes_json(layout.nodes)
-    items[0] = (
-        f'{{\n "a_std": {layout.a_std!r},\n "style": {encode_basestring_ascii(layout.style)},\n'
-        f' "nodes": [\n{items[0]}'
-    )
-    items[-1] += "\n ]\n}"
-    return ",\n".join(items)
+    return "".join(_json_chunks(layout))

@@ -327,13 +327,20 @@ def _value_violation(node_id: str, value: float) -> Violation | None:
     return None
 
 
-def _fsum(values) -> float:
-    """The correctly rounded sum, so order never changes it; where ``math.fsum``
-    raises, a running sum's ``inf`` past the float range or NaN for inf - inf."""
+def _fsum(values: list[float]) -> float:
+    """The correctly rounded sum, so order never changes it; NaN for inf - inf.
+    Past a partial sum's overflow, the sum of the values scaled by 2**e, scaled
+    back, or an infinity of its sign where it does not fit back."""
     try:
         return math.fsum(values)
     except OverflowError:
-        return math.inf
+        # Scaled values cannot overflow, so this recurses once.
+        e = -1 - len(values).bit_length()
+        scaled = _fsum([math.ldexp(v, e) for v in values])
+        try:
+            return math.ldexp(scaled, -e)
+        except OverflowError:
+            return math.copysign(math.inf, scaled)
     except ValueError:
         return math.nan
 
@@ -354,7 +361,7 @@ def _violations(node: TreeNode, is_root: bool, strict: bool):
     elif is_root and value == 0.0:
         yield Violation(node.id, "zero-root", f"root value {value} is not > 0")
     if strict and node.children and all(math.isfinite(c.value) for c in node.children):
-        child_sum = _fsum(c.value for c in node.children)
+        child_sum = _fsum([c.value for c in node.children])
         excess = child_sum - value
         if excess > SUM_TOL * max(1.0, abs(value)):
             yield Violation(node.id, "overfull-parent",
@@ -407,7 +414,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
         if not node.children:
             continue
         child_scale = scale
-        child_sum = _fsum(c.value for c in node.children)
+        child_sum = _fsum([c.value for c in node.children])
         if child_sum > value:
             if strict:
                 bad = next(_violations(node, node is tree, True), None)
@@ -417,7 +424,7 @@ def normalize(tree: TreeNode, strategy: str = "strict") -> NormalizedNode:
             # 2**e, which keeps the ratio: ldexp is exact but for values far
             # too small to move the sum.  Otherwise e = 0 changes nothing.
             e = 0 if child_sum < inf else -1 - len(node.children).bit_length()
-            child_sum = _fsum(math.ldexp(c.value, e) for c in node.children)
+            child_sum = _fsum([math.ldexp(c.value, e) for c in node.children])
             child_scale = scale * math.ldexp(value, e) / child_sum
         stack.extend(zip(reversed(node.children), repeat(child_scale), repeat(out.children)))
     return copies[0]

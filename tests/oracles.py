@@ -10,8 +10,7 @@ sector's cuts remove, the outline builder spelled a second way, and
 package's plain-tuple segments, and ``node_by_id``, a layout's node by id.  They
 also hold the reference checks the package does not run itself: the
 deficient half top-up solve, the wedge-angle
-bound with its ``ANGLE_EPS`` margin, the normalized-tree invariants, and
-the SVG extent taken over one list of all outline points.
+bound with its ``ANGLE_EPS`` margin, and the normalized-tree invariants.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 from rit_layout.geometry import (
     ANGLE_EPS,
-    MAX_SWEEP,
     TAU,
     Path,
     SectorGeometry,
@@ -267,39 +265,6 @@ def half_topup_height(outer_radius: float, beta: float, alpha: float, wedge_area
     """
     q = wedge_area / (beta - alpha)
     return q / (outer_radius + math.sqrt(outer_radius * outer_radius + q))
-
-
-def all_points_extent(paths) -> tuple[float, float, float, float]:
-    """(x_lo, x_hi, y_lo, y_hi) of the outlines ``paths``, from one list of all their points.
-
-    Every line endpoint, every arc endpoint, and the axis points (+-r, 0) /
-    (0, +-r) at each multiple k*pi/2 an arc sweeps (at most five k), with
-    ``min`` and ``max`` taken once over all of them; an arc wider than
-    ``MAX_SWEEP``, which no layout holds, raises ``ValueError``.  The renderer's ``_extent``, which
-    reads line endpoints first, folds in chunks and skips covered arcs, must
-    give the same box.
-    """
-    points: list[float] = []  # x, y, x, y, ...: a line segment is two points
-    cos, sin, max_span, half_pi = math.cos, math.sin, MAX_SWEEP, 0.5 * math.pi
-    for path in paths:
-        for loop in path.loops:
-            for seg in loop:
-                if len(seg) == 4:
-                    points += seg
-                    continue
-                r, lo, hi = seg
-                if hi < lo:
-                    lo, hi = hi, lo
-                if hi - lo > max_span:
-                    raise ValueError("arc sweeps more than a full turn")
-                points += (r * cos(lo), r * sin(lo), r * cos(hi), r * sin(hi))
-                k = k0 = math.ceil(lo / half_pi)
-                while k * half_pi <= hi and k < k0 + 5:
-                    ux, uy = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[k % 4]
-                    points += (r * ux, r * uy)
-                    k += 1
-    xs, ys = points[0::2], points[1::2]
-    return min(xs), max(xs), min(ys), max(ys)
 
 
 def wedge_bound_satisfied(layout: Layout) -> bool:

@@ -806,6 +806,26 @@ class TestBenchCommand:
                      "--node-cap", "2"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing-csv", "new-csv"])
+    def test_every_tree_over_the_node_cap_exits_1(self, tmp_path, capsys, existing):
+        """Trees all past --node-cap time nothing: the skip warnings, then a
+        refusal; a CSV the command created is removed, an existing one kept."""
+        out = tmp_path / "bench.csv"
+        if existing:
+            out.write_text("earlier run\n")
+        assert main(["bench", "--depths", "1..2", "--repeats", "1", "--node-cap", "2",
+                     "--csv", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "warning: skipped fixed cmax=2 depth=1: more than 2 nodes\n"
+            "warning: skipped fixed cmax=2 depth=2: more than 2 nodes\n"
+            "error: nothing was timed: every tree has more than 2 nodes\n")
+        if existing:
+            assert out.read_text() == "earlier run\n"
+        else:
+            assert not out.exists()
+
 
 @pytest.mark.parametrize("case, code", [
     ("render", 0),

@@ -39,7 +39,7 @@ from rit_layout.geometry import (
 )
 from rit_layout.cli import main
 from rit_layout.generate import KINDS
-from rit_layout.layout import MAX_ANGLE, MAX_RADIUS, MODES, STYLES, Layout, PlacedNode, _path_json
+from rit_layout.layout import MAX_ANGLE, MAX_RADIUS, MODES, STYLES, Layout, PlacedNode
 from rit_layout.tree import NormalizedNode, TreeNode
 
 from conftest import TAU, full_chain, strict_json
@@ -345,13 +345,6 @@ def _segment_doc(seg) -> dict:
         return {"type": "arc", "radius": radius, "start": start, "end": end}
     x0, y0, x1, y1 = seg
     return {"type": "line", "x0": x0, "y0": y0, "x1": x1, "y1": y1}
-
-
-def _path_oracle(loops) -> str:
-    """The items of a node's ``"path"`` list as ``json.dumps(doc, indent=1)``
-    writes them, four levels deep."""
-    text = json.dumps([[[[_segment_doc(seg) for loop in loops for seg in loop]]]], indent=1)
-    return text[len("[\n [\n  [\n   [\n"):-len("\n   ]\n  ]\n ]\n]")]
 
 
 def _json_oracle(layout) -> dict:
@@ -772,13 +765,13 @@ _VALUES = {
 _WILD_KINDS = ["id"] + [kind for kind, (_, wild) in _VALUES.items() if wild is not None]
 
 # How a slot that may repeat an earlier value is filled: by its own draw,
-# by that value itself, or by an equal plain float (the other zero for a
-# zero, so the two compare equal but spell differently).
+# by that value itself, or by an equal float that is another object (the
+# other zero for a zero, so the two compare equal but spell differently).
 _SHARES = st.sampled_from(["own", "same", "equal"])
 
 
 def _equal_float(value):
-    return -value if value == 0 else float(value)
+    return -value if value == 0 else float(repr(value))
 
 
 def _slots(outlines) -> list[tuple[str, int | None]]:
@@ -820,9 +813,9 @@ def _hand_made_layouts(draw):
     # otherwise the wild value's kind is drawn first, so each kind is drawn
     # as often as the others.  A clean value in a slot whose text the
     # writer may reuse is drawn by a _SHARES rule.  Returns a function
-    # building the layout, the start of the error building it must raise
-    # (None when it must build), and each node's r_in, theta and hand-made
-    # loop for ``_path_json``.
+    # building the layout, whose nodes hold the hand-made loops as their
+    # outlines, and the start of the error building it must raise (None
+    # when it must build).
     ids = draw(st.lists(st.text(), max_size=3, unique=True))
     outlines = [draw(st.lists(st.sampled_from([4, 3]), min_size=1, max_size=5)) for _ in ids]
     slots = _slots(outlines)
@@ -852,35 +845,33 @@ def _hand_made_layouts(draw):
 
     a_std, style = next(values), next(values)
     kind = BandGeometry if style == "icicle" else SectorGeometry
-    nodes, loops = [], []
+    nodes = []
     for outline in outlines:
         node_id, label, color, depth, relaxed = (next(values) for _ in range(5))
         theta, beta, alpha, r_in, height, topup = (next(values) for _ in range(6))
         if alpha > beta:
             alpha, beta = beta, alpha
-        nodes.append(PlacedNode(node_id, label, color, 1.0, depth, None,
-                                kind(theta, beta, alpha, r_in, height, topup), relaxed))
-        drawn = tuple(tuple(next(values) for _ in range(arity)) for arity in outline)
-        loops.append((float(r_in), float(theta), (drawn,)))
-    return lambda: Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes)), error, loops
+        node = PlacedNode(node_id, label, color, 1.0, depth, None,
+                          kind(theta, beta, alpha, r_in, height, topup), relaxed)
+        # A test-only step: the writer reads the outline kept in ``_path``.
+        node._path = Path((tuple(tuple(next(values) for _ in range(arity)) for arity in outline),))
+        nodes.append(node)
+    return lambda: Layout(style, LayoutConfig(), a_std, tuple(nodes), len(nodes)), error
 
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=_hand_made_layouts())
 def test_bytes_equal_json_dumps_for_hand_made_layouts(drawn):
-    """A clean layout gives ``json.dumps``'s bytes, and a wild value, or no
-    nodes, is refused when the layout is built, naming the node or the
-    layout field.  Each node's hand-made segments, written on their own,
-    give ``json.dumps``'s items."""
-    build, error, loops = drawn
+    """A clean layout, with its nodes' hand-made outlines, gives
+    ``json.dumps``'s bytes, and a wild value, or no nodes, is refused when
+    the layout is built, naming the node or the layout field."""
+    build, error = drawn
     if error is None:
         layout = build()
         assert layout_to_json(layout) == json.dumps(_json_oracle(layout), indent=1)
     else:
         with pytest.raises(ValueError, match="^" + re.escape(error)):
             build()
-    for r_in, theta, node_loops in loops:
-        assert _path_json(node_loops, r_in, repr(r_in), theta, repr(theta)) == _path_oracle(node_loops)
 
 
 def test_diagnostics_aggregates(tmp_path):

@@ -512,6 +512,21 @@ class TestNormalize:
         with pytest.raises(NormalizationError, match=f"^node 'c{first}': non-finite-value: "):
             normalize(tree, strategy)
 
+    @pytest.mark.parametrize("strategy", ["strict", "renormalize"])
+    @pytest.mark.parametrize("value, children, named", [
+        (1.0, [-1e308, -1e308], ["a", "b"]),
+        (1e308, [1e308, 1e308, -1e308], ["c"]),
+    ], ids=["sum-below-range", "sum-back-in-range"])
+    def test_child_sum_past_float_range_keeps_its_sign(self, strategy, value, children, named):
+        # A partial sum that overflows is no overfull verdict: the first
+        # children sum to -inf, the second to 1e308, the parent's value.
+        tree = TreeNode("p", "p", value, children=[
+            TreeNode(c, c, v) for c, v in zip("abc", children)])
+        assert [(v.node_id, v.rule) for v in validate(tree)] == [
+            (node, "negative-value") for node in named]
+        with pytest.raises(NormalizationError, match=f"^node '{named[0]}': negative-value: "):
+            normalize(tree, strategy)
+
     def test_zero_root_rejected(self):
         for value in (0.0, -0.0):
             with pytest.raises(NormalizationError, match=f"^node 'x': zero-root: root value {value} "):
